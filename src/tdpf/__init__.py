@@ -3,9 +3,9 @@ with commutator-scaling error bounds and a Floquet-space cross-check."""
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundReport, GradedOperatorCurve, alpha_com,
-                     bar_alpha_com, corollary_bound, graded, huyghebaert_bound,
-                     mpf_bound, mpf_bound_value, nonunitary_bound, tight_bound)
+from .bounds import (BoundReport, alpha_com, bar_alpha_com, corollary_bound,
+                     huyghebaert_bound, mpf_bound, mpf_bound_value,
+                     nonunitary_bound, tight_bound)
 from .curves import (ConstantCurve, ExpCurve, PiecewiseCurve, PolynomialCurve,
                      ScalarCurve, TrigCurve, bump_c, bump_c_deriv,
                      extrapolate_scalar)

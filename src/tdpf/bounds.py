@@ -1,119 +1,88 @@
 """Evaluation of the explicit product-formula error bounds.
 
-All bounds reduce to norms of composite objects built from the Hamiltonian
-terms by two graded operations: commutation with a term curve and time
-differentiation.  Composites are materialized as matrices at each probe time
-(derivatives propagate through commutators by the Leibniz rule) and their
-exact spectral norms are summed; no symbolic norm inequalities are applied
-below the level of the published bound formulas.
+All bounds reduce to weighted sums of spectral norms of nested operators
+D_{s_p} ... D_{s_1} H_gamma(tau), where every step s maps an operator curve X
+to [H_g, X] + c dX/dt (a commutator with a term, a derivative, or both).  One
+depth-first walk builds each operator-sequence prefix once, as the table of
+its value and of the derivatives its continuations still need; derivatives
+pass through commutators by the Leibniz rule, and each term derivative
+H_g^(r)(tau) is evaluated once per sum.  A sum of length-p sequences needs
+p derivatives of every term that is not identically zero, so a smaller
+declared derivative budget is an error; zero terms are never differentiated.
+The exact norms of the complete sequences are summed; no symbolic norm
+inequalities are applied below the level of the published bound formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 from scipy.integrate import dblquad, quad
 
-from .errors import InvalidInputError, OutOfRegimeError, UnsupportedOrderError
+from .errors import (BudgetExceededError, InvalidInputError, OutOfRegimeError,
+                     UnsupportedOrderError)
 from .formulas import EXACT, StagePlan
 from .linalg import spectral_norm
-from .models import Hamiltonian, OperatorCurve
+from .models import Hamiltonian
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# Graded operator curves: evaluable composites with a derivative budget
+# Nested commutator-and-derivative norm sums
 # ---------------------------------------------------------------------------
 
-class GradedOperatorCurve:
-    """A matrix-valued function of time supporting nested commutators and
-    derivative shifts, with explicit bookkeeping of the remaining derivative
-    budget."""
-
-    budget: int
-    is_zero: bool
-
-    def value(self, tau: float, q: int = 0) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply_ad(self, curve: OperatorCurve) -> "GradedOperatorCurve":
-        """[curve(t), self(t)] as a new graded curve (budget unchanged)."""
-        return _Ad(curve, self)
-
-    def apply_dt(self, factor: complex = 1.0) -> "GradedOperatorCurve":
-        """factor * d/dt self(t); consumes one unit of budget."""
-        return _Dt(self, factor)
-
-    def __add__(self, other: "GradedOperatorCurve") -> "GradedOperatorCurve":
-        return _Sum([self, other])
-
-
-class _Leaf(GradedOperatorCurve):
-    def __init__(self, curve: OperatorCurve):
-        self.curve = curve
-        self.budget = curve.derivative_budget
-        self.is_zero = curve.is_zero
-
-    def value(self, tau, q=0):
-        return self.curve.value(tau, q)
+def _nested_norm_sum(ham: Hamiltonian, tau: float, p: int, seeds, steps) -> float:
+    """fsum of weight * ||D_{s_p} ... D_{s_1} H_gamma(tau)|| over all seeds
+    (gamma, weight) and all length-p sequences of steps (weight, g, c), where
+    a step maps X to [H_g, X] + c dX/dt (g None: derivative only).  A
+    sequence's weight is the product of its seed and step weights."""
+    derivs = {}
+    for g in range(1, ham.n_terms + 1):
+        term = ham.term(g)
+        if term.is_zero:
+            continue  # sequences through a zero term drop its commutator
+        if term.derivative_budget < p:
+            raise BudgetExceededError(
+                f"term {g} has derivative budget {term.derivative_budget}; "
+                f"this sum needs derivatives up to order {p}")
+        # steps use orders < p; only a seed's own table reaches order p
+        derivs[g] = [term.value(tau, r) for r in range(p)]
+    norms: list[float] = []
+    for gamma, weight in seeds:
+        if weight != 0.0 and gamma in derivs:
+            x = derivs[gamma] + [ham.term(gamma).value(tau, p)]
+            _walk(x, weight, p, derivs, steps, norms)
+    return math.fsum(norms)
 
 
-class _Ad(GradedOperatorCurve):
-    def __init__(self, left: OperatorCurve, right: GradedOperatorCurve):
-        self.left = left
-        self.right = right
-        self.budget = min(left.derivative_budget, right.budget)
-        self.is_zero = left.is_zero or right.is_zero
+def _walk(x, weight, depth, derivs, steps, norms) -> None:
+    """Append the weighted norms of every completion of the prefix whose
+    derivatives x[0..depth] are given, with depth steps still to apply."""
+    if depth == 0:
+        norms.append(weight * spectral_norm(x[0]))
+        return
+    for w, g, c in steps:
+        child_weight = weight * w
+        h = derivs.get(g)
+        if child_weight == 0.0 or (h is None and c == 0):
+            continue
+        if h is None:
+            child = [c * x[q + 1] for q in range(depth)]
+        else:
+            child = []
+            for q in range(depth):
+                out = np.zeros_like(x[0])
+                for r in range(q + 1):
+                    lv, rv = h[r], x[q - r]
+                    out += math.comb(q, r) * (lv @ rv - rv @ lv)
+                if c:
+                    out += c * x[q + 1]
+                child.append(out)
+        _walk(child, child_weight, depth - 1, derivs, steps, norms)
 
-    def value(self, tau, q=0):
-        out = np.zeros((self.left.dim, self.left.dim), dtype=np.complex128)
-        if self.is_zero:
-            return out
-        for r in range(q + 1):
-            lv = self.left.value(tau, r)
-            rv = self.right.value(tau, q - r)
-            out += math.comb(q, r) * (lv @ rv - rv @ lv)
-        return out
-
-
-class _Dt(GradedOperatorCurve):
-    def __init__(self, inner: GradedOperatorCurve, factor: complex):
-        self.inner = inner
-        self.factor = complex(factor)
-        self.budget = inner.budget - 1
-        self.is_zero = inner.is_zero or self.factor == 0.0
-
-    def value(self, tau, q=0):
-        return self.factor * self.inner.value(tau, q + 1)
-
-
-class _Sum(GradedOperatorCurve):
-    def __init__(self, parts):
-        self.parts = [p for p in parts if not p.is_zero]
-        self.budget = min((p.budget for p in self.parts), default=0)
-        self.is_zero = not self.parts
-        self._shape_src = parts[0]
-
-    def value(self, tau, q=0):
-        if self.is_zero:
-            return np.zeros_like(self._shape_src.value(tau, 0))
-        out = self.parts[0].value(tau, q)
-        for p in self.parts[1:]:
-            out = out + p.value(tau, q)
-        return out
-
-
-def graded(curve: OperatorCurve) -> GradedOperatorCurve:
-    return _Leaf(curve)
-
-
-# ---------------------------------------------------------------------------
-# Commutator factors
-# ---------------------------------------------------------------------------
 
 def _alpha_com_value(ham: Hamiltonian, order: int, tau: float,
                      deriv_coefficient: float) -> float:
@@ -121,25 +90,11 @@ def _alpha_com_value(ham: Hamiltonian, order: int, tau: float,
     D_g = ad_{H_g} for g <= Gamma and deriv_coefficient * d/dt for g = Gamma+1."""
     if order < 1:
         raise InvalidInputError("order must be >= 1")
-    p = order - 1
     n = ham.n_terms
-    norms = []
-    for seed in range(1, n + 1):
-        seed_curve = ham.term(seed)
-        if seed_curve.is_zero:
-            continue
-        for seq in product(range(1, n + 2), repeat=p):
-            # sequences touching an identically-zero term vanish
-            if any(g <= n and ham.term(g).is_zero for g in seq):
-                continue
-            node: GradedOperatorCurve = _Leaf(seed_curve)
-            for g in seq:
-                if g <= n:
-                    node = node.apply_ad(ham.term(g))
-                else:
-                    node = node.apply_dt(deriv_coefficient)
-            norms.append(spectral_norm(node.value(tau)))
-    return math.fsum(norms)
+    seeds = [(g, 1.0) for g in range(1, n + 1)]
+    steps = [(1.0, g, 0) for g in range(1, n + 1)]
+    steps.append((1.0, None, complex(deriv_coefficient)))
+    return _nested_norm_sum(ham, tau, order - 1, seeds, steps)
 
 
 def alpha_com(ham: Hamiltonian, order: int, tau: float) -> float:
@@ -241,27 +196,11 @@ def _tight_sum(plan: StagePlan, ham: Hamiltonian, tau: float,
     sharing the same operator types have identical norms, so the stage
     weights |alpha~| factor into per-type weight sums.
     """
-    p = plan.order
-    n = ham.n_terms
-    types = list(range(1, n + 1)) + ["dt"]
-    total = []
-    for seed in range(1, n + 1):
-        if seed_counts[seed] == 0 or ham.term(seed).is_zero:
-            continue
-        for seq in product(types, repeat=p):
-            weight = float(seed_counts[seed])
-            node: GradedOperatorCurve = _Leaf(ham.term(seed))
-            for ty in seq:
-                if ty == "dt":
-                    weight *= even_weight
-                    node = node.apply_dt(1j)
-                else:
-                    weight *= odd_weights[ty]
-                    node = node.apply_ad(ham.term(ty)) + node.apply_dt(1j)
-            if weight == 0.0 or node.is_zero:
-                continue
-            total.append(weight * spectral_norm(node.value(tau)))
-    return math.fsum(total)
+    gammas = range(1, ham.n_terms + 1)
+    seeds = [(g, float(seed_counts[g])) for g in gammas]
+    steps = [(odd_weights[g], g, 1j) for g in gammas]
+    steps.append((even_weight, None, 1j))
+    return _nested_norm_sum(ham, tau, plan.order, seeds, steps)
 
 
 def tight_bound(plan: StagePlan, ham: Hamiltonian, t: float,

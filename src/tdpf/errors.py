@@ -1,7 +1,8 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: SchemaError -> 2, ConvergenceError -> 3,
-OutOfRegimeError -> 4.
+The CLI maps these onto exit codes: SchemaError and InvalidInputError (which
+includes UnsupportedOrderError and BudgetExceededError) -> 2,
+ConvergenceError -> 3, OutOfRegimeError -> 4.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ class UnsupportedOrderError(InvalidInputError):
     """Requested formula order is outside what this routine enumerates."""
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(InvalidInputError):
     """A derivative of higher order than the curve's declared budget was requested."""
 
 

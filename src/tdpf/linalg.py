@@ -21,8 +21,6 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-_HERM_TOL = 1e-12
-
 
 def as_operator(a: np.ndarray) -> np.ndarray:
     """Validate and normalize a matrix to a square complex128 array."""
@@ -36,11 +34,6 @@ def as_operator(a: np.ndarray) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
-
-
-def is_hermitian(a: np.ndarray, tol: float = _HERM_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= tol)
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .curves import ScalarCurve, curve_from_descriptor, extrapolate_scalar
 from .errors import InvalidInputError, SchemaError
-from .linalg import DEFAULT_QUBIT_CAP, embed_pauli_string, is_hermitian
+from .linalg import DEFAULT_QUBIT_CAP, embed_pauli_string
 
 _PAULI_ORDER = ("X", "Y", "Z")
 
@@ -40,21 +40,11 @@ class OperatorCurve:
             budgets.append(int(derivative_budget))
         self.derivative_budget = min(budgets) if budgets else 0
         self.is_zero = all(not np.any(m) for m, _ in self.summands)
-        # bound sums probe the same (tau, q) thousands of times; cache small dims
-        self._cache: dict[tuple[float, int], np.ndarray] = {}
-        self._cache_cap = 1024 if self.dim <= 64 else 0
 
     def value(self, tau: float, q: int = 0) -> np.ndarray:
-        key = (float(tau), int(q))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for mat, curve in self.summands:
             out += mat * curve.eval(tau, q)
-        if len(self._cache) < self._cache_cap:
-            out.setflags(write=False)
-            self._cache[key] = out
         return out
 
     def scaled(self, factor: complex) -> OperatorCurve:
@@ -66,9 +56,6 @@ class OperatorCurve:
         return OperatorCurve(
             [(m, extrapolate_scalar(c, t_end, order)) for m, c in self.summands],
             dim=self.dim)
-
-    def hermitian_at(self, tau: float, tol: float = 1e-12) -> bool:
-        return is_hermitian(self.value(tau), tol)
 
 
 class Hamiltonian:

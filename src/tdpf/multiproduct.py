@@ -52,7 +52,7 @@ def moment_residual(ks, cs) -> float:
     return worst
 
 
-def choose_k(n_products: int, strategy: str = "sequential") -> list[int]:
+def choose_k(n_products: int) -> list[int]:
     """k subdivision counts for a J-term combination.
 
     Only the sequential choice k_j = j ships; the resulting conditioning is
@@ -61,8 +61,6 @@ def choose_k(n_products: int, strategy: str = "sequential") -> list[int]:
     """
     if n_products < 1:
         raise InvalidInputError("J must be >= 1")
-    if strategy != "sequential":
-        raise InvalidInputError(f"unknown k-selection strategy {strategy!r}")
     return list(range(1, n_products + 1))
 
 
@@ -99,8 +97,7 @@ class MpfPlan:
                 "p": self.base_order, "c_norm": self.c_norm, "k_norm": self.k_norm}
 
 
-def mpf_plan(n_products: int, base_order: int = 2,
-             strategy: str = "sequential") -> MpfPlan:
+def mpf_plan(n_products: int, base_order: int = 2) -> MpfPlan:
     """Sequential-k plan of J products over an order-p base formula."""
     if base_order != 2:
         if base_order < 2 or base_order % 2:
@@ -109,7 +106,7 @@ def mpf_plan(n_products: int, base_order: int = 2,
             "multi-product coefficients cancel even orders starting from 2; "
             f"with base order {base_order} the extrapolation formally starts "
             "from the second order", stacklevel=2)
-    ks = choose_k(n_products, strategy)
+    ks = choose_k(n_products)
     return MpfPlan(tuple(ks), tuple(float(c) for c in solve_coefficients(ks)),
                    base_order)
 

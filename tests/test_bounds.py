@@ -4,16 +4,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_matrix
-from tdpf.bounds import (alpha_com, bar_alpha_com, corollary_bound, graded,
+from conftest import driven_chain, random_matrix
+from tdpf.bounds import (_tight_sum, alpha_com, bar_alpha_com, corollary_bound,
                          grid_max, huyghebaert_bound, mpf_bound,
                          mpf_bound_value, nonunitary_bound, tight_bound)
-from tdpf.curves import ConstantCurve, TrigCurve
+from tdpf.curves import ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import (BudgetExceededError, InvalidInputError,
                          OutOfRegimeError, UnsupportedOrderError)
 from tdpf.formulas import measure_error, suzuki_plan
 from tdpf.linalg import PAULI, spectral_norm
-from tdpf.models import Hamiltonian, OperatorCurve
+from tdpf.models import Hamiltonian, OperatorCurve, build_long_range
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -37,32 +37,150 @@ def single_qubit_fg():
     return Hamiltonian([OperatorCurve([(X, f)]), OperatorCurve([(Z, g)])]), f, g
 
 
-class TestGradedCurve:
-    def test_leibniz_vs_finite_differences(self):
+def with_zero_term(ham):
+    return Hamiltonian(list(ham.terms) + [OperatorCurve([], dim=ham.dim)])
+
+
+def stage_weights(plan, n_terms):
+    """(odd_weights, even_weight, seed_counts) of the grouped tight sum."""
+    stages = plan.stages
+    odd_weights = {g: 0.0 for g in range(1, n_terms + 1)}
+    seed_counts = {g: 0 for g in range(1, n_terms + 1)}
+    for st in stages:
+        odd_weights[st.gamma] += abs(st.alpha)
+        seed_counts[st.gamma] += 1
+    even_weight = sum(abs(stages[k + 1].beta - stages[k].beta - stages[k].alpha)
+                      for k in range(len(stages) - 1))
+    return odd_weights, even_weight, seed_counts
+
+
+# Reference evaluation: every sequence from scratch, no shared prefixes.
+
+def ref_value(ham, seed, seq, tau, q=0):
+    """q-th derivative at tau of D_{s_k} ... D_{s_1} H_seed, where the step
+    (g, c) maps X to [H_g, X] + c dX/dt and g None means c dX/dt alone."""
+    if not seq:
+        return ham.term(seed).value(tau, q)
+    *inner, (g, c) = seq
+    out = np.zeros((ham.dim, ham.dim), dtype=np.complex128)
+    if g is not None:
+        for r in range(q + 1):
+            h = ham.term(g).value(tau, r)
+            x = ref_value(ham, seed, inner, tau, q - r)
+            out += math.comb(q, r) * (h @ x - x @ h)
+    if c:
+        out += c * ref_value(ham, seed, inner, tau, q + 1)
+    return out
+
+
+def ref_sum(ham, tau, p, seeds, steps):
+    """fsum over seeds (gamma, w) and length-p step sequences (w, g, c) of
+    the weight product times the norm of the nested operator."""
+    total = []
+    for gamma, weight in seeds:
+        for seq in product(steps, repeat=p):
+            w = weight * math.prod(s[0] for s in seq)
+            node = ref_value(ham, gamma, [s[1:] for s in seq], tau)
+            total.append(w * spectral_norm(node))
+    return math.fsum(total)
+
+
+def ref_alpha_com(ham, order, tau, deriv_coefficient):
+    n = ham.n_terms
+    steps = [(1.0, g, 0) for g in range(1, n + 1)] + [(1.0, None, deriv_coefficient)]
+    return ref_sum(ham, tau, order - 1, [(g, 1.0) for g in range(1, n + 1)], steps)
+
+
+def ref_tight_sum(plan, ham, tau):
+    odd_weights, even_weight, seed_counts = stage_weights(plan, ham.n_terms)
+    gammas = range(1, ham.n_terms + 1)
+    steps = [(odd_weights[g], g, 1j) for g in gammas] + [(even_weight, None, 1j)]
+    return ref_sum(ham, tau, plan.order, [(g, seed_counts[g]) for g in gammas], steps)
+
+
+PARITY_MODELS = {
+    "chain2": lambda: driven_chain(2),
+    "chain3": lambda: driven_chain(3),
+    "chain4": lambda: driven_chain(4),
+    "long-range": lambda: build_long_range(
+        2, 1.5, {"XX": PolynomialCurve([1.0, 0.5, -0.3]), "ZZ": ExpCurve(0.7, -1.2)},
+        {"Z": TrigCurve(0.4, 1.3)}),
+    "zero-term": lambda: with_zero_term(single_qubit_fg()[0]),
+}
+
+
+class TestNestedReference:
+    def test_reference_vs_finite_differences(self):
         ham, _f, _g = single_qubit_fg()
-        node = graded(ham.term(2)).apply_ad(ham.term(1))
-        for tau in (0.2, 0.7):
-            for q in (1, 2):
-                h = 1e-5
-                approx = (node.value(tau + h, q - 1) - node.value(tau - h, q - 1)) / (2 * h)
-                exact = node.value(tau, q)
-                assert spectral_norm(exact - approx) <= 1e-6 * max(
-                    1.0, spectral_norm(exact))
+        for seq in ([(1, 0)], [(1, 1j)], [(1, 0), (None, 2.0)]):
+            for tau in (0.2, 0.7):
+                for q in (1, 2):
+                    h = 1e-5
+                    approx = (ref_value(ham, 2, seq, tau + h, q - 1)
+                              - ref_value(ham, 2, seq, tau - h, q - 1)) / (2 * h)
+                    exact = ref_value(ham, 2, seq, tau, q)
+                    assert spectral_norm(exact - approx) <= 1e-6 * max(
+                        1.0, spectral_norm(exact))
 
-    def test_dt_budget_bookkeeping(self):
-        curve = OperatorCurve([(X, TrigCurve(1.0, 1.0, derivative_budget=2))])
-        node = graded(curve)
-        assert node.budget == 2
-        assert node.apply_dt().budget == 1
-        assert node.apply_ad(curve).budget == 2
+    @pytest.mark.parametrize("model", sorted(PARITY_MODELS))
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_alpha_com_matches_reference(self, model, p):
+        ham = PARITY_MODELS[model]()
+        expected = ref_alpha_com(ham, p + 1, 0.37, 2.0 * ham.n_terms)
+        assert alpha_com(ham, p + 1, 0.37) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("model", sorted(PARITY_MODELS))
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_bar_alpha_com_matches_reference(self, model, p):
+        ham = PARITY_MODELS[model]()
+        expected = ref_alpha_com(ham, p + 1, 0.37, 1.0)
+        assert bar_alpha_com(ham, p + 1, 0.37) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("model", sorted(PARITY_MODELS))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_tight_sum_matches_reference(self, model, p):
+        ham = PARITY_MODELS[model]()
+        plan = suzuki_plan(p, ham.n_terms)
+        expected = ref_tight_sum(plan, ham, 0.37)
+        grouped = _tight_sum(plan, ham, 0.37, *stage_weights(plan, ham.n_terms))
+        assert grouped == pytest.approx(expected, rel=1e-12)
+
+
+class TestDerivativeBudget:
+    def test_budget_enforced(self):
+        # the declared budget sits below the scalar curves' own budgets
+        curve = OperatorCurve([(X, TrigCurve(1.0, 1.0))], derivative_budget=1)
+        ham = Hamiltonian([curve, OperatorCurve([(Z, ConstantCurve(1.0))])])
+        alpha_com(ham, 2, 0.1)  # one step needs one derivative
+        tight_bound(suzuki_plan(1, 2), ham, 0.1, grid_points=5)
+        with pytest.raises(BudgetExceededError) as err:
+            alpha_com(ham, 3, 0.1)
+        assert isinstance(err.value, InvalidInputError)
         with pytest.raises(BudgetExceededError):
-            node.apply_dt().apply_dt().apply_dt().value(0.1)
+            tight_bound(suzuki_plan(2, 2), ham, 0.1, grid_points=5)
 
-    def test_zero_propagation(self):
-        zero = OperatorCurve([], dim=2)
-        live = OperatorCurve([(X, ConstantCurve(1.0))])
-        assert graded(live).apply_ad(zero).is_zero
-        assert not (graded(live).apply_ad(live) + graded(live).apply_dt(1j)).is_zero
+
+class TestZeroTerm:
+    def test_zero_term_is_never_differentiated(self):
+        ham, _f, _g = single_qubit_fg()
+        padded = with_zero_term(ham)
+        assert padded.term(3).derivative_budget == 0
+        # the zero term's sequences vanish, so the nonzero norms coincide
+        for order in (2, 3, 5):
+            assert bar_alpha_com(padded, order, 0.4) == bar_alpha_com(ham, order, 0.4)
+
+    def test_zero_term_drops_only_its_commutator(self):
+        # with H_3 = 0 the step ad_{H_3} + i d/dt is the even step i d/dt
+        ham, _f, _g = single_qubit_fg()
+        padded = with_zero_term(ham)
+        plan = suzuki_plan(2, 3)
+        odd_weights, even_weight, seed_counts = stage_weights(plan, 3)
+        merged = dict(odd_weights)
+        merged[3] = 0.0
+        expected = _tight_sum(plan, padded, 0.3, merged,
+                              even_weight + odd_weights[3], seed_counts)
+        got = _tight_sum(plan, padded, 0.3, odd_weights, even_weight, seed_counts)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestAlphaCom:
@@ -169,41 +287,20 @@ class TestTightBound:
     @pytest.mark.parametrize("p", [1, 2])
     def test_grouped_sum_matches_literal_enumeration(self, driven2, p):
         # oracle: enumerate stage indices k'_1..k'_p in {1..2K-1} literally
-        from tdpf.bounds import _tight_sum
         plan = suzuki_plan(p, 2)
         stages = plan.stages
-        k_count = len(stages)
         ops = []
-        for kp in range(1, 2 * k_count):
+        for kp in range(1, 2 * len(stages)):
             if kp % 2:
                 st = stages[(kp + 1) // 2 - 1]
-                ops.append((abs(st.alpha), st.gamma))
+                ops.append((abs(st.alpha), st.gamma, 1j))
             else:
                 k = kp // 2
                 ops.append((abs(stages[k].beta - stages[k - 1].beta
-                                - stages[k - 1].alpha), None))
+                                - stages[k - 1].alpha), None, 1j))
         tau = 0.37
-        literal = 0.0
-        for st in stages:
-            for seq in product(range(len(ops)), repeat=p):
-                weight = 1.0
-                node = graded(driven2.term(st.gamma))
-                for idx in seq:
-                    w, gamma = ops[idx]
-                    weight *= w
-                    if gamma is None:
-                        node = node.apply_dt(1j)
-                    else:
-                        node = node.apply_ad(driven2.term(gamma)) + node.apply_dt(1j)
-                literal += weight * spectral_norm(node.value(tau))
-        odd_weights = {g: 0.0 for g in (1, 2)}
-        seed_counts = {g: 0 for g in (1, 2)}
-        for st in stages:
-            odd_weights[st.gamma] += abs(st.alpha)
-            seed_counts[st.gamma] += 1
-        even_weight = sum(abs(stages[k + 1].beta - stages[k].beta - stages[k].alpha)
-                          for k in range(k_count - 1))
-        grouped = _tight_sum(plan, driven2, tau, odd_weights, even_weight, seed_counts)
+        literal = ref_sum(driven2, tau, p, [(st.gamma, 1.0) for st in stages], ops)
+        grouped = _tight_sum(plan, driven2, tau, *stage_weights(plan, 2))
         assert grouped == pytest.approx(literal, rel=1e-12)
 
 

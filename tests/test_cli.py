@@ -218,6 +218,15 @@ class TestPlumbing:
         assert run("huyghebaert-check", cfg, str(tmp_path / "out"),
                    oracle_tol=1e-15) == 2
 
+    def test_derivative_budget_exceeded_exits_2(self, tmp_path, capsys):
+        # p = 2 bounds need second derivatives; the model declares only one
+        model = dict(SINGLE_MODE_1Q, derivative_budget=1)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": model, "orders": [2], "times": [0.01], "grid_points": 5})
+        assert run("bound-check", cfg, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "derivative budget 1" in err
+
     def test_convergence_failure_exits_3(self, tmp_path, monkeypatch):
         from tdpf.errors import ConvergenceError
 
