@@ -11,6 +11,22 @@ p derivatives of every term that is not identically zero, so a smaller
 declared derivative budget is an error; zero terms are never differentiated.
 The exact norms of the complete sequences are summed; no symbolic norm
 inequalities are applied below the level of the published bound formulas.
+
+The walk runs on a batch of taus at once: every node is a (B, dim, dim)
+stack, each leaf's norms come from one batched eigensolve, and each tau gets
+its own exactly rounded fsum.  Batches hold at most 2^16 stack entries, so
+large dimensions go one tau at a time.  When every live term is Hermitian
+(decided from its matrices, never from the Hamiltonian's flag), every node
+is i^k times a Hermitian matrix: a step with a commutator and no derivative,
+or with an imaginary derivative coefficient, multiplies by i; a derivative
+step with a real coefficient by 1.  The leaf times (-i)^k, which is exact in
+floating point, is then Hermitian, and its norm is its largest |eigenvalue|
+with no A†A product.  Any other step, or a non-Hermitian term, takes the
+general A†A path.
+
+Maxima over tau come from grid_max, which hands its function an array of
+points per call: the whole grid, then the two first golden-section probes,
+then one point per refinement step.
 """
 
 from __future__ import annotations
@@ -24,22 +40,31 @@ from scipy.integrate import dblquad, quad
 from .errors import (BudgetExceededError, InvalidInputError, OutOfRegimeError,
                      UnsupportedOrderError)
 from .formulas import EXACT, StagePlan
-from .linalg import spectral_norm
+from .linalg import spectral_norm, spectral_norms
 from .models import Hamiltonian
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Largest tau batch of one walk: B * dim^2 <= 2^16 stack entries, so at
+# dim >= 256 the walk takes one tau at a time.
+_BATCH_ENTRIES = 1 << 16
+
+# (-i)^k for k mod 4 = 1, 2, 3
+_UNDO_I_POWER = {1: -1j, 2: -1.0, 3: 1j}
 
 
 # ---------------------------------------------------------------------------
 # Nested commutator-and-derivative norm sums
 # ---------------------------------------------------------------------------
 
-def _nested_norm_sum(ham: Hamiltonian, tau: float, p: int, seeds, steps) -> float:
+def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
     """fsum of weight * ||D_{s_p} ... D_{s_1} H_gamma(tau)|| over all seeds
     (gamma, weight) and all length-p sequences of steps (weight, g, c), where
     a step maps X to [H_g, X] + c dX/dt (g None: derivative only).  A
-    sequence's weight is the product of its seed and step weights."""
-    derivs = {}
+    sequence's weight is the product of its seed and step weights.  A float
+    tau gives a float; an array of taus gives one exactly rounded fsum each."""
+    batch = np.atleast_1d(np.asarray(taus, dtype=float))
+    live = {}
     for g in range(1, ham.n_terms + 1):
         term = ham.term(g)
         if term.is_zero:
@@ -48,23 +73,57 @@ def _nested_norm_sum(ham: Hamiltonian, tau: float, p: int, seeds, steps) -> floa
             raise BudgetExceededError(
                 f"term {g} has derivative budget {term.derivative_budget}; "
                 f"this sum needs derivatives up to order {p}")
+        live[g] = term
+    powers = (_i_powers(steps, live)
+              if all(term.is_hermitian for term in live.values()) else None)
+    walk_steps = list(zip(steps, powers or [0] * len(steps)))
+    chunk = max(1, _BATCH_ENTRIES // ham.dim**2)
+    sums = []
+    for lo in range(0, len(batch), chunk):
+        part = batch[lo:lo + chunk]
         # steps use orders < p; only a seed's own table reaches order p
-        derivs[g] = [term.value(tau, r) for r in range(p)]
-    norms: list[float] = []
-    for gamma, weight in seeds:
-        if weight != 0.0 and gamma in derivs:
-            x = derivs[gamma] + [ham.term(gamma).value(tau, p)]
-            _walk(x, weight, p, derivs, steps, norms)
-    return math.fsum(norms)
+        derivs = {g: [term.values(part, r) for r in range(p)] for g, term in live.items()}
+        norms = []
+        for gamma, weight in seeds:
+            if weight != 0.0 and gamma in derivs:
+                x = derivs[gamma] + [live[gamma].values(part, p)]
+                _walk(x, weight, p, derivs, walk_steps, norms,
+                      None if powers is None else 0)
+        leaves = np.array(norms).reshape(len(norms), len(part))
+        sums += [math.fsum(column) for column in leaves.T]
+    return np.array(sums) if np.ndim(taus) else sums[0]
 
 
-def _walk(x, weight, depth, derivs, steps, norms) -> None:
+def _i_powers(steps, live):
+    """The power of i each step contributes when every live term is
+    Hermitian, or None when some step leaves that form.  Then every node is
+    i^k times a Hermitian matrix: ad_{H_g} and an imaginary c d/dt multiply
+    by i, a real c d/dt by 1."""
+    powers = []
+    for _w, g, c in steps:
+        c = complex(c)
+        if c.real == 0.0 and (c.imag != 0.0 or g in live):
+            powers.append(1)
+        elif c.imag == 0.0 and g not in live:
+            powers.append(0)
+        else:
+            return None
+    return powers
+
+
+def _walk(x, weight, depth, derivs, steps, norms, k) -> None:
     """Append the weighted norms of every completion of the prefix whose
-    derivatives x[0..depth] are given, with depth steps still to apply."""
+    derivatives x[0..depth] are given as tau-batch stacks, with depth steps
+    still to apply.  k is the prefix's power of i (None: general matrices);
+    (-i)^k is exact in floating point and makes a leaf Hermitian."""
     if depth == 0:
-        norms.append(weight * spectral_norm(x[0]))
+        if k is None:
+            norms.append(weight * spectral_norms(x[0]))
+        else:
+            leaf = x[0] if k % 4 == 0 else x[0] * _UNDO_I_POWER[k % 4]
+            norms.append(weight * spectral_norms(leaf, hermitian=True))
         return
-    for w, g, c in steps:
+    for (w, g, c), power in steps:
         child_weight = weight * w
         h = derivs.get(g)
         if child_weight == 0.0 or (h is None and c == 0):
@@ -81,11 +140,12 @@ def _walk(x, weight, depth, derivs, steps, norms) -> None:
                 if c:
                     out += c * x[q + 1]
                 child.append(out)
-        _walk(child, child_weight, depth - 1, derivs, steps, norms)
+        _walk(child, child_weight, depth - 1, derivs, steps, norms,
+              None if k is None else k + power)
 
 
-def _alpha_com_value(ham: Hamiltonian, order: int, tau: float,
-                     deriv_coefficient: float) -> float:
+def _alpha_com_value(ham: Hamiltonian, order: int, tau,
+                     deriv_coefficient: float):
     """Sum over operator sequences of || D_{g_p} ... D_{g_1} H_{g_seed} ||,
     D_g = ad_{H_g} for g <= Gamma and deriv_coefficient * d/dt for g = Gamma+1."""
     if order < 1:
@@ -97,13 +157,14 @@ def _alpha_com_value(ham: Hamiltonian, order: int, tau: float,
     return _nested_norm_sum(ham, tau, order - 1, seeds, steps)
 
 
-def alpha_com(ham: Hamiltonian, order: int, tau: float) -> float:
+def alpha_com(ham: Hamiltonian, order: int, tau):
     """Commutator-and-derivative factor of the given order (= p + 1) at time
-    tau; the derivative operator carries the weight 2 Gamma."""
+    tau (a float, or an array giving an array); the derivative operator
+    carries the weight 2 Gamma."""
     return _alpha_com_value(ham, order, tau, 2.0 * ham.n_terms)
 
 
-def bar_alpha_com(ham: Hamiltonian, order: int, tau: float) -> float:
+def bar_alpha_com(ham: Hamiltonian, order: int, tau):
     """Variant of alpha_com whose derivative operator carries weight 1; it
     governs the instantaneous-Hamiltonian formula family."""
     return _alpha_com_value(ham, order, tau, 1.0)
@@ -139,29 +200,35 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
              refine_iters: int = 30) -> tuple[float, float]:
     """(max, argmax) of fn over [lo, hi]: uniform grid plus golden-section
     refinement around the grid argmax.  A sampled maximum is a lower bound on
-    the true one, which reports flag via the grid_size field."""
+    the true one, which reports flag via the grid_size field.
+
+    fn maps a 1-D array of points to the array of its values.  The grid is
+    one call, the first two golden-section probes are one call, and each
+    refinement step is one call with a single point."""
     if hi < lo:
         raise InvalidInputError("empty maximization interval")
     if hi == lo:
-        return fn(lo), lo
+        return float(fn(np.array([lo]))[0]), lo
     xs = np.linspace(lo, hi, n_points)
-    vals = [fn(x) for x in xs]
+    vals = fn(xs)
     k = int(np.argmax(vals))
-    best_val, best_x = vals[k], float(xs[k])
+    best_val, best_x = float(vals[k]), float(xs[k])
+    if refine_iters == 0:
+        return best_val, best_x
     a = float(xs[max(k - 1, 0)])
     b = float(xs[min(k + 1, n_points - 1)])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+    f1, f2 = (float(v) for v in fn(np.array([x1, x2])))
     for _ in range(refine_iters):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
+            f2 = float(fn(np.array([x2]))[0])
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
+            f1 = float(fn(np.array([x1]))[0])
         if f1 > best_val:
             best_val, best_x = f1, x1
         if f2 > best_val:
@@ -187,10 +254,11 @@ def corollary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
                        extra={"alpha_com_max": best, "layers": v})
 
 
-def _tight_sum(plan: StagePlan, ham: Hamiltonian, tau: float,
+def _tight_sum(plan: StagePlan, ham: Hamiltonian, tau,
                odd_weights: dict[int, float], even_weight: float,
-               seed_counts: dict[int, int]) -> float:
-    """Sum over operator-type sequences, with multiplicities folded in.
+               seed_counts: dict[int, int]):
+    """Sum over operator-type sequences, with multiplicities folded in, at a
+    float tau or at every tau of an array.
 
     The literal sum runs over stage indices k'_1..k'_p in {1..2K-1}; sequences
     sharing the same operator types have identical norms, so the stage

@@ -95,6 +95,13 @@ def _orders(cfg: dict, default=(1, 2)) -> list[int]:
     return orders
 
 
+def _int_field(cfg: dict, key: str, default: int, minimum: int) -> int:
+    val = cfg.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+        raise SchemaError(key, f"expected an integer >= {minimum}")
+    return val
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -185,7 +192,7 @@ def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> in
 def _cmd_bound_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
     orders = _orders(cfg)
-    grid_points = cfg.get("grid_points", 65)
+    grid_points = _int_field(cfg, "grid_points", 65, 2)
     times_by_order = cfg.get("times_by_order", {})
     cells = []
     for p in orders:
@@ -294,7 +301,7 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
             or any(isinstance(j, bool) or not isinstance(j, int) for j in j_values)):
         raise SchemaError("J_values", "expected a list of integers")
     ts = _times_from_config(cfg)
-    grid_points = cfg.get("grid_points", 33)
+    grid_points = _int_field(cfg, "grid_points", 33, 2)
     base_order = cfg.get("p", 2)
     cells = [(j, t) for j in j_values for t in ts]
 
@@ -351,8 +358,8 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
     bound_source = cfg.get("bound_source", "measured-alpha")
     include_mpf = bool(cfg.get("include_mpf", False))
     params = cfg.get("model_params", {})
-    grid_points = cfg.get("grid_points", 9)
-    refine_iters = cfg.get("refine_iters", 12)
+    grid_points = _int_field(cfg, "grid_points", 9, 2)
+    refine_iters = _int_field(cfg, "refine_iters", 12, 0)
 
     def build(n):
         if model_class == "nn-chain":
@@ -432,7 +439,7 @@ def _cmd_nonunitary_check(cfg: dict, out: Path, workers: int, oracle_tol: float)
     p = cfg.get("p", 1)
     plan = suzuki_plan(p, ham.n_terms, EXACT)
     ts = _times_from_config(cfg)
-    grid_points = cfg.get("grid_points", 33)
+    grid_points = _int_field(cfg, "grid_points", 33, 2)
 
     def cell(t):
         err = measure_error(plan, scaled, t, oracle_tol=oracle_tol)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .formulas import EXACT, StagePlan, suzuki_a
-from .linalg import matrix_exp, spectral_norm
+from .linalg import matrix_exp, spectral_norm, spectral_norms
 from .models import Hamiltonian, OperatorCurve
 
 DEFAULT_SAMPLES = 4096
@@ -274,24 +274,21 @@ def check_translation_symmetry(lifted: np.ndarray, space: FloquetSpace,
                                omega: float, t: float,
                                l_keep: int | None = None) -> float:
     """Largest deviation of <l|op|l'> from e^{i l'' w t} <l-l''|op|l'-l''> over
-    interior index triples."""
+    interior index triples, from one batched norm call."""
     keep = space.l_keep if l_keep is None else l_keep
-    worst = 0.0
-    for shift in range(-keep, keep + 1):
-        if shift == 0:
-            continue
-        phase = np.exp(1j * shift * omega * t)
-        for l_row in range(-keep, keep + 1):
-            if abs(l_row - shift) > keep:
-                continue
-            for l_col in range(-keep, keep + 1):
-                if abs(l_col - shift) > keep:
-                    continue
-                dev = spectral_norm(
-                    space.block(lifted, l_row, l_col)
-                    - phase * space.block(lifted, l_row - shift, l_col - shift))
-                worst = max(worst, dev)
-    return worst
+    n, d = space.n_blocks, space.dim
+    blocks = lifted.reshape(n, d, n, d).transpose(0, 2, 1, 3)  # [row, col]
+    ls = np.arange(-keep, keep + 1)
+    s, r, c = ls[:, None, None], ls[None, :, None], ls[None, None, :]
+    inside = (s != 0) & (np.abs(r - s) <= keep) & (np.abs(c - s) <= keep)
+    shift, l_row, l_col = (ls[i] for i in np.nonzero(inside))
+    if not shift.size:
+        return 0.0
+    row, col = l_row + space.l_max, l_col + space.l_max
+    phase = np.exp(1j * shift * omega * t)[:, None, None]
+    diffs = blocks[row, col]
+    diffs -= phase * blocks[row - shift, col - shift]
+    return float(spectral_norms(diffs).max())
 
 
 def transition_profile(lifted: np.ndarray, space: FloquetSpace,

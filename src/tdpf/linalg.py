@@ -37,16 +37,31 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Operator 2-norm ||A|| = sqrt(max eigenvalue of A†A).
+    """Operator 2-norm ||A|| of one square matrix; see ``spectral_norms``."""
+    return float(spectral_norms(as_operator(a)))
 
-    The Hermitian eigensolve of A†A is cheaper than a full SVD and exact
-    enough for the dimensions used here.
+
+def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """Operator 2-norms of a ``(..., n, n)`` stack with one ``eigvalsh`` call.
+
+    In general ||A|| = sqrt(max eigenvalue of A†A); the Hermitian eigensolve
+    of A†A is cheaper than a full SVD and exact enough for the dimensions
+    used here.  With ``hermitian`` every matrix must be Hermitian (only its
+    lower triangle is read), and ||A|| = max(|lambda_min|, |lambda_max|)
+    needs no product.  1x1 matrices return their modulus.
     """
-    m = as_operator(a)
-    if m.shape[0] == 1:
-        return float(abs(m[0, 0]))
-    evals = np.linalg.eigvalsh(m.conj().T @ m)
-    return float(np.sqrt(max(evals[-1], 0.0)))
+    m = np.asarray(stack, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidInputError(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
+        raise InvalidInputError("matrix has non-finite entries")
+    if m.shape[-1] == 1:
+        return np.abs(m[..., 0, 0])
+    if hermitian:
+        evals = np.linalg.eigvalsh(m)
+        return np.maximum(np.abs(evals[..., 0]), np.abs(evals[..., -1]))
+    evals = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
+    return np.sqrt(np.maximum(evals[..., -1], 0.0))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +42,26 @@ class OperatorCurve:
         self.derivative_budget = min(budgets) if budgets else 0
         self.is_zero = all(not np.any(m) for m, _ in self.summands)
 
+    @cached_property
+    def is_hermitian(self) -> bool:
+        """Every summand matrix exactly equals its conjugate transpose; the
+        curves are real, so every value and derivative is then Hermitian."""
+        return all(np.array_equal(m, m.conj().T) for m, _ in self.summands)
+
     def value(self, tau: float, q: int = 0) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for mat, curve in self.summands:
             out += mat * curve.eval(tau, q)
+        return out
+
+    def values(self, taus, q: int = 0) -> np.ndarray:
+        """``value`` at every tau of a 1-D batch, as a (len(taus), dim, dim)
+        stack with the same per-element arithmetic."""
+        taus = np.asarray(taus, dtype=float)
+        out = np.zeros((len(taus), self.dim, self.dim), dtype=np.complex128)
+        for mat, curve in self.summands:
+            coeffs = np.array([curve.eval(tau, q) for tau in taus])
+            out += mat * coeffs[:, None, None]
         return out
 
     def scaled(self, factor: complex) -> OperatorCurve:
@@ -76,10 +93,6 @@ class Hamiltonian:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
-
-    @property
-    def derivative_budget(self) -> int:
-        return min(t.derivative_budget for t in self.terms)
 
     def term(self, gamma: int) -> OperatorCurve:
         """1-based term lookup."""
@@ -378,8 +391,9 @@ def _custom_from_descriptor(desc: dict, cap: int) -> Hamiltonian:
     if labels != list(range(1, len(labels) + 1)):
         raise SchemaError("model.terms", f"gamma labels must be 1..{len(labels)}, got {labels}")
     budget = desc.get("derivative_budget")
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)):
-        raise SchemaError("model.derivative_budget", "expected an integer")
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
+                               or budget < 0):
+        raise SchemaError("model.derivative_budget", "expected a nonnegative integer")
     terms = [OperatorCurve([seen[g]], derivative_budget=budget) for g in labels]
     return Hamiltonian(terms, metadata={"model": "custom", "n_sites": n,
                                         "local_gate_counts": [1] * len(labels)})

@@ -84,10 +84,14 @@ def _analytic_alpha(ham: Hamiltonian, order: int, t: float, grid_points: int,
     meta = ham if isinstance(ham, dict) else ham.metadata
     p = order - 1
     if "pair_table" in meta:
-        def factor(tau):
-            one, induced = induced_norms(meta, tau)
+        def factor(taus):
             gamma = meta["n_terms"]
-            return sum(gamma**q * induced**(p - q) for q in range(p + 1)) * one
+            out = []
+            for tau in taus:
+                one, induced = induced_norms(meta, tau)
+                out.append(sum(gamma**q * induced**(p - q) for q in range(p + 1)) * one)
+            return np.array(out)
+
         best, _ = grid_max(factor, 0.0, t, grid_points, refine_iters=12)
         return constant * best
     if meta.get("model") == "nn-chain":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import driven_chain, random_matrix
+import tdpf.bounds as bounds
 from tdpf.bounds import (_tight_sum, alpha_com, bar_alpha_com, corollary_bound,
                          grid_max, huyghebaert_bound, mpf_bound,
                          mpf_bound_value, nonunitary_bound, tight_bound)
@@ -144,6 +145,79 @@ class TestNestedReference:
         expected = ref_tight_sum(plan, ham, 0.37)
         grouped = _tight_sum(plan, ham, 0.37, *stage_weights(plan, ham.n_terms))
         assert grouped == pytest.approx(expected, rel=1e-12)
+
+
+def non_hermitian_pair():
+    """Two terms with non-Hermitian matrices under the default hermitian flag."""
+    a = np.array([[0.3, 1.2], [-0.4, 0.1j]])
+    return Hamiltonian([OperatorCurve([(a, TrigCurve(0.9, 1.7, phase=0.2))]),
+                        OperatorCurve([(Z, PolynomialCurve([0.5, -0.8, 0.3]))])])
+
+
+class TestTauBatch:
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_array_matches_per_float_calls_across_chunks(self, order):
+        ham = driven_chain(7)  # dim 128: four taus per chunk
+        taus = np.linspace(0.0, 0.9, 6)
+        for fn in (alpha_com, bar_alpha_com):
+            batch = fn(ham, order, taus)
+            assert isinstance(batch, np.ndarray) and batch.shape == (6,)
+            single = [fn(ham, order, float(tau)) for tau in taus]
+            assert isinstance(single[0], float)
+            np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    def test_tight_sum_array_matches_per_float_calls(self):
+        ham = driven_chain(7)
+        plan = suzuki_plan(1, 2)
+        weights = stage_weights(plan, 2)
+        taus = np.linspace(0.05, 0.6, 5)
+        batch = _tight_sum(plan, ham, taus, *weights)
+        single = [_tight_sum(plan, ham, float(tau), *weights) for tau in taus]
+        np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+
+class TestHermitianFastPath:
+    def record_paths(self, monkeypatch):
+        flags = []
+        real = bounds.spectral_norms
+
+        def spy(stack, hermitian=False):
+            flags.append(hermitian)
+            return real(stack, hermitian)
+
+        monkeypatch.setattr(bounds, "spectral_norms", spy)
+        return flags
+
+    def test_hermitian_terms_skip_the_product(self, monkeypatch):
+        flags = self.record_paths(monkeypatch)
+        alpha_com(driven_chain(3), 3, 0.2)
+        _tight_sum(suzuki_plan(2, 2), driven_chain(2), 0.2,
+                   *stage_weights(suzuki_plan(2, 2), 2))
+        assert flags and all(flags)
+
+    def test_flag_does_not_choose_the_path(self, monkeypatch):
+        ham = non_hermitian_pair()
+        assert ham.hermitian and not ham.term(1).is_hermitian
+        flags = self.record_paths(monkeypatch)
+        alpha_com(ham, 3, 0.4)
+        assert flags and not any(flags)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_non_hermitian_matches_reference(self, p):
+        ham = non_hermitian_pair()
+        for tau in (0.0, 0.37):
+            expected = ref_alpha_com(ham, p + 1, tau, 2.0 * ham.n_terms)
+            assert alpha_com(ham, p + 1, tau) == pytest.approx(expected, rel=1e-12)
+
+    def test_real_derivative_coefficient_in_a_commutator_step(self):
+        # ad_H + c d/dt with real c != 0 leaves the i^k form: general path
+        ham = driven_chain(2)
+        seeds = [(1, 1.0), (2, 1.0)]
+        steps = [(1.0, 1, 0.7), (0.5, 2, 1j), (0.3, None, -1.3)]
+        for p in (1, 2):
+            expected = ref_sum(ham, 0.3, p, seeds, steps)
+            got = bounds._nested_norm_sum(ham, 0.3, p, seeds, steps)
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestDerivativeBudget:
@@ -379,6 +453,30 @@ class TestGridMax:
         val, arg = grid_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0, 65)
         assert arg == pytest.approx(0.37, abs=1e-3)
         assert val == pytest.approx(0.0, abs=1e-6)
+
+    def test_batches(self):
+        calls = []
+
+        def fn(xs):
+            calls.append(np.array(xs))
+            return -(xs - 0.37) ** 2
+
+        grid_max(fn, 0.0, 1.0, 9, refine_iters=3)
+        assert [len(c) for c in calls] == [9, 2, 1, 1, 1]
+        np.testing.assert_array_equal(calls[0], np.linspace(0.0, 1.0, 9))
+
+    def test_no_refinement_evaluates_the_grid_once(self):
+        calls = []
+
+        def fn(xs):
+            calls.append(np.array(xs))
+            return np.sin(3.0 * xs)
+
+        val, arg = grid_max(fn, 0.0, 1.0, 9, refine_iters=0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.linspace(0.0, 1.0, 9))
+        k = int(np.argmax(np.sin(3.0 * calls[0])))
+        assert (val, arg) == (np.sin(3.0 * calls[0])[k], calls[0][k])
 
     def test_degenerate_interval(self):
         val, arg = grid_max(lambda x: x + 1.0, 0.5, 0.5)

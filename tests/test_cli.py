@@ -20,6 +20,11 @@ SINGLE_MODE_1Q = {
     ],
 }
 
+RESOURCE_CFG = {
+    "model_class": "nn-chain", "N_values": [2], "t": 0.2, "eps": 1e-2, "p": 2,
+    "grid_points": 3, "model_params": {"bond_curve": DRIVEN2["bond_curve"],
+                                       "field_curve": DRIVEN2["field_curve"]}}
+
 
 def write_config(tmp_path, name, cfg):
     path = tmp_path / name
@@ -226,6 +231,32 @@ class TestPlumbing:
         assert run("bound-check", cfg, str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "derivative budget 1" in err
+
+    @pytest.mark.parametrize("subcommand", ["order-scan", "bound-check",
+                                            "huyghebaert-check", "floquet-check",
+                                            "mpf-scan", "nonunitary-check"])
+    def test_negative_derivative_budget_exits_2(self, tmp_path, capsys, subcommand):
+        model = dict(SINGLE_MODE_1Q, derivative_budget=-1)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": model, "orders": [1], "times": [0.01], "omega": 2.0})
+        assert run(subcommand, cfg, str(tmp_path / "out")) == 2
+        assert "model.derivative_budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["bound-check", "mpf-scan",
+                                            "nonunitary-check", "resource-table"])
+    @pytest.mark.parametrize("value", ["9", 1, 2.0, True])
+    def test_bad_grid_points_exits_2(self, tmp_path, capsys, subcommand, value):
+        cfg = write_config(tmp_path, "cfg.json", dict(
+            RESOURCE_CFG if subcommand == "resource-table" else
+            {"model": DRIVEN2, "orders": [1], "times": [0.01]}, grid_points=value))
+        assert run(subcommand, cfg, str(tmp_path / "out")) == 2
+        assert "grid_points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", -1, 0.5, None])
+    def test_bad_refine_iters_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, "cfg.json", dict(RESOURCE_CFG, refine_iters=value))
+        assert run("resource-table", cfg, str(tmp_path / "out")) == 2
+        assert "refine_iters" in capsys.readouterr().err
 
     def test_convergence_failure_exits_3(self, tmp_path, monkeypatch):
         from tdpf.errors import ConvergenceError

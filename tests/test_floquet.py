@@ -248,7 +248,49 @@ class TestReconstruct:
             assert spectral_norm(target - got) <= 1e-6
 
 
+def literal_translation_symmetry(lifted, space, omega, t, l_keep):
+    """Reference: the per-triple loop over (shift, row, col) block pairs."""
+    worst = 0.0
+    for shift in range(-l_keep, l_keep + 1):
+        if shift == 0:
+            continue
+        phase = np.exp(1j * shift * omega * t)
+        for l_row in range(-l_keep, l_keep + 1):
+            if abs(l_row - shift) > l_keep:
+                continue
+            for l_col in range(-l_keep, l_keep + 1):
+                if abs(l_col - shift) > l_keep:
+                    continue
+                dev = spectral_norm(
+                    space.block(lifted, l_row, l_col)
+                    - phase * space.block(lifted, l_row - shift, l_col - shift))
+                worst = max(worst, dev)
+    return worst
+
+
 class TestTranslationSymmetry:
+    def test_matches_literal_loop_on_driven_evolution(self, drive):
+        _, fh = drive
+        space = floquet_space(8, 4, l_keep=4)
+        ops = build_floquet_operators(fh, space)
+        lifted = matrix_exp(-1j * DRIVE_T * ops.h_f)
+        expected = literal_translation_symmetry(lifted, space, OMEGA, DRIVE_T, 4)
+        got = check_translation_symmetry(lifted, space, OMEGA, DRIVE_T)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("l_keep", [0, 1, 3])
+    def test_matches_literal_loop_on_random_matrix(self, l_keep):
+        rng = np.random.default_rng(7 + l_keep)
+        space = floquet_space(4, 3, l_keep=l_keep)
+        n = space.lifted_dim
+        lifted = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        expected = literal_translation_symmetry(lifted, space, OMEGA, 0.3, l_keep)
+        got = check_translation_symmetry(lifted, space, OMEGA, 0.3)
+        if l_keep == 0:
+            assert got == expected == 0.0
+        else:
+            assert got == pytest.approx(expected, rel=1e-12)
+
     def test_lp_alone_is_symmetric(self, drive):
         # the linear potential enters the lifted generator as -H_LP, so the
         # consistent-phase exponential is exp(+i H_LP t)

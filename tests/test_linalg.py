@@ -6,7 +6,7 @@ import pytest
 from conftest import random_matrix
 from tdpf.errors import InvalidInputError
 from tdpf.linalg import (PAULI, commutator, dagger, embed_pauli_string,
-                         matrix_exp, spectral_norm)
+                         matrix_exp, spectral_norm, spectral_norms)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -41,6 +41,52 @@ class TestSpectralNorm:
         u = matrix_exp(-1j * h)
         assert spectral_norm(u @ a @ dagger(u)) == pytest.approx(
             spectral_norm(a), abs=1e-9)
+
+
+def svd_norms(stack):
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+class TestSpectralNorms:
+    def test_hermitian_stack(self, rng):
+        stack = np.stack([random_matrix(rng, 5, hermitian=True) for _ in range(7)])
+        expected = svd_norms(stack)
+        np.testing.assert_allclose(spectral_norms(stack, hermitian=True), expected,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(spectral_norms(stack), expected, rtol=1e-12)
+
+    def test_anti_hermitian_times_minus_i(self, rng):
+        stack = np.stack([random_matrix(rng, 6, skew=True) for _ in range(5)])
+        np.testing.assert_allclose(spectral_norms(-1j * stack, hermitian=True),
+                                   svd_norms(stack), rtol=1e-12)
+
+    def test_general_stack(self, rng):
+        stack = np.stack([random_matrix(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        got = spectral_norms(stack)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, svd_norms(stack), rtol=1e-12)
+
+    def test_one_by_one(self):
+        stack = np.array([[[3 - 4j]], [[-2.0]], [[0.0]]])
+        np.testing.assert_array_equal(spectral_norms(stack), [5.0, 2.0, 0.0])
+        np.testing.assert_array_equal(spectral_norms(stack.real, hermitian=True),
+                                      [3.0, 2.0, 0.0])
+
+    def test_rejects_nonfinite(self, rng):
+        stack = np.stack([random_matrix(rng, 3) for _ in range(4)])
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(InvalidInputError):
+            spectral_norms(stack)
+        with pytest.raises(InvalidInputError):
+            spectral_norms(np.ones((3, 2, 3)))
+
+    def test_single_matrix_unchanged(self, rng):
+        # spectral_norm keeps the A†A eigenvalue formula, bit for bit
+        for dim in (2, 4, 9):
+            m = random_matrix(rng, dim)
+            literal = float(np.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0)))
+            assert spectral_norm(m) == literal
+        assert spectral_norm(np.array([[3 - 4j]])) == 5.0
 
 
 class TestMatrixExp:

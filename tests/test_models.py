@@ -39,6 +39,21 @@ class TestOperatorCurve:
         b = ConstantCurve(1.0, derivative_budget=9)
         assert OperatorCurve([(X, a), (Z, b)]).derivative_budget == 5
 
+    def test_values_match_value(self):
+        curve = OperatorCurve([(X, TrigCurve(0.5, 1.7)), (1j * Z, PolynomialCurve([1.0, 2.0]))])
+        taus = np.array([0.0, 0.4, 1.3])
+        for q in (0, 1, 2):
+            stack = curve.values(taus, q)
+            assert stack.shape == (3, 2, 2)
+            for tau, got in zip(taus, stack):
+                np.testing.assert_array_equal(got, curve.value(tau, q))
+
+    def test_is_hermitian_from_matrices(self):
+        assert OperatorCurve([(X, ConstantCurve(1.0)), (Z, TrigCurve(1.0, 1.0))]).is_hermitian
+        assert OperatorCurve([], dim=2).is_hermitian
+        assert not OperatorCurve([(1j * Z, ConstantCurve(1.0))]).is_hermitian
+        assert not OperatorCurve([(X, ConstantCurve(1.0))]).scaled(1 - 0.1j).is_hermitian
+
     def test_scaled(self):
         oc = OperatorCurve([(X, ConstantCurve(2.0))])
         assert np.allclose(oc.scaled(1 - 0.1j).value(0.0), (1 - 0.1j) * 2.0 * X)
