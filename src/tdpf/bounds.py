@@ -14,8 +14,8 @@ inequalities are applied below the level of the published bound formulas.
 
 The walk runs on a batch of taus at once: every node is a (B, dim, dim)
 stack, each leaf's norms come from one batched eigensolve, and each tau gets
-its own exactly rounded fsum.  Batches hold at most 2^16 stack entries, so
-large dimensions go one tau at a time.  When every live term is Hermitian
+its own exactly rounded fsum.  Batches hold at most ``linalg.BATCH_ENTRIES``
+(2^16) stack entries, so large dimensions go one tau at a time.  When every live term is Hermitian
 (decided from its matrices, never from the Hamiltonian's flag), every node
 is i^k times a Hermitian matrix: a step with a commutator and no derivative,
 or with an imaginary derivative coefficient, multiplies by i; a derivative
@@ -27,6 +27,9 @@ general A†A path.
 Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then the two first golden-section probes,
 then one point per refinement step.
+
+Only the first-order and non-unitary bounds integrate adaptively; they
+import ``scipy.integrate`` when called, so the other bounds never load it.
 """
 
 from __future__ import annotations
@@ -35,19 +38,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .errors import (BudgetExceededError, InvalidInputError, OutOfRegimeError,
                      UnsupportedOrderError)
 from .formulas import EXACT, StagePlan
-from .linalg import spectral_norm, spectral_norms
+from .linalg import BATCH_ENTRIES, spectral_norm, spectral_norms
 from .models import Hamiltonian
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Largest tau batch of one walk: B * dim^2 <= 2^16 stack entries, so at
-# dim >= 256 the walk takes one tau at a time.
-_BATCH_ENTRIES = 1 << 16
 
 # (-i)^k for k mod 4 = 1, 2, 3
 _UNDO_I_POWER = {1: -1j, 2: -1.0, 3: 1j}
@@ -77,7 +75,7 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
     powers = (_i_powers(steps, live)
               if all(term.is_hermitian for term in live.values()) else None)
     walk_steps = list(zip(steps, powers or [0] * len(steps)))
-    chunk = max(1, _BATCH_ENTRIES // ham.dim**2)
+    chunk = max(1, BATCH_ENTRIES // ham.dim**2)  # dim >= 256: one tau at a time
     sums = []
     for lo in range(0, len(batch), chunk):
         part = batch[lo:lo + chunk]
@@ -316,6 +314,7 @@ def huyghebaert_bound(ham: Hamiltonian, t: float, epsabs: float = 1e-8) -> Bound
     """
     if ham.n_terms != 2:
         raise InvalidInputError("first-order bound needs exactly two terms")
+    from scipy.integrate import dblquad  # loaded only by the runs that need it
     h1, h2 = ham.term(1), ham.term(2)
 
     def integrand(t1, t2):
@@ -342,6 +341,7 @@ def nonunitary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
             total += spectral_norm((m - m.conj().T) / 2j)
         return total
 
+    from scipy.integrate import quad  # loaded only by the runs that need it
     integral, _err = quad(im_norm, 0.0, t, epsabs=epsabs, limit=200)
     factor = math.exp(4.0 * plan.n_layers * integral)
     value = 3.0 * best * t**order * factor

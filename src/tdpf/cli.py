@@ -87,19 +87,36 @@ def _times_from_config(cfg: dict, key: str = "times") -> list[float]:
     raise SchemaError(key, "expected a list of times or {min, max, count}")
 
 
-def _orders(cfg: dict, default=(1, 2)) -> list[int]:
-    orders = cfg.get("orders", list(default))
-    if (not isinstance(orders, list) or not orders
-            or any(isinstance(p, bool) or not isinstance(p, int) for p in orders)):
-        raise SchemaError("orders", "expected a list of integers")
-    return orders
+def _is_int(val, minimum: int) -> bool:
+    return not isinstance(val, bool) and isinstance(val, int) and val >= minimum
+
+
+def _is_real(val, positive: bool) -> bool:
+    """A finite JSON number (NaN and Infinity parse as floats), > 0 if positive."""
+    return (not isinstance(val, bool) and isinstance(val, (int, float))
+            and abs(val) <= sys.float_info.max and (val > 0 or not positive))
 
 
 def _int_field(cfg: dict, key: str, default: int, minimum: int) -> int:
     val = cfg.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+    if not _is_int(val, minimum):
         raise SchemaError(key, f"expected an integer >= {minimum}")
     return val
+
+
+def _int_list(cfg: dict, key: str, default, minimum: int) -> list[int]:
+    vals = cfg.get(key, default)
+    if not isinstance(vals, list) or not vals or not all(_is_int(v, minimum) for v in vals):
+        raise SchemaError(key, f"expected a non-empty list of integers >= {minimum}")
+    return vals
+
+
+def _float_field(cfg: dict, key: str, default, positive: bool = True) -> float:
+    val = cfg.get(key, default)
+    if not _is_real(val, positive):
+        raise SchemaError(key, "expected a positive number" if positive
+                          else "expected a finite number")
+    return float(val)
 
 
 def _fmt(x) -> str:
@@ -153,7 +170,7 @@ def _exceeds(value: float, bound: float) -> bool:
 
 def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    orders = _orders(cfg)
+    orders = _int_list(cfg, "orders", [1, 2], 1)
     family_key = cfg.get("family", "exact")
     families = {"exact": [EXACT], "instantaneous": [INSTANTANEOUS],
                 "both": [EXACT, INSTANTANEOUS]}.get(family_key)
@@ -191,7 +208,7 @@ def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> in
 
 def _cmd_bound_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    orders = _orders(cfg)
+    orders = _int_list(cfg, "orders", [1, 2], 1)
     grid_points = _int_field(cfg, "grid_points", 65, 2)
     times_by_order = cfg.get("times_by_order", {})
     cells = []
@@ -241,14 +258,12 @@ def _cmd_huyghebaert_check(cfg: dict, out: Path, workers: int, oracle_tol: float
 
 def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    omega = cfg.get("omega")
-    if isinstance(omega, bool) or not isinstance(omega, (int, float)) or omega <= 0:
-        raise SchemaError("omega", "expected a positive drive frequency")
-    t = cfg.get("t", 0.5)
-    mode_cutoff = cfg.get("mode_cutoff", 2)
-    l_values = cfg.get("l_values", [4, 8, 16, 24])
-    orders = _orders(cfg)
-    fh = fourier_hamiltonian(ham, float(omega), mode_cutoff)
+    omega = _float_field(cfg, "omega", None)
+    t = _float_field(cfg, "t", 0.5)
+    mode_cutoff = _int_field(cfg, "mode_cutoff", 2, 0)
+    l_values = _int_list(cfg, "l_values", [4, 8, 16, 24], 0)
+    orders = _int_list(cfg, "orders", [1, 2], 1)
+    fh = fourier_hamiltonian(ham, omega, mode_cutoff)
     exact = evolve(ham.total_curve(), 0.0, t, tol=oracle_tol)
     pf = {p: evaluate_pf(suzuki_plan(p, ham.n_terms, EXACT), ham, t,
                          oracle_tol=oracle_tol) for p in orders}
@@ -296,13 +311,10 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
 
 def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    j_values = cfg.get("J_values", [1, 2])
-    if (not isinstance(j_values, list) or not j_values
-            or any(isinstance(j, bool) or not isinstance(j, int) for j in j_values)):
-        raise SchemaError("J_values", "expected a list of integers")
+    j_values = _int_list(cfg, "J_values", [1, 2], 1)
     ts = _times_from_config(cfg)
     grid_points = _int_field(cfg, "grid_points", 33, 2)
-    base_order = cfg.get("p", 2)
+    base_order = _int_field(cfg, "p", 2, 1)
     cells = [(j, t) for j in j_values for t in ts]
 
     def cell(args):
@@ -348,13 +360,17 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
     model_class = cfg.get("model_class")
     if model_class not in ("nn-chain", "long-range"):
         raise SchemaError("model_class", f"unknown class {model_class!r}")
-    n_values = cfg.get("N_values")
-    if (not isinstance(n_values, list) or not n_values
-            or any(isinstance(n, bool) or not isinstance(n, int) for n in n_values)):
-        raise SchemaError("N_values", "expected a list of integers")
-    t = float(cfg.get("t", 1.0))
-    eps_values = cfg.get("eps_values", [cfg.get("eps", 1e-3)])
-    p = cfg.get("p", 2)
+    n_values = _int_list(cfg, "N_values", None, 1)
+    t = _float_field(cfg, "t", 1.0)
+    if "eps_values" in cfg:
+        eps_values = cfg["eps_values"]
+        if (not isinstance(eps_values, list) or not eps_values
+                or not all(_is_real(e, True) for e in eps_values)):
+            raise SchemaError("eps_values", "expected a non-empty list of positive numbers")
+        eps_values = [float(e) for e in eps_values]
+    else:
+        eps_values = [_float_field(cfg, "eps", 1e-3)]
+    p = _int_field(cfg, "p", 2, 1)
     bound_source = cfg.get("bound_source", "measured-alpha")
     include_mpf = bool(cfg.get("include_mpf", False))
     params = cfg.get("model_params", {})
@@ -404,20 +420,20 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
     for n in n_values:
         ham = build(n)
         for eps in eps_values:
-            res = gate_count_pf(ham, t, float(eps), p, bound_source, grid_points,
+            res = gate_count_pf(ham, t, eps, p, bound_source, grid_points,
                                 alpha_constant, refine_iters)
-            rows.append([res["model"], n, t, float(eps), p, res["r"], res["gates"],
+            rows.append([res["model"], n, t, eps, p, res["r"], res["gates"],
                          None, None, None, res["bound_kind"]])
-            pf_cells.append((n, float(eps), res))
+            pf_cells.append((n, eps, res))
             if include_mpf:
-                mres = mpf_resources(ham, t, float(eps), grid_points)
-                rows.append([mres["model"], n, t, float(eps), p, mres["r"], None,
+                mres = mpf_resources(ham, t, eps, grid_points)
+                rows.append([mres["model"], n, t, eps, p, mres["r"], None,
                              mres["J"], mres["queries"], mres["ancillas"], "mpf"])
     _write_csv(out / "resource_table.csv", RESOURCE_COLUMNS, rows)
 
     summary = {"alpha_constant": alpha_constant,
                "asymptotic_form": pf_cells[0][2]["asymptotic_form"]}
-    base_eps = float(eps_values[0])
+    base_eps = eps_values[0]
     pf_at_eps = [(n, res) for (n, eps, res) in pf_cells if eps == base_eps]
     if len({n for n, _ in pf_at_eps}) >= 2:
         ns = [n for n, _ in pf_at_eps]
@@ -434,9 +450,9 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
 
 def _cmd_nonunitary_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    scale_im = float(cfg.get("scale_im", 0.1))
+    scale_im = _float_field(cfg, "scale_im", 0.1, positive=False)
     scaled = ham.scaled(1.0 - 1j * scale_im)
-    p = cfg.get("p", 1)
+    p = _int_field(cfg, "p", 1, 1)
     plan = suzuki_plan(p, ham.n_terms, EXACT)
     ts = _times_from_config(cfg)
     grid_points = _int_field(cfg, "grid_points", 33, 2)

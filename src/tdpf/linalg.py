@@ -2,17 +2,23 @@
 
 Operators are plain square ``np.ndarray`` matrices with dtype complex128.
 Dimensions stay small (qubit counts are capped), so everything is done with
-dense LAPACK routines.
+dense LAPACK routines.  Batched kernels take ``(..., n, n)`` stacks and make
+one LAPACK call per class of matrix.  scipy is loaded only when a
+non-normal matrix is exponentiated, so the common Hermitian and
+skew-Hermitian paths never pay for importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 
 DEFAULT_QUBIT_CAP = 12
+
+# Largest stack a batched caller builds at once: at most 2^16 complex
+# entries (1 MiB), so a batch of large matrices shrinks to one at a time.
+BATCH_ENTRIES = 1 << 16
 
 PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -73,22 +79,43 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """e^A for a square complex matrix.
+    """e^A for one square complex matrix; see ``matrix_exps``."""
+    return matrix_exps(as_operator(a)[None])[0]
 
-    Normal inputs (Hermitian / skew-Hermitian) go through an eigendecomposition,
-    which keeps e^{-iHt} unitary to machine precision.  Everything else falls
-    back to scipy's scaling-and-squaring Pade approximant.
+
+def matrix_exps(stack: np.ndarray) -> np.ndarray:
+    """e^A for every matrix of a ``(..., n, n)`` stack.
+
+    Normal inputs (Hermitian / skew-Hermitian to 1e-13 of the largest entry)
+    go through one stacked eigendecomposition per class, which keeps
+    e^{-iHt} unitary to machine precision.  Everything else falls back, one
+    matrix at a time, to scipy's scaling-and-squaring Pade approximant.  Each
+    result equals that of the same matrix exponentiated alone, bit for bit.
     """
-    m = as_operator(a)
-    adj = m.conj().T
-    scale = np.max(np.abs(m), initial=1.0)
-    if np.max(np.abs(m - adj), initial=0.0) <= 1e-13 * scale:  # Hermitian
-        evals, vecs = np.linalg.eigh(m)
-        return (vecs * np.exp(evals)) @ vecs.conj().T
-    if np.max(np.abs(m + adj), initial=0.0) <= 1e-13 * scale:  # skew-Hermitian
-        evals, vecs = np.linalg.eigh(1j * m)  # iA is Hermitian
-        return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-    return scipy.linalg.expm(m)
+    m = np.asarray(stack, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidInputError(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
+        raise InvalidInputError("matrix has non-finite entries")
+    shape = m.shape
+    m = m.reshape((-1,) + shape[-2:])
+    adj = m.conj().swapaxes(-1, -2)
+    scale = 1e-13 * np.max(np.abs(m), axis=(-2, -1), initial=1.0)
+    herm = np.max(np.abs(m - adj), axis=(-2, -1), initial=0.0) <= scale
+    skew = ~herm & (np.max(np.abs(m + adj), axis=(-2, -1), initial=0.0) <= scale)
+    out = np.empty_like(m)
+    if herm.any():
+        evals, vecs = np.linalg.eigh(m[herm])
+        out[herm] = (vecs * np.exp(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    if skew.any():
+        evals, vecs = np.linalg.eigh(1j * m[skew])  # iA is Hermitian
+        out[skew] = (vecs * np.exp(-1j * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    general = np.flatnonzero(~(herm | skew))
+    if general.size:
+        import scipy.linalg
+        for i in general:
+            out[i] = scipy.linalg.expm(m[i])
+    return out.reshape(shape)
 
 
 def kron_all(ops: list[np.ndarray]) -> np.ndarray:

@@ -5,6 +5,12 @@ the two Gauss-Legendre evaluation points) is iterated with step doubling
 until two consecutive refinements agree to the requested tolerance.  Each
 step is a product of exact matrix exponentials, so Hermitian generators stay
 unitary at every resolution.
+
+Steps go in chunks: both Gauss points of every step in a chunk come from one
+``values`` call, and all the chunk's exponentials from one ``matrix_exps``
+call (at most ``BATCH_ENTRIES`` stack entries).  The step factors are then
+multiplied onto U one step at a time in the same order as a step-by-step
+loop, so the result does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .linalg import dagger, matrix_exp, spectral_norm
+from .linalg import BATCH_ENTRIES, dagger, matrix_exps, spectral_norm
 
 _SQRT3 = math.sqrt(3.0)
 _C1 = 0.5 - _SQRT3 / 6.0
@@ -26,17 +32,18 @@ MIN_TOL = 1e-13
 
 
 def _cf4_product(generator, t0: float, dt: float, n_steps: int) -> np.ndarray:
-    dim = generator.dim
-    u = np.eye(dim, dtype=np.complex128)
+    u = np.eye(generator.dim, dtype=np.complex128)
     h = dt / n_steps
-    for k in range(n_steps):
-        t = t0 + k * h
-        h1 = generator.value(t + _C1 * h)
-        h2 = generator.value(t + _C2 * h)
+    chunk = max(1, BATCH_ENTRIES // (2 * generator.dim**2))
+    for lo in range(0, n_steps, chunk):
+        t = t0 + np.arange(lo, min(lo + chunk, n_steps)) * h
+        h1, h2 = np.split(generator.values(np.concatenate([t + _C1 * h, t + _C2 * h])), 2)
         # right factor (applied first) weights the earlier Gauss point more
-        left = matrix_exp(-1j * h * (_A_MINUS * h1 + _A_PLUS * h2))
-        right = matrix_exp(-1j * h * (_A_PLUS * h1 + _A_MINUS * h2))
-        u = left @ right @ u
+        lefts, rights = np.split(matrix_exps(np.concatenate([
+            -1j * h * (_A_MINUS * h1 + _A_PLUS * h2),
+            -1j * h * (_A_PLUS * h1 + _A_MINUS * h2)])), 2)
+        for step in lefts @ rights:
+            u = step @ u
     return u
 
 
@@ -44,11 +51,11 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
            max_steps: int = 1 << 20) -> np.ndarray:
     """Time-ordered evolution operator U(t1, t0) of ``generator``.
 
-    ``generator`` needs ``.dim`` and ``.value(tau)`` (an OperatorCurve).  The
-    result is certified by step halving: refinement continues until doubling
-    the step count moves the answer by at most ``tol``.  For t1 < t0 the
-    adjoint of the forward evolution is returned, which is the backward
-    propagator whenever the generator is Hermitian.
+    ``generator`` needs ``.dim``, ``.value(tau)`` and ``.values(taus)`` (an
+    OperatorCurve).  The result is certified by step halving: refinement
+    continues until doubling the step count moves the answer by at most
+    ``tol``.  For t1 < t0 the adjoint of the forward evolution is returned,
+    which is the backward propagator whenever the generator is Hermitian.
     """
     if tol < MIN_TOL:
         raise InvalidInputError(f"tol {tol} below supported floor {MIN_TOL}")

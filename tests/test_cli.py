@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +262,54 @@ class TestPlumbing:
         assert run("resource-table", cfg, str(tmp_path / "out")) == 2
         assert "refine_iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand,field,value", [
+        ("floquet-check", "t", "0.5"),
+        ("floquet-check", "t", 0),
+        ("floquet-check", "t", float("nan")),
+        ("floquet-check", "omega", "2"),
+        ("floquet-check", "omega", -2.0),
+        ("floquet-check", "mode_cutoff", 1.5),
+        ("floquet-check", "mode_cutoff", -1),
+        ("floquet-check", "l_values", [4, "8"]),
+        ("floquet-check", "l_values", 4),
+        ("floquet-check", "l_values", []),
+        ("nonunitary-check", "p", "1"),
+        ("nonunitary-check", "p", 0),
+        ("nonunitary-check", "scale_im", "0.1"),
+        ("nonunitary-check", "scale_im", float("inf")),
+        ("nonunitary-check", "scale_im", None),
+        ("mpf-scan", "p", "2"),
+        ("mpf-scan", "p", True),
+        ("mpf-scan", "J_values", [1, "2"]),
+        ("mpf-scan", "J_values", [0]),
+        ("resource-table", "t", "0.2"),
+        ("resource-table", "t", -1.0),
+        ("resource-table", "eps", "1e-2"),
+        ("resource-table", "eps", 0),
+        ("resource-table", "eps_values", [1e-2, "1e-3"]),
+        ("resource-table", "eps_values", [1e-2, 0.0]),
+        ("resource-table", "eps_values", 1e-2),
+        ("resource-table", "p", "2"),
+        ("resource-table", "p", 2.5),
+    ])
+    def test_bad_field_exits_2(self, tmp_path, capsys, subcommand, field, value):
+        base = {
+            "floquet-check": {"model": SINGLE_MODE_1Q, "omega": 2.0, "t": 0.5,
+                              "mode_cutoff": 1, "l_values": [4], "orders": [1]},
+            "nonunitary-check": {"model": DRIVEN2, "times": [0.01], "grid_points": 5},
+            "mpf-scan": {"model": DRIVEN2, "J_values": [1], "times": [0.01],
+                         "grid_points": 5},
+            "resource-table": RESOURCE_CFG,
+        }[subcommand]
+        cfg = write_config(tmp_path, "cfg.json", dict(base, **{field: value}))
+        assert run(subcommand, cfg, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field}:" in err
+
+    def test_integer_valued_float_fields_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", dict(RESOURCE_CFG, t=1, eps_values=[1]))
+        assert run("resource-table", cfg, str(tmp_path / "out")) == 0
+
     def test_convergence_failure_exits_3(self, tmp_path, monkeypatch):
         from tdpf.errors import ConvergenceError
 
@@ -307,3 +359,36 @@ class TestPlumbing:
         assert run("order-scan", cfg, str(out_parallel), workers=4) == 0
         assert ((out_serial / "order_scan.csv").read_bytes()
                 == (out_parallel / "order_scan.csv").read_bytes())
+
+
+COLD_START_SCRIPT = """
+import json, sys
+import tdpf.cli
+codes = [tdpf.cli.run(sub, cfg, out) for sub, cfg, out in json.loads(sys.argv[1])]
+heavy = ("scipy.integrate", "scipy.linalg", "scipy.special")
+print(json.dumps({"codes": codes, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+class TestColdStart:
+    def test_subcommands_without_quadrature_never_load_scipy_subpackages(self, tmp_path):
+        runs = [
+            ("order-scan", {"model": DRIVEN2, "orders": [1], "times": [0.01, 0.02]}),
+            ("bound-check", {"model": DRIVEN2, "orders": [1], "times": [0.01],
+                             "grid_points": 3}),
+            ("floquet-check", {"model": SINGLE_MODE_1Q, "omega": 2.0, "t": 0.5,
+                               "mode_cutoff": 1, "l_values": [4], "orders": [1]}),
+            ("mpf-scan", {"model": DRIVEN2, "J_values": [1], "times": [0.02],
+                          "grid_points": 3}),
+            ("resource-table", RESOURCE_CFG),
+        ]
+        args = [(sub, write_config(tmp_path, f"{sub}.json", cfg), str(tmp_path / sub))
+                for sub, cfg in runs]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(args)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"codes": [0] * len(runs), "loaded": []}

@@ -82,6 +82,22 @@ class TestBump:
             approx = (bump_c_deriv(tau + h, q - 1) - bump_c_deriv(tau - h, q - 1)) / (2 * h)
             assert exact == pytest.approx(approx, rel=1e-5, abs=1e-7)
 
+    def test_gauss_legendre_matches_adaptive_quadrature(self):
+        from scipy.integrate import quad
+
+        from tdpf.curves import _bump_norm
+
+        def kernel(s):
+            return math.exp(-1.0 / s - 1.0 / (1.0 - s)) if 0.0 < s < 1.0 else 0.0
+
+        norm, _ = quad(kernel, 0.0, 1.0, epsabs=1e-15, epsrel=1e-14, limit=200)
+        assert _bump_norm() == pytest.approx(norm, rel=1e-14, abs=0.0)
+        taus = np.concatenate([np.linspace(0.0, 1.0, 202)[1:-1],
+                               [1e-3, 0.01, 0.05, 0.95, 0.99, 0.999]])
+        for tau in taus:
+            val, _ = quad(kernel, 0.0, tau, epsabs=1e-15, epsrel=1e-14, limit=200)
+            assert abs(bump_c(tau) - val / norm) <= 1e-14, tau
+
     def test_flat_outside(self):
         for q in (1, 2, 5):
             assert bump_c_deriv(-0.1, q) == 0.0

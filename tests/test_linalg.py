@@ -6,7 +6,7 @@ import pytest
 from conftest import random_matrix
 from tdpf.errors import InvalidInputError
 from tdpf.linalg import (PAULI, commutator, dagger, embed_pauli_string,
-                         matrix_exp, spectral_norm, spectral_norms)
+                         matrix_exp, matrix_exps, spectral_norm, spectral_norms)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -121,6 +121,68 @@ class TestMatrixExp:
         h = random_matrix(rng, dim, hermitian=True)
         u = matrix_exp(-1j * 0.7 * h)
         assert spectral_norm(dagger(u) @ u - np.eye(dim)) <= 1e-10
+
+
+def literal_exp(m):
+    """The per-matrix exponential as written before the batched classifier."""
+    import scipy.linalg
+    adj = m.conj().T
+    scale = np.max(np.abs(m), initial=1.0)
+    if np.max(np.abs(m - adj), initial=0.0) <= 1e-13 * scale:
+        evals, vecs = np.linalg.eigh(m)
+        return (vecs * np.exp(evals)) @ vecs.conj().T
+    if np.max(np.abs(m + adj), initial=0.0) <= 1e-13 * scale:
+        evals, vecs = np.linalg.eigh(1j * m)
+        return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+    return scipy.linalg.expm(m)
+
+
+class TestMatrixExps:
+    @staticmethod
+    def stack(rng, kind, dim, count=5):
+        if kind == "mixed":
+            # every class, plus the zero matrix (both Hermitian and skew), a
+            # Hermitian matrix nudged just inside the 1e-13 relative threshold,
+            # and a small one whose asymmetry only the threshold's floor of
+            # 1e-13 absolute accepts
+            h = random_matrix(rng, dim, hermitian=True)
+            upper = np.triu(np.ones((dim, dim)), 1)
+            nudged = h + 5e-14 * np.max(np.abs(h)) * upper
+            small = 1e-3 * h + 5e-14 * upper
+            return np.stack([h, -1j * 0.3 * h, random_matrix(rng, dim, skew=True),
+                             0.5 * random_matrix(rng, dim), np.zeros((dim, dim)),
+                             nudged, small, random_matrix(rng, dim, hermitian=True)])
+        make = {"hermitian": lambda: random_matrix(rng, dim, hermitian=True),
+                "skew": lambda: random_matrix(rng, dim, skew=True),
+                "general": lambda: 0.5 * random_matrix(rng, dim)}[kind]
+        return np.stack([make() for _ in range(count)])
+
+    @pytest.mark.parametrize("kind", ["hermitian", "skew", "general", "mixed"])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+    def test_bitwise_equal_to_literal_formula(self, rng, kind, dim):
+        stack = self.stack(rng, kind, dim)
+        got = matrix_exps(stack)
+        assert got.shape == stack.shape
+        for m, e in zip(stack, got):
+            assert np.array_equal(e, literal_exp(m))
+            assert np.array_equal(matrix_exp(m), e)
+
+    def test_leading_axes_kept(self, rng):
+        stack = self.stack(rng, "mixed", 3)[:6].reshape(2, 3, 3, 3)
+        got = matrix_exps(stack)
+        assert got.shape == (2, 3, 3, 3)
+        assert np.array_equal(got[1, 2], literal_exp(stack[1, 2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+    def test_rejects_nonfinite(self, rng, bad):
+        stack = self.stack(rng, "hermitian", 3)
+        stack[2, 0, 1] = bad
+        with pytest.raises(InvalidInputError):
+            matrix_exps(stack)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(InvalidInputError):
+            matrix_exps(np.ones((2, 2, 3)))
 
 
 class TestCommutator:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import random_matrix
+import tdpf.propagator as propagator
+from conftest import driven_chain, random_matrix
 from tdpf.curves import ConstantCurve, TrigCurve
 from tdpf.errors import ConvergenceError, InvalidInputError
-from tdpf.linalg import PAULI, dagger, matrix_exp, spectral_norm
+from tdpf.linalg import BATCH_ENTRIES, PAULI, dagger, matrix_exp, spectral_norm
 from tdpf.models import OperatorCurve
-from tdpf.propagator import evolve
+from tdpf.propagator import _A_MINUS, _A_PLUS, _C1, _C2, _cf4_product, evolve
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -34,6 +35,49 @@ def driven_generator():
     field = OperatorCurve([(np.kron(Z, I2), TrigCurve(0.7, 3.1)),
                            (np.kron(I2, Z), TrigCurve(0.7, 3.1))])
     return OperatorCurve(bond.summands + field.summands)
+
+
+def reference_cf4_product(generator, t0, dt, n_steps):
+    """The step-by-step loop: two value calls and two exponentials per step."""
+    u = np.eye(generator.dim, dtype=np.complex128)
+    h = dt / n_steps
+    for k in range(n_steps):
+        t = t0 + k * h
+        h1 = generator.value(t + _C1 * h)
+        h2 = generator.value(t + _C2 * h)
+        left = matrix_exp(-1j * h * (_A_MINUS * h1 + _A_PLUS * h2))
+        right = matrix_exp(-1j * h * (_A_PLUS * h1 + _A_MINUS * h2))
+        u = left @ right @ u
+    return u
+
+
+class TestChunkedProduct:
+    def test_dim2_bit_equal(self):
+        gen = driven_generator()
+        for n in (1, 2, 7, 40):
+            assert np.array_equal(_cf4_product(gen, 0.1, 0.6, n),
+                                  reference_cf4_product(gen, 0.1, 0.6, n))
+
+    def test_dim2_ragged_chunks_bit_equal(self, monkeypatch):
+        # 3 steps per chunk (2 x 3 x 4 entries <= 24): 11 steps end mid-chunk
+        monkeypatch.setattr(propagator, "BATCH_ENTRIES", 24)
+        gen = driven_generator()
+        assert np.array_equal(_cf4_product(gen, 0.0, 0.9, 11),
+                              reference_cf4_product(gen, 0.0, 0.9, 11))
+
+    def test_dim16_across_chunk_boundary_bit_equal(self):
+        gen = driven_chain(4).total_curve()
+        chunk = BATCH_ENTRIES // (2 * gen.dim**2)
+        n = 2 * chunk + 5
+        assert np.array_equal(_cf4_product(gen, 0.0, 0.4, n),
+                              reference_cf4_product(gen, 0.0, 0.4, n))
+
+    def test_non_hermitian_generator_bit_equal(self, rng):
+        # general matrices take the per-matrix expm fallback
+        a = 0.4 * random_matrix(rng, 3)
+        gen = OperatorCurve([(a, TrigCurve(1.0, 1.3, offset=0.5))])
+        assert np.array_equal(_cf4_product(gen, 0.0, 0.6, 9),
+                              reference_cf4_product(gen, 0.0, 0.6, 9))
 
 
 class TestEvolve:
@@ -101,7 +145,6 @@ class TestEvolve:
     def test_self_convergence_certificate(self):
         # the advertised certificate: an independently computed half-step
         # refinement sits within tol of the returned operator
-        from tdpf.propagator import _cf4_product
         gen = driven_generator()
         u = evolve(gen, 0.0, 0.7, tol=1e-10)
         for n in (64, 128, 256):
