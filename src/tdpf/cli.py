@@ -4,7 +4,7 @@ Every subcommand reads one JSON config, writes plot-ready CSV grids plus a
 JSON summary and a manifest (config hash, versions, tolerances) into --out,
 and is bit-reproducible given the same config.  Exit codes: 0 ok, 1 bound
 violation tripwire, 2 config/schema error, 3 numerical convergence failure,
-4 out-of-regime request.
+4 out-of-regime request, 5 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
 from .formulas import (EXACT, INSTANTANEOUS, evaluate_pf, fit_order,
                        measure_error, suzuki_plan)
 from .linalg import DEFAULT_QUBIT_CAP, matrix_exp, spectral_norm
-from .models import (Hamiltonian, build_driven_chain, build_long_range,
-                     long_range_tables, model_from_descriptor)
+from .models import (Hamiltonian, long_range_fields, long_range_tables,
+                     model_from_descriptor)
 from .multiproduct import measure_mpf_error, mpf_plan
 from .propagator import evolve
 from .resources import gate_count_pf, loglog_slope, mpf_resources
@@ -41,6 +42,10 @@ _VIOLATION_SLACK = 1e-12
 
 RESOURCE_COLUMNS = ["model", "N", "t", "eps", "p", "r", "gates", "J",
                     "queries", "ancillas", "bound_kind"]
+
+_FAMILIES = {"exact": [EXACT], "instantaneous": [INSTANTANEOUS],
+             "both": [EXACT, INSTANTANEOUS]}
+_BOUND_SOURCES = ("measured-alpha", "analytic-scaling")
 
 
 # ---------------------------------------------------------------------------
@@ -64,27 +69,10 @@ def _model_from_config(cfg: dict) -> Hamiltonian:
     if "model" in cfg:
         return model_from_descriptor(cfg["model"])
     if "model_path" in cfg:
-        desc = _load_config(cfg["model_path"])
-        return model_from_descriptor(desc)
+        if not isinstance(cfg["model_path"], str):
+            raise SchemaError("model_path", "expected a file path")
+        return model_from_descriptor(_load_config(cfg["model_path"]))
     raise SchemaError("model", "config needs 'model' or 'model_path'")
-
-
-def _times_from_config(cfg: dict, key: str = "times") -> list[float]:
-    spec = cfg.get(key)
-    if isinstance(spec, list) and spec and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in spec):
-        return [float(x) for x in spec]
-    if isinstance(spec, dict):
-        try:
-            lo, hi, count = float(spec["min"]), float(spec["max"]), int(spec["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(key, f"bad grid spec: {exc}")
-        if count < 1 or lo <= 0 or hi < lo:
-            raise SchemaError(key, "need 0 < min <= max and count >= 1")
-        if spec.get("log", True):
-            return list(np.geomspace(lo, hi, count))
-        return list(np.linspace(lo, hi, count))
-    raise SchemaError(key, "expected a list of times or {min, max, count}")
 
 
 def _is_int(val, minimum: int) -> bool:
@@ -119,6 +107,35 @@ def _float_field(cfg: dict, key: str, default, positive: bool = True) -> float:
     return float(val)
 
 
+def _positive_list(vals, field: str) -> list[float]:
+    if not isinstance(vals, list) or not vals or not all(_is_real(v, True) for v in vals):
+        raise SchemaError(field, "expected a non-empty list of positive numbers")
+    return [float(v) for v in vals]
+
+
+def _times(spec, field: str) -> list[float]:
+    """A non-empty list of times or a {min, max, count[, log]} grid, every
+    time finite and > 0."""
+    if not isinstance(spec, dict):
+        return _positive_list(spec, field)
+    lo, hi, count = spec.get("min"), spec.get("max"), spec.get("count")
+    log = spec.get("log", True)
+    if not (_is_real(lo, True) and _is_real(hi, True) and lo <= hi
+            and _is_int(count, 1) and isinstance(log, bool)):
+        raise SchemaError(field, "need a grid with finite 0 < min <= max, an integer"
+                          " count >= 1 and a boolean log")
+    return list((np.geomspace if log else np.linspace)(float(lo), float(hi), count))
+
+
+def _times_by_order(cfg: dict, orders: list[int]) -> dict[int, list[float]]:
+    """Each order's times: its ``times_by_order`` entry, else ``times``."""
+    spec = cfg.get("times_by_order", {})
+    if not isinstance(spec, dict):
+        raise SchemaError("times_by_order", "expected an object mapping orders to times")
+    return {p: _times(spec[str(p)], f"times_by_order.{p}") if str(p) in spec
+            else _times(cfg.get("times"), "times") for p in orders}
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -127,12 +144,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(float(x))  # shortest round-trip; plain even for np.float64
     return str(x)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -164,6 +175,24 @@ def _exceeds(value: float, bound: float) -> bool:
     return value > bound + _VIOLATION_SLACK
 
 
+def _write_outputs(out: Path, csv_name: str, summary_name: str, header: list[str],
+                   rows: list[list], summary: dict | None = None) -> int:
+    """Write <csv_name>.csv and <summary_name>.json; return exit code 1 if any
+    row's ``violation`` cell is set, else 0.  A table with that column records
+    its violation count in the summary, which defaults to the row count."""
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    (out / f"{csv_name}.csv").write_text("\n".join(lines) + "\n")
+    if summary is None:
+        summary = {"rows": len(rows)}
+    violations = 0
+    if "violation" in header:
+        col = header.index("violation")
+        violations = sum(1 for r in rows if r[col])
+        summary["violations"] = violations
+    _write_json(out / f"{summary_name}.json", summary)
+    return 1 if violations else 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -172,25 +201,21 @@ def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> in
     ham = _model_from_config(cfg)
     orders = _int_list(cfg, "orders", [1, 2], 1)
     family_key = cfg.get("family", "exact")
-    families = {"exact": [EXACT], "instantaneous": [INSTANTANEOUS],
-                "both": [EXACT, INSTANTANEOUS]}.get(family_key)
-    if families is None:
+    if not isinstance(family_key, str) or family_key not in _FAMILIES:
         raise SchemaError("family", f"unknown family {family_key!r}")
-    times_by_order = cfg.get("times_by_order", {})
+    families = _FAMILIES[family_key]
+    times = _times_by_order(cfg, orders)
     cells = []
     for family in families:
         for p in orders:
-            ts = (_times_from_config({"times": times_by_order[str(p)]})
-                  if str(p) in times_by_order else _times_from_config(cfg))
             plan = suzuki_plan(p, ham.n_terms, family)
-            cells += [(family, p, plan, t) for t in ts]
+            cells += [(family, p, plan, t) for t in times[p]]
 
     def cell(args):
         family, p, plan, t = args
         return [family, p, t, measure_error(plan, ham, t, oracle_tol=oracle_tol)]
 
     rows = _pmap(cell, cells, workers)
-    _write_csv(out / "order_scan.csv", ["family", "p", "t", "error"], rows)
     summary = {}
     for family in families:
         for p in orders:
@@ -202,21 +227,19 @@ def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> in
                                 "residual": fit.residual, "n_points": fit.n_points}
             except InvalidInputError as exc:
                 summary[key] = {"error": str(exc)}
-    _write_json(out / "order_scan_summary.json", summary)
-    return 0
+    return _write_outputs(out, "order_scan", "order_scan_summary",
+                          ["family", "p", "t", "error"], rows, summary)
 
 
 def _cmd_bound_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
     orders = _int_list(cfg, "orders", [1, 2], 1)
     grid_points = _int_field(cfg, "grid_points", 65, 2)
-    times_by_order = cfg.get("times_by_order", {})
+    times = _times_by_order(cfg, orders)
     cells = []
     for p in orders:
-        ts = (_times_from_config({"times": times_by_order[str(p)]})
-              if str(p) in times_by_order else _times_from_config(cfg))
         plan = suzuki_plan(p, ham.n_terms, EXACT)
-        cells += [(p, plan, t) for t in ts]
+        cells += [(p, plan, t) for t in times[p]]
 
     def cell(args):
         p, plan, t = args
@@ -228,32 +251,23 @@ def _cmd_bound_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> i
             violation = True
         return [p, t, err, tight, coro, violation]
 
-    rows = _pmap(cell, cells, workers)
-    _write_csv(out / "bound_check.csv",
-               ["p", "t", "error", "tight_bound", "corollary_bound", "violation"], rows)
-    n_violations = sum(1 for r in rows if r[5])
-    _write_json(out / "bound_check_summary.json",
-                {"rows": len(rows), "violations": n_violations})
-    return 1 if n_violations else 0
+    return _write_outputs(out, "bound_check", "bound_check_summary",
+                          ["p", "t", "error", "tight_bound", "corollary_bound", "violation"],
+                          _pmap(cell, cells, workers))
 
 
 def _cmd_huyghebaert_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
     plan = suzuki_plan(1, ham.n_terms, EXACT)
-    ts = _times_from_config(cfg)
+    ts = _times(cfg.get("times"), "times")
 
     def cell(t):
         err = measure_error(plan, ham, t, oracle_tol=oracle_tol)
         bound = huyghebaert_bound(ham, t).value
         return [t, err, bound, _exceeds(err, bound)]
 
-    rows = _pmap(cell, ts, workers)
-    _write_csv(out / "huyghebaert_check.csv",
-               ["t", "error", "bound", "violation"], rows)
-    n_violations = sum(1 for r in rows if r[3])
-    _write_json(out / "huyghebaert_summary.json",
-                {"rows": len(rows), "violations": n_violations})
-    return 1 if n_violations else 0
+    return _write_outputs(out, "huyghebaert_check", "huyghebaert_summary",
+                          ["t", "error", "bound", "violation"], _pmap(cell, ts, workers))
 
 
 def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
@@ -296,7 +310,6 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
     for p in orders:
         header += [f"pf_dev_p{p}", f"suzuki_dev_p{p}"]
     header += ["evolution_dev", "error_identity_dev", "symmetry_dev"]
-    _write_csv(out / "floquet_check.csv", header, rows)
     summary = {}
     for col in range(2, len(header)):
         series = [r[col] for r in rows]
@@ -305,14 +318,13 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
             "monotone_decreasing": all(b <= a * (1 + 1e-9) + 1e-14
                                        for a, b in zip(series, series[1:])),
         }
-    _write_json(out / "floquet_summary.json", summary)
-    return 0
+    return _write_outputs(out, "floquet_check", "floquet_summary", header, rows, summary)
 
 
 def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
     j_values = _int_list(cfg, "J_values", [1, 2], 1)
-    ts = _times_from_config(cfg)
+    ts = _times(cfg.get("times"), "times")
     grid_points = _int_field(cfg, "grid_points", 33, 2)
     base_order = _int_field(cfg, "p", 2, 1)
     cells = [(j, t) for j in j_values for t in ts]
@@ -330,9 +342,6 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
             return [j, t, err, None, False, False, None, None]
 
     rows = _pmap(cell, cells, workers)
-    _write_csv(out / "mpf_scan.csv",
-               ["J", "t", "error", "bound", "in_regime", "violation",
-                "alpha_local", "alpha_global"], rows)
     summary = {"plans": {str(j): mpf_plan(j, base_order).to_json() for j in j_values}}
     for j in j_values:
         pts = [(r[1], r[2]) for r in rows if r[0] == j]
@@ -341,19 +350,12 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
             summary[f"J{j}_slope"] = fit.slope
         except InvalidInputError as exc:
             summary[f"J{j}_slope_error"] = str(exc)
-    n_violations = sum(1 for r in rows if r[5])
-    summary["violations"] = n_violations
-    _write_json(out / "mpf_summary.json", summary)
+    code = _write_outputs(out, "mpf_scan", "mpf_summary",
+                          ["J", "t", "error", "bound", "in_regime", "violation",
+                           "alpha_local", "alpha_global"], rows, summary)
     if all(not r[4] for r in rows):
         raise OutOfRegimeError("no (J, t) point satisfied the regime condition")
-    return 1 if n_violations else 0
-
-
-def _params_curve(params: dict, key: str, field: str):
-    from .curves import curve_from_descriptor
-    if key not in params:
-        return None
-    return curve_from_descriptor(params[key], field)
+    return code
 
 
 def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
@@ -362,53 +364,28 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
         raise SchemaError("model_class", f"unknown class {model_class!r}")
     n_values = _int_list(cfg, "N_values", None, 1)
     t = _float_field(cfg, "t", 1.0)
-    if "eps_values" in cfg:
-        eps_values = cfg["eps_values"]
-        if (not isinstance(eps_values, list) or not eps_values
-                or not all(_is_real(e, True) for e in eps_values)):
-            raise SchemaError("eps_values", "expected a non-empty list of positive numbers")
-        eps_values = [float(e) for e in eps_values]
-    else:
-        eps_values = [_float_field(cfg, "eps", 1e-3)]
+    eps_values = (_positive_list(cfg["eps_values"], "eps_values") if "eps_values" in cfg
+                  else [_float_field(cfg, "eps", 1e-3)])
     p = _int_field(cfg, "p", 2, 1)
     bound_source = cfg.get("bound_source", "measured-alpha")
-    include_mpf = bool(cfg.get("include_mpf", False))
+    if bound_source not in _BOUND_SOURCES:
+        raise SchemaError("bound_source", f"expected one of {_BOUND_SOURCES}")
+    include_mpf = cfg.get("include_mpf", False)
+    if not isinstance(include_mpf, bool):
+        raise SchemaError("include_mpf", "expected true or false")
+    n_cal = _int_field(cfg, "calibrate_N", None, 2) if "calibrate_N" in cfg else None
+    if n_cal is not None and n_cal > DEFAULT_QUBIT_CAP:
+        raise SchemaError("calibrate_N", f"needs a dense model, at most {DEFAULT_QUBIT_CAP}")
     params = cfg.get("model_params", {})
+    if not isinstance(params, dict) or "model" in params or "N" in params:
+        raise SchemaError("model_params", "expected an object without 'model' and 'N'")
     grid_points = _int_field(cfg, "grid_points", 9, 2)
     refine_iters = _int_field(cfg, "refine_iters", 12, 0)
 
-    def build(n):
-        if model_class == "nn-chain":
-            bond = _params_curve(params, "bond_curve", "model_params.bond_curve")
-            if bond is None:
-                raise SchemaError("model_params.bond_curve", "missing required field")
-            field = _params_curve(params, "field_curve", "model_params.field_curve")
-            return build_driven_chain(n, bond, field,
-                                      boundary=params.get("boundary", "open"))
-        pair_curves = {ch: _params_curve(params["pair_curves"], ch,
-                                         f"model_params.pair_curves.{ch}")
-                       for ch in params.get("pair_curves", {})}
-        if not pair_curves:
-            raise SchemaError("model_params.pair_curves", "missing required field")
-        site_curves = None
-        if "site_curves" in params:
-            site_curves = {s: _params_curve(params["site_curves"], s,
-                                            f"model_params.site_curves.{s}")
-                           for s in params["site_curves"]}
-        nu = params.get("nu", 1.0)
-        coupling = params.get("coupling", 1.0)
-        if bound_source == "analytic-scaling" and n > DEFAULT_QUBIT_CAP:
-            # metadata-only sweep: dimensions too large to materialize
-            if include_mpf:
-                raise SchemaError("include_mpf",
-                                  f"needs a dense model, but N={n} is over the cap")
-            return long_range_tables(n, nu, pair_curves, site_curves, coupling)
-        return build_long_range(n, nu, pair_curves, site_curves, coupling)
-
     alpha_constant = 1.0
-    if bound_source == "analytic-scaling" and "calibrate_N" in cfg:
-        n_cal = cfg["calibrate_N"]
-        dense = build(n_cal)
+    if bound_source == "analytic-scaling" and n_cal is not None:
+        dense = model_from_descriptor(dict(params, model=model_class, N=n_cal),
+                                      field="model_params")
         measured = gate_count_pf(dense, t, eps_values[0], p, "measured-alpha",
                                  grid_points)["alpha"]
         analytic = gate_count_pf(dense, t, eps_values[0], p, "analytic-scaling",
@@ -418,7 +395,16 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
     rows = []
     pf_cells = []
     for n in n_values:
-        ham = build(n)
+        desc = dict(params, model=model_class, N=n)
+        if (model_class == "long-range" and bound_source == "analytic-scaling"
+                and n > DEFAULT_QUBIT_CAP):
+            # metadata-only sweep: dimensions too large to materialize
+            if include_mpf:
+                raise SchemaError("include_mpf",
+                                  f"needs a dense model, but N={n} is over the cap")
+            ham = long_range_tables(*long_range_fields(desc, "model_params"))
+        else:
+            ham = model_from_descriptor(desc, field="model_params")
         for eps in eps_values:
             res = gate_count_pf(ham, t, eps, p, bound_source, grid_points,
                                 alpha_constant, refine_iters)
@@ -429,7 +415,6 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
                 mres = mpf_resources(ham, t, eps, grid_points)
                 rows.append([mres["model"], n, t, eps, p, mres["r"], None,
                              mres["J"], mres["queries"], mres["ancillas"], "mpf"])
-    _write_csv(out / "resource_table.csv", RESOURCE_COLUMNS, rows)
 
     summary = {"alpha_constant": alpha_constant,
                "asymptotic_form": pf_cells[0][2]["asymptotic_form"]}
@@ -444,8 +429,8 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
         qs = [r[8] for r in rows if r[1] == n0 and r[7] is not None]
         summary["mpf_queries_vs_logeps_slope"] = float(np.polyfit(
             np.log([1.0 / float(e) for e in eps_values]), qs, 1)[0])
-    _write_json(out / "resource_summary.json", summary)
-    return 0
+    return _write_outputs(out, "resource_table", "resource_summary",
+                          RESOURCE_COLUMNS, rows, summary)
 
 
 def _cmd_nonunitary_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
@@ -454,7 +439,7 @@ def _cmd_nonunitary_check(cfg: dict, out: Path, workers: int, oracle_tol: float)
     scaled = ham.scaled(1.0 - 1j * scale_im)
     p = _int_field(cfg, "p", 1, 1)
     plan = suzuki_plan(p, ham.n_terms, EXACT)
-    ts = _times_from_config(cfg)
+    ts = _times(cfg.get("times"), "times")
     grid_points = _int_field(cfg, "grid_points", 33, 2)
 
     def cell(t):
@@ -462,12 +447,8 @@ def _cmd_nonunitary_check(cfg: dict, out: Path, workers: int, oracle_tol: float)
         bound = nonunitary_bound(plan, scaled, t, grid_points).value
         return [t, err, bound, _exceeds(err, bound)]
 
-    rows = _pmap(cell, ts, workers)
-    _write_csv(out / "nonunitary_check.csv", ["t", "error", "bound", "violation"], rows)
-    n_violations = sum(1 for r in rows if r[3])
-    _write_json(out / "nonunitary_summary.json",
-                {"rows": len(rows), "violations": n_violations})
-    return 1 if n_violations else 0
+    return _write_outputs(out, "nonunitary_check", "nonunitary_summary",
+                          ["t", "error", "bound", "violation"], _pmap(cell, ts, workers))
 
 
 _SUBCOMMANDS = {
@@ -490,11 +471,12 @@ def run(subcommand: str, config_path: str, out_dir: str,
         if subcommand not in _SUBCOMMANDS:
             raise SchemaError("<subcommand>", f"unknown subcommand {subcommand!r}")
         cfg = _load_config(config_path)
-        tol = oracle_tol if oracle_tol is not None else cfg.get("oracle_tol", 1e-12)
+        tol = (float(oracle_tol) if oracle_tol is not None
+               else _float_field(cfg, "oracle_tol", 1e-12))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code = _SUBCOMMANDS[subcommand](cfg, out, workers, float(tol))
-        _manifest(out, subcommand, cfg, float(tol), workers)
+        code = _SUBCOMMANDS[subcommand](cfg, out, workers, tol)
+        _manifest(out, subcommand, cfg, tol, workers)
         return code
     except (SchemaError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -505,6 +487,10 @@ def run(subcommand: str, config_path: str, out_dir: str,
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # a defect, never to be read as a bound verdict
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: SchemaError and InvalidInputError (which
 includes UnsupportedOrderError and BudgetExceededError) -> 2,
-ConvergenceError -> 3, OutOfRegimeError -> 4.
+ConvergenceError -> 3, OutOfRegimeError -> 4, and any other exception -> 5
+(an internal error; exit 1 is reserved for a flagged bound violation).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from an interior window |l| <= L_keep to keep boundary pollution out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,6 +127,29 @@ class FloquetOperators:
     h_lp: np.ndarray           # diagonal linear-potential part
     space: FloquetSpace
     omega: float
+    _eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _lifted(self, key) -> np.ndarray:
+        if key == "LP":
+            return self.h_lp
+        kind, gamma = key
+        return (self.h_f_terms if kind == "F" else self.h_add_terms)[gamma - 1]
+
+    def exp(self, key, duration: float) -> np.ndarray:
+        """exp(-i M duration) for the lifted matrix M named by ``key``:
+        ("F", g) is H_g^F, ("Add", g) is H_g^Add and "LP" is H_LP.  A
+        Hermitian M is diagonalised once, on first use, and the decomposition
+        serves every later duration and formula built on these operators."""
+        if key not in self._eigs:
+            mat = self._lifted(key)
+            hermitian = (spectral_norm(mat - mat.conj().T)
+                         <= 1e-10 * max(spectral_norm(mat), 1.0))
+            self._eigs[key] = np.linalg.eigh(mat) if hermitian else None
+        eig = self._eigs[key]
+        if eig is None:
+            return matrix_exp(-1j * duration * self._lifted(key))
+        evals, vecs = eig
+        return (vecs * np.exp(-1j * duration * evals)) @ vecs.conj().T
 
 
 def build_floquet_operators(fh: FourierHamiltonian, space: FloquetSpace) -> FloquetOperators:
@@ -158,26 +181,6 @@ def _lp_phase_diag(ops: FloquetOperators, duration: float) -> np.ndarray:
     return np.repeat(np.exp(-1j * ls * ops.omega * duration), ops.space.dim)
 
 
-class _TermExponentials:
-    """Eigendecomposition cache: exp(-i H_g^F s) for arbitrary durations."""
-
-    def __init__(self, ops: FloquetOperators, use_add: bool = False):
-        self._eigs = []
-        for mat in (ops.h_add_terms if use_add else ops.h_f_terms):
-            if spectral_norm(mat - mat.conj().T) <= 1e-10 * max(spectral_norm(mat), 1.0):
-                self._eigs.append(np.linalg.eigh(mat))
-            else:
-                self._eigs.append(None)
-        self._mats = ops.h_add_terms if use_add else ops.h_f_terms
-
-    def exp(self, gamma: int, duration: float) -> np.ndarray:
-        eig = self._eigs[gamma - 1]
-        if eig is None:
-            return matrix_exp(-1j * duration * self._mats[gamma - 1])
-        evals, vecs = eig
-        return (vecs * np.exp(-1j * duration * evals)) @ vecs.conj().T
-
-
 def build_tf(plan: StagePlan, ops: FloquetOperators, t: float) -> np.ndarray:
     """Lifted time-independent formula matching an exact-segment plan:
     exp(-i H_{gK}^F aK t) prod_k [exp(-i H_LP (b_k+a_k-b_{k+1}) t)
@@ -190,10 +193,9 @@ def build_tf(plan: StagePlan, ops: FloquetOperators, t: float) -> np.ndarray:
     if abs(lp_total - (plan.n_terms - 1)) > 1e-12:
         raise InvalidInputError(
             f"plan's total linear-potential time {lp_total} != Gamma - 1")
-    exps = _TermExponentials(ops)
     total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
     for k, st in enumerate(stages):
-        total = exps.exp(st.gamma, st.alpha * t) @ total
+        total = ops.exp(("F", st.gamma), st.alpha * t) @ total
         if k + 1 < len(stages):
             gap = (st.beta + st.alpha - stages[k + 1].beta) * t
             if gap != 0.0:
@@ -205,14 +207,13 @@ def build_tf_instantaneous(plan: StagePlan, ops: FloquetOperators, t: float) -> 
     """Lifted counterpart of the instantaneous family: exp(+i H_LP (1-b_K) t)
     prod_k [exp(-i H_{g_k}^Add a_k t) exp(+i H_LP (b_k - b_{k-1}) t)]."""
     stages = plan.stages
-    exps = _TermExponentials(ops, use_add=True)
     total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
     beta_prev = 0.0
     for st in stages:
         gap = (st.beta - beta_prev) * t
         if gap != 0.0:
             total = _lp_phase_diag(ops, -gap)[:, None] * total
-        total = exps.exp(st.gamma, st.alpha * t) @ total
+        total = ops.exp(("Add", st.gamma), st.alpha * t) @ total
         beta_prev = st.beta
     total = _lp_phase_diag(ops, -(1.0 - beta_prev) * t)[:, None] * total
     return total
@@ -221,30 +222,26 @@ def build_tf_instantaneous(plan: StagePlan, ops: FloquetOperators, t: float) -> 
 def build_tf_suzuki(ops: FloquetOperators, p: int, t: float) -> np.ndarray:
     """Independent construction of the lifted Suzuki formula: the plain
     time-independent recursion applied to the 2 Gamma - 1 term split
-    [H_1^F, H_LP, H_2^F, ..., H_LP, H_Gamma^F]."""
-    mats = []
-    for g, hf in enumerate(ops.h_f_terms):
-        if g:
-            mats.append(ops.h_lp)
-        mats.append(hf)
-    eigs = [np.linalg.eigh(m) for m in mats]
-
-    def term_exp(idx, s):
-        evals, vecs = eigs[idx]
-        return (vecs * np.exp(-1j * s * evals)) @ vecs.conj().T
+    [H_1^F, H_LP, H_2^F, ..., H_LP, H_Gamma^F].  Only the eigendecompositions
+    are shared with build_tf, through ``ops.exp``."""
+    keys = []
+    for g in range(1, len(ops.h_f_terms) + 1):
+        if g > 1:
+            keys.append("LP")
+        keys.append(("F", g))
 
     def build(order, s):
         if order == 1:
             total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
-            for idx in range(len(mats)):
-                total = term_exp(idx, s) @ total
+            for key in keys:
+                total = ops.exp(key, s) @ total
             return total
         if order == 2:
             total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
-            for idx in range(len(mats)):
-                total = term_exp(idx, s / 2) @ total
-            for idx in reversed(range(len(mats))):
-                total = term_exp(idx, s / 2) @ total
+            for key in keys:
+                total = ops.exp(key, s / 2) @ total
+            for key in reversed(keys):
+                total = ops.exp(key, s / 2) @ total
             return total
         a = suzuki_a(order // 2)
         wing = build(order - 2, a * s)

@@ -79,7 +79,7 @@ class Hamiltonian:
     """Ordered list of OperatorCurve terms (gamma = 1..n_terms) sharing one
     Hilbert-space dimension."""
 
-    def __init__(self, terms, metadata: dict | None = None, hermitian: bool = True):
+    def __init__(self, terms, metadata: dict | None = None):
         self.terms = list(terms)
         if not self.terms:
             raise InvalidInputError("a Hamiltonian needs at least one term")
@@ -88,7 +88,6 @@ class Hamiltonian:
             raise InvalidInputError(f"term dimensions disagree: {sorted(dims)}")
         self.dim = dims.pop()
         self.metadata = dict(metadata or {})
-        self.hermitian = hermitian
 
     @property
     def n_terms(self) -> int:
@@ -111,15 +110,12 @@ class Hamiltonian:
         return out
 
     def scaled(self, factor: complex) -> Hamiltonian:
-        herm = self.hermitian and abs(complex(factor).imag) == 0.0
-        return Hamiltonian([t.scaled(factor) for t in self.terms],
-                           metadata=self.metadata, hermitian=herm)
+        return Hamiltonian([t.scaled(factor) for t in self.terms], metadata=self.metadata)
 
     def extended(self, t_end: float, order: int) -> Hamiltonian:
         meta = dict(self.metadata)
         meta["extension"] = {"t_end": t_end, "order": order, "period": 2.0 * t_end}
-        return Hamiltonian([t.extended(t_end, order) for t in self.terms],
-                           metadata=meta, hermitian=self.hermitian)
+        return Hamiltonian([t.extended(t_end, order) for t in self.terms], metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -317,83 +313,94 @@ def _require(obj: dict, key: str, types, field: str):
     return val
 
 
-def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP) -> Hamiltonian:
+def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP,
+                          field: str = "model") -> Hamiltonian:
+    """Build a model from its JSON descriptor; ``field`` is the config path
+    that schema errors name."""
     if not isinstance(desc, dict):
-        raise SchemaError("model", "expected a model descriptor object")
+        raise SchemaError(field, "expected a model descriptor object")
     kind = desc.get("model")
     if kind == "custom":
-        return _custom_from_descriptor(desc, cap)
+        return _custom_from_descriptor(desc, cap, field)
     if kind == "nn-chain":
-        n = _require(desc, "N", int, "model")
-        bond = curve_from_descriptor(_require(desc, "bond_curve", dict, "model"),
-                                     "model.bond_curve")
-        field = None
+        n = _require(desc, "N", int, field)
+        bond = curve_from_descriptor(_require(desc, "bond_curve", dict, field),
+                                     f"{field}.bond_curve")
+        field_curve = None
         if "field_curve" in desc:
-            field = curve_from_descriptor(desc["field_curve"], "model.field_curve")
+            field_curve = curve_from_descriptor(desc["field_curve"], f"{field}.field_curve")
         paulis = desc.get("bond_paulis", ["X", "X"])
         if (not isinstance(paulis, list) or len(paulis) != 2
                 or any(p not in _PAULI_ORDER for p in paulis)):
-            raise SchemaError("model.bond_paulis", "expected a pair of Pauli labels")
+            raise SchemaError(f"{field}.bond_paulis", "expected a pair of Pauli labels")
+        field_pauli = desc.get("field_pauli", "Z")
+        if field_pauli not in _PAULI_ORDER:
+            raise SchemaError(f"{field}.field_pauli", "expected a Pauli label")
         try:
-            return build_driven_chain(n, bond, field, tuple(paulis),
-                                      desc.get("field_pauli", "Z"),
+            return build_driven_chain(n, bond, field_curve, tuple(paulis), field_pauli,
                                       desc.get("boundary", "open"), cap)
         except InvalidInputError as exc:
-            raise SchemaError("model", str(exc)) from exc
+            raise SchemaError(field, str(exc)) from exc
     if kind == "long-range":
-        n = _require(desc, "N", int, "model")
-        nu = _require(desc, "nu", (int, float), "model")
-        raw_pairs = _require(desc, "pair_curves", dict, "model")
-        pair_curves = {ch: curve_from_descriptor(d, f"model.pair_curves.{ch}")
-                       for ch, d in raw_pairs.items()}
-        site_curves = None
-        if "site_curves" in desc:
-            site_curves = {s: curve_from_descriptor(d, f"model.site_curves.{s}")
-                           for s, d in desc["site_curves"].items()}
         try:
-            return build_long_range(n, nu, pair_curves, site_curves,
-                                    desc.get("coupling", 1.0), cap)
+            return build_long_range(*long_range_fields(desc, field), cap=cap)
         except InvalidInputError as exc:
-            raise SchemaError("model", str(exc)) from exc
-    raise SchemaError("model.model", f"unknown model class {kind!r}")
+            raise SchemaError(field, str(exc)) from exc
+    raise SchemaError(f"{field}.model", f"unknown model class {kind!r}")
 
 
-def _custom_from_descriptor(desc: dict, cap: int) -> Hamiltonian:
-    n = _require(desc, "N", int, "model")
-    raw_terms = _require(desc, "terms", list, "model")
+def long_range_fields(desc: dict, field: str = "model") -> tuple:
+    """(N, nu, pair_curves, site_curves, coupling) of a long-range descriptor:
+    the arguments of both ``build_long_range`` and ``long_range_tables``."""
+    n = _require(desc, "N", int, field)
+    nu = _require(desc, "nu", (int, float), field)
+    pair_curves = {ch: curve_from_descriptor(d, f"{field}.pair_curves.{ch}")
+                   for ch, d in _require(desc, "pair_curves", dict, field).items()}
+    site_curves = None
+    if "site_curves" in desc:
+        site_curves = {s: curve_from_descriptor(d, f"{field}.site_curves.{s}")
+                       for s, d in _require(desc, "site_curves", dict, field).items()}
+    coupling = _require(desc, "coupling", (int, float), field) if "coupling" in desc else 1.0
+    return n, nu, pair_curves, site_curves, coupling
+
+
+def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:
+    n = _require(desc, "N", int, field)
+    raw_terms = _require(desc, "terms", list, field)
     if not raw_terms:
-        raise SchemaError("model.terms", "expected a non-empty list")
+        raise SchemaError(f"{field}.terms", "expected a non-empty list")
     seen: dict[int, tuple] = {}
     for idx, entry in enumerate(raw_terms):
-        field = f"model.terms[{idx}]"
+        term_field = f"{field}.terms[{idx}]"
         if not isinstance(entry, dict):
-            raise SchemaError(field, "expected an object")
-        gamma = _require(entry, "gamma", int, field)
+            raise SchemaError(term_field, "expected an object")
+        gamma = _require(entry, "gamma", int, term_field)
         if gamma in seen:
-            raise SchemaError(f"{field}.gamma", f"duplicate gamma label {gamma}")
-        paulis = _require(entry, "paulis", list, field)
+            raise SchemaError(f"{term_field}.gamma", f"duplicate gamma label {gamma}")
+        paulis = _require(entry, "paulis", list, term_field)
         sites = []
         for p_idx, pair in enumerate(paulis):
             if (not isinstance(pair, list) or len(pair) != 2
                     or isinstance(pair[0], bool) or not isinstance(pair[0], int)
                     or pair[1] not in _PAULI_ORDER):
-                raise SchemaError(f"{field}.paulis[{p_idx}]",
+                raise SchemaError(f"{term_field}.paulis[{p_idx}]",
                                   "expected [site, label] with label in X/Y/Z")
             sites.append((pair[0], pair[1]))
-        curve = curve_from_descriptor(_require(entry, "curve", dict, field),
-                                      f"{field}.curve")
+        curve = curve_from_descriptor(_require(entry, "curve", dict, term_field),
+                                      f"{term_field}.curve")
         try:
             mat = embed_pauli_string(sites, n, cap)
         except InvalidInputError as exc:
-            raise SchemaError(f"{field}.paulis", str(exc)) from exc
+            raise SchemaError(f"{term_field}.paulis", str(exc)) from exc
         seen[gamma] = (mat, curve)
     labels = sorted(seen)
     if labels != list(range(1, len(labels) + 1)):
-        raise SchemaError("model.terms", f"gamma labels must be 1..{len(labels)}, got {labels}")
+        raise SchemaError(f"{field}.terms",
+                          f"gamma labels must be 1..{len(labels)}, got {labels}")
     budget = desc.get("derivative_budget")
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
                                or budget < 0):
-        raise SchemaError("model.derivative_budget", "expected a nonnegative integer")
+        raise SchemaError(f"{field}.derivative_budget", "expected a nonnegative integer")
     terms = [OperatorCurve([seen[g]], derivative_budget=budget) for g in labels]
     return Hamiltonian(terms, metadata={"model": "custom", "n_sites": n,
                                         "local_gate_counts": [1] * len(labels)})

