@@ -47,6 +47,8 @@ from .models import Hamiltonian
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+_QUAD_EPSABS = 1e-8  # absolute error target of both adaptive quadratures
+
 # (-i)^k for k mod 4 = 1, 2, 3
 _UNDO_I_POWER = {1: -1j, 2: -1.0, 3: 1j}
 
@@ -183,16 +185,6 @@ class BoundReport:
     grid_size: int | None = None
     extra: dict = field(default_factory=dict)
 
-    def __float__(self) -> float:
-        return self.value
-
-    def to_json(self) -> dict:
-        out = {"bound_kind": self.bound_kind, "p": self.p, "t": self.t,
-               "value": self.value, "tau_argmax": self.tau_argmax,
-               "term_count": self.term_count, "grid_size": self.grid_size}
-        out.update(self.extra)
-        return out
-
 
 def grid_max(fn, lo: float, hi: float, n_points: int = 65,
              refine_iters: int = 30) -> tuple[float, float]:
@@ -304,7 +296,7 @@ def tight_bound(plan: StagePlan, ham: Hamiltonian, t: float,
                        grid_size=grid_points, extra={"stage_sum_max": best})
 
 
-def huyghebaert_bound(ham: Hamiltonian, t: float, epsabs: float = 1e-8) -> BoundReport:
+def huyghebaert_bound(ham: Hamiltonian, t: float) -> BoundReport:
     """First-order two-term bound: the ordered double integral of
     ||[H_1(t_2), H_2(t_1)]|| over 0 <= t_1 <= t_2 <= t.
 
@@ -321,13 +313,13 @@ def huyghebaert_bound(ham: Hamiltonian, t: float, epsabs: float = 1e-8) -> Bound
         a, b = h1.value(t2), h2.value(t1)
         return spectral_norm(a @ b - b @ a)
 
-    value, _err = dblquad(integrand, 0.0, t, 0.0, lambda t2: t2, epsabs=epsabs)
+    value, _err = dblquad(integrand, 0.0, t, 0.0, lambda t2: t2, epsabs=_QUAD_EPSABS)
     return BoundReport("huyghebaert", 1, t, float(value),
-                       extra={"quadrature_epsabs": epsabs})
+                       extra={"quadrature_epsabs": _QUAD_EPSABS})
 
 
 def nonunitary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
-                     grid_points: int = 65, epsabs: float = 1e-8) -> BoundReport:
+                     grid_points: int = 65) -> BoundReport:
     """Commutator bound with the exponential amplification factor
     exp(4 V int_0^t sum_g ||Im H_g(tau)|| dtau) for non-Hermitian terms."""
     p = plan.order
@@ -342,7 +334,7 @@ def nonunitary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
         return total
 
     from scipy.integrate import quad  # loaded only by the runs that need it
-    integral, _err = quad(im_norm, 0.0, t, epsabs=epsabs, limit=200)
+    integral, _err = quad(im_norm, 0.0, t, epsabs=_QUAD_EPSABS, limit=200)
     factor = math.exp(4.0 * plan.n_layers * integral)
     value = 3.0 * best * t**order * factor
     return BoundReport("nonunitary", p, t, value, tau_argmax=arg,
@@ -357,11 +349,12 @@ def mpf_bound_value(alpha_t: float, n_products: int, c_norm: float) -> float:
 
 
 def _alpha_com_sup(ham: Hamiltonian, orders, lo: float, hi: float,
-                   grid_points: int) -> float:
+                   grid_points: int, refine_iters: int = 30) -> float:
     """sup over tau in [lo, hi] and the given orders q of (alpha_com^q)^(1/q)."""
     best = 0.0
     for q in orders:
-        m, _ = grid_max(lambda tau: alpha_com(ham, q, tau), lo, hi, grid_points)
+        m, _ = grid_max(lambda tau: alpha_com(ham, q, tau), lo, hi, grid_points,
+                        refine_iters)
         best = max(best, m ** (1.0 / q))
     return best
 

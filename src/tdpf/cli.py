@@ -3,8 +3,9 @@
 Every subcommand reads one JSON config, writes plot-ready CSV grids plus a
 JSON summary and a manifest (config hash, versions, tolerances) into --out,
 and is bit-reproducible given the same config.  Exit codes: 0 ok, 1 bound
-violation tripwire, 2 config/schema error, 3 numerical convergence failure,
-4 out-of-regime request, 5 internal error (any other exception).
+violation tripwire, 2 config/schema error, 3 numerical failure (propagator
+convergence, or a non-finite intermediate matrix), 4 out-of-regime request,
+5 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import scipy
 from . import __version__
 from .bounds import (corollary_bound, huyghebaert_bound, mpf_bound,
                      nonunitary_bound, tight_bound)
-from .errors import (ConvergenceError, InvalidInputError, OutOfRegimeError,
-                     SchemaError)
+from .errors import (ConvergenceError, InvalidInputError, NumericalBlowUpError,
+                     OutOfRegimeError, SchemaError)
 from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
                       check_translation_symmetry, floquet_space,
                       fourier_hamiltonian, reconstruct)
@@ -358,6 +359,18 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     return code
 
 
+def _loglog_exponent(summary: dict, key: str, ns: list[int], values: list[float]) -> None:
+    """summary[key] = the log-log slope of values against ns; null, with the
+    reason under ``<key>_null_reason``, when some value is not positive."""
+    bad = [n for n, v in zip(ns, values) if not v > 0]
+    if bad:
+        summary[key] = None
+        summary[f"{key}_null_reason"] = (f"the fitted value is not positive at N = {bad};"
+                                         " a log-log slope needs positive values")
+    else:
+        summary[key] = loglog_slope(ns, values)
+
+
 def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     model_class = cfg.get("model_class")
     if model_class not in ("nn-chain", "long-range"):
@@ -387,14 +400,13 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
         dense = model_from_descriptor(dict(params, model=model_class, N=n_cal),
                                       field="model_params")
         measured = gate_count_pf(dense, t, eps_values[0], p, "measured-alpha",
-                                 grid_points)["alpha"]
+                                 grid_points, 1.0, refine_iters)["alpha"]
         analytic = gate_count_pf(dense, t, eps_values[0], p, "analytic-scaling",
-                                 grid_points, 1.0)["alpha"]
+                                 grid_points, 1.0, refine_iters)["alpha"]
         alpha_constant = measured / analytic if analytic else 1.0
 
-    rows = []
-    pf_cells = []
-    for n in n_values:
+    def cell(n):
+        """(rows, PF results by eps) of one size."""
         desc = dict(params, model=model_class, N=n)
         if (model_class == "long-range" and bound_source == "analytic-scaling"
                 and n > DEFAULT_QUBIT_CAP):
@@ -405,25 +417,27 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
             ham = long_range_tables(*long_range_fields(desc, "model_params"))
         else:
             ham = model_from_descriptor(desc, field="model_params")
+        rows, results = [], []
         for eps in eps_values:
             res = gate_count_pf(ham, t, eps, p, bound_source, grid_points,
                                 alpha_constant, refine_iters)
             rows.append([res["model"], n, t, eps, p, res["r"], res["gates"],
                          None, None, None, res["bound_kind"]])
-            pf_cells.append((n, eps, res))
+            results.append(res)
             if include_mpf:
-                mres = mpf_resources(ham, t, eps, grid_points)
+                mres = mpf_resources(ham, t, eps, grid_points, refine_iters)
                 rows.append([mres["model"], n, t, eps, p, mres["r"], None,
                              mres["J"], mres["queries"], mres["ancillas"], "mpf"])
+        return rows, results
 
+    cells = _pmap(cell, n_values, workers)
+    rows = [row for cell_rows, _ in cells for row in cell_rows]
+    at_base_eps = [results[0] for _, results in cells]  # each size's PF at eps_values[0]
     summary = {"alpha_constant": alpha_constant,
-               "asymptotic_form": pf_cells[0][2]["asymptotic_form"]}
-    base_eps = eps_values[0]
-    pf_at_eps = [(n, res) for (n, eps, res) in pf_cells if eps == base_eps]
-    if len({n for n, _ in pf_at_eps}) >= 2:
-        ns = [n for n, _ in pf_at_eps]
-        summary["gate_exponent_vs_N"] = loglog_slope(ns, [r["gates"] for _, r in pf_at_eps])
-        summary["alpha_exponent_vs_N"] = loglog_slope(ns, [r["alpha"] for _, r in pf_at_eps])
+               "asymptotic_form": at_base_eps[0]["asymptotic_form"]}
+    if len(set(n_values)) >= 2:
+        for key, col in (("gate_exponent_vs_N", "gates"), ("alpha_exponent_vs_N", "alpha")):
+            _loglog_exponent(summary, key, n_values, [r[col] for r in at_base_eps])
     if include_mpf and len(eps_values) >= 2:
         n0 = n_values[0]
         qs = [r[8] for r in rows if r[1] == n0 and r[7] is not None]
@@ -478,6 +492,9 @@ def run(subcommand: str, config_path: str, out_dir: str,
         code = _SUBCOMMANDS[subcommand](cfg, out, workers, tol)
         _manifest(out, subcommand, cfg, tol, workers)
         return code
+    except NumericalBlowUpError as exc:
+        print(f"numerical blow-up: {exc}", file=sys.stderr)
+        return 3
     except (SchemaError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -101,27 +101,6 @@ class ExpCurve(ScalarCurve):
         return self.amp * self.rate**q * math.exp(self.rate * tau)
 
 
-class PiecewiseCurve(ScalarCurve):
-    """Pieces are (t_lo, t_hi, curve) with curves evaluated at absolute time.
-    Outside all pieces the value is 0.  An optional period wraps tau first."""
-
-    kind = "piecewise-composite"
-
-    def __init__(self, pieces, period: float | None = None,
-                 derivative_budget: int = DEFAULT_BUDGET):
-        super().__init__(derivative_budget)
-        self.pieces = list(pieces)
-        self.period = period
-
-    def _eval(self, tau, q):
-        if self.period is not None:
-            tau = tau - self.period * math.floor(tau / self.period)
-        for t_lo, t_hi, curve in self.pieces:
-            if t_lo <= tau <= t_hi:
-                return curve.eval(tau, q)
-        return 0.0
-
-
 # ---------------------------------------------------------------------------
 # Bump function: b(s) = exp(-1/s) for s > 0, and the C^inf ramp
 # c(t) = int_0^t b(s) b(1-s) ds / int_0^1 b(s) b(1-s) ds.
@@ -293,6 +272,11 @@ def extrapolate_scalar(curve: ScalarCurve, t_end: float, order: int) -> Periodic
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
+def _is_finite(val) -> bool:
+    """A finite JSON number (NaN and Infinity parse as floats)."""
+    return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+
+
 def curve_from_descriptor(desc: dict, field: str = "curve") -> ScalarCurve:
     """Build a curve from its JSON descriptor, e.g. {"kind": "trig", "amp": ...}."""
     if not isinstance(desc, dict):
@@ -302,12 +286,12 @@ def curve_from_descriptor(desc: dict, field: str = "curve") -> ScalarCurve:
     if not isinstance(budget, int) or budget < 0:
         raise SchemaError(f"{field}.derivative_budget", "expected a nonnegative integer")
 
-    def need(key, types=(int, float)):
-        if key not in desc:
+    def need(key, default=None):
+        if key not in desc and default is None:
             raise SchemaError(f"{field}.{key}", "missing required field")
-        val = desc[key]
-        if isinstance(val, bool) or not isinstance(val, types):
-            raise SchemaError(f"{field}.{key}", f"expected a number, got {type(val).__name__}")
+        val = desc.get(key, default)
+        if not _is_finite(val):
+            raise SchemaError(f"{field}.{key}", f"expected a finite number, got {val!r}")
         return val
 
     if kind == "constant":
@@ -316,26 +300,12 @@ def curve_from_descriptor(desc: dict, field: str = "curve") -> ScalarCurve:
         coeffs = desc.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise SchemaError(f"{field}.coeffs", "expected a non-empty list of numbers")
-        if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in coeffs):
-            raise SchemaError(f"{field}.coeffs", "expected a list of numbers")
+        if not all(_is_finite(c) for c in coeffs):
+            raise SchemaError(f"{field}.coeffs", "expected a list of finite numbers")
         return PolynomialCurve(coeffs, budget)
     if kind == "trig":
-        return TrigCurve(need("amp"), need("omega"), desc.get("phase", 0.0),
-                         desc.get("offset", 0.0), budget)
+        return TrigCurve(need("amp"), need("omega"), need("phase", 0.0),
+                         need("offset", 0.0), budget)
     if kind == "exp":
         return ExpCurve(need("amp"), need("rate"), budget)
     raise SchemaError(f"{field}.kind", f"unknown curve kind {kind!r}")
-
-
-def curve_descriptor(curve: ScalarCurve) -> dict:
-    """Inverse of curve_from_descriptor for the four closed-form kinds."""
-    if isinstance(curve, ConstantCurve):
-        return {"kind": "constant", "value": curve.value}
-    if isinstance(curve, PolynomialCurve):
-        return {"kind": "polynomial", "coeffs": list(curve.coeffs)}
-    if isinstance(curve, TrigCurve):
-        return {"kind": "trig", "amp": curve.amp, "omega": curve.omega,
-                "phase": curve.phase, "offset": curve.offset}
-    if isinstance(curve, ExpCurve):
-        return {"kind": "exp", "amp": curve.amp, "rate": curve.rate}
-    raise InvalidInputError(f"curve kind {curve.kind!r} has no JSON descriptor")

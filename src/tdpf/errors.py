@@ -2,8 +2,9 @@
 
 The CLI maps these onto exit codes: SchemaError and InvalidInputError (which
 includes UnsupportedOrderError and BudgetExceededError) -> 2,
-ConvergenceError -> 3, OutOfRegimeError -> 4, and any other exception -> 5
-(an internal error; exit 1 is reserved for a flagged bound violation).
+ConvergenceError and NumericalBlowUpError -> 3, OutOfRegimeError -> 4, and
+any other exception -> 5 (an internal error; exit 1 is reserved for a flagged
+bound violation).
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ class UnsupportedOrderError(InvalidInputError):
 
 class BudgetExceededError(InvalidInputError):
     """A derivative of higher order than the curve's declared budget was requested."""
+
+
+class NumericalBlowUpError(InvalidInputError):
+    """A matrix reached the dense kernels with non-finite entries: an overflow
+    or NaN inside the computation, since config numbers are checked finite."""
 
 
 class ConvergenceError(RuntimeError):

@@ -19,7 +19,7 @@ from .formulas import EXACT, StagePlan, suzuki_a
 from .linalg import matrix_exp, spectral_norm, spectral_norms
 from .models import Hamiltonian, OperatorCurve
 
-DEFAULT_SAMPLES = 4096
+FOURIER_SAMPLES = 4096  # trapezoidal-rule points per period
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +33,7 @@ class FourierHamiltonian:
     omega: float
     mode_cutoff: int
     coefficients: tuple  # tuple over terms of ndarray (2M+1, d, d)
-    tails: tuple  # per-term max coefficient norm at |m| = M
     dim: int
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
 
     @property
     def n_terms(self) -> int:
@@ -49,13 +44,10 @@ class FourierHamiltonian:
         return self.coefficients[gamma - 1][m + self.mode_cutoff]
 
 
-def fourier_decompose(term: OperatorCurve, omega: float, mode_cutoff: int,
-                      samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, float]:
-    """Trapezoidal-rule Fourier coefficients of one term over one period.
-
-    Returns (coeffs, tail) with coeffs[m + M] = H_m and tail the largest
-    norm among the edge modes m = +-M.  The input must close up over the
-    period (endpoint mismatch <= 1e-8), i.e. be genuinely periodic.
+def fourier_decompose(term: OperatorCurve, omega: float, mode_cutoff: int) -> np.ndarray:
+    """Trapezoidal-rule Fourier coefficients of one term over one period:
+    coeffs[m + M] = H_m.  The input must close up over the period (endpoint
+    mismatch <= 1e-8), i.e. be genuinely periodic.
     """
     if omega <= 0:
         raise InvalidInputError("omega must be positive")
@@ -65,21 +57,17 @@ def fourier_decompose(term: OperatorCurve, omega: float, mode_cutoff: int,
         raise InvalidInputError(
             f"term is not {period:.6g}-periodic (endpoint mismatch {mismatch:.3e});"
             " extrapolate it first")
-    taus = np.arange(samples) * (period / samples)
+    taus = np.arange(FOURIER_SAMPLES) * (period / FOURIER_SAMPLES)
     vals = np.stack([term.value(tau) for tau in taus])  # (samples, d, d)
     ms = np.arange(-mode_cutoff, mode_cutoff + 1)
-    phases = np.exp(1j * omega * np.outer(ms, taus)) / samples  # (2M+1, samples)
-    coeffs = np.tensordot(phases, vals, axes=(1, 0))
-    tail = max(spectral_norm(coeffs[0]), spectral_norm(coeffs[-1]))
-    return coeffs, tail
+    phases = np.exp(1j * omega * np.outer(ms, taus)) / FOURIER_SAMPLES  # (2M+1, samples)
+    return np.tensordot(phases, vals, axes=(1, 0))
 
 
-def fourier_hamiltonian(ham: Hamiltonian, omega: float, mode_cutoff: int,
-                        samples: int = DEFAULT_SAMPLES) -> FourierHamiltonian:
-    per_term = [fourier_decompose(t, omega, mode_cutoff, samples) for t in ham.terms]
+def fourier_hamiltonian(ham: Hamiltonian, omega: float, mode_cutoff: int) -> FourierHamiltonian:
     return FourierHamiltonian(omega, mode_cutoff,
-                              tuple(c for c, _ in per_term),
-                              tuple(t for _, t in per_term), ham.dim)
+                              tuple(fourier_decompose(t, omega, mode_cutoff) for t in ham.terms),
+                              ham.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +245,20 @@ def build_tf_suzuki(ops: FloquetOperators, p: int, t: float) -> np.ndarray:
 # Readout
 # ---------------------------------------------------------------------------
 
-def reconstruct(lifted: np.ndarray, space: FloquetSpace, omega: float, t: float,
-                l_keep: int | None = None) -> np.ndarray:
+def reconstruct(lifted: np.ndarray, space: FloquetSpace, omega: float, t: float) -> np.ndarray:
     """sum over |l| <= l_keep of e^{-i l w t} <l| lifted |0>."""
-    keep = space.l_keep if l_keep is None else l_keep
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for l in range(-keep, keep + 1):
+    for l in range(-space.l_keep, space.l_keep + 1):
         out += np.exp(-1j * l * omega * t) * space.block(lifted, l, 0)
     return out
 
 
 def check_translation_symmetry(lifted: np.ndarray, space: FloquetSpace,
-                               omega: float, t: float,
-                               l_keep: int | None = None) -> float:
+                               omega: float, t: float) -> float:
     """Largest deviation of <l|op|l'> from e^{i l'' w t} <l-l''|op|l'-l''> over
-    interior index triples, from one batched norm call."""
-    keep = space.l_keep if l_keep is None else l_keep
+    interior index triples (|l|, |l'|, |l''| <= l_keep), from one batched norm
+    call."""
+    keep = space.l_keep
     n, d = space.n_blocks, space.dim
     blocks = lifted.reshape(n, d, n, d).transpose(0, 2, 1, 3)  # [row, col]
     ls = np.arange(-keep, keep + 1)
@@ -286,11 +272,3 @@ def check_translation_symmetry(lifted: np.ndarray, space: FloquetSpace,
     diffs = blocks[row, col]
     diffs -= phase * blocks[row - shift, col - shift]
     return float(spectral_norms(diffs).max())
-
-
-def transition_profile(lifted: np.ndarray, space: FloquetSpace,
-                       l_keep: int | None = None) -> list[float]:
-    """[ max(||<l|op|0>||, ||<-l|op|0>||) for l = 0..l_keep ]."""
-    keep = space.l_keep if l_keep is None else l_keep
-    return [max(spectral_norm(space.block(lifted, l, 0)),
-                spectral_norm(space.block(lifted, -l, 0))) for l in range(keep + 1)]

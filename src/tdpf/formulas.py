@@ -197,12 +197,11 @@ class OrderFit(NamedTuple):
     n_points: int
 
 
-def fit_order(ts, errors, oracle_tol: float = 1e-12, floor_factor: float = 100.0,
-              ceiling: float = 1e-2) -> OrderFit:
+def fit_order(ts, errors, oracle_tol: float = 1e-12) -> OrderFit:
     """Least-squares slope of log error against log t.
 
-    Points must lie in the trusted window [floor_factor * oracle_tol, ceiling]
-    so neither the oracle floor nor pre-asymptotic curvature pollutes the fit.
+    Points must lie in the trusted window [100 oracle_tol, 1e-2] so neither
+    the oracle floor nor pre-asymptotic curvature pollutes the fit.
     """
     ts = np.asarray(ts, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -210,12 +209,12 @@ def fit_order(ts, errors, oracle_tol: float = 1e-12, floor_factor: float = 100.0
         raise InvalidInputError("order fit needs at least 5 grid points")
     if ts.size != errors.size:
         raise InvalidInputError("t grid and error list differ in length")
-    floor = floor_factor * oracle_tol
-    bad = (errors < floor) | (errors > ceiling)
+    lo, hi = 100.0 * oracle_tol, 1e-2
+    bad = (errors < lo) | (errors > hi)
     if np.any(bad):
         raise InvalidInputError(
             f"{int(bad.sum())} error value(s) outside trusted window"
-            f" [{floor:.3e}, {ceiling:.3e}]")
+            f" [{lo:.3e}, {hi:.3e}]")
     coeffs, res, *_ = np.polyfit(np.log(ts), np.log(errors), 1, full=True)
     residual = float(res[0]) if len(res) else 0.0
     return OrderFit(float(coeffs[0]), float(coeffs[1]), residual, int(ts.size))

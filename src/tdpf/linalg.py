@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalBlowUpError
 
 DEFAULT_QUBIT_CAP = 12
 
@@ -34,7 +34,7 @@ def as_operator(a: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
-        raise InvalidInputError("matrix has non-finite entries")
+        raise NumericalBlowUpError("matrix has non-finite entries")
     return m
 
 
@@ -60,7 +60,7 @@ def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are
-        raise InvalidInputError("matrix has non-finite entries")
+        raise NumericalBlowUpError("matrix has non-finite entries")
     if m.shape[-1] == 1:
         return np.abs(m[..., 0, 0])
     if hermitian:
@@ -96,7 +96,7 @@ def matrix_exps(stack: np.ndarray) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are
-        raise InvalidInputError("matrix has non-finite entries")
+        raise NumericalBlowUpError("matrix has non-finite entries")
     shape = m.shape
     m = m.reshape((-1,) + shape[-2:])
     adj = m.conj().swapaxes(-1, -2)

@@ -6,7 +6,6 @@ coefficient norms.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 
@@ -102,12 +101,6 @@ class Hamiltonian:
     def total_curve(self) -> OperatorCurve:
         summands = [s for t in self.terms for s in t.summands]
         return OperatorCurve(summands, dim=self.dim)
-
-    def total(self, tau: float, q: int = 0) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for t in self.terms:
-            out += t.value(tau, q)
-        return out
 
     def scaled(self, factor: complex) -> Hamiltonian:
         return Hamiltonian([t.scaled(factor) for t in self.terms], metadata=self.metadata)
@@ -299,7 +292,7 @@ def induced_norms(model, tau: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# JSON model ingestion
+# JSON model descriptors
 # ---------------------------------------------------------------------------
 
 def _require(obj: dict, key: str, types, field: str):
@@ -310,6 +303,8 @@ def _require(obj: dict, key: str, types, field: str):
         raise SchemaError(f"{field}.{key}",
                           f"expected {types if isinstance(types, type) else 'number'},"
                           f" got {type(val).__name__}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise SchemaError(f"{field}.{key}", f"expected a finite number, got {val!r}")
     return val
 
 
@@ -404,13 +399,3 @@ def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:
     terms = [OperatorCurve([seen[g]], derivative_budget=budget) for g in labels]
     return Hamiltonian(terms, metadata={"model": "custom", "n_sites": n,
                                         "local_gate_counts": [1] * len(labels)})
-
-
-def ingest_model(path: str, cap: int = DEFAULT_QUBIT_CAP) -> Hamiltonian:
-    """Load a Hamiltonian from a JSON model file (schema: model_from_descriptor)."""
-    try:
-        with open(path) as fh:
-            desc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("<file>", f"invalid JSON: {exc}") from exc
-    return model_from_descriptor(desc, cap)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .formulas import EXACT, StagePlan, suzuki_plan, trotterize
+from .formulas import EXACT, suzuki_plan, trotterize
 from .linalg import spectral_norm
 from .models import Hamiltonian
 from .propagator import evolve
@@ -52,18 +52,6 @@ def moment_residual(ks, cs) -> float:
     return worst
 
 
-def choose_k(n_products: int) -> list[int]:
-    """k subdivision counts for a J-term combination.
-
-    Only the sequential choice k_j = j ships; the resulting conditioning is
-    surfaced through the plan's c_norm / k_norm rather than guessed from the
-    literature's (uncited-construction) well-conditioned asymptotics.
-    """
-    if n_products < 1:
-        raise InvalidInputError("J must be >= 1")
-    return list(range(1, n_products + 1))
-
-
 @dataclass(frozen=True)
 class MpfPlan:
     k: tuple[int, ...]
@@ -88,17 +76,16 @@ class MpfPlan:
     def k_norm(self) -> float:
         return float(sum(self.k))
 
-    @property
-    def order(self) -> int:
-        return 2 * self.n_products + 1
-
     def to_json(self) -> dict:
         return {"J": self.n_products, "k": list(self.k), "c": list(self.c),
                 "p": self.base_order, "c_norm": self.c_norm, "k_norm": self.k_norm}
 
 
 def mpf_plan(n_products: int, base_order: int = 2) -> MpfPlan:
-    """Sequential-k plan of J products over an order-p base formula."""
+    """Plan of J products over an order-p base formula with the sequential
+    choice k_j = j.  Its conditioning is surfaced through the plan's c_norm
+    and k_norm rather than guessed from the literature's (uncited-construction)
+    well-conditioned asymptotics."""
     if base_order != 2:
         if base_order < 2 or base_order % 2:
             raise InvalidInputError("base order must be even")
@@ -106,26 +93,23 @@ def mpf_plan(n_products: int, base_order: int = 2) -> MpfPlan:
             "multi-product coefficients cancel even orders starting from 2; "
             f"with base order {base_order} the extrapolation formally starts "
             "from the second order", stacklevel=2)
-    ks = choose_k(n_products)
+    ks = list(range(1, n_products + 1))
     return MpfPlan(tuple(ks), tuple(float(c) for c in solve_coefficients(ks)),
                    base_order)
 
 
-def evaluate_mpf(plan: MpfPlan, ham: Hamiltonian, t: float, t0: float = 0.0,
-                 oracle_tol: float = 1e-12,
-                 base_plan: StagePlan | None = None) -> np.ndarray:
+def evaluate_mpf(plan: MpfPlan, ham: Hamiltonian, t: float,
+                 oracle_tol: float = 1e-12) -> np.ndarray:
     """sum_j c_j prod_k S_p(k t / k_j, (k-1) t / k_j): generally non-unitary
     as a matrix since it is a linear combination of unitaries."""
-    if base_plan is None:
-        base_plan = suzuki_plan(plan.base_order, ham.n_terms, EXACT)
+    base = suzuki_plan(plan.base_order, ham.n_terms, EXACT)
     out = np.zeros((ham.dim, ham.dim), dtype=np.complex128)
     for k_j, c_j in zip(plan.k, plan.c):
-        out += c_j * trotterize(base_plan, ham, t, k_j, t0, oracle_tol)
+        out += c_j * trotterize(base, ham, t, k_j, 0.0, oracle_tol)
     return out
 
 
-def measure_mpf_error(plan: MpfPlan, ham: Hamiltonian, t: float, t0: float = 0.0,
-                      oracle_tol: float = 1e-12,
-                      base_plan: StagePlan | None = None) -> float:
-    exact = evolve(ham.total_curve(), t0, t, tol=oracle_tol)
-    return spectral_norm(exact - evaluate_mpf(plan, ham, t, t0, oracle_tol, base_plan))
+def measure_mpf_error(plan: MpfPlan, ham: Hamiltonian, t: float,
+                      oracle_tol: float = 1e-12) -> float:
+    exact = evolve(ham.total_curve(), 0.0, t, tol=oracle_tol)
+    return spectral_norm(exact - evaluate_mpf(plan, ham, t, oracle_tol))

@@ -1,4 +1,4 @@
-"""Trotter-step selection and local-gate counting.
+"""Trotter-step selection and local-gate counting for resource-table.
 
 One local exponential (single- or two-qubit) counts as one gate.  A product
 formula application costs V * (total local terms) gates, and a simulation of
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .bounds import alpha_com, grid_max, mpf_bound_value
+from .bounds import _alpha_com_sup, alpha_com, grid_max, mpf_bound_value
 from .errors import InvalidInputError, OutOfRegimeError
 from .formulas import EXACT, suzuki_plan
 from .models import Hamiltonian, induced_norms
@@ -21,12 +21,12 @@ from .multiproduct import MAX_PRODUCTS, mpf_plan
 _R_CAP = 1 << 40
 
 
-def choose_trotter_steps(bound_at, t: float, eps: float, power: int | None = None) -> int:
+def choose_trotter_steps(bound_at, t: float, eps: float, power: int) -> int:
     """Smallest r >= 1 with r * bound_at(t / r) <= eps.
 
-    ``bound_at`` maps a window length to a one-window error bound.  With
-    ``power`` = p the bound is treated as the power law C tau^(p+1) and r
-    comes in closed form (then verified); otherwise doubling plus bisection.
+    ``bound_at`` maps a window length to a one-window error bound, treated as
+    the power law C tau^(power+1): r comes in closed form, then is verified
+    and stepped to the smallest r that meets the target.
     """
     if eps <= 0:
         raise InvalidInputError("target accuracy must be positive")
@@ -38,46 +38,17 @@ def choose_trotter_steps(bound_at, t: float, eps: float, power: int | None = Non
 
     if total(1) <= eps:
         return 1
-    if power is not None:
-        c = bound_at(t) / t ** (power + 1)
-        r = max(1, math.ceil((c * t ** (power + 1) / eps) ** (1.0 / power)))
-        while total(r) > eps:
-            r += 1
-        while r > 1 and total(r - 1) <= eps:
-            r -= 1
-        return r
-    lo, hi = 1, 2
-    while total(hi) > eps:
-        lo, hi = hi, hi * 2
-        if hi > _R_CAP:
-            raise OutOfRegimeError("no Trotter step count reaches the target accuracy")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if total(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def gates_per_step(ham: Hamiltonian, p: int) -> int:
-    """Local exponentials in one order-p formula application."""
-    counts = ham.metadata.get("local_gate_counts")
-    if counts is None:
-        raise InvalidInputError("model metadata lacks local_gate_counts")
-    layers = suzuki_plan(p, ham.n_terms, EXACT).n_layers
-    return layers * sum(counts)
-
-
-def _measured_alpha(ham: Hamiltonian, order: int, t: float, grid_points: int,
-                    refine_iters: int = 12) -> float:
-    best, _ = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
-                       refine_iters=refine_iters)
-    return best
+    c = bound_at(t) / t ** (power + 1)
+    r = max(1, math.ceil((c * t ** (power + 1) / eps) ** (1.0 / power)))
+    while total(r) > eps:
+        r += 1
+    while r > 1 and total(r - 1) <= eps:
+        r -= 1
+    return r
 
 
 def _analytic_alpha(ham: Hamiltonian, order: int, t: float, grid_points: int,
-                    constant: float) -> float:
+                    constant: float, refine_iters: int) -> float:
     """Induced-norm scaling surrogate sum_q Gamma^q |||H|||^(p-q) ||H||_1 for
     2-local long-range models, or the extensive local-term count for chains,
     scaled by a constant calibrated against one measured value."""
@@ -92,7 +63,7 @@ def _analytic_alpha(ham: Hamiltonian, order: int, t: float, grid_points: int,
                 out.append(sum(gamma**q * induced**(p - q) for q in range(p + 1)) * one)
             return np.array(out)
 
-        best, _ = grid_max(factor, 0.0, t, grid_points, refine_iters=12)
+        best, _ = grid_max(factor, 0.0, t, grid_points, refine_iters)
         return constant * best
     if meta.get("model") == "nn-chain":
         return constant * len(meta["bonds"])
@@ -101,28 +72,25 @@ def _analytic_alpha(ham: Hamiltonian, order: int, t: float, grid_points: int,
 
 def gate_count_pf(ham, t: float, eps: float, p: int,
                   bound_source: str = "measured-alpha", grid_points: int = 9,
-                  alpha_constant: float = 1.0, refine_iters: int = 12,
-                  alpha: float | None = None) -> dict:
+                  alpha_constant: float = 1.0, refine_iters: int = 12) -> dict:
     """Trotter steps and local-gate count for one simulation at (t, eps, p).
 
     measured-alpha evaluates the commutator factor on the dense model;
     analytic-scaling uses the induced-norm surrogate (metadata only, so it
-    also works at dimensions too large to materialize).  A precomputed
-    ``alpha`` skips the factor evaluation (used by sweeps).
+    also works at dimensions too large to materialize).  Either maximum over
+    tau takes ``refine_iters`` golden-section steps.
     """
     meta = ham if isinstance(ham, dict) else ham.metadata
     form = asymptotic_gate_form(meta, p)  # also rejects unknown model classes
     order = p + 1
-    if alpha is not None:
-        n_terms = (ham.n_terms if isinstance(ham, Hamiltonian)
-                   else meta.get("n_terms", len(meta["local_gate_counts"])))
-    elif bound_source == "measured-alpha":
+    if bound_source == "measured-alpha":
         if not isinstance(ham, Hamiltonian):
             raise InvalidInputError("measured-alpha needs a dense Hamiltonian")
-        alpha = _measured_alpha(ham, order, t, grid_points, refine_iters)
+        alpha, _ = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
+                            refine_iters)
         n_terms = ham.n_terms
     elif bound_source == "analytic-scaling":
-        alpha = _analytic_alpha(ham, order, t, grid_points, alpha_constant)
+        alpha = _analytic_alpha(ham, order, t, grid_points, alpha_constant, refine_iters)
         n_terms = meta["n_terms"] if "n_terms" in meta else len(meta["local_gate_counts"])
     else:
         raise InvalidInputError(f"unknown bound source {bound_source!r}")
@@ -157,7 +125,7 @@ def asymptotic_gate_form(meta: dict, p: int) -> str:
 
 
 def mpf_resources(ham: Hamiltonian, t: float, eps: float,
-                  grid_points: int = 9) -> dict:
+                  grid_points: int = 9, refine_iters: int = 12) -> dict:
     """Query and ancilla counts for the multi-product route at (t, eps).
 
     J follows ceil(0.5 log(alpha t / eps)); the commutator rate alpha is the
@@ -166,11 +134,7 @@ def mpf_resources(ham: Hamiltonian, t: float, eps: float,
     """
     if eps <= 0:
         raise InvalidInputError("target accuracy must be positive")
-    rate = 0.0
-    for q in (3, 5):
-        best, _ = grid_max(lambda tau: alpha_com(ham, q, tau), 0.0, t, grid_points,
-                           refine_iters=12)
-        rate = max(rate, best ** (1.0 / q))
+    rate = _alpha_com_sup(ham, (3, 5), 0.0, t, grid_points, refine_iters)
     if rate * t <= eps:
         n_products = 1
     else:

@@ -23,7 +23,7 @@ from tdpf.models import Hamiltonian, OperatorCurve
 from tdpf.multiproduct import (measure_mpf_error, moment_residual, mpf_plan,
                                solve_coefficients)
 from tdpf.propagator import evolve
-from tdpf.resources import choose_trotter_steps, gates_per_step
+from tdpf.resources import choose_trotter_steps
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -216,7 +216,7 @@ def test_criterion_07_scaling_exponents():
         r = choose_trotter_steps(lambda tau: coeff * tau ** (p + 1), t_sim, eps,
                                  power=p)
         alphas.append(alpha)
-        gates.append(r * gates_per_step(ham, p))
+        gates.append(r * plan.n_layers * sum(ham.metadata["local_gate_counts"]))
     alpha_slope = np.polyfit(np.log(ns), np.log(alphas), 1)[0]
     gate_slope = np.polyfit(np.log(ns), np.log(gates), 1)[0]
     assert abs(alpha_slope - 1.0) <= 0.2, alpha_slope
@@ -238,7 +238,7 @@ def test_criterion_08_periodic_extension():
     for tau in np.linspace(4 * window / 3, 5 * window / 3, 11):
         assert ext.eval(tau) == 0.0
     term = OperatorCurve([(X, ext)])
-    coeffs, _ = fourier_decompose(term, math.pi / window, 64)
+    coeffs = fourier_decompose(term, math.pi / window, 64)
     scaled = {m: m ** (order + 2) * spectral_norm(coeffs[m + 64])
               for m in range(1, 65)}
     head = max(scaled[m] for m in range(1, 33))

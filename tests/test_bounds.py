@@ -330,10 +330,12 @@ class TestCorollaryBound:
 
     def test_report_fields(self, driven2):
         rep = corollary_bound(suzuki_plan(1, 2), driven2, 0.2)
-        js = rep.to_json()
-        assert js["bound_kind"] == "corollary" and js["p"] == 1
-        assert js["term_count"] == 3 * 2  # (Gamma+1)^p * Gamma
-        assert 0.0 <= js["tau_argmax"] <= 0.2
+        assert rep.bound_kind == "corollary" and rep.p == 1 and rep.t == 0.2
+        assert rep.term_count == 3 * 2  # (Gamma+1)^p * Gamma
+        assert rep.grid_size == 65
+        assert 0.0 <= rep.tau_argmax <= 0.2
+        assert set(rep.extra) == {"alpha_com_max", "layers"} and rep.extra["layers"] == 1
+        assert rep.value == 3.0 * rep.extra["alpha_com_max"] * 0.2**2  # V = 1, order 2
 
 
 class TestTightBound:

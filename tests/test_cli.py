@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tdpf.bounds as bounds
 import tdpf.cli as cli
+import tdpf.resources as resources
 from tdpf.cli import RESOURCE_COLUMNS, main, run
 from tdpf.linalg import embed_pauli_string
 from tdpf.models import model_from_descriptor
@@ -40,6 +43,14 @@ def write_config(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def strict_json(path):
+    """Parse a JSON file, rejecting the NaN and Infinity that strict JSON lacks."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def read_csv(path):
@@ -238,6 +249,49 @@ class TestResourceTable:
             yz = embed_pauli_string([(0, "Y"), (1, "Z")], 4)
             np.testing.assert_array_equal(ham.term(1).summands[0][0], yz)
 
+    def test_commuting_sizes_write_null_exponent(self, tmp_path):
+        # constant XX bonds and no field commute, so alpha = 0 at N = 2 and 3
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model_class": "nn-chain", "N_values": [2, 3], "t": 0.2, "eps": 1e-2,
+            "p": 2, "grid_points": 3, "model_params": {"bond_curve": ONE}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's divide by zero
+            assert run("resource-table", cfg, str(out)) == 0
+        summary = strict_json(out / "resource_summary.json")
+        assert summary["alpha_exponent_vs_N"] is None
+        assert "N = [2, 3]" in summary["alpha_exponent_vs_N_null_reason"]
+        assert isinstance(summary["gate_exponent_vs_N"], float)
+        assert "gate_exponent_vs_N_null_reason" not in summary
+
+    def test_refine_iters_reaches_every_maximum(self, tmp_path, monkeypatch):
+        # with refine_iters 0 every maximum over tau is its grid alone: one call
+        calls = []
+        real = bounds.grid_max
+
+        def spy(fn, *args, **kwargs):
+            calls.append(0)
+            index = len(calls) - 1
+
+            def counted(xs):
+                calls[index] += 1
+                return fn(xs)
+
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "grid_max", spy)
+        monkeypatch.setattr(resources, "grid_max", spy)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model_class": "long-range", "N_values": [3], "t": 0.2, "eps": 1e-2,
+            "p": 2, "bound_source": "analytic-scaling", "calibrate_N": 2,
+            "include_mpf": True, "grid_points": 3, "refine_iters": 0,
+            "model_params": {"nu": 2.0, "pair_curves": {"XX": DRIVEN2["bond_curve"]},
+                             "site_curves": {"Z": DRIVEN2["field_curve"]}}})
+        assert run("resource-table", cfg, str(tmp_path / "out")) == 0
+        # calibration (measured and analytic), then at N = 3 the analytic
+        # surrogate and the MPF rate at q = 3 and 5
+        assert calls == [1] * 5
+
     def test_mpf_needs_dense_model(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "model_class": "long-range", "N_values": [16], "t": 1.0,
@@ -418,6 +472,16 @@ class TestPlumbing:
                             "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE},
                                              "coupling": "2"}},
          "model_params.coupling"),
+        ("resource-table", {"model_params": dict(
+            RESOURCE_CFG["model_params"],
+            bond_curve={"kind": "trig", "amp": float("nan"), "omega": 2.0})},
+         "model_params.bond_curve.amp"),
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"nu": float("inf"), "pair_curves": {"XX": ONE}}},
+         "model_params.nu"),
+        ("bound-check", {"model": dict(DRIVEN2, field_curve={"kind": "constant",
+                                                              "value": float("-inf")})},
+         "model.field_curve.value"),
     ])
     def test_bad_nested_field_exits_2(self, tmp_path, capsys, subcommand, update, named):
         base = RESOURCE_CFG if subcommand == "resource-table" else {
@@ -448,6 +512,20 @@ class TestPlumbing:
     def test_integer_valued_float_fields_accepted(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", dict(RESOURCE_CFG, t=1, eps_values=[1]))
         assert run("resource-table", cfg, str(tmp_path / "out")) == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    def test_numerical_blow_up_exits_3(self, tmp_path, capsys):
+        # finite config numbers whose curve overflows to inf inside the run
+        model = {"model": "custom", "N": 1, "terms": [
+            {"gamma": 1, "paulis": [[0, "X"]],
+             "curve": {"kind": "exp", "amp": 1e308, "rate": 100}},
+            {"gamma": 2, "paulis": [[0, "Z"]], "curve": ONE}]}
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": model, "orders": [1], "times": [0.05], "grid_points": 3})
+        assert run("bound-check", cfg, str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "numerical blow-up: matrix has non-finite entries" in err
+        assert "config error" not in err
 
     def test_convergence_failure_exits_3(self, tmp_path, monkeypatch):
         from tdpf.errors import ConvergenceError
@@ -491,14 +569,31 @@ class TestPlumbing:
                     model_from_descriptor(dict(cfg["model_params"],
                                                model=cfg["model_class"], N=n))
 
-    def test_workers_match_serial(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.json", {
-            "model": DRIVEN2, "orders": [1], "times": [1e-2, 2e-2, 3e-2, 4e-2, 5e-2]})
-        out_serial, out_parallel = tmp_path / "s", tmp_path / "p"
-        assert run("order-scan", cfg, str(out_serial), workers=1) == 0
-        assert run("order-scan", cfg, str(out_parallel), workers=4) == 0
-        assert ((out_serial / "order_scan.csv").read_bytes()
-                == (out_parallel / "order_scan.csv").read_bytes())
+    def test_workers_match_serial(self, tmp_path, monkeypatch):
+        mapped = []
+        real = cli._pmap
+
+        def spy(fn, items, workers):
+            mapped.append((list(items), workers))
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(cli, "_pmap", spy)
+        cases = [
+            ("order-scan", {"model": DRIVEN2, "orders": [1],
+                            "times": [1e-2, 2e-2, 3e-2, 4e-2, 5e-2]},
+             "order_scan", "order_scan_summary"),
+            ("resource-table", dict(RESOURCE_CFG, N_values=[2, 3, 4], eps_values=[1e-2, 5e-3],
+                                    include_mpf=True, refine_iters=2),
+             "resource_table", "resource_summary"),
+        ]
+        for subcommand, config, csv_name, summary_name in cases:
+            cfg = write_config(tmp_path, f"{subcommand}.json", config)
+            out_serial, out_parallel = tmp_path / f"{subcommand}-s", tmp_path / f"{subcommand}-p"
+            assert run(subcommand, cfg, str(out_serial), workers=1) == 0
+            assert run(subcommand, cfg, str(out_parallel), workers=4) == 0
+            for name in (f"{csv_name}.csv", f"{summary_name}.json"):
+                assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
+        assert ([2, 3, 4], 4) in mapped  # resource-table maps its sizes
 
 
 COLD_START_SCRIPT = """

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tdpf.curves import (ConstantCurve, ExpCurve, PiecewiseCurve,
-                         PolynomialCurve, TrigCurve, bump_c, bump_c_deriv,
-                         curve_descriptor, curve_from_descriptor,
+from tdpf.curves import (ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve,
+                         bump_c, bump_c_deriv, curve_from_descriptor,
                          extrapolate_scalar)
 from tdpf.errors import BudgetExceededError, InvalidInputError, SchemaError
 
@@ -44,14 +43,6 @@ class TestEval:
             exact = curve.eval(tau, q)
             approx = central_diff(curve, tau, q)
             assert exact == pytest.approx(approx, rel=1e-6, abs=1e-6)
-
-    def test_piecewise(self):
-        pw = PiecewiseCurve([(0.0, 1.0, ConstantCurve(2.0)),
-                             (1.5, 2.0, PolynomialCurve([0.0, 1.0]))], period=4.0)
-        assert pw.eval(0.5) == 2.0
-        assert pw.eval(1.25) == 0.0
-        assert pw.eval(1.75) == 1.75
-        assert pw.eval(0.5 + 4.0) == 2.0
 
 
 class TestBump:
@@ -161,10 +152,21 @@ class TestPeriodicExtension:
         assert tail <= 1.5 * head + 1e-12
 
 
+# one literal descriptor per kind, describing the matching ALL_KINDS curve
+DESCRIPTORS = [
+    {"kind": "constant", "value": 1.7},
+    {"kind": "polynomial", "coeffs": [0.2, -1.0, 0.5, 2.0]},
+    {"kind": "trig", "amp": 0.9, "omega": 2.3, "phase": 0.4, "offset": 0.3},
+    {"kind": "exp", "amp": 1.1, "rate": -0.8},
+]
+
+
 class TestDescriptors:
-    @pytest.mark.parametrize("curve", ALL_KINDS, ids=lambda c: c.kind)
-    def test_round_trip(self, curve):
-        clone = curve_from_descriptor(curve_descriptor(curve))
+    @pytest.mark.parametrize("desc, curve", zip(DESCRIPTORS, ALL_KINDS),
+                             ids=[d["kind"] for d in DESCRIPTORS])
+    def test_round_trip(self, desc, curve):
+        clone = curve_from_descriptor(desc)
+        assert clone.kind == curve.kind
         for tau in (0.0, 0.3, 1.1):
             for q in (0, 1, 2):
                 assert clone.eval(tau, q) == curve.eval(tau, q)
@@ -182,3 +184,16 @@ class TestDescriptors:
     def test_bad_number(self):
         with pytest.raises(SchemaError):
             curve_from_descriptor({"kind": "constant", "value": "large"})
+
+    @pytest.mark.parametrize("desc, named", [
+        ({"kind": "constant", "value": float("nan")}, "value"),
+        ({"kind": "exp", "amp": float("inf"), "rate": 1.0}, "amp"),
+        ({"kind": "trig", "amp": 1.0, "omega": 2.0, "phase": float("nan")}, "phase"),
+        ({"kind": "trig", "amp": 1.0, "omega": 2.0, "offset": "0.3"}, "offset"),
+        ({"kind": "polynomial", "coeffs": [1.0, float("-inf")]}, "coeffs"),
+    ], ids=["constant-nan", "exp-inf", "trig-phase-nan", "trig-offset-string",
+            "polynomial-inf"])
+    def test_non_finite_number_is_a_schema_error(self, desc, named):
+        with pytest.raises(SchemaError) as err:
+            curve_from_descriptor(desc)
+        assert err.value.field == f"curve.{named}"

@@ -6,8 +6,7 @@ from tdpf.errors import InvalidInputError
 from tdpf.floquet import (build_floquet_operators, build_tf,
                           build_tf_instantaneous, build_tf_suzuki,
                           check_translation_symmetry, floquet_space,
-                          fourier_decompose, fourier_hamiltonian, reconstruct,
-                          transition_profile)
+                          fourier_decompose, fourier_hamiltonian, reconstruct)
 from tdpf.formulas import INSTANTANEOUS, evaluate_pf, suzuki_plan
 from tdpf.linalg import PAULI, matrix_exp, spectral_norm
 from tdpf.models import Hamiltonian, OperatorCurve
@@ -44,16 +43,15 @@ def drive():
 class TestFourierDecompose:
     def test_constant_term_only_dc(self):
         term = OperatorCurve([(X, ConstantCurve(0.7))])
-        coeffs, tail = fourier_decompose(term, OMEGA, 3)
+        coeffs = fourier_decompose(term, OMEGA, 3)
         assert np.allclose(coeffs[3], 0.7 * X, atol=1e-12)
         for m in (-3, -2, -1, 1, 2, 3):
             assert spectral_norm(coeffs[m + 3]) <= 1e-12
-        assert tail <= 1e-12
 
     def test_cosine_term_splits_into_two_modes(self):
         amp = 1.3
         term = OperatorCurve([(X, TrigCurve(amp, OMEGA))])
-        coeffs, _ = fourier_decompose(term, OMEGA, 2)
+        coeffs = fourier_decompose(term, OMEGA, 2)
         assert np.allclose(coeffs[2 + 1], amp / 2 * X, atol=1e-12)
         assert np.allclose(coeffs[2 - 1], amp / 2 * X, atol=1e-12)
         for m in (-2, 0, 2):
@@ -79,7 +77,7 @@ class TestFourierDecompose:
         base = TrigCurve(0.8, 1.1, phase=0.3, offset=0.5)
         term = OperatorCurve([(X, extrapolate_scalar(base, window, order))])
         omega = np.pi / window  # period 2 * window
-        coeffs, _ = fourier_decompose(term, omega, 64)
+        coeffs = fourier_decompose(term, omega, 64)
         scaled = {m: m**(order + 2) * spectral_norm(coeffs[m + 64])
                   for m in range(1, 65)}
         head = max(scaled[m] for m in range(1, 33))
@@ -294,6 +292,14 @@ def literal_translation_symmetry(lifted, space, omega, t, l_keep):
                     - phase * space.block(lifted, l_row - shift, l_col - shift))
                 worst = max(worst, dev)
     return worst
+
+
+def transition_profile(lifted, space):
+    """[max(||<l|op|0>||, ||<-l|op|0>||) for l = 0..l_keep]: the lifted
+    operator's transition amplitudes out of the l = 0 block."""
+    return [max(spectral_norm(space.block(lifted, l, 0)),
+                spectral_norm(space.block(lifted, -l, 0)))
+            for l in range(space.l_keep + 1)]
 
 
 class TestTranslationSymmetry:

@@ -7,9 +7,9 @@ from conftest import driven_chain
 from tdpf.curves import ConstantCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import InvalidInputError, SchemaError
 from tdpf.linalg import PAULI, commutator, embed_pauli_string, spectral_norm
-from tdpf.models import (OperatorCurve, build_long_range,
-                         build_nn_chain, induced_norms, ingest_model,
-                         long_range_tables, model_from_descriptor)
+from tdpf.cli import _model_from_config
+from tdpf.models import (OperatorCurve, build_long_range, build_nn_chain,
+                         induced_norms, long_range_tables, model_from_descriptor)
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -78,7 +78,7 @@ class TestNnChain:
         ham = build_nn_chain(4, ConstantCurve(0.7))
         direct = sum(0.7 * embed_pauli_string([(i, "X"), (i + 1, "X")], 4)
                      for i in range(3))
-        assert np.allclose(ham.total(0.0), direct, atol=1e-14)
+        assert np.allclose(ham.total_curve().value(0.0), direct, atol=1e-14)
 
     def test_cap(self):
         with pytest.raises(InvalidInputError):
@@ -171,7 +171,7 @@ class TestIngest:
             "terms": [{"gamma": 1, "paulis": [[0, "X"]],
                        "curve": {"kind": "constant", "value": 1.0}}],
         }))
-        ham = ingest_model(str(path))
+        ham = _model_from_config({"model_path": str(path)})
         assert ham.dim == 2 and ham.n_terms == 1
         assert np.allclose(ham.term(1).value(0.0), X)
 
@@ -187,7 +187,7 @@ class TestIngest:
             ],
         }))
         with pytest.raises(SchemaError) as err:
-            ingest_model(str(path))
+            _model_from_config({"model_path": str(path)})
         assert "gamma" in str(err.value)
 
     def test_nn_chain_descriptor_matches_builder(self):
@@ -211,7 +211,7 @@ class TestIngest:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(SchemaError):
-            ingest_model(str(path))
+            _model_from_config({"model_path": str(path)})
 
     def test_noncontiguous_gammas(self):
         with pytest.raises(SchemaError):
@@ -230,11 +230,13 @@ class TestHamiltonian:
 
     def test_extended_matches_on_window(self, driven2):
         ext = driven2.extended(0.6, 2)
+        total, ext_total = driven2.total_curve(), ext.total_curve()
         for tau in np.linspace(0.0, 0.6, 13):
-            assert np.allclose(ext.total(tau), driven2.total(tau), atol=1e-14)
-        assert np.allclose(ext.total(0.1), ext.total(0.1 + 1.2), atol=1e-12)
+            assert np.allclose(ext_total.value(tau), total.value(tau), atol=1e-14)
+        assert np.allclose(ext_total.value(0.1), ext_total.value(0.1 + 1.2), atol=1e-12)
 
     def test_total_curve(self, driven2):
         tc = driven2.total_curve()
         for tau in (0.0, 0.5):
-            assert np.allclose(tc.value(tau), driven2.total(tau), atol=1e-14)
+            by_term = driven2.term(1).value(tau) + driven2.term(2).value(tau)
+            assert np.allclose(tc.value(tau), by_term, atol=1e-14)

@@ -7,9 +7,8 @@ from tdpf.errors import InvalidInputError
 from tdpf.formulas import evaluate_pf, fit_order, suzuki_plan
 from tdpf.linalg import PAULI, dagger, spectral_norm
 from tdpf.models import Hamiltonian, OperatorCurve
-from tdpf.multiproduct import (MpfPlan, choose_k, evaluate_mpf,
-                               measure_mpf_error, moment_residual, mpf_plan,
-                               solve_coefficients)
+from tdpf.multiproduct import (MpfPlan, evaluate_mpf, measure_mpf_error,
+                               moment_residual, mpf_plan, solve_coefficients)
 from tdpf.propagator import evolve
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
@@ -47,8 +46,8 @@ class TestCoefficients:
 
 class TestPlans:
     def test_sequential_choice(self):
-        assert choose_k(2) == [1, 2]
         plan = mpf_plan(2)
+        assert plan.k == (1, 2)
         assert plan.k_norm == 3.0
         assert plan.c_norm == pytest.approx(5.0 / 3.0, abs=1e-14)
 

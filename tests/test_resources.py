@@ -8,8 +8,8 @@ from tdpf.errors import InvalidInputError
 from tdpf.formulas import measure_error, suzuki_plan
 from tdpf.models import long_range_tables
 from tdpf.multiproduct import mpf_plan
-from tdpf.resources import (choose_trotter_steps, gate_count_pf,
-                            gates_per_step, loglog_slope, mpf_resources)
+from tdpf.resources import (choose_trotter_steps, gate_count_pf, loglog_slope,
+                            mpf_resources)
 
 
 class TestChooseTrotterSteps:
@@ -35,23 +35,18 @@ class TestChooseTrotterSteps:
         r2 = choose_trotter_steps(bound, 1.0, 5e-4, power=2)
         assert r2 <= math.ceil(r1 * 2 ** (1 / 2)) + 1
 
-    def test_bisection_matches_power_path(self):
-        bound = lambda tau: 0.9 * tau**4
-        a = choose_trotter_steps(bound, 1.3, 1e-5, power=3)
-        b = choose_trotter_steps(bound, 1.3, 1e-5)
-        assert a == b
-
     def test_bad_eps(self):
         with pytest.raises(InvalidInputError):
-            choose_trotter_steps(lambda tau: tau, 1.0, 0.0)
+            choose_trotter_steps(lambda tau: tau, 1.0, 0.0, power=1)
 
 
 class TestGateCounts:
     def test_gates_per_step_counts_local_exponentials(self):
         ham = driven_chain(4)
         # term 1: bonds {0-1, 2-3}; term 2: bond {1-2} + 4 field sites
-        assert gates_per_step(ham, 1) == 7
-        assert gates_per_step(ham, 2) == 14  # V = 2 layers
+        for p, per_step in ((1, 7), (2, 14)):  # p = 2 has V = 2 layers
+            res = gate_count_pf(ham, 0.1, 1e-2, p, grid_points=2, refine_iters=0)
+            assert res["gates_per_step"] == per_step
 
     def test_measured_alpha_result_fields(self):
         ham = driven_chain(3)
