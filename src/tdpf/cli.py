@@ -26,7 +26,7 @@ from . import __version__
 from .bounds import (corollary_bound, huyghebaert_bound, mpf_bound,
                      nonunitary_bound, tight_bound)
 from .errors import (ConvergenceError, InvalidInputError, NumericalBlowUpError,
-                     OutOfRegimeError, SchemaError)
+                     OutOfRegimeError, SchemaError, integer, list_of, number, one_of)
 from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
                       check_translation_symmetry, floquet_space,
                       fourier_hamiltonian, reconstruct)
@@ -59,7 +59,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("<config>", f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise SchemaError("<config>", f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise SchemaError("<config>", "top level must be an object")
@@ -76,56 +76,17 @@ def _model_from_config(cfg: dict) -> Hamiltonian:
     raise SchemaError("model", "config needs 'model' or 'model_path'")
 
 
-def _is_int(val, minimum: int) -> bool:
-    return not isinstance(val, bool) and isinstance(val, int) and val >= minimum
-
-
-def _is_real(val, positive: bool) -> bool:
-    """A finite JSON number (NaN and Infinity parse as floats), > 0 if positive."""
-    return (not isinstance(val, bool) and isinstance(val, (int, float))
-            and abs(val) <= sys.float_info.max and (val > 0 or not positive))
-
-
-def _int_field(cfg: dict, key: str, default: int, minimum: int) -> int:
-    val = cfg.get(key, default)
-    if not _is_int(val, minimum):
-        raise SchemaError(key, f"expected an integer >= {minimum}")
-    return val
-
-
-def _int_list(cfg: dict, key: str, default, minimum: int) -> list[int]:
-    vals = cfg.get(key, default)
-    if not isinstance(vals, list) or not vals or not all(_is_int(v, minimum) for v in vals):
-        raise SchemaError(key, f"expected a non-empty list of integers >= {minimum}")
-    return vals
-
-
-def _float_field(cfg: dict, key: str, default, positive: bool = True) -> float:
-    val = cfg.get(key, default)
-    if not _is_real(val, positive):
-        raise SchemaError(key, "expected a positive number" if positive
-                          else "expected a finite number")
-    return float(val)
-
-
-def _positive_list(vals, field: str) -> list[float]:
-    if not isinstance(vals, list) or not vals or not all(_is_real(v, True) for v in vals):
-        raise SchemaError(field, "expected a non-empty list of positive numbers")
-    return [float(v) for v in vals]
-
-
 def _times(spec, field: str) -> list[float]:
     """A non-empty list of times or a {min, max, count[, log]} grid, every
     time finite and > 0."""
     if not isinstance(spec, dict):
-        return _positive_list(spec, field)
-    lo, hi, count = spec.get("min"), spec.get("max"), spec.get("count")
-    log = spec.get("log", True)
-    if not (_is_real(lo, True) and _is_real(hi, True) and lo <= hi
-            and _is_int(count, 1) and isinstance(log, bool)):
-        raise SchemaError(field, "need a grid with finite 0 < min <= max, an integer"
-                          " count >= 1 and a boolean log")
-    return list((np.geomspace if log else np.linspace)(float(lo), float(hi), count))
+        return list_of(spec, field, number, True)
+    lo, hi = number(spec.get("min"), field, True), number(spec.get("max"), field, True)
+    count = integer(spec.get("count"), field, 1)
+    log = one_of(spec.get("log", True), field, (True, False))
+    if lo > hi:
+        raise SchemaError(field, f"need min <= max, got min {lo} > max {hi}")
+    return list((np.geomspace if log else np.linspace)(lo, hi, count))
 
 
 def _times_by_order(cfg: dict, orders: list[int]) -> dict[int, list[float]]:
@@ -200,11 +161,8 @@ def _write_outputs(out: Path, csv_name: str, summary_name: str, header: list[str
 
 def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    orders = _int_list(cfg, "orders", [1, 2], 1)
-    family_key = cfg.get("family", "exact")
-    if not isinstance(family_key, str) or family_key not in _FAMILIES:
-        raise SchemaError("family", f"unknown family {family_key!r}")
-    families = _FAMILIES[family_key]
+    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
+    families = _FAMILIES[one_of(cfg.get("family", "exact"), "family", tuple(_FAMILIES))]
     times = _times_by_order(cfg, orders)
     cells = []
     for family in families:
@@ -234,8 +192,8 @@ def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> in
 
 def _cmd_bound_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    orders = _int_list(cfg, "orders", [1, 2], 1)
-    grid_points = _int_field(cfg, "grid_points", 65, 2)
+    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
+    grid_points = integer(cfg.get("grid_points", 65), "grid_points", 2)
     times = _times_by_order(cfg, orders)
     cells = []
     for p in orders:
@@ -273,11 +231,11 @@ def _cmd_huyghebaert_check(cfg: dict, out: Path, workers: int, oracle_tol: float
 
 def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    omega = _float_field(cfg, "omega", None)
-    t = _float_field(cfg, "t", 0.5)
-    mode_cutoff = _int_field(cfg, "mode_cutoff", 2, 0)
-    l_values = _int_list(cfg, "l_values", [4, 8, 16, 24], 0)
-    orders = _int_list(cfg, "orders", [1, 2], 1)
+    omega = number(cfg.get("omega"), "omega", True)
+    t = number(cfg.get("t", 0.5), "t", True)
+    mode_cutoff = integer(cfg.get("mode_cutoff", 2), "mode_cutoff", 0)
+    l_values = list_of(cfg.get("l_values", [4, 8, 16, 24]), "l_values", integer, 0)
+    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
     fh = fourier_hamiltonian(ham, omega, mode_cutoff)
     exact = evolve(ham.total_curve(), 0.0, t, tol=oracle_tol)
     pf = {p: evaluate_pf(suzuki_plan(p, ham.n_terms, EXACT), ham, t,
@@ -324,10 +282,10 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
 
 def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    j_values = _int_list(cfg, "J_values", [1, 2], 1)
+    j_values = list_of(cfg.get("J_values", [1, 2]), "J_values", integer, 1)
     ts = _times(cfg.get("times"), "times")
-    grid_points = _int_field(cfg, "grid_points", 33, 2)
-    base_order = _int_field(cfg, "p", 2, 1)
+    grid_points = integer(cfg.get("grid_points", 33), "grid_points", 2)
+    base_order = integer(cfg.get("p", 2), "p", 1)
     cells = [(j, t) for j in j_values for t in ts]
 
     def cell(args):
@@ -372,28 +330,23 @@ def _loglog_exponent(summary: dict, key: str, ns: list[int], values: list[float]
 
 
 def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
-    model_class = cfg.get("model_class")
-    if model_class not in ("nn-chain", "long-range"):
-        raise SchemaError("model_class", f"unknown class {model_class!r}")
-    n_values = _int_list(cfg, "N_values", None, 1)
-    t = _float_field(cfg, "t", 1.0)
-    eps_values = (_positive_list(cfg["eps_values"], "eps_values") if "eps_values" in cfg
-                  else [_float_field(cfg, "eps", 1e-3)])
-    p = _int_field(cfg, "p", 2, 1)
-    bound_source = cfg.get("bound_source", "measured-alpha")
-    if bound_source not in _BOUND_SOURCES:
-        raise SchemaError("bound_source", f"expected one of {_BOUND_SOURCES}")
-    include_mpf = cfg.get("include_mpf", False)
-    if not isinstance(include_mpf, bool):
-        raise SchemaError("include_mpf", "expected true or false")
-    n_cal = _int_field(cfg, "calibrate_N", None, 2) if "calibrate_N" in cfg else None
+    model_class = one_of(cfg.get("model_class"), "model_class", ("nn-chain", "long-range"))
+    n_values = list_of(cfg.get("N_values"), "N_values", integer, 1)
+    t = number(cfg.get("t", 1.0), "t", True)
+    eps_values = (list_of(cfg["eps_values"], "eps_values", number, True) if "eps_values" in cfg
+                  else [number(cfg.get("eps", 1e-3), "eps", True)])
+    p = integer(cfg.get("p", 2), "p", 1)
+    bound_source = one_of(cfg.get("bound_source", "measured-alpha"), "bound_source",
+                          _BOUND_SOURCES)
+    include_mpf = one_of(cfg.get("include_mpf", False), "include_mpf", (True, False))
+    n_cal = integer(cfg["calibrate_N"], "calibrate_N", 2) if "calibrate_N" in cfg else None
     if n_cal is not None and n_cal > DEFAULT_QUBIT_CAP:
         raise SchemaError("calibrate_N", f"needs a dense model, at most {DEFAULT_QUBIT_CAP}")
     params = cfg.get("model_params", {})
     if not isinstance(params, dict) or "model" in params or "N" in params:
         raise SchemaError("model_params", "expected an object without 'model' and 'N'")
-    grid_points = _int_field(cfg, "grid_points", 9, 2)
-    refine_iters = _int_field(cfg, "refine_iters", 12, 0)
+    grid_points = integer(cfg.get("grid_points", 9), "grid_points", 2)
+    refine_iters = integer(cfg.get("refine_iters", 12), "refine_iters", 0)
 
     alpha_constant = 1.0
     if bound_source == "analytic-scaling" and n_cal is not None:
@@ -449,12 +402,12 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
 
 def _cmd_nonunitary_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    scale_im = _float_field(cfg, "scale_im", 0.1, positive=False)
+    scale_im = number(cfg.get("scale_im", 0.1), "scale_im")
     scaled = ham.scaled(1.0 - 1j * scale_im)
-    p = _int_field(cfg, "p", 1, 1)
+    p = integer(cfg.get("p", 1), "p", 1)
     plan = suzuki_plan(p, ham.n_terms, EXACT)
     ts = _times(cfg.get("times"), "times")
-    grid_points = _int_field(cfg, "grid_points", 33, 2)
+    grid_points = integer(cfg.get("grid_points", 33), "grid_points", 2)
 
     def cell(t):
         err = measure_error(plan, scaled, t, oracle_tol=oracle_tol)
@@ -479,14 +432,16 @@ _SUBCOMMANDS = {
 def run(subcommand: str, config_path: str, out_dir: str,
         workers: int | None = None, oracle_tol: float | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
-    if workers is None:
-        workers = int(os.environ.get("TDPF_WORKERS", "1"))
     try:
-        if subcommand not in _SUBCOMMANDS:
-            raise SchemaError("<subcommand>", f"unknown subcommand {subcommand!r}")
+        one_of(subcommand, "<subcommand>", tuple(_SUBCOMMANDS))
+        if workers is None:
+            env = os.environ.get("TDPF_WORKERS", "1").strip()
+            workers = integer(int(env) if env.isdecimal() else env, "TDPF_WORKERS", 1)
+        else:
+            workers = integer(workers, "--workers", 1)
         cfg = _load_config(config_path)
-        tol = (float(oracle_tol) if oracle_tol is not None
-               else _float_field(cfg, "oracle_tol", 1e-12))
+        tol = (number(oracle_tol, "--oracle-tol", True) if oracle_tol is not None
+               else number(cfg.get("oracle_tol", 1e-12), "oracle_tol", True))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         code = _SUBCOMMANDS[subcommand](cfg, out, workers, tol)

@@ -10,7 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError, SchemaError
+from .errors import (BudgetExceededError, InvalidInputError, NumericalBlowUpError,
+                     SchemaError, integer, list_of, number, one_of, required)
 
 DEFAULT_BUDGET = 32
 
@@ -31,7 +32,10 @@ class ScalarCurve:
             raise BudgetExceededError(
                 f"derivative order {q} exceeds budget {self.derivative_budget}"
             )
-        return self._eval(float(tau), int(q))
+        try:
+            return self._eval(float(tau), int(q))
+        except OverflowError as exc:  # math.exp, or a float power past the float range
+            raise NumericalBlowUpError(f"{self.kind} curve overflowed at tau={tau}") from exc
 
     def _eval(self, tau: float, q: int) -> float:
         raise NotImplementedError
@@ -272,40 +276,22 @@ def extrapolate_scalar(curve: ScalarCurve, t_end: float, order: int) -> Periodic
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
-def _is_finite(val) -> bool:
-    """A finite JSON number (NaN and Infinity parse as floats)."""
-    return not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
-
-
 def curve_from_descriptor(desc: dict, field: str = "curve") -> ScalarCurve:
     """Build a curve from its JSON descriptor, e.g. {"kind": "trig", "amp": ...}."""
     if not isinstance(desc, dict):
         raise SchemaError(field, "expected a curve descriptor object")
-    kind = desc.get("kind")
-    budget = desc.get("derivative_budget", DEFAULT_BUDGET)
-    if not isinstance(budget, int) or budget < 0:
-        raise SchemaError(f"{field}.derivative_budget", "expected a nonnegative integer")
-
-    def need(key, default=None):
-        if key not in desc and default is None:
-            raise SchemaError(f"{field}.{key}", "missing required field")
-        val = desc.get(key, default)
-        if not _is_finite(val):
-            raise SchemaError(f"{field}.{key}", f"expected a finite number, got {val!r}")
-        return val
-
+    kind = one_of(desc.get("kind"), f"{field}.kind", ("constant", "polynomial", "trig", "exp"))
+    budget = integer(desc.get("derivative_budget", DEFAULT_BUDGET),
+                     f"{field}.derivative_budget", 0)
     if kind == "constant":
-        return ConstantCurve(need("value"), budget)
+        return ConstantCurve(number(required(desc, "value", field), f"{field}.value"), budget)
     if kind == "polynomial":
-        coeffs = desc.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise SchemaError(f"{field}.coeffs", "expected a non-empty list of numbers")
-        if not all(_is_finite(c) for c in coeffs):
-            raise SchemaError(f"{field}.coeffs", "expected a list of finite numbers")
-        return PolynomialCurve(coeffs, budget)
+        return PolynomialCurve(list_of(required(desc, "coeffs", field), f"{field}.coeffs",
+                                       number), budget)
     if kind == "trig":
-        return TrigCurve(need("amp"), need("omega"), need("phase", 0.0),
-                         need("offset", 0.0), budget)
-    if kind == "exp":
-        return ExpCurve(need("amp"), need("rate"), budget)
-    raise SchemaError(f"{field}.kind", f"unknown curve kind {kind!r}")
+        return TrigCurve(number(required(desc, "amp", field), f"{field}.amp"),
+                         number(required(desc, "omega", field), f"{field}.omega"),
+                         number(desc.get("phase", 0.0), f"{field}.phase"),
+                         number(desc.get("offset", 0.0), f"{field}.offset"), budget)
+    return ExpCurve(number(required(desc, "amp", field), f"{field}.amp"),
+                    number(required(desc, "rate", field), f"{field}.rate"), budget)

@@ -58,7 +58,7 @@ def fourier_decompose(term: OperatorCurve, omega: float, mode_cutoff: int) -> np
             f"term is not {period:.6g}-periodic (endpoint mismatch {mismatch:.3e});"
             " extrapolate it first")
     taus = np.arange(FOURIER_SAMPLES) * (period / FOURIER_SAMPLES)
-    vals = np.stack([term.value(tau) for tau in taus])  # (samples, d, d)
+    vals = term.values(taus)  # (samples, d, d)
     ms = np.arange(-mode_cutoff, mode_cutoff + 1)
     phases = np.exp(1j * omega * np.outer(ms, taus)) / FOURIER_SAMPLES  # (2M+1, samples)
     return np.tensordot(phases, vals, axes=(1, 0))

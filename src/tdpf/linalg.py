@@ -65,9 +65,13 @@ def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
         return np.abs(m[..., 0, 0])
     if hermitian:
         evals = np.linalg.eigvalsh(m)
-        return np.maximum(np.abs(evals[..., 0]), np.abs(evals[..., -1]))
-    evals = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
-    return np.sqrt(np.maximum(evals[..., -1], 0.0))
+        norms = np.maximum(np.abs(evals[..., 0]), np.abs(evals[..., -1]))
+    else:
+        evals = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
+        norms = np.sqrt(np.maximum(evals[..., -1], 0.0))
+    if not np.isfinite(norms).all():  # A†A overflows once ||A|| passes about 1e154
+        raise NumericalBlowUpError("spectral norm is not finite")
+    return norms
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

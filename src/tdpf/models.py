@@ -12,10 +12,12 @@ from functools import cached_property
 import numpy as np
 
 from .curves import ScalarCurve, curve_from_descriptor, extrapolate_scalar
-from .errors import InvalidInputError, SchemaError
+from .errors import (InvalidInputError, SchemaError, integer, number, one_of,
+                     required)
 from .linalg import DEFAULT_QUBIT_CAP, embed_pauli_string
 
 _PAULI_ORDER = ("X", "Y", "Z")
+_CHANNELS = tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
 
 
 class OperatorCurve:
@@ -48,14 +50,11 @@ class OperatorCurve:
         return all(np.array_equal(m, m.conj().T) for m, _ in self.summands)
 
     def value(self, tau: float, q: int = 0) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for mat, curve in self.summands:
-            out += mat * curve.eval(tau, q)
-        return out
+        return self.values([tau], q)[0]
 
     def values(self, taus, q: int = 0) -> np.ndarray:
-        """``value`` at every tau of a 1-D batch, as a (len(taus), dim, dim)
-        stack with the same per-element arithmetic."""
+        """sum_j A_j f_j^(q)(tau) at every tau of a 1-D batch, as a
+        (len(taus), dim, dim) stack."""
         taus = np.asarray(taus, dtype=float)
         out = np.zeros((len(taus), self.dim, self.dim), dtype=np.complex128)
         for mat, curve in self.summands:
@@ -295,73 +294,60 @@ def induced_norms(model, tau: float) -> tuple[float, float]:
 # JSON model descriptors
 # ---------------------------------------------------------------------------
 
-def _require(obj: dict, key: str, types, field: str):
-    if key not in obj:
-        raise SchemaError(f"{field}.{key}", "missing required field")
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, types):
-        raise SchemaError(f"{field}.{key}",
-                          f"expected {types if isinstance(types, type) else 'number'},"
-                          f" got {type(val).__name__}")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise SchemaError(f"{field}.{key}", f"expected a finite number, got {val!r}")
-    return val
-
-
 def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP,
                           field: str = "model") -> Hamiltonian:
     """Build a model from its JSON descriptor; ``field`` is the config path
     that schema errors name."""
     if not isinstance(desc, dict):
         raise SchemaError(field, "expected a model descriptor object")
-    kind = desc.get("model")
+    kind = one_of(desc.get("model"), f"{field}.model", ("custom", "nn-chain", "long-range"))
     if kind == "custom":
         return _custom_from_descriptor(desc, cap, field)
     if kind == "nn-chain":
-        n = _require(desc, "N", int, field)
-        bond = curve_from_descriptor(_require(desc, "bond_curve", dict, field),
+        n = integer(required(desc, "N", field), f"{field}.N", 2)
+        bond = curve_from_descriptor(required(desc, "bond_curve", field),
                                      f"{field}.bond_curve")
         field_curve = None
         if "field_curve" in desc:
             field_curve = curve_from_descriptor(desc["field_curve"], f"{field}.field_curve")
         paulis = desc.get("bond_paulis", ["X", "X"])
-        if (not isinstance(paulis, list) or len(paulis) != 2
-                or any(p not in _PAULI_ORDER for p in paulis)):
+        if not isinstance(paulis, list) or len(paulis) != 2:
             raise SchemaError(f"{field}.bond_paulis", "expected a pair of Pauli labels")
-        field_pauli = desc.get("field_pauli", "Z")
-        if field_pauli not in _PAULI_ORDER:
-            raise SchemaError(f"{field}.field_pauli", "expected a Pauli label")
+        paulis = tuple(one_of(p, f"{field}.bond_paulis", _PAULI_ORDER) for p in paulis)
+        field_pauli = one_of(desc.get("field_pauli", "Z"), f"{field}.field_pauli",
+                             _PAULI_ORDER)
+        boundary = one_of(desc.get("boundary", "open"), f"{field}.boundary",
+                          ("open", "periodic"))
         try:
-            return build_driven_chain(n, bond, field_curve, tuple(paulis), field_pauli,
-                                      desc.get("boundary", "open"), cap)
+            return build_driven_chain(n, bond, field_curve, paulis, field_pauli, boundary, cap)
         except InvalidInputError as exc:
             raise SchemaError(field, str(exc)) from exc
-    if kind == "long-range":
-        try:
-            return build_long_range(*long_range_fields(desc, field), cap=cap)
-        except InvalidInputError as exc:
-            raise SchemaError(field, str(exc)) from exc
-    raise SchemaError(f"{field}.model", f"unknown model class {kind!r}")
+    try:
+        return build_long_range(*long_range_fields(desc, field), cap=cap)
+    except InvalidInputError as exc:
+        raise SchemaError(field, str(exc)) from exc
 
 
 def long_range_fields(desc: dict, field: str = "model") -> tuple:
     """(N, nu, pair_curves, site_curves, coupling) of a long-range descriptor:
     the arguments of both ``build_long_range`` and ``long_range_tables``."""
-    n = _require(desc, "N", int, field)
-    nu = _require(desc, "nu", (int, float), field)
-    pair_curves = {ch: curve_from_descriptor(d, f"{field}.pair_curves.{ch}")
-                   for ch, d in _require(desc, "pair_curves", dict, field).items()}
+    n = integer(required(desc, "N", field), f"{field}.N", 2)
+    nu = number(required(desc, "nu", field), f"{field}.nu")
+    pair_curves = {one_of(ch, f"{field}.pair_curves.{ch}", _CHANNELS):
+                   curve_from_descriptor(d, f"{field}.pair_curves.{ch}")
+                   for ch, d in required(desc, "pair_curves", field, dict).items()}
     site_curves = None
     if "site_curves" in desc:
-        site_curves = {s: curve_from_descriptor(d, f"{field}.site_curves.{s}")
-                       for s, d in _require(desc, "site_curves", dict, field).items()}
-    coupling = _require(desc, "coupling", (int, float), field) if "coupling" in desc else 1.0
+        site_curves = {one_of(s, f"{field}.site_curves.{s}", _PAULI_ORDER):
+                       curve_from_descriptor(d, f"{field}.site_curves.{s}")
+                       for s, d in required(desc, "site_curves", field, dict).items()}
+    coupling = number(desc.get("coupling", 1.0), f"{field}.coupling")
     return n, nu, pair_curves, site_curves, coupling
 
 
 def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:
-    n = _require(desc, "N", int, field)
-    raw_terms = _require(desc, "terms", list, field)
+    n = integer(required(desc, "N", field), f"{field}.N", 1)
+    raw_terms = required(desc, "terms", field, list)
     if not raw_terms:
         raise SchemaError(f"{field}.terms", "expected a non-empty list")
     seen: dict[int, tuple] = {}
@@ -369,19 +355,17 @@ def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:
         term_field = f"{field}.terms[{idx}]"
         if not isinstance(entry, dict):
             raise SchemaError(term_field, "expected an object")
-        gamma = _require(entry, "gamma", int, term_field)
+        gamma = integer(required(entry, "gamma", term_field), f"{term_field}.gamma", 1)
         if gamma in seen:
             raise SchemaError(f"{term_field}.gamma", f"duplicate gamma label {gamma}")
-        paulis = _require(entry, "paulis", list, term_field)
         sites = []
-        for p_idx, pair in enumerate(paulis):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or isinstance(pair[0], bool) or not isinstance(pair[0], int)
-                    or pair[1] not in _PAULI_ORDER):
-                raise SchemaError(f"{term_field}.paulis[{p_idx}]",
-                                  "expected [site, label] with label in X/Y/Z")
-            sites.append((pair[0], pair[1]))
-        curve = curve_from_descriptor(_require(entry, "curve", dict, term_field),
+        for p_idx, pair in enumerate(required(entry, "paulis", term_field, list)):
+            pair_field = f"{term_field}.paulis[{p_idx}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SchemaError(pair_field, "expected [site, label] with label in X/Y/Z")
+            sites.append((integer(pair[0], pair_field, 0),
+                          one_of(pair[1], pair_field, _PAULI_ORDER)))
+        curve = curve_from_descriptor(required(entry, "curve", term_field),
                                       f"{term_field}.curve")
         try:
             mat = embed_pauli_string(sites, n, cap)
@@ -393,9 +377,8 @@ def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:
         raise SchemaError(f"{field}.terms",
                           f"gamma labels must be 1..{len(labels)}, got {labels}")
     budget = desc.get("derivative_budget")
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
-                               or budget < 0):
-        raise SchemaError(f"{field}.derivative_budget", "expected a nonnegative integer")
+    if budget is not None:
+        integer(budget, f"{field}.derivative_budget", 0)
     terms = [OperatorCurve([seen[g]], derivative_budget=budget) for g in labels]
     return Hamiltonian(terms, metadata={"model": "custom", "n_sites": n,
                                         "local_gate_counts": [1] * len(labels)})

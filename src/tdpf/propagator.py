@@ -54,8 +54,10 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
     ``generator`` needs ``.dim``, ``.value(tau)`` and ``.values(taus)`` (an
     OperatorCurve).  The result is certified by step halving: refinement
     continues until doubling the step count moves the answer by at most
-    ``tol``.  For t1 < t0 the adjoint of the forward evolution is returned,
-    which is the backward propagator whenever the generator is Hermitian.
+    ``tol``.  The first step count is 0.5 dt ||H(midpoint)||; a count over
+    ``max_steps`` raises ConvergenceError before any step is taken.  For
+    t1 < t0 the adjoint of the forward evolution is returned, which is the
+    backward propagator whenever the generator is Hermitian.
     """
     if tol < MIN_TOL:
         raise InvalidInputError(f"tol {tol} below supported floor {MIN_TOL}")
@@ -66,7 +68,10 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
 
     dt = t1 - t0
     scale = spectral_norm(generator.value(t0 + 0.5 * dt))
-    n = max(1, min(max_steps, int(math.ceil(0.5 * dt * max(scale, 1e-12)))))
+    n = max(1, int(math.ceil(0.5 * dt * max(scale, 1e-12))))
+    if n > max_steps:
+        raise ConvergenceError(f"propagator needs about {n} steps at ||H|| = {scale:.3e},"
+                               f" over the cap of {max_steps}")
     u_prev = _cf4_product(generator, t0, dt, n)
     while True:
         n *= 2

@@ -10,6 +10,7 @@ import pytest
 
 import tdpf.bounds as bounds
 import tdpf.cli as cli
+import tdpf.propagator as propagator
 import tdpf.resources as resources
 from tdpf.cli import RESOURCE_COLUMNS, main, run
 from tdpf.linalg import embed_pauli_string
@@ -329,9 +330,11 @@ class TestPlumbing:
         assert "model_path:" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
+        # the second text holds an integer too long for int() to parse
         path = tmp_path / "broken.json"
-        path.write_text("{")
-        assert run("order-scan", str(path), str(tmp_path / "out")) == 2
+        for text in ("{", '{"times": [' + "1" * 5000 + "]}"):
+            path.write_text(text)
+            assert run("order-scan", str(path), str(tmp_path / "out")) == 2
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {})
@@ -425,8 +428,11 @@ class TestPlumbing:
         ("resource-table", "model_params", "x"),
         ("resource-table", "model_params", dict(RESOURCE_CFG["model_params"], N=9)),
         ("resource-table", "calibrate_N", 13),
+        ("huyghebaert-check", "TDPF_WORKERS", "abc"),
+        ("huyghebaert-check", "--workers", 0),
+        ("huyghebaert-check", "--oracle-tol", float("nan")),
     ])
-    def test_bad_field_exits_2(self, tmp_path, capsys, subcommand, field, value):
+    def test_bad_field_exits_2(self, tmp_path, capsys, monkeypatch, subcommand, field, value):
         base = {
             "order-scan": {"model": DRIVEN2, "orders": [1], "times": [0.01]},
             "bound-check": {"model": DRIVEN2, "orders": [1], "times": [0.01],
@@ -439,8 +445,16 @@ class TestPlumbing:
                          "grid_points": 5},
             "resource-table": RESOURCE_CFG,
         }[subcommand]
-        cfg = write_config(tmp_path, "cfg.json", dict(base, **{field: value}))
-        assert run(subcommand, cfg, str(tmp_path / "out")) == 2
+        # the last three fields come from the environment and the command line
+        outside = {"TDPF_WORKERS": None, "--workers": None, "--oracle-tol": None}
+        if field == "TDPF_WORKERS":
+            monkeypatch.setenv(field, value)
+        elif field in outside:
+            outside[field] = value
+        cfg = write_config(tmp_path, "cfg.json",
+                           base if field in outside else dict(base, **{field: value}))
+        assert run(subcommand, cfg, str(tmp_path / "out"), outside["--workers"],
+                   outside["--oracle-tol"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{field}:" in err
 
@@ -482,6 +496,33 @@ class TestPlumbing:
         ("bound-check", {"model": dict(DRIVEN2, field_curve={"kind": "constant",
                                                               "value": float("-inf")})},
          "model.field_curve.value"),
+        # integers too large for a float, a bad label, booleans as integers
+        ("bound-check", {"model": dict(DRIVEN2, bond_curve={"kind": "trig", "amp": 10**400,
+                                                             "omega": 2.0})},
+         "model.bond_curve.amp"),
+        ("bound-check", {"model": dict(DRIVEN2, field_curve={"kind": "polynomial",
+                                                              "coeffs": [0.5, 10**400]})},
+         "model.field_curve.coeffs"),
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"nu": 2000, "pair_curves": {"XX": ONE},
+                                             "coupling": 10**400}},
+         "model_params.coupling"),
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE},
+                                             "site_curves": {"W": ONE}}},
+         "model_params.site_curves.W"),
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"nu": 3.0, "pair_curves": {"XQ": ONE}}},
+         "model_params.pair_curves.XQ"),
+        ("bound-check", {"model": dict(DRIVEN2, bond_curve=dict(DRIVEN2["bond_curve"],
+                                                                derivative_budget=True))},
+         "model.bond_curve.derivative_budget"),
+        ("bound-check", {"model": dict(DRIVEN2, bond_curve=dict(DRIVEN2["bond_curve"],
+                                                                derivative_budget=False))},
+         "model.bond_curve.derivative_budget"),
+        ("resource-table", {"model_params": dict(RESOURCE_CFG["model_params"],
+                                                 boundary="ring")},
+         "model_params.boundary"),
     ])
     def test_bad_nested_field_exits_2(self, tmp_path, capsys, subcommand, update, named):
         base = RESOURCE_CFG if subcommand == "resource-table" else {
@@ -514,18 +555,36 @@ class TestPlumbing:
         assert run("resource-table", cfg, str(tmp_path / "out")) == 0
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # A†A past 1e308
     def test_numerical_blow_up_exits_3(self, tmp_path, capsys):
-        # finite config numbers whose curve overflows to inf inside the run
-        model = {"model": "custom", "N": 1, "terms": [
-            {"gamma": 1, "paulis": [[0, "X"]],
-             "curve": {"kind": "exp", "amp": 1e308, "rate": 100}},
-            {"gamma": 2, "paulis": [[0, "Z"]], "curve": ONE}]}
+        # finite config numbers that overflow inside the run: a curve value of
+        # inf, a norm whose A†A overflows (e^500 at the oracle's midpoint), and
+        # a math.exp past the float range (e^5000)
+        cases = [({"amp": 1e308, "rate": 100}, 0.05, "matrix has non-finite entries"),
+                 ({"amp": 1, "rate": 1e4}, 0.1, "spectral norm is not finite"),
+                 ({"amp": 1, "rate": 1e5}, 0.1, "exp curve overflowed")]
+        for curve, t, message in cases:
+            model = {"model": "custom", "N": 1, "terms": [
+                {"gamma": 1, "paulis": [[0, "X"]], "curve": dict(curve, kind="exp")},
+                {"gamma": 2, "paulis": [[0, "Z"]], "curve": ONE}]}
+            cfg = write_config(tmp_path, "cfg.json", {
+                "model": model, "orders": [1], "times": [t], "grid_points": 3})
+            assert run("bound-check", cfg, str(tmp_path / "out")) == 3
+            err = capsys.readouterr().err
+            assert f"numerical blow-up: {message}" in err
+            assert "config error" not in err
+
+    def test_stiff_config_fails_before_any_oracle_step(self, tmp_path, capsys, monkeypatch):
+        # ||H|| = e^20 at the midpoint asks for about 1.2e7 steps, over the 2^20 cap
+        steps = []
+        monkeypatch.setattr(propagator, "_cf4_product", lambda *args: steps.append(args))
+        model = {"model": "nn-chain", "N": 2,
+                 "bond_curve": {"kind": "exp", "amp": 1, "rate": 800}}
         cfg = write_config(tmp_path, "cfg.json", {
-            "model": model, "orders": [1], "times": [0.05], "grid_points": 3})
-        assert run("bound-check", cfg, str(tmp_path / "out")) == 3
-        err = capsys.readouterr().err
-        assert "numerical blow-up: matrix has non-finite entries" in err
-        assert "config error" not in err
+            "model": model, "orders": [1], "times": [0.05]})
+        assert run("order-scan", cfg, str(tmp_path / "out")) == 3
+        assert "convergence failure" in capsys.readouterr().err
+        assert steps == []
 
     def test_convergence_failure_exits_3(self, tmp_path, monkeypatch):
         from tdpf.errors import ConvergenceError

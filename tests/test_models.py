@@ -40,13 +40,16 @@ class TestOperatorCurve:
         assert OperatorCurve([(X, a), (Z, b)]).derivative_budget == 5
 
     def test_values_match_value(self):
+        # both against the literal sum, since value is values at one tau
         curve = OperatorCurve([(X, TrigCurve(0.5, 1.7)), (1j * Z, PolynomialCurve([1.0, 2.0]))])
         taus = np.array([0.0, 0.4, 1.3])
         for q in (0, 1, 2):
             stack = curve.values(taus, q)
             assert stack.shape == (3, 2, 2)
             for tau, got in zip(taus, stack):
-                np.testing.assert_array_equal(got, curve.value(tau, q))
+                literal = sum(mat * c.eval(tau, q) for mat, c in curve.summands)
+                np.testing.assert_array_equal(got, literal)
+                np.testing.assert_array_equal(curve.value(tau, q), literal)
 
     def test_is_hermitian_from_matrices(self):
         assert OperatorCurve([(X, ConstantCurve(1.0)), (Z, TrigCurve(1.0, 1.0))]).is_hermitian

@@ -131,7 +131,7 @@ class TestEvolve:
 
     def test_convergence_error_carries_disagreement(self):
         with pytest.raises(ConvergenceError) as err:
-            evolve(driven_generator(), 0.0, 50.0, tol=1e-13, max_steps=4)
+            evolve(driven_generator(), 0.0, 50.0, tol=1e-13, max_steps=64)
         assert err.value.last_disagreement is not None
         assert err.value.last_disagreement > 0
 
