@@ -15,14 +15,25 @@ inequalities are applied below the level of the published bound formulas.
 The walk runs on a batch of taus at once: every node is a (B, dim, dim)
 stack, each leaf's norms come from one batched eigensolve, and each tau gets
 its own exactly rounded fsum.  Batches hold at most ``linalg.BATCH_ENTRIES``
-(2^16) stack entries, so large dimensions go one tau at a time.  When every live term is Hermitian
-(decided from its matrices, never from the Hamiltonian's flag), every node
-is i^k times a Hermitian matrix: a step with a commutator and no derivative,
-or with an imaginary derivative coefficient, multiplies by i; a derivative
-step with a real coefficient by 1.  The leaf times (-i)^k, which is exact in
-floating point, is then Hermitian, and its norm is its largest |eigenvalue|
-with no A†A product.  Any other step, or a non-Hermitian term, takes the
-general A†A path.
+(2^16) stack entries, so large dimensions go one tau at a time.
+
+When the terms share exact symmetries (``Hamiltonian.sectors``: a built
+chain or long-range model of dimension at least ``sectors.MIN_DIM``), the
+walk runs on their sector blocks instead: every node is a (B * S, m, m)
+stack of S sectors zero-padded to the largest size m, tau-major, walked in
+the same order in every sector, and a leaf's norm is the largest of its S
+block norms, taken before the per-tau fsum.  A term that vanishes in a
+sector stays in that sector's walk as a zero block.  Any other model takes
+the dense walk, whose values the sector split leaves bit for bit unchanged.
+
+When every live term is Hermitian (decided from its matrices, never from
+the Hamiltonian's flag), every node is i^k times a Hermitian matrix: a step
+with a commutator and no derivative, or with an imaginary derivative
+coefficient, multiplies by i; a derivative step with a real coefficient by
+1.  The leaf times (-i)^k, which is exact in floating point, is then
+Hermitian, and its norm is its largest |eigenvalue| with no A†A product.
+The sector blocks of a Hermitian term are made exactly Hermitian too.  Any
+other step, or a non-Hermitian term, takes the general A†A path.
 
 Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then the two first golden-section probes,
@@ -77,19 +88,27 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
     powers = (_i_powers(steps, live)
               if all(term.is_hermitian for term in live.values()) else None)
     walk_steps = list(zip(steps, powers or [0] * len(steps)))
-    chunk = max(1, BATCH_ENTRIES // ham.dim**2)  # dim >= 256: one tau at a time
+    sectors = ham.sectors
+    if sectors is None:  # the dense walk: one "sector" of the full dimension
+        curves, n_sectors, size = live, 1, ham.dim
+    else:
+        curves = {g: sectors.terms[g - 1] for g in live}
+        n_sectors, size = sectors.count, sectors.size
+    chunk = max(1, BATCH_ENTRIES // (n_sectors * size**2))  # large: one tau at a time
     sums = []
     for lo in range(0, len(batch), chunk):
         part = batch[lo:lo + chunk]
         # steps use orders < p; only a seed's own table reaches order p
-        derivs = {g: [term.values(part, r) for r in range(p)] for g, term in live.items()}
+        derivs = {g: [curve.values(part, r) for r in range(p)]
+                  for g, curve in curves.items()}
         norms = []
         for gamma, weight in seeds:
             if weight != 0.0 and gamma in derivs:
-                x = derivs[gamma] + [live[gamma].values(part, p)]
+                x = derivs[gamma] + [curves[gamma].values(part, p)]
                 _walk(x, weight, p, derivs, walk_steps, norms,
                       None if powers is None else 0)
-        leaves = np.array(norms).reshape(len(norms), len(part))
+        # a node's norm is the largest of its sector blocks' norms
+        leaves = np.array(norms).reshape(len(norms), len(part), n_sectors).max(axis=2)
         sums += [math.fsum(column) for column in leaves.T]
     return np.array(sums) if np.ndim(taus) else sums[0]
 

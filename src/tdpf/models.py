@@ -12,9 +12,10 @@ from functools import cached_property
 import numpy as np
 
 from .curves import ScalarCurve, curve_from_descriptor, extrapolate_scalar
-from .errors import (InvalidInputError, SchemaError, integer, number, one_of,
-                     required)
+from .errors import (InvalidInputError, NumericalBlowUpError, SchemaError,
+                     integer, number, one_of, required)
 from .linalg import DEFAULT_QUBIT_CAP, embed_pauli_string
+from .sectors import MIN_DIM, Sectors, project
 
 _PAULI_ORDER = ("X", "Y", "Z")
 _CHANNELS = tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
@@ -91,6 +92,16 @@ class Hamiltonian:
     def n_terms(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def sectors(self) -> Sectors | None:
+        """The terms as blocks of the joint sectors of their symmetries (see
+        ``sectors.py``), found and projected at the first bound walk that
+        asks.  None keeps the dense walk: below ``sectors.MIN_DIM``, for a
+        custom model, or when no symmetry holds."""
+        if self.dim < MIN_DIM or self.metadata.get("model") not in ("nn-chain", "long-range"):
+            return None
+        return project(self.terms, self.metadata["n_sites"])
+
     def term(self, gamma: int) -> OperatorCurve:
         """1-based term lookup."""
         if not 1 <= gamma <= self.n_terms:
@@ -127,9 +138,14 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
     """Odd/even bond split of sum_i h_{i,i+1}(t) into two terms.
 
     Bond i couples sites (i, i+1) (0-based); bonds with even index go to term
-    1, odd index to term 2, so the bonds inside each term act on disjoint site
-    pairs and mutually commute.  ``bond_curves`` is one ScalarCurve shared by
-    all bonds or a list with one curve per bond.
+    1, odd index to term 2.  The bonds inside a term act on disjoint site
+    pairs, so they commute, except on an odd periodic chain: there the
+    closing bond (N-1, 0) has even index N-1 and shares site 0 with bond
+    (0, 1) in term 1, and the two commute only when the bond's two Paulis
+    are equal (XX, not YZ).  That shared site is also why an odd periodic
+    chain has no translation symmetry: no shift maps term 1 onto itself.
+    ``bond_curves`` is one ScalarCurve shared by all bonds or a list with one
+    curve per bond.
     """
     if n_sites < 2:
         raise InvalidInputError("chain needs at least 2 sites")
@@ -201,6 +217,24 @@ def _canonical_channels(pair_curves: dict) -> list[str]:
     return sorted(pair_curves, key=key)
 
 
+def _pair_magnitude(coupling: float, distance: int, nu: float) -> float:
+    """coupling / distance^nu.  A power past the float range (a large
+    positive nu) gives 0.0, the magnitude it underflows to; a power that
+    underflows to 0.0 (a large negative nu), or a quotient past the float
+    range, is a numerical blow-up."""
+    if nu == 0 or coupling == 0:
+        return coupling
+    try:
+        power = float(distance) ** nu
+    except OverflowError:
+        power = math.inf
+    mag = coupling / power if power else math.inf
+    if not math.isfinite(mag):
+        raise NumericalBlowUpError(
+            f"pair coupling {coupling:g} / {distance}^{nu:g} overflows")
+    return mag
+
+
 def long_range_tables(n_sites: int, nu: float, pair_curves: dict,
                       site_curves: dict | None = None,
                       coupling: float = 1.0) -> dict:
@@ -218,7 +252,7 @@ def long_range_tables(n_sites: int, nu: float, pair_curves: dict,
     for gamma_p in sorted(stages):
         for ch_idx, ch in enumerate(channels):
             for (i, j) in stages[gamma_p]:
-                mag = coupling / abs(i - j)**nu if nu != 0 else coupling
+                mag = _pair_magnitude(coupling, abs(i - j), nu)
                 pair_table.append((i, j, ch, gamma_p, mag, pair_curves[ch]))
     site_table = []
     if site_curves:
@@ -324,6 +358,8 @@ def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP,
             raise SchemaError(field, str(exc)) from exc
     try:
         return build_long_range(*long_range_fields(desc, field), cap=cap)
+    except NumericalBlowUpError:
+        raise
     except InvalidInputError as exc:
         raise SchemaError(field, str(exc)) from exc
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import driven_chain, random_matrix
 import tdpf.bounds as bounds
+import tdpf.models as models
 from tdpf.bounds import (_tight_sum, alpha_com, bar_alpha_com, corollary_bound,
                          grid_max, huyghebaert_bound, mpf_bound,
                          mpf_bound_value, nonunitary_bound, tight_bound)
@@ -13,8 +14,10 @@ from tdpf.curves import ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import (BudgetExceededError, InvalidInputError,
                          OutOfRegimeError, UnsupportedOrderError)
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.linalg import PAULI, spectral_norm
+from tdpf.linalg import PAULI, embed_pauli_string, spectral_norm
 from tdpf.models import Hamiltonian, OperatorCurve, build_long_range
+from tdpf.sectors import (MIN_DIM, _parity, _translation, curve_groups,
+                          find_symmetries)
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -157,7 +160,7 @@ def non_hermitian_pair():
 class TestTauBatch:
     @pytest.mark.parametrize("order", [2, 3])
     def test_array_matches_per_float_calls_across_chunks(self, order):
-        ham = driven_chain(7)  # dim 128: four taus per chunk
+        ham = driven_chain(7)  # two parity sectors of 64: eight taus per chunk
         taus = np.linspace(0.0, 0.9, 6)
         for fn in (alpha_com, bar_alpha_com):
             batch = fn(ham, order, taus)
@@ -482,3 +485,156 @@ class TestGridMax:
     def test_degenerate_interval(self):
         val, arg = grid_max(lambda x: x + 1.0, 0.5, 0.5)
         assert (val, arg) == (1.5, 0.5)
+
+
+# The sector walk against the dense walk.  Hamiltonian(ham.terms) drops the
+# model metadata, which keeps the same terms on the dense path.
+
+def dense_copy(ham):
+    return Hamiltonian(ham.terms)
+
+
+SECTOR_MODELS = {
+    "periodic5": lambda: driven_chain(5, "periodic"),
+    "periodic6": lambda: driven_chain(6, "periodic"),
+    "periodic7": lambda: driven_chain(7, "periodic"),
+    "periodic8": lambda: driven_chain(8, "periodic"),
+    "open6": lambda: driven_chain(6),
+    "long-range5": lambda: build_long_range(
+        5, 1.5, {"XX": PolynomialCurve([1.0, 0.5, -0.3])}, {"Z": TrigCurve(0.4, 1.3)}),
+    "complex-periodic6": lambda: driven_chain(6, "periodic").scaled(1.0 - 0.1j),
+}
+# p = 4 at N = 8 costs seconds on the dense reference, so it stops at p = 2
+SECTOR_CASES = [(m, p) for m in sorted(SECTOR_MODELS) for p in (1, 2, 4)
+                if (m, p) != ("periodic8", 4)]
+TAUS = np.array([0.11, 0.37])
+
+
+def symmetries(ham):
+    groups = [a for term in ham.terms for a, _ in curve_groups(term)]
+    return find_symmetries(groups, ham.metadata["n_sites"])
+
+
+def same_symmetry(found, expected):
+    perm, phase, order = found
+    return (np.array_equal(perm, expected[0]) and np.array_equal(phase, expected[1])
+            and order == expected[2])
+
+
+class TestSectorWalk:
+    @pytest.mark.parametrize("model,p", SECTOR_CASES)
+    def test_alpha_com_matches_dense(self, model, p):
+        ham = SECTOR_MODELS[model]()
+        assert ham.sectors is not None
+        dense = dense_copy(ham)
+        for fn in (alpha_com, bar_alpha_com):
+            np.testing.assert_allclose(fn(ham, p + 1, TAUS), fn(dense, p + 1, TAUS),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("model", sorted(SECTOR_MODELS))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_tight_sum_matches_dense(self, model, p):
+        ham = SECTOR_MODELS[model]()
+        plan = suzuki_plan(p, ham.n_terms)
+        weights = stage_weights(plan, ham.n_terms)
+        np.testing.assert_allclose(_tight_sum(plan, ham, TAUS, *weights),
+                                   _tight_sum(plan, dense_copy(ham), TAUS, *weights),
+                                   rtol=1e-12)
+
+    def test_batch_spans_chunks(self):
+        ham = driven_chain(8, "periodic")  # 8 sectors of at most 38: 5 taus a chunk
+        taus = np.linspace(0.0, 0.9, 7)
+        batch = alpha_com(ham, 2, taus)
+        np.testing.assert_allclose(batch, [alpha_com(ham, 2, float(t)) for t in taus],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(batch, alpha_com(dense_copy(ham), 2, taus), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_even_periodic_chain_has_parity_and_two_site_translation(self, n):
+        ham = driven_chain(n, "periodic")
+        translation, parity = symmetries(ham)
+        assert same_symmetry(translation, (*_translation(n, 2), n // 2))
+        assert same_symmetry(parity, (*_parity(n, "Z"), 2))
+        assert ham.sectors.count == n  # n / 2 momenta times two parities
+        assert sum(ham.sectors.sizes) == ham.dim
+
+    def test_odd_periodic_chain_has_no_translation(self):
+        # bonds (6, 0) and (0, 1) share site 0 in term 1: no shift maps the
+        # terms onto themselves
+        (parity,) = symmetries(driven_chain(7, "periodic"))
+        assert same_symmetry(parity, (*_parity(7, "Z"), 2))
+
+    def test_a_tiny_change_removes_the_symmetry(self):
+        ham = driven_chain(6, "periodic")
+        bonds, fields = ham.terms[1].summands[:3], ham.terms[1].summands[3:]
+        # one bond entry 1.0 -> 1 - 1e-16 breaks translation, not parity
+        bond = bonds[0][0].copy()
+        bond[0, 3] -= 1e-16
+        assert bond[0, 3] != 1.0
+        nudged = Hamiltonian([ham.terms[0], OperatorCurve(
+            [(bond, bonds[0][1])] + bonds[1:] + fields)], metadata=ham.metadata)
+        (parity,) = symmetries(nudged)
+        assert same_symmetry(parity, (*_parity(6, "Z"), 2))
+        # 1e-16 between states of opposite parity breaks every symmetry
+        field = fields[0][0].copy()
+        field[0, 1] = 1e-16
+        broken = Hamiltonian([ham.terms[0], OperatorCurve(
+            bonds + [(field, fields[0][1])] + fields[1:])], metadata=ham.metadata)
+        assert symmetries(broken) == []
+        assert broken.sectors is None
+        assert alpha_com(broken, 3, 0.2) == alpha_com(dense_copy(broken), 3, 0.2)
+
+    def test_term_vanishing_in_a_sector_stays_in_its_walk(self):
+        # B = X0 X1 - Y0 Y1 Z2 Z3 Z4 = X0 X1 (1 + prod Z) is zero at odd parity
+        n = 5
+        xx = embed_pauli_string([(0, "X"), (1, "X")], n)
+        yyzzz = embed_pauli_string(
+            [(0, "Y"), (1, "Y"), (2, "Z"), (3, "Z"), (4, "Z")], n)
+        field = sum(embed_pauli_string([(i, "Z")], n) for i in range(n))
+        ham = Hamiltonian([
+            OperatorCurve([(xx - yyzzz, TrigCurve(0.6, 1.4, offset=0.3))]),
+            OperatorCurve([(field, TrigCurve(0.8, 3.1))]),
+            OperatorCurve([(embed_pauli_string([(1, "X"), (2, "X")], n),
+                            TrigCurve(0.5, 2.0, offset=1.0))]),
+        ], metadata={"model": "nn-chain", "n_sites": n})
+        blocks = ham.sectors.terms[0].values([0.3]).reshape(
+            ham.sectors.count, ham.sectors.size, ham.sectors.size)
+        zero = [not np.any(b) for b in blocks]
+        assert ham.sectors.count == 2 and zero.count(True) == 1
+        for p in (1, 2):
+            assert alpha_com(ham, p + 1, 0.3) == pytest.approx(
+                alpha_com(dense_copy(ham), p + 1, 0.3), rel=1e-12)
+
+    def test_hermitian_terms_keep_the_fast_path(self, monkeypatch):
+        flags = TestHermitianFastPath().record_paths(monkeypatch)
+        ham = driven_chain(6, "periodic")
+        alpha_com(ham, 3, 0.2)
+        assert ham.sectors is not None and flags and all(flags)
+
+    def test_custom_and_small_models_never_enter_the_sector_code(self, monkeypatch):
+        calls = []
+        real = models.project
+
+        def spy(terms, n_sites):
+            calls.append(n_sites)
+            return real(terms, n_sites)
+
+        monkeypatch.setattr(models, "project", spy)
+        small = driven_chain(4, "periodic")
+        assert small.dim < MIN_DIM
+        custom = models.model_from_descriptor({
+            "model": "custom", "N": 5, "terms": [
+                {"gamma": 1, "paulis": [[0, "X"], [1, "X"]], "curve": {"kind": "constant",
+                                                                       "value": 1.0}},
+                {"gamma": 2, "paulis": [[0, "Z"]], "curve": {"kind": "trig", "amp": 0.8,
+                                                             "omega": 3.1}}]})
+        assert custom.dim >= MIN_DIM
+        for ham in (small, custom):
+            alpha_com(ham, 3, 0.2)
+            assert ham.sectors is None
+        assert calls == []
+        at_min = driven_chain(5, "periodic")  # built, not yet walked: no detection
+        assert calls == []
+        alpha_com(at_min, 3, 0.2)
+        alpha_com(at_min, 2, 0.3)
+        assert calls == [5]  # detected once, at the first walk

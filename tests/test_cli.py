@@ -293,6 +293,23 @@ class TestResourceTable:
         # surrogate and the MPF rate at q = 3 and 5
         assert calls == [1] * 5
 
+    @pytest.mark.parametrize("nu,code", [(2000, 0), (-2000, 3)])
+    def test_extreme_power_law_exponent(self, tmp_path, capsys, nu, code):
+        # 3^2000 is past the float range: at nu = 2000 the distance-3
+        # coupling underflows to 0.0; at nu = -2000 it overflows
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model_class": "long-range", "N_values": [4], "t": 0.2, "eps": 1e-2,
+            "p": 1, "grid_points": 3,
+            "model_params": {"nu": nu, "pair_curves": {"XX": DRIVEN2["bond_curve"]}}})
+        assert run("resource-table", cfg, str(tmp_path / "out")) == code
+        if code:
+            assert "numerical blow-up" in capsys.readouterr().err
+        else:
+            ham = model_from_descriptor({"model": "long-range", "N": 4, "nu": nu,
+                                         "pair_curves": {"XX": DRIVEN2["bond_curve"]}})
+            mags = {abs(i - j): mag for i, j, *_, mag, _c in ham.metadata["pair_table"]}
+            assert mags == {1: 1.0, 2: 0.0, 3: 0.0}
+
     def test_mpf_needs_dense_model(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "model_class": "long-range", "N_values": [16], "t": 1.0,
