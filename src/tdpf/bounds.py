@@ -17,14 +17,14 @@ stack, each leaf's norms come from one batched eigensolve, and each tau gets
 its own exactly rounded fsum.  Batches hold at most ``linalg.BATCH_ENTRIES``
 (2^16) stack entries, so large dimensions go one tau at a time.
 
-When the terms share exact symmetries (``Hamiltonian.sectors``: a built
-chain or long-range model of dimension at least ``sectors.MIN_DIM``), the
-walk runs on their sector blocks instead: every node is a (B * S, m, m)
-stack of S sectors zero-padded to the largest size m, tau-major, walked in
-the same order in every sector, and a leaf's norm is the largest of its S
-block norms, taken before the per-tau fsum.  A term that vanishes in a
-sector stays in that sector's walk as a zero block.  Any other model takes
-the dense walk, whose values the sector split leaves bit for bit unchanged.
+The walk runs on the terms' symmetry-sector blocks (``Hamiltonian.sectors``):
+every node is a (B * S, m, m) stack of S sectors zero-padded to the
+largest size m, tau-major, walked in the same order in every sector, and a
+leaf's norm is the largest of its S block norms, taken before the per-tau
+fsum.  A term that vanishes in a sector stays in that sector's walk as a
+zero block.  A model with no sector split (a custom model, one of dimension
+under ``sectors.MIN_DIM``, or one with no exact symmetry) is its own single
+sector, S = 1 and m = dim, and walks its own terms.
 
 When every live term is Hermitian (decided from its matrices, never from
 the Hamiltonian's flag), every node is i^k times a Hermitian matrix: a step
@@ -89,26 +89,24 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
               if all(term.is_hermitian for term in live.values()) else None)
     walk_steps = list(zip(steps, powers or [0] * len(steps)))
     sectors = ham.sectors
-    if sectors is None:  # the dense walk: one "sector" of the full dimension
-        curves, n_sectors, size = live, 1, ham.dim
-    else:
-        curves = {g: sectors.terms[g - 1] for g in live}
-        n_sectors, size = sectors.count, sectors.size
-    chunk = max(1, BATCH_ENTRIES // (n_sectors * size**2))  # large: one tau at a time
+    size = sectors.size
+    chunk = max(1, BATCH_ENTRIES // (sectors.count * size**2))  # large: one tau at a time
+
+    def values(g, part, r):  # H_g^(r) at every tau of part, as (len(part) * S, m, m)
+        return sectors.terms[g - 1].values(part, r).reshape(-1, size, size)
+
     sums = []
     for lo in range(0, len(batch), chunk):
         part = batch[lo:lo + chunk]
         # steps use orders < p; only a seed's own table reaches order p
-        derivs = {g: [curve.values(part, r) for r in range(p)]
-                  for g, curve in curves.items()}
+        derivs = {g: [values(g, part, r) for r in range(p)] for g in live}
         norms = []
         for gamma, weight in seeds:
             if weight != 0.0 and gamma in derivs:
-                x = derivs[gamma] + [curves[gamma].values(part, p)]
-                _walk(x, weight, p, derivs, walk_steps, norms,
-                      None if powers is None else 0)
+                _walk(derivs[gamma] + [values(gamma, part, p)], weight, p, derivs,
+                      walk_steps, norms, None if powers is None else 0)
         # a node's norm is the largest of its sector blocks' norms
-        leaves = np.array(norms).reshape(len(norms), len(part), n_sectors).max(axis=2)
+        leaves = np.array(norms).reshape(len(norms), len(part), sectors.count).max(axis=2)
         sums += [math.fsum(column) for column in leaves.T]
     return np.array(sums) if np.ndim(taus) else sums[0]
 

@@ -23,21 +23,24 @@ _CHANNELS = tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
 
 class OperatorCurve:
     """Matrix-valued function of time: sum_j A_j f_j(t), differentiable to the
-    smallest budget among its scalar curves."""
+    smallest budget among its scalar curves.  Every A_j has one shape
+    (..., dim, dim): a single matrix, or a stack of them such as a term's
+    symmetry-sector blocks, all sharing the curve f_j."""
 
     def __init__(self, summands, dim: int | None = None,
                  derivative_budget: int | None = None):
         self.summands = [(np.asarray(mat, dtype=np.complex128), curve)
                          for mat, curve in summands]
-        dims = {m.shape[0] for m, _ in self.summands}
-        if len(dims) > 1:
-            raise InvalidInputError(f"summand dimensions disagree: {sorted(dims)}")
-        if dims:
-            self.dim = dims.pop()
+        shapes = {m.shape for m, _ in self.summands}
+        if len(shapes) > 1:
+            raise InvalidInputError(f"summand shapes disagree: {sorted(shapes)}")
+        if shapes:
+            self.shape = shapes.pop()
         elif dim is not None:
-            self.dim = int(dim)
+            self.shape = (int(dim), int(dim))
         else:
             raise InvalidInputError("empty OperatorCurve needs an explicit dim")
+        self.dim = self.shape[-1]
         budgets = [curve.derivative_budget for _, curve in self.summands]
         if derivative_budget is not None:
             budgets.append(int(derivative_budget))
@@ -48,19 +51,19 @@ class OperatorCurve:
     def is_hermitian(self) -> bool:
         """Every summand matrix exactly equals its conjugate transpose; the
         curves are real, so every value and derivative is then Hermitian."""
-        return all(np.array_equal(m, m.conj().T) for m, _ in self.summands)
+        return all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m, _ in self.summands)
 
     def value(self, tau: float, q: int = 0) -> np.ndarray:
         return self.values([tau], q)[0]
 
     def values(self, taus, q: int = 0) -> np.ndarray:
         """sum_j A_j f_j^(q)(tau) at every tau of a 1-D batch, as a
-        (len(taus), dim, dim) stack."""
+        (len(taus), ..., dim, dim) stack."""
         taus = np.asarray(taus, dtype=float)
-        out = np.zeros((len(taus), self.dim, self.dim), dtype=np.complex128)
+        out = np.zeros((len(taus), *self.shape), dtype=np.complex128)
         for mat, curve in self.summands:
             coeffs = np.array([curve.eval(tau, q) for tau in taus])
-            out += mat * coeffs[:, None, None]
+            out += mat * coeffs.reshape(-1, *[1] * mat.ndim)
         return out
 
     def scaled(self, factor: complex) -> OperatorCurve:
@@ -68,10 +71,12 @@ class OperatorCurve:
                              dim=self.dim, derivative_budget=self.derivative_budget)
 
     def extended(self, t_end: float, order: int) -> OperatorCurve:
-        """Periodic C^(order+2) extension of every scalar summand beyond [0, t_end]."""
-        return OperatorCurve(
-            [(m, extrapolate_scalar(c, t_end, order)) for m, c in self.summands],
-            dim=self.dim)
+        """Periodic C^(order+2) extension of every scalar summand beyond
+        [0, t_end].  Summands that share a curve share its extension, so
+        the symmetries ``sectors`` finds through shared curves survive."""
+        ext = {id(c): c for _, c in self.summands}
+        ext = {key: extrapolate_scalar(c, t_end, order) for key, c in ext.items()}
+        return OperatorCurve([(m, ext[id(c)]) for m, c in self.summands], dim=self.dim)
 
 
 class Hamiltonian:
@@ -93,13 +98,14 @@ class Hamiltonian:
         return len(self.terms)
 
     @cached_property
-    def sectors(self) -> Sectors | None:
+    def sectors(self) -> Sectors:
         """The terms as blocks of the joint sectors of their symmetries (see
         ``sectors.py``), found and projected at the first bound walk that
-        asks.  None keeps the dense walk: below ``sectors.MIN_DIM``, for a
-        custom model, or when no symmetry holds."""
+        asks.  Below ``sectors.MIN_DIM``, for a custom model, or when no
+        symmetry holds, the one sector is the whole space and its terms are
+        this model's own."""
         if self.dim < MIN_DIM or self.metadata.get("model") not in ("nn-chain", "long-range"):
-            return None
+            return Sectors(self.terms, [self.dim])
         return project(self.terms, self.metadata["n_sites"])
 
     def term(self, gamma: int) -> OperatorCurve:
@@ -142,15 +148,21 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
     pairs, so they commute, except on an odd periodic chain: there the
     closing bond (N-1, 0) has even index N-1 and shares site 0 with bond
     (0, 1) in term 1, and the two commute only when the bond's two Paulis
-    are equal (XX, not YZ).  That shared site is also why an odd periodic
-    chain has no translation symmetry: no shift maps term 1 onto itself.
-    ``bond_curves`` is one ScalarCurve shared by all bonds or a list with one
-    curve per bond.
+    are equal (XX, not YZ).  Unequal ``bond_paulis`` on an odd periodic
+    chain are therefore refused.  That shared site is also why an odd
+    periodic chain has no translation symmetry: no shift maps term 1 onto
+    itself.  ``bond_curves`` is one ScalarCurve shared by all bonds or a
+    list with one curve per bond.
     """
     if n_sites < 2:
         raise InvalidInputError("chain needs at least 2 sites")
     if n_sites > cap:
         raise InvalidInputError(f"n_sites={n_sites} exceeds the dimension cap {cap}")
+    if boundary == "periodic" and n_sites % 2 and bond_paulis[0] != bond_paulis[1]:
+        raise InvalidInputError(
+            f"bond_paulis {''.join(bond_paulis)} on a periodic chain of odd N = {n_sites} "
+            f"put the anticommuting bonds ({n_sites - 1}, 0) and (0, 1) into one term; "
+            "use equal Paulis or an even N")
     bonds = _chain_bonds(n_sites, boundary)
     if isinstance(bond_curves, ScalarCurve):
         bond_curves = [bond_curves] * len(bonds)

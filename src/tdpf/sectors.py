@@ -26,9 +26,10 @@ rows:
     B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / sqrt(s_r s_r')
 
 with s_r the size of r's stabiliser.  Blocks are zero-padded to the largest
-sector and stacked, so a term becomes a (sectors, m, m) stack per curve
-group.  The blocks of a Hermitian term are symmetrised, (B + B†)/2, which
-makes them exactly Hermitian for the walk's Hermitian fast path.
+sector and stacked, so a projected term is an ``OperatorCurve`` with one
+summand per curve group: that group's (sectors, m, m) stack of blocks and
+its curve.  The blocks of a Hermitian term are symmetrised, (B + B†)/2,
+which makes them exactly Hermitian for the walk's Hermitian fast path.
 """
 
 from __future__ import annotations
@@ -44,30 +45,12 @@ import numpy as np
 MIN_DIM = 32
 
 
-class SectorTerm:
-    """One term as sector blocks: a list of ((S, m, m) stack, curve) groups."""
-
-    def __init__(self, groups, n_sectors: int, size: int):
-        self.groups = groups
-        self.n_sectors = n_sectors
-        self.size = size
-
-    def values(self, taus, q: int = 0) -> np.ndarray:
-        """The term's q-th derivative at every tau of a 1-D batch, as a
-        (len(taus) * n_sectors, m, m) stack, tau-major."""
-        taus = np.asarray(taus, dtype=float)
-        out = np.zeros((len(taus), self.n_sectors, self.size, self.size),
-                       dtype=np.complex128)
-        for blocks, curve in self.groups:
-            coeffs = np.array([curve.eval(tau, q) for tau in taus])
-            out += blocks * coeffs[:, None, None, None]
-        return out.reshape(-1, self.size, self.size)
-
-
 class Sectors:
-    """Every term of a Hamiltonian projected onto the same joint sectors."""
+    """Every term of a Hamiltonian projected onto the same joint sectors, as
+    operator curves of (count, size, size) block stacks; with one sector,
+    the terms themselves."""
 
-    def __init__(self, terms: list[SectorTerm], sizes: list[int]):
+    def __init__(self, terms: list, sizes: list[int]):
         self.terms = terms
         self.sizes = sizes
         self.count = len(sizes)
@@ -188,12 +171,12 @@ def _sector_bases(generators, dim: int):
     return perms, phases, bases
 
 
-def project(terms, n_sites: int) -> Sectors | None:
-    """The terms as sector blocks, or None when they share no symmetry."""
+def project(terms, n_sites: int) -> Sectors:
+    """The terms as sector blocks, or as one sector when they share no symmetry."""
     term_groups = [curve_groups(term) for term in terms]
     generators = find_symmetries([a for groups in term_groups for a, _ in groups], n_sites)
     if not generators:
-        return None
+        return Sectors(terms, [2**n_sites])
     perms, phases, bases = _sector_bases(generators, 2**n_sites)
     sizes = [len(reps) for _, reps, _ in bases]
     size = max(sizes)
@@ -211,5 +194,6 @@ def project(terms, n_sites: int) -> Sectors | None:
             if term.is_hermitian:
                 blocks = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
             projected.append((blocks, curve))
-        out.append(SectorTerm(projected, len(bases), size))
+        # the term's own class, since models imports this module
+        out.append(type(term)(projected, dim=size))
     return Sectors(out, sizes)

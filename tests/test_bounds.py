@@ -488,7 +488,7 @@ class TestGridMax:
 
 
 # The sector walk against the dense walk.  Hamiltonian(ham.terms) drops the
-# model metadata, which keeps the same terms on the dense path.
+# model metadata, so its one sector is the whole space and holds the same terms.
 
 def dense_copy(ham):
     return Hamiltonian(ham.terms)
@@ -525,7 +525,7 @@ class TestSectorWalk:
     @pytest.mark.parametrize("model,p", SECTOR_CASES)
     def test_alpha_com_matches_dense(self, model, p):
         ham = SECTOR_MODELS[model]()
-        assert ham.sectors is not None
+        assert ham.sectors.count > 1
         dense = dense_copy(ham)
         for fn in (alpha_com, bar_alpha_com):
             np.testing.assert_allclose(fn(ham, p + 1, TAUS), fn(dense, p + 1, TAUS),
@@ -540,6 +540,26 @@ class TestSectorWalk:
         np.testing.assert_allclose(_tight_sum(plan, ham, TAUS, *weights),
                                    _tight_sum(plan, dense_copy(ham), TAUS, *weights),
                                    rtol=1e-12)
+
+    def test_dense_copy_is_one_sector_of_its_own_terms(self):
+        ham = driven_chain(6, "periodic")
+        dense = dense_copy(ham).sectors
+        assert dense.count == 1 and dense.sizes == [ham.dim] and dense.size == ham.dim
+        assert all(got is term for got, term in zip(dense.terms, ham.terms))
+        assert len(dense.terms) == ham.n_terms
+
+    def test_extension_keeps_the_translation_split(self):
+        ham = driven_chain(6, "periodic")
+        assert ham.sectors.count == ham.extended(0.1, 1).sectors.count == 6
+        t, j = 0.02, 1  # alpha_com t < 1/2
+        extended = ham.extended(t, 2 * j - 1)
+        assert extended.sectors.count == 6
+        dense = Hamiltonian(extended.terms, metadata={"extension": extended.metadata[
+            "extension"]})
+        assert dense.sectors.count == 1
+        got = mpf_bound(ham, t, j, 1.0, extended, grid_points=5).extra["alpha_global"]
+        want = mpf_bound(ham, t, j, 1.0, dense, grid_points=5).extra["alpha_global"]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_batch_spans_chunks(self):
         ham = driven_chain(8, "periodic")  # 8 sectors of at most 38: 5 taus a chunk
@@ -581,7 +601,7 @@ class TestSectorWalk:
         broken = Hamiltonian([ham.terms[0], OperatorCurve(
             bonds + [(field, fields[0][1])] + fields[1:])], metadata=ham.metadata)
         assert symmetries(broken) == []
-        assert broken.sectors is None
+        assert broken.sectors.count == 1
         assert alpha_com(broken, 3, 0.2) == alpha_com(dense_copy(broken), 3, 0.2)
 
     def test_term_vanishing_in_a_sector_stays_in_its_walk(self):
@@ -609,7 +629,7 @@ class TestSectorWalk:
         flags = TestHermitianFastPath().record_paths(monkeypatch)
         ham = driven_chain(6, "periodic")
         alpha_com(ham, 3, 0.2)
-        assert ham.sectors is not None and flags and all(flags)
+        assert ham.sectors.count > 1 and flags and all(flags)
 
     def test_custom_and_small_models_never_enter_the_sector_code(self, monkeypatch):
         calls = []
@@ -631,7 +651,7 @@ class TestSectorWalk:
         assert custom.dim >= MIN_DIM
         for ham in (small, custom):
             alpha_com(ham, 3, 0.2)
-            assert ham.sectors is None
+            assert ham.sectors.count == 1
         assert calls == []
         at_min = driven_chain(5, "periodic")  # built, not yet walked: no detection
         assert calls == []

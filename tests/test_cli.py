@@ -372,6 +372,21 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert "config error" in err and "derivative budget 1" in err
 
+    @pytest.mark.parametrize("subcommand,cfg", [
+        ("order-scan", {"model": dict(DRIVEN2, N=5, boundary="periodic",
+                                      bond_paulis=["Y", "Z"]),
+                        "orders": [1], "times": [0.05]}),
+        ("resource-table", dict(RESOURCE_CFG, N_values=[3], model_params=dict(
+            RESOURCE_CFG["model_params"], boundary="periodic", bond_paulis=["Y", "Z"]))),
+    ])
+    def test_odd_ring_with_unequal_bond_paulis_exits_2(self, tmp_path, capsys,
+                                                        subcommand, cfg):
+        # bonds (N-1, 0) and (0, 1) of term 1 would anticommute on site 0
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert run(subcommand, path, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "bond_paulis" in err
+
     @pytest.mark.parametrize("subcommand", ["order-scan", "bound-check",
                                             "huyghebaert-check", "floquet-check",
                                             "mpf-scan", "nonunitary-check"])

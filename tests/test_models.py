@@ -57,6 +57,31 @@ class TestOperatorCurve:
         assert not OperatorCurve([(1j * Z, ConstantCurve(1.0))]).is_hermitian
         assert not OperatorCurve([(X, ConstantCurve(1.0))]).scaled(1 - 0.1j).is_hermitian
 
+    def test_summands_may_be_stacks(self):
+        # a term's sector blocks: one (S, m, m) stack per curve, dim from the last axis
+        f, g = TrigCurve(0.5, 1.7), PolynomialCurve([1.0, 2.0])
+        a = np.stack([X, Z, np.zeros((2, 2))])
+        b = np.stack([Z, 1j * X, X])
+        curve = OperatorCurve([(a, f), (b, g)])
+        assert curve.dim == 2 and curve.shape == (3, 2, 2) and not curve.is_zero
+        taus = np.array([0.0, 0.4, 1.3])
+        stack = curve.values(taus, 1)
+        assert stack.shape == (3, 3, 2, 2)
+        for tau, got in zip(taus, stack):
+            np.testing.assert_array_equal(got, a * f.eval(tau, 1) + b * g.eval(tau, 1))
+            np.testing.assert_array_equal(curve.value(tau, 1), got)
+        assert OperatorCurve([(a, f)]).is_hermitian
+        assert not curve.is_hermitian  # i X in one block
+        assert OperatorCurve([(np.zeros((3, 2, 2)), f)]).is_zero
+        with pytest.raises(InvalidInputError):
+            OperatorCurve([(a, f), (X, g)])
+
+    def test_extended_shares_extension_of_shared_curve(self):
+        f, g = TrigCurve(0.5, 1.7), PolynomialCurve([1.0, 2.0])
+        ext = OperatorCurve([(X, f), (Z, g), (1j * X, f)]).extended(0.3, 1)
+        (_, fx), (_, gz), (_, fy) = ext.summands
+        assert fx is fy and fx is not gz
+
     def test_scaled(self):
         oc = OperatorCurve([(X, ConstantCurve(2.0))])
         assert np.allclose(oc.scaled(1 - 0.1j).value(0.0), (1 - 0.1j) * 2.0 * X)
@@ -86,6 +111,26 @@ class TestNnChain:
     def test_cap(self):
         with pytest.raises(InvalidInputError):
             build_nn_chain(13, ConstantCurve(1.0))
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_odd_ring_refuses_unequal_bond_paulis(self, n):
+        # with (Y, Z), bonds (n-1, 0) and (0, 1) of term 1 anticommute on site 0
+        with pytest.raises(InvalidInputError, match="bond_paulis"):
+            build_nn_chain(n, ConstantCurve(1.0), ("Y", "Z"), boundary="periodic")
+
+    @pytest.mark.parametrize("n,paulis,boundary", [
+        (5, ("X", "X"), "periodic"), (7, ("Z", "Z"), "periodic"),
+        (6, ("Y", "Z"), "periodic"), (5, ("Y", "Z"), "open")])
+    def test_terms_commute_internally(self, n, paulis, boundary):
+        ham = build_nn_chain(n, ConstantCurve(1.0), paulis, boundary=boundary)
+        for term in ham.terms:
+            for (a, _), (b, _) in zip(term.summands, term.summands[1:] + term.summands[:1]):
+                assert not np.any(commutator(a, b))
+
+    def test_odd_ring_with_equal_paulis_keeps_its_split(self):
+        # the alpha-large benchmark's N = 7 periodic XX chain
+        ham = driven_chain(7, "periodic")
+        assert ham.metadata["local_gate_counts"] == [4, 10]
 
     def test_periodic_boundary(self):
         ham = build_nn_chain(4, ConstantCurve(1.0), boundary="periodic")
