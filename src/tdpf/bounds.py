@@ -46,7 +46,7 @@ import ``scipy.integrate`` when called, so the other bounds never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -337,11 +337,10 @@ def huyghebaert_bound(ham: Hamiltonian, t: float) -> BoundReport:
 
 def nonunitary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
                      grid_points: int = 65) -> BoundReport:
-    """Commutator bound with the exponential amplification factor
-    exp(4 V int_0^t sum_g ||Im H_g(tau)|| dtau) for non-Hermitian terms."""
-    p = plan.order
-    order = p + 1
-    best, arg = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points)
+    """corollary_bound times the exponential amplification factor
+    exp(4 V int_0^t sum_g ||Im H_g(tau)|| dtau) for non-Hermitian terms;
+    for Hermitian terms the factor is 1 and the two bounds agree."""
+    base = corollary_bound(plan, ham, t, grid_points)
 
     def im_norm(tau):
         total = 0.0
@@ -353,11 +352,8 @@ def nonunitary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
     from scipy.integrate import quad  # loaded only by the runs that need it
     integral, _err = quad(im_norm, 0.0, t, epsabs=_QUAD_EPSABS, limit=200)
     factor = math.exp(4.0 * plan.n_layers * integral)
-    value = 3.0 * best * t**order * factor
-    return BoundReport("nonunitary", p, t, value, tau_argmax=arg,
-                       grid_size=grid_points,
-                       extra={"alpha_com_max": best, "amplification": factor,
-                              "im_integral": integral})
+    return replace(base, bound_kind="nonunitary", value=base.value * factor,
+                   extra={**base.extra, "amplification": factor, "im_integral": integral})
 
 
 def mpf_bound_value(alpha_t: float, n_products: int, c_norm: float) -> float:
@@ -377,27 +373,23 @@ def _alpha_com_sup(ham: Hamiltonian, orders, lo: float, hi: float,
 
 
 def mpf_bound(ham: Hamiltonian, t: float, n_products: int, c_norm: float,
-              extended: Hamiltonian | None = None,
               grid_points: int = 33) -> BoundReport:
     """Multi-product error bound sqrt2 e^2 ||c||_1 (sqrt2 alpha_com(t) t)^(2J+1).
 
     The factor alpha_com(t) is the supremum of (alpha_com^q)^(1/q) over
     tau in [0, t] and odd q <= 2J+1; the small-time condition alpha_com t <
     1/2 is enforced on it.  The derivation's convergence radius references
-    the same supremum over a full period of the periodic extension; that
-    value explodes for bump-glued extensions of short windows (their high
-    derivatives are not analytic-bounded), so it is reported alongside
-    rather than enforced.
+    the same supremum over a full period 2t of the C^(2J+1) periodic
+    extension; that value explodes for bump-glued extensions of short
+    windows (their high derivatives are not analytic-bounded), so it is
+    reported alongside rather than enforced.
     """
     if n_products < 1:
         raise InvalidInputError("J must be >= 1")
     orders = list(range(3, 2 * n_products + 2, 2))
     alpha_local = _alpha_com_sup(ham, orders, 0.0, t, grid_points)
-    if extended is not None:
-        period = extended.metadata.get("extension", {}).get("period", 2.0 * t)
-        alpha_global = _alpha_com_sup(extended, orders, 0.0, period, grid_points)
-    else:
-        alpha_global = alpha_local
+    alpha_global = _alpha_com_sup(ham.extended(t, 2 * n_products - 1), orders,
+                                  0.0, 2.0 * t, grid_points)
     if alpha_local * t >= 0.5:
         raise OutOfRegimeError(
             f"alpha_com * t = {alpha_local * t:.4f} >= 1/2: multi-product "

@@ -293,8 +293,7 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
         plan = mpf_plan(j, base_order)
         err = measure_mpf_error(plan, ham, t, oracle_tol=oracle_tol)
         try:
-            extended = ham.extended(t, 2 * j - 1)
-            rep = mpf_bound(ham, t, j, plan.c_norm, extended, grid_points)
+            rep = mpf_bound(ham, t, j, plan.c_norm, grid_points)
             return [j, t, err, rep.value, True, _exceeds(err, rep.value),
                     rep.extra["alpha_local"], rep.extra["alpha_global"]]
         except OutOfRegimeError:

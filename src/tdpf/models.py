@@ -1,11 +1,15 @@
 """Time-dependent Hamiltonians as sums of labeled terms H(t) = sum_g H_g(t),
-each term a list of (matrix, scalar curve) summands, plus builders for the
-nearest-neighbor and long-range 2-local model classes and their induced
-coefficient norms.
+each term a sum of (matrix, scalar curve) summands with one summed matrix
+per distinct curve, plus builders for the nearest-neighbor and long-range
+2-local model classes and their induced coefficient norms.  The builders
+stream their local terms (bonds, pairs, site fields) into the terms, so a
+term that shares one curve across many local pieces holds one dense matrix,
+not one per piece.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 
@@ -23,23 +27,35 @@ _CHANNELS = tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
 
 class OperatorCurve:
     """Matrix-valued function of time: sum_j A_j f_j(t), differentiable to the
-    smallest budget among its scalar curves.  Every A_j has one shape
-    (..., dim, dim): a single matrix, or a stack of them such as a term's
+    smallest budget among its scalar curves.
+
+    ``summands`` is any iterable of (matrix, curve) pairs, such as a builder's
+    generator of local terms.  Pairs that share one curve object are summed
+    as they arrive, in input order, so the term keeps one matrix per
+    distinct curve, in order of first appearance: every quantity reads a
+    term only through sum_j A_j f_j.  Every A_j has one shape (..., dim,
+    dim): a single matrix, or a stack of them such as a term's
     symmetry-sector blocks, all sharing the curve f_j."""
 
     def __init__(self, summands, dim: int | None = None,
                  derivative_budget: int | None = None):
-        self.summands = [(np.asarray(mat, dtype=np.complex128), curve)
-                         for mat, curve in summands]
-        shapes = {m.shape for m, _ in self.summands}
-        if len(shapes) > 1:
-            raise InvalidInputError(f"summand shapes disagree: {sorted(shapes)}")
-        if shapes:
-            self.shape = shapes.pop()
-        elif dim is not None:
+        groups: dict[int, tuple] = {}
+        self.shape = None
+        for mat, curve in summands:
+            mat = np.asarray(mat, dtype=np.complex128)
+            if self.shape is None:
+                self.shape = mat.shape
+            elif mat.shape != self.shape:
+                raise InvalidInputError(
+                    f"summand shapes disagree: {self.shape} and {mat.shape}")
+            prev = groups.get(id(curve))
+            # never in place: asarray may return the caller's own array
+            groups[id(curve)] = (mat if prev is None else prev[0] + mat, curve)
+        self.summands = list(groups.values())
+        if self.shape is None:
+            if dim is None:
+                raise InvalidInputError("empty OperatorCurve needs an explicit dim")
             self.shape = (int(dim), int(dim))
-        else:
-            raise InvalidInputError("empty OperatorCurve needs an explicit dim")
         self.dim = self.shape[-1]
         budgets = [curve.derivative_budget for _, curve in self.summands]
         if derivative_budget is not None:
@@ -72,11 +88,10 @@ class OperatorCurve:
 
     def extended(self, t_end: float, order: int) -> OperatorCurve:
         """Periodic C^(order+2) extension of every scalar summand beyond
-        [0, t_end].  Summands that share a curve share its extension, so
-        the symmetries ``sectors`` finds through shared curves survive."""
-        ext = {id(c): c for _, c in self.summands}
-        ext = {key: extrapolate_scalar(c, t_end, order) for key, c in ext.items()}
-        return OperatorCurve([(m, ext[id(c)]) for m, c in self.summands], dim=self.dim)
+        [0, t_end].  Each summand has its own curve, so the symmetries
+        ``sectors`` finds in the summands survive."""
+        return OperatorCurve([(m, extrapolate_scalar(c, t_end, order))
+                              for m, c in self.summands], dim=self.dim)
 
 
 class Hamiltonian:
@@ -115,16 +130,14 @@ class Hamiltonian:
         return self.terms[gamma - 1]
 
     def total_curve(self) -> OperatorCurve:
-        summands = [s for t in self.terms for s in t.summands]
-        return OperatorCurve(summands, dim=self.dim)
+        return OperatorCurve((s for t in self.terms for s in t.summands), dim=self.dim)
 
     def scaled(self, factor: complex) -> Hamiltonian:
         return Hamiltonian([t.scaled(factor) for t in self.terms], metadata=self.metadata)
 
     def extended(self, t_end: float, order: int) -> Hamiltonian:
-        meta = dict(self.metadata)
-        meta["extension"] = {"t_end": t_end, "order": order, "period": 2.0 * t_end}
-        return Hamiltonian([t.extended(t_end, order) for t in self.terms], metadata=meta)
+        return Hamiltonian([t.extended(t_end, order) for t in self.terms],
+                           metadata=self.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +181,16 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
         bond_curves = [bond_curves] * len(bonds)
     if len(bond_curves) != len(bonds):
         raise InvalidInputError(f"need {len(bonds)} bond curves, got {len(bond_curves)}")
-    summands: list[list] = [[], []]
-    for idx, ((i, j), curve) in enumerate(zip(bonds, bond_curves)):
-        mat = embed_pauli_string([(i, bond_paulis[0]), (j, bond_paulis[1])], n_sites, cap)
-        summands[idx % 2].append((mat, curve))
+
+    def bond_terms(parity):
+        for (i, j), curve in zip(bonds[parity::2], bond_curves[parity::2]):
+            yield (embed_pauli_string([(i, bond_paulis[0]), (j, bond_paulis[1])],
+                                      n_sites, cap), curve)
+
     dim = 2**n_sites
-    terms = [OperatorCurve(s, dim=dim) for s in summands]
+    terms = [OperatorCurve(bond_terms(parity), dim=dim) for parity in (0, 1)]
     meta = {"model": "nn-chain", "n_sites": n_sites, "boundary": boundary,
-            "bonds": bonds, "local_gate_counts": [len(s) for s in summands]}
+            "bonds": bonds, "local_gate_counts": [len(bonds[0::2]), len(bonds[1::2])]}
     return Hamiltonian(terms, metadata=meta)
 
 
@@ -190,12 +205,13 @@ def build_driven_chain(n_sites: int, bond_curve: ScalarCurve,
     ham = build_nn_chain(n_sites, bond_curve, bond_paulis, boundary, cap)
     if field_curve is None:
         return ham
-    field = [(embed_pauli_string([(i, field_pauli)], n_sites, cap), field_curve)
-             for i in range(n_sites)]
-    terms = [ham.terms[0], OperatorCurve(list(ham.terms[1].summands) + field)]
+    field = ((embed_pauli_string([(i, field_pauli)], n_sites, cap), field_curve)
+             for i in range(n_sites))
+    terms = [ham.terms[0], OperatorCurve(itertools.chain(ham.terms[1].summands, field))]
     meta = dict(ham.metadata)
     meta["field_pauli"] = field_pauli
-    meta["local_gate_counts"] = [len(t.summands) for t in terms]
+    meta["local_gate_counts"] = [meta["local_gate_counts"][0],
+                                 meta["local_gate_counts"][1] + n_sites]
     return Hamiltonian(terms, metadata=meta)
 
 
@@ -293,19 +309,18 @@ def build_long_range(n_sites: int, nu: float, pair_curves: dict,
         raise InvalidInputError(f"n_sites={n_sites} exceeds the dimension cap {cap}")
     meta = long_range_tables(n_sites, nu, pair_curves, site_curves, coupling)
     dim = 2**n_sites
-    grouped: dict[tuple[int, str], list] = {}
-    for (i, j, ch, gamma_p, mag, curve) in meta["pair_table"]:
-        mat = mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], n_sites, cap)
-        grouped.setdefault((gamma_p, ch), []).append((mat, curve))
-    terms = []
-    for gamma_p in range(1, meta["n_stages"] + 1):
-        for ch in meta["channels"]:
-            terms.append(OperatorCurve(grouped.get((gamma_p, ch), []), dim=dim))
+
+    def pair_terms(stage, channel):
+        for (i, j, ch, gamma_p, mag, curve) in meta["pair_table"]:
+            if (gamma_p, ch) == (stage, channel):
+                yield mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], n_sites, cap), curve
+
+    terms = [OperatorCurve(pair_terms(gamma_p, ch), dim=dim)
+             for gamma_p in range(1, meta["n_stages"] + 1) for ch in meta["channels"]]
     if meta["site_table"]:
-        site = [(embed_pauli_string([(i, sigma)], n_sites, cap), curve)
-                for (i, sigma, curve) in meta["site_table"]]
-        terms.append(OperatorCurve(site, dim=dim))
-    meta["local_gate_counts"] = [len(t.summands) for t in terms]
+        terms.append(OperatorCurve(
+            ((embed_pauli_string([(i, sigma)], n_sites, cap), curve)
+             for (i, sigma, curve) in meta["site_table"]), dim=dim))
     return Hamiltonian(terms, metadata=meta)
 
 

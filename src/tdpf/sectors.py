@@ -11,9 +11,10 @@ of its blocks.
 tolerance): translation of the chain by the fewest sites that works, then
 the Pauli parities prod Z, prod X and prod Y, each kept when it commutes
 with every term and with the symmetries kept before it.  A term is tested
-through the sums of its summands that share one curve object, because only
-those sums need be invariant: a translation maps one bond to another.  At
-most two parities are kept, since any two of them give the third.
+through its summands, each already the sum of the local pieces that share
+one curve (see ``models.OperatorCurve``), because only those sums need be
+invariant: a translation maps one bond to another.  At most two parities
+are kept, since any two of them give the third.
 
 ``project`` builds each sector's orthonormal basis from orbit
 representatives (Sandvik, arXiv:1101.3281): the basis vector of
@@ -27,7 +28,7 @@ rows:
 
 with s_r the size of r's stabiliser.  Blocks are zero-padded to the largest
 sector and stacked, so a projected term is an ``OperatorCurve`` with one
-summand per curve group: that group's (sectors, m, m) stack of blocks and
+summand per summand of the term: its (sectors, m, m) stack of blocks and
 its curve.  The blocks of a Hermitian term are symmetrised, (B + B†)/2,
 which makes them exactly Hermitian for the walk's Hermitian fast path.
 """
@@ -103,25 +104,13 @@ def _same(g, h) -> bool:
 # Detection and projection
 # ---------------------------------------------------------------------------
 
-def curve_groups(term) -> list[tuple[np.ndarray, object]]:
-    """(sum of the summand matrices, curve) for each curve object of a term,
-    in order of first appearance."""
-    groups: dict[int, list] = {}
-    for mat, curve in term.summands:
-        if id(curve) in groups:
-            groups[id(curve)][0] += mat
-        else:
-            groups[id(curve)] = [mat.copy(), curve]
-    return [(mat, curve) for mat, curve in groups.values()]
-
-
-def find_symmetries(groups: list[np.ndarray], n_sites: int) -> list[tuple]:
+def find_symmetries(matrices: list[np.ndarray], n_sites: int) -> list[tuple]:
     """Mutually commuting signed permutations, each with its order, that
-    commute exactly with every matrix in ``groups``: [(perm, phase, order)]."""
-    nonzeros = [np.nonzero(a) for a in groups]
+    commute exactly with every one of ``matrices``: [(perm, phase, order)]."""
+    nonzeros = [np.nonzero(a) for a in matrices]
 
     def holds(sym):
-        return all(_commutes(sym, a, nz) for a, nz in zip(groups, nonzeros))
+        return all(_commutes(sym, a, nz) for a, nz in zip(matrices, nonzeros))
 
     found = []
     for shift in range(1, n_sites):
@@ -173,17 +162,16 @@ def _sector_bases(generators, dim: int):
 
 def project(terms, n_sites: int) -> Sectors:
     """The terms as sector blocks, or as one sector when they share no symmetry."""
-    term_groups = [curve_groups(term) for term in terms]
-    generators = find_symmetries([a for groups in term_groups for a, _ in groups], n_sites)
+    generators = find_symmetries([a for term in terms for a, _ in term.summands], n_sites)
     if not generators:
         return Sectors(terms, [2**n_sites])
     perms, phases, bases = _sector_bases(generators, 2**n_sites)
     sizes = [len(reps) for _, reps, _ in bases]
     size = max(sizes)
     out = []
-    for term, groups in zip(terms, term_groups):
+    for term in terms:
         projected = []
-        for a, curve in groups:
+        for a, curve in term.summands:
             blocks = np.zeros((len(bases), size, size), dtype=np.complex128)
             for k, (conj_chars, reps, stab_size) in enumerate(bases):
                 # B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / ...

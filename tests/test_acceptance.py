@@ -193,7 +193,7 @@ def test_criterion_06_multi_product():
     for t in (0.02, 0.035, 0.05):
         err = measure_mpf_error(plan, ham, t, oracle_tol=ORACLE_TOL)
         try:
-            rep = mpf_bound(ham, t, 2, plan.c_norm, extended=ham.extended(t, 3))
+            rep = mpf_bound(ham, t, 2, plan.c_norm)
         except OutOfRegimeError:
             continue
         assert err <= rep.value, t

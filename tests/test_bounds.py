@@ -16,8 +16,7 @@ from tdpf.errors import (BudgetExceededError, InvalidInputError,
 from tdpf.formulas import measure_error, suzuki_plan
 from tdpf.linalg import PAULI, embed_pauli_string, spectral_norm
 from tdpf.models import Hamiltonian, OperatorCurve, build_long_range
-from tdpf.sectors import (MIN_DIM, _parity, _translation, curve_groups,
-                          find_symmetries)
+from tdpf.sectors import MIN_DIM, _parity, _translation, find_symmetries
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -412,6 +411,14 @@ class TestNonunitaryBound:
         base = 3.0 * rep.extra["alpha_com_max"] * 0.2**2
         assert rep.value == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_hermitian_equals_corollary_bound(self, driven2, p):
+        # the factor V^(p+1) of the corollary bound, V > 1 for p > 1
+        plan = suzuki_plan(p, 2)
+        rep = nonunitary_bound(plan, driven2, 0.05)
+        assert rep.extra["amplification"] == 1.0
+        assert rep.value == corollary_bound(plan, driven2, 0.05).value
+
     def test_pure_imaginary_amplification(self):
         ham = Hamiltonian([OperatorCurve([(-1j * X, ConstantCurve(1.0))]),
                            OperatorCurve([(Z, ConstantCurve(0.5))])])
@@ -445,8 +452,7 @@ class TestMpfBound:
 
     def test_reports_both_suprema(self, driven2):
         t = 0.04
-        extended = driven2.extended(t, 3)
-        rep = mpf_bound(driven2, t, 2, 5.0 / 3.0, extended=extended)
+        rep = mpf_bound(driven2, t, 2, 5.0 / 3.0)
         assert rep.extra["alpha_global"] >= rep.extra["alpha_local"] - 1e-12
         assert rep.value == pytest.approx(
             mpf_bound_value(rep.extra["alpha_local"] * t, 2, 5.0 / 3.0), rel=1e-12)
@@ -511,8 +517,8 @@ TAUS = np.array([0.11, 0.37])
 
 
 def symmetries(ham):
-    groups = [a for term in ham.terms for a, _ in curve_groups(term)]
-    return find_symmetries(groups, ham.metadata["n_sites"])
+    matrices = [a for term in ham.terms for a, _ in term.summands]
+    return find_symmetries(matrices, ham.metadata["n_sites"])
 
 
 def same_symmetry(found, expected):
@@ -552,13 +558,11 @@ class TestSectorWalk:
         ham = driven_chain(6, "periodic")
         assert ham.sectors.count == ham.extended(0.1, 1).sectors.count == 6
         t, j = 0.02, 1  # alpha_com t < 1/2
-        extended = ham.extended(t, 2 * j - 1)
-        assert extended.sectors.count == 6
-        dense = Hamiltonian(extended.terms, metadata={"extension": extended.metadata[
-            "extension"]})
-        assert dense.sectors.count == 1
-        got = mpf_bound(ham, t, j, 1.0, extended, grid_points=5).extra["alpha_global"]
-        want = mpf_bound(ham, t, j, 1.0, dense, grid_points=5).extra["alpha_global"]
+        assert ham.extended(t, 2 * j - 1).sectors.count == 6
+        dense = Hamiltonian(ham.terms)
+        assert dense.extended(t, 2 * j - 1).sectors.count == 1
+        got = mpf_bound(ham, t, j, 1.0, grid_points=5).extra["alpha_global"]
+        want = mpf_bound(dense, t, j, 1.0, grid_points=5).extra["alpha_global"]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_batch_spans_chunks(self):
@@ -586,20 +590,21 @@ class TestSectorWalk:
 
     def test_a_tiny_change_removes_the_symmetry(self):
         ham = driven_chain(6, "periodic")
-        bonds, fields = ham.terms[1].summands[:3], ham.terms[1].summands[3:]
-        # one bond entry 1.0 -> 1 - 1e-16 breaks translation, not parity
-        bond = bonds[0][0].copy()
-        bond[0, 3] -= 1e-16
-        assert bond[0, 3] != 1.0
+        (bonds, bond_curve), (fields, field_curve) = ham.terms[1].summands
+        # one entry of the bond group 1.0 -> 1 - 1e-16 breaks translation, not parity
+        bond = bonds.copy()
+        assert bond[0, 24] == 1.0  # bond (1, 2) flips sites 1 and 2 of |000000>
+        bond[0, 24] -= 1e-16
+        assert bond[0, 24] != 1.0
         nudged = Hamiltonian([ham.terms[0], OperatorCurve(
-            [(bond, bonds[0][1])] + bonds[1:] + fields)], metadata=ham.metadata)
+            [(bond, bond_curve), (fields, field_curve)])], metadata=ham.metadata)
         (parity,) = symmetries(nudged)
         assert same_symmetry(parity, (*_parity(6, "Z"), 2))
         # 1e-16 between states of opposite parity breaks every symmetry
-        field = fields[0][0].copy()
+        field = fields.copy()
         field[0, 1] = 1e-16
         broken = Hamiltonian([ham.terms[0], OperatorCurve(
-            bonds + [(field, fields[0][1])] + fields[1:])], metadata=ham.metadata)
+            [(bonds, bond_curve), (field, field_curve)])], metadata=ham.metadata)
         assert symmetries(broken) == []
         assert broken.sectors.count == 1
         assert alpha_com(broken, 3, 0.2) == alpha_com(dense_copy(broken), 3, 0.2)

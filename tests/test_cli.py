@@ -247,7 +247,8 @@ class TestResourceTable:
             for tau in (0.0, 0.13):
                 np.testing.assert_array_equal(got.value(tau), want.value(tau))
         if model_class == "nn-chain":
-            yz = embed_pauli_string([(0, "Y"), (1, "Z")], 4)
+            yz = sum(embed_pauli_string([(i, "Y"), (j, "Z")], 4)
+                     for i, j in ham.metadata["bonds"][0::2])
             np.testing.assert_array_equal(ham.term(1).summands[0][0], yz)
 
     def test_commuting_sizes_write_null_exponent(self, tmp_path):

@@ -79,8 +79,22 @@ class TestOperatorCurve:
     def test_extended_shares_extension_of_shared_curve(self):
         f, g = TrigCurve(0.5, 1.7), PolynomialCurve([1.0, 2.0])
         ext = OperatorCurve([(X, f), (Z, g), (1j * X, f)]).extended(0.3, 1)
-        (_, fx), (_, gz), (_, fy) = ext.summands
-        assert fx is fy and fx is not gz
+        (xs, fx), (zs, gz) = ext.summands  # one extension per curve
+        np.testing.assert_array_equal(xs, X + 1j * X)
+        np.testing.assert_array_equal(zs, Z)
+        assert fx is not gz and fx.eval(0.1) == f.eval(0.1) and gz.eval(0.1) == g.eval(0.1)
+
+    def test_summands_sharing_a_curve_are_summed(self):
+        f, g = TrigCurve(0.5, 1.7), PolynomialCurve([1.0, 2.0])
+        a, b = X.copy(), X.copy()
+        gen = ((m, c) for m, c in [(a, f), (Z, g), (b, f), (1j * Z, g)])
+        curve = OperatorCurve(gen)
+        assert [c for _, c in curve.summands] == [f, g]
+        np.testing.assert_array_equal(curve.summands[0][0], 2 * X)
+        np.testing.assert_array_equal(curve.summands[1][0], Z + 1j * Z)
+        np.testing.assert_array_equal(a, X)  # the caller's array is never added into
+        with pytest.raises(InvalidInputError):
+            OperatorCurve((m, f) for m in (X, X, np.eye(4)))
 
     def test_scaled(self):
         oc = OperatorCurve([(X, ConstantCurve(2.0))])
@@ -123,9 +137,14 @@ class TestNnChain:
         (6, ("Y", "Z"), "periodic"), (5, ("Y", "Z"), "open")])
     def test_terms_commute_internally(self, n, paulis, boundary):
         ham = build_nn_chain(n, ConstantCurve(1.0), paulis, boundary=boundary)
-        for term in ham.terms:
-            for (a, _), (b, _) in zip(term.summands, term.summands[1:] + term.summands[:1]):
+        bonds = ham.metadata["bonds"]
+        for parity, term in enumerate(ham.terms):
+            pieces = [embed_pauli_string([(i, paulis[0]), (j, paulis[1])], n)
+                      for i, j in bonds[parity::2]]
+            for a, b in zip(pieces, pieces[1:] + pieces[:1]):
                 assert not np.any(commutator(a, b))
+            ((total, _),) = term.summands
+            np.testing.assert_array_equal(total, sum(pieces))
 
     def test_odd_ring_with_equal_paulis_keeps_its_split(self):
         # the alpha-large benchmark's N = 7 periodic XX chain
@@ -172,11 +191,15 @@ class TestLongRange:
 
     def test_summands_commute_within_term(self):
         ham = build_long_range(8, 1.0, {"XZ": ConstantCurve(1.0)}, cap=12)
-        for term in ham.terms:
-            mats = [m for m, _ in term.summands]
+        pieces = [[] for _ in ham.terms]  # one channel: term gamma_p - 1
+        for (i, j, ch, gamma_p, mag, _c) in ham.metadata["pair_table"]:
+            pieces[gamma_p - 1].append(mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], 8))
+        for term, mats in zip(ham.terms, pieces):
             for a_idx in range(len(mats)):
                 for b_idx in range(a_idx + 1, len(mats)):
                     assert spectral_norm(commutator(mats[a_idx], mats[b_idx])) == 0.0
+            ((total, _),) = term.summands
+            np.testing.assert_array_equal(total, sum(mats))
 
     def test_induced_norms_zero(self):
         tables = long_range_tables(4, 1.0, {"XX": ConstantCurve(0.0)})
@@ -209,6 +232,46 @@ class TestLongRange:
             vals.append(induced_norms(tables, 0.0)[1])
         slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
         assert slope <= 0.1
+
+
+class TestOneSummandPerCurve:
+    """Builders stream their local pieces; a term keeps one matrix per curve."""
+
+    def test_driven_chain(self):
+        ham = driven_chain(5)
+        assert [len(t.summands) for t in ham.terms] == [1, 2]
+        bonds = ham.metadata["bonds"]
+        assert ham.metadata["local_gate_counts"] == [len(bonds[0::2]), len(bonds[1::2]) + 5]
+
+    def test_nn_chain_with_a_curve_per_bond(self):
+        curves = [TrigCurve(0.3, 2.0, offset=k) for k in range(6)]
+        ham = build_nn_chain(6, curves, boundary="periodic")
+        assert [len(t.summands) for t in ham.terms] == [3, 3]
+        assert [c for t in ham.terms for _, c in t.summands] == curves[0::2] + curves[1::2]
+        assert ham.metadata["local_gate_counts"] == [3, 3]
+
+    def test_long_range(self):
+        site = {"Z": TrigCurve(0.4, 1.3), "X": ConstantCurve(0.2)}
+        ham = build_long_range(5, 1.5, {"XX": ConstantCurve(1.0), "YZ": TrigCurve(0.5, 2.0)},
+                               site)
+        assert [len(t.summands) for t in ham.terms] == [1] * 6 + [2]
+        tables = ham.metadata
+        pairs = [sum(1 for row in tables["pair_table"] if row[2:4] == (ch, stage))
+                 for stage in (1, 2, 3) for ch in ("XX", "YZ")]
+        assert tables["local_gate_counts"] == pairs + [len(tables["site_table"])] == \
+            [4, 4, 4, 4, 2, 2, 10]
+
+    def test_values_match_the_literal_sum_of_local_pieces(self):
+        ham = driven_chain(6, "periodic")
+        bond, field = TrigCurve(0.3, 2.0, offset=1.0), TrigCurve(0.8, 3.1)
+        bonds = [embed_pauli_string([(i, "X"), (j, "X")], 6) for i, j in ham.metadata["bonds"]]
+        zs = [embed_pauli_string([(i, "Z")], 6) for i in range(6)]
+        taus = np.array([0.0, 0.37, 1.1])
+        for q in (0, 1, 2):
+            for tau, got in zip(taus, ham.total_curve().values(taus, q)):
+                literal = (sum(b * bond.eval(tau, q) for b in bonds)
+                           + sum(z * field.eval(tau, q) for z in zs))
+                assert np.abs(got - literal).max() <= 1e-15 * np.abs(literal).max()
 
 
 class TestIngest:

@@ -111,8 +111,7 @@ class TestEvaluation:
         plan = mpf_plan(2)
         for t in (0.02, 0.04):
             err = measure_mpf_error(plan, driven2, t)
-            rep = mpf_bound(driven2, t, 2, plan.c_norm,
-                            extended=driven2.extended(t, 3))
+            rep = mpf_bound(driven2, t, 2, plan.c_norm)
             assert err <= rep.value
 
     def test_near_unitarity_controlled_by_error(self, driven2):
