@@ -20,8 +20,7 @@ from .formulas import (EXACT, INSTANTANEOUS, Stage, StagePlan, evaluate_pf,
 from .linalg import (PAULI, commutator, embed_pauli_string, matrix_exp,
                      spectral_norm)
 from .models import (Hamiltonian, OperatorCurve, build_driven_chain,
-                     build_long_range, build_nn_chain, induced_norms,
-                     long_range_tables, model_from_descriptor)
+                     build_long_range, build_nn_chain, model_from_descriptor)
 from .multiproduct import (MpfPlan, evaluate_mpf, measure_mpf_error, mpf_plan,
                            solve_coefficients)
 from .propagator import evolve

@@ -33,8 +33,7 @@ from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
 from .formulas import (EXACT, INSTANTANEOUS, evaluate_pf, fit_order,
                        measure_error, suzuki_plan)
 from .linalg import DEFAULT_QUBIT_CAP, matrix_exp, spectral_norm
-from .models import (Hamiltonian, long_range_fields, long_range_tables,
-                     model_from_descriptor)
+from .models import Hamiltonian, model_from_descriptor
 from .multiproduct import measure_mpf_error, mpf_plan
 from .propagator import evolve
 from .resources import gate_count_pf, loglog_slope, mpf_resources
@@ -46,7 +45,6 @@ RESOURCE_COLUMNS = ["model", "N", "t", "eps", "p", "r", "gates", "J",
 
 _FAMILIES = {"exact": [EXACT], "instantaneous": [INSTANTANEOUS],
              "both": [EXACT, INSTANTANEOUS]}
-_BOUND_SOURCES = ("measured-alpha", "analytic-scaling")
 
 
 # ---------------------------------------------------------------------------
@@ -330,49 +328,31 @@ def _loglog_exponent(summary: dict, key: str, ns: list[int], values: list[float]
 
 def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     model_class = one_of(cfg.get("model_class"), "model_class", ("nn-chain", "long-range"))
-    n_values = list_of(cfg.get("N_values"), "N_values", integer, 1)
+    n_values = list_of(cfg.get("N_values"), "N_values", integer, 2)
+    if max(n_values) > DEFAULT_QUBIT_CAP:
+        raise SchemaError("N_values", f"every size must be at most the qubit cap"
+                                      f" {DEFAULT_QUBIT_CAP}, got {max(n_values)}")
     t = number(cfg.get("t", 1.0), "t", True)
     eps_values = (list_of(cfg["eps_values"], "eps_values", number, True) if "eps_values" in cfg
                   else [number(cfg.get("eps", 1e-3), "eps", True)])
     p = integer(cfg.get("p", 2), "p", 1)
-    bound_source = one_of(cfg.get("bound_source", "measured-alpha"), "bound_source",
-                          _BOUND_SOURCES)
+    # alpha is always measured on the model; the key stays for existing configs
+    one_of(cfg.get("bound_source", "measured-alpha"), "bound_source", ("measured-alpha",))
+    if "calibrate_N" in cfg:
+        raise SchemaError("calibrate_N", "not supported: alpha is measured at every size")
     include_mpf = one_of(cfg.get("include_mpf", False), "include_mpf", (True, False))
-    n_cal = integer(cfg["calibrate_N"], "calibrate_N", 2) if "calibrate_N" in cfg else None
-    if n_cal is not None and n_cal > DEFAULT_QUBIT_CAP:
-        raise SchemaError("calibrate_N", f"needs a dense model, at most {DEFAULT_QUBIT_CAP}")
     params = cfg.get("model_params", {})
     if not isinstance(params, dict) or "model" in params or "N" in params:
         raise SchemaError("model_params", "expected an object without 'model' and 'N'")
     grid_points = integer(cfg.get("grid_points", 9), "grid_points", 2)
     refine_iters = integer(cfg.get("refine_iters", 12), "refine_iters", 0)
 
-    alpha_constant = 1.0
-    if bound_source == "analytic-scaling" and n_cal is not None:
-        dense = model_from_descriptor(dict(params, model=model_class, N=n_cal),
-                                      field="model_params")
-        measured = gate_count_pf(dense, t, eps_values[0], p, "measured-alpha",
-                                 grid_points, 1.0, refine_iters)["alpha"]
-        analytic = gate_count_pf(dense, t, eps_values[0], p, "analytic-scaling",
-                                 grid_points, 1.0, refine_iters)["alpha"]
-        alpha_constant = measured / analytic if analytic else 1.0
-
     def cell(n):
         """(rows, PF results by eps) of one size."""
-        desc = dict(params, model=model_class, N=n)
-        if (model_class == "long-range" and bound_source == "analytic-scaling"
-                and n > DEFAULT_QUBIT_CAP):
-            # metadata-only sweep: dimensions too large to materialize
-            if include_mpf:
-                raise SchemaError("include_mpf",
-                                  f"needs a dense model, but N={n} is over the cap")
-            ham = long_range_tables(*long_range_fields(desc, "model_params"))
-        else:
-            ham = model_from_descriptor(desc, field="model_params")
+        ham = model_from_descriptor(dict(params, model=model_class, N=n), field="model_params")
         rows, results = [], []
         for eps in eps_values:
-            res = gate_count_pf(ham, t, eps, p, bound_source, grid_points,
-                                alpha_constant, refine_iters)
+            res = gate_count_pf(ham, t, eps, p, grid_points, refine_iters)
             rows.append([res["model"], n, t, eps, p, res["r"], res["gates"],
                          None, None, None, res["bound_kind"]])
             results.append(res)
@@ -385,8 +365,7 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
     cells = _pmap(cell, n_values, workers)
     rows = [row for cell_rows, _ in cells for row in cell_rows]
     at_base_eps = [results[0] for _, results in cells]  # each size's PF at eps_values[0]
-    summary = {"alpha_constant": alpha_constant,
-               "asymptotic_form": at_base_eps[0]["asymptotic_form"]}
+    summary = {"asymptotic_form": at_base_eps[0]["asymptotic_form"]}
     if len(set(n_values)) >= 2:
         for key, col in (("gate_exponent_vs_N", "gates"), ("alpha_exponent_vs_N", "alpha")):
             _loglog_exponent(summary, key, n_values, [r[col] for r in at_base_eps])

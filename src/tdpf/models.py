@@ -1,10 +1,9 @@
 """Time-dependent Hamiltonians as sums of labeled terms H(t) = sum_g H_g(t),
 each term a sum of (matrix, scalar curve) summands with one summed matrix
 per distinct curve, plus builders for the nearest-neighbor and long-range
-2-local model classes and their induced coefficient norms.  The builders
-stream their local terms (bonds, pairs, site fields) into the terms, so a
-term that shares one curve across many local pieces holds one dense matrix,
-not one per piece.
+2-local model classes.  The builders stream their local terms (bonds, pairs,
+site fields) into the terms, so a term that shares one curve across many
+local pieces holds one dense matrix, not one per piece.
 """
 
 from __future__ import annotations
@@ -266,7 +265,7 @@ def _pair_magnitude(coupling: float, distance: int, nu: float) -> float:
 def long_range_tables(n_sites: int, nu: float, pair_curves: dict,
                       site_curves: dict | None = None,
                       coupling: float = 1.0) -> dict:
-    """Coefficient metadata for a 1-D 2-local long-range model; cheap at any N.
+    """Coefficient metadata for a 1-D 2-local long-range model.
 
     Pair coefficients are coupling / |i-j|^nu times the channel curve; stage
     assignment follows the block divide-and-conquer split, giving
@@ -324,33 +323,6 @@ def build_long_range(n_sites: int, nu: float, pair_curves: dict,
     return Hamiltonian(terms, metadata=meta)
 
 
-def induced_norms(model, tau: float) -> tuple[float, float]:
-    """(||H||_1, |||H|||_1) at time tau from coefficient metadata.
-
-    ||H||_1 sums |h_ij(tau)| over unordered pairs and channels plus all
-    |h_i(tau)|; |||H|||_1 is the worst per-site row sum.  Accepts a
-    Hamiltonian built by build_long_range or a long_range_tables dict.
-    """
-    meta = model.metadata if isinstance(model, Hamiltonian) else model
-    if "pair_table" not in meta:
-        raise InvalidInputError("model carries no pair-coefficient metadata")
-    n_sites = meta["n_sites"]
-    row = np.zeros(n_sites)
-    site_row = np.zeros(n_sites)
-    one_norm = 0.0
-    for (i, j, _ch, _g, mag, curve) in meta["pair_table"]:
-        val = abs(mag * curve.eval(tau))
-        one_norm += val
-        row[i] += val
-        row[j] += val
-    for (i, _sigma, curve) in meta["site_table"]:
-        val = abs(curve.eval(tau))
-        one_norm += val
-        site_row[i] += val
-    induced = max(row.max(initial=0.0), site_row.max(initial=0.0))
-    return one_norm, induced
-
-
 # ---------------------------------------------------------------------------
 # JSON model descriptors
 # ---------------------------------------------------------------------------
@@ -383,17 +355,6 @@ def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP,
             return build_driven_chain(n, bond, field_curve, paulis, field_pauli, boundary, cap)
         except InvalidInputError as exc:
             raise SchemaError(field, str(exc)) from exc
-    try:
-        return build_long_range(*long_range_fields(desc, field), cap=cap)
-    except NumericalBlowUpError:
-        raise
-    except InvalidInputError as exc:
-        raise SchemaError(field, str(exc)) from exc
-
-
-def long_range_fields(desc: dict, field: str = "model") -> tuple:
-    """(N, nu, pair_curves, site_curves, coupling) of a long-range descriptor:
-    the arguments of both ``build_long_range`` and ``long_range_tables``."""
     n = integer(required(desc, "N", field), f"{field}.N", 2)
     nu = number(required(desc, "nu", field), f"{field}.nu")
     pair_curves = {one_of(ch, f"{field}.pair_curves.{ch}", _CHANNELS):
@@ -405,7 +366,12 @@ def long_range_fields(desc: dict, field: str = "model") -> tuple:
                        curve_from_descriptor(d, f"{field}.site_curves.{s}")
                        for s, d in required(desc, "site_curves", field, dict).items()}
     coupling = number(desc.get("coupling", 1.0), f"{field}.coupling")
-    return n, nu, pair_curves, site_curves, coupling
+    try:
+        return build_long_range(n, nu, pair_curves, site_curves, coupling, cap)
+    except NumericalBlowUpError:
+        raise
+    except InvalidInputError as exc:
+        raise SchemaError(field, str(exc)) from exc
 
 
 def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:

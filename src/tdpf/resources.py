@@ -15,7 +15,7 @@ import numpy as np
 from .bounds import _alpha_com_sup, alpha_com, grid_max, mpf_bound_value
 from .errors import InvalidInputError, OutOfRegimeError
 from .formulas import EXACT, suzuki_plan
-from .models import Hamiltonian, induced_norms
+from .models import Hamiltonian
 from .multiproduct import MAX_PRODUCTS, mpf_plan
 
 _R_CAP = 1 << 40
@@ -47,60 +47,25 @@ def choose_trotter_steps(bound_at, t: float, eps: float, power: int) -> int:
     return r
 
 
-def _analytic_alpha(ham: Hamiltonian, order: int, t: float, grid_points: int,
-                    constant: float, refine_iters: int) -> float:
-    """Induced-norm scaling surrogate sum_q Gamma^q |||H|||^(p-q) ||H||_1 for
-    2-local long-range models, or the extensive local-term count for chains,
-    scaled by a constant calibrated against one measured value."""
-    meta = ham if isinstance(ham, dict) else ham.metadata
-    p = order - 1
-    if "pair_table" in meta:
-        def factor(taus):
-            gamma = meta["n_terms"]
-            out = []
-            for tau in taus:
-                one, induced = induced_norms(meta, tau)
-                out.append(sum(gamma**q * induced**(p - q) for q in range(p + 1)) * one)
-            return np.array(out)
-
-        best, _ = grid_max(factor, 0.0, t, grid_points, refine_iters)
-        return constant * best
-    if meta.get("model") == "nn-chain":
-        return constant * len(meta["bonds"])
-    raise InvalidInputError(f"no analytic scaling rule for model {meta.get('model')!r}")
-
-
-def gate_count_pf(ham, t: float, eps: float, p: int,
-                  bound_source: str = "measured-alpha", grid_points: int = 9,
-                  alpha_constant: float = 1.0, refine_iters: int = 12) -> dict:
+def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
+                  grid_points: int = 9, refine_iters: int = 12) -> dict:
     """Trotter steps and local-gate count for one simulation at (t, eps, p).
 
-    measured-alpha evaluates the commutator factor on the dense model;
-    analytic-scaling uses the induced-norm surrogate (metadata only, so it
-    also works at dimensions too large to materialize).  Either maximum over
+    The commutator factor alpha is measured on the model; its maximum over
     tau takes ``refine_iters`` golden-section steps.
     """
-    meta = ham if isinstance(ham, dict) else ham.metadata
+    meta = ham.metadata
     form = asymptotic_gate_form(meta, p)  # also rejects unknown model classes
     order = p + 1
-    if bound_source == "measured-alpha":
-        if not isinstance(ham, Hamiltonian):
-            raise InvalidInputError("measured-alpha needs a dense Hamiltonian")
-        alpha, _ = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
-                            refine_iters)
-        n_terms = ham.n_terms
-    elif bound_source == "analytic-scaling":
-        alpha = _analytic_alpha(ham, order, t, grid_points, alpha_constant, refine_iters)
-        n_terms = meta["n_terms"] if "n_terms" in meta else len(meta["local_gate_counts"])
-    else:
-        raise InvalidInputError(f"unknown bound source {bound_source!r}")
-    layers = suzuki_plan(p, n_terms, EXACT).n_layers
+    alpha, _ = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
+                        refine_iters)
+    layers = suzuki_plan(p, ham.n_terms, EXACT).n_layers
     coeff = 3.0 * layers**order * alpha
     r = choose_trotter_steps(lambda tau: coeff * tau**order, t, eps, power=p)
     per_step = layers * sum(meta["local_gate_counts"])
     return {"model": meta.get("model", "?"), "N": meta.get("n_sites"),
             "t": t, "eps": eps, "p": p, "r": r, "gates": r * per_step,
-            "gates_per_step": per_step, "alpha": alpha, "bound_kind": bound_source,
+            "gates_per_step": per_step, "alpha": alpha, "bound_kind": "measured-alpha",
             "asymptotic_form": form}
 
 

@@ -15,7 +15,6 @@ import tdpf.resources as resources
 from tdpf.cli import RESOURCE_COLUMNS, main, run
 from tdpf.linalg import embed_pauli_string
 from tdpf.models import model_from_descriptor
-from tdpf.resources import gate_count_pf
 
 DRIVEN2 = {
     "model": "nn-chain", "N": 2,
@@ -184,41 +183,6 @@ class TestResourceTable:
         summary = json.loads((out / "resource_summary.json").read_text())
         assert "gate_exponent_vs_N" in summary
 
-
-    def test_long_range_analytic_sweep_over_cap(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.json", {
-            "model_class": "long-range", "N_values": [8, 16, 32], "t": 1.0,
-            "eps": 1e-3, "p": 2, "bound_source": "analytic-scaling",
-            "grid_points": 3,
-            "model_params": {"nu": 3.0,
-                             "pair_curves": {"XX": {"kind": "constant",
-                                                    "value": 1.0}}}})
-        out = tmp_path / "out"
-        assert run("resource-table", cfg, str(out)) == 0
-        _, rows = read_csv(out / "resource_table.csv")
-        assert [row[1] for row in rows] == ["8", "16", "32"]
-        summary = json.loads((out / "resource_summary.json").read_text())
-        assert summary["asymptotic_form"] == "N^2 t (N t / eps)^(1/2)"
-
-    def test_calibrate_n_sets_alpha_constant(self, tmp_path):
-        params = {"nu": 2.0, "site_curves": {"Z": {"kind": "constant", "value": 0.7}},
-                  "pair_curves": {"XX": DRIVEN2["bond_curve"]}}
-        cfg = write_config(tmp_path, "cfg.json", {
-            "model_class": "long-range", "N_values": [4, 16], "t": 0.3, "eps": 1e-3,
-            "p": 2, "bound_source": "analytic-scaling", "calibrate_N": 3,
-            "grid_points": 3, "model_params": params})
-        out = tmp_path / "out"
-        assert run("resource-table", cfg, str(out)) == 0
-        dense = model_from_descriptor(dict(params, model="long-range", N=3))
-        measured = gate_count_pf(dense, 0.3, 1e-3, 2, "measured-alpha", 3)["alpha"]
-        analytic = gate_count_pf(dense, 0.3, 1e-3, 2, "analytic-scaling", 3, 1.0)["alpha"]
-        summary = json.loads((out / "resource_summary.json").read_text())
-        assert summary["alpha_constant"] == measured / analytic != 1.0
-        _, rows = read_csv(out / "resource_table.csv")
-        at4 = gate_count_pf(model_from_descriptor(dict(params, model="long-range", N=4)),
-                            0.3, 1e-3, 2, "analytic-scaling", 3, measured / analytic)
-        assert rows[0][1] == "4" and int(rows[0][6]) == at4["gates"]
-
     @pytest.mark.parametrize("model_class,params", [
         ("nn-chain", dict(RESOURCE_CFG["model_params"], bond_paulis=["Y", "Z"],
                           field_pauli="X", boundary="periodic")),
@@ -285,14 +249,12 @@ class TestResourceTable:
         monkeypatch.setattr(resources, "grid_max", spy)
         cfg = write_config(tmp_path, "cfg.json", {
             "model_class": "long-range", "N_values": [3], "t": 0.2, "eps": 1e-2,
-            "p": 2, "bound_source": "analytic-scaling", "calibrate_N": 2,
-            "include_mpf": True, "grid_points": 3, "refine_iters": 0,
+            "p": 2, "include_mpf": True, "grid_points": 3, "refine_iters": 0,
             "model_params": {"nu": 2.0, "pair_curves": {"XX": DRIVEN2["bond_curve"]},
                              "site_curves": {"Z": DRIVEN2["field_curve"]}}})
         assert run("resource-table", cfg, str(tmp_path / "out")) == 0
-        # calibration (measured and analytic), then at N = 3 the analytic
-        # surrogate and the MPF rate at q = 3 and 5
-        assert calls == [1] * 5
+        # at N = 3 the PF alpha, then the MPF rate at q = 3 and 5
+        assert calls == [1] * 3
 
     @pytest.mark.parametrize("nu,code", [(2000, 0), (-2000, 3)])
     def test_extreme_power_law_exponent(self, tmp_path, capsys, nu, code):
@@ -310,16 +272,6 @@ class TestResourceTable:
                                          "pair_curves": {"XX": DRIVEN2["bond_curve"]}})
             mags = {abs(i - j): mag for i, j, *_, mag, _c in ham.metadata["pair_table"]}
             assert mags == {1: 1.0, 2: 0.0, 3: 0.0}
-
-    def test_mpf_needs_dense_model(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.json", {
-            "model_class": "long-range", "N_values": [16], "t": 1.0,
-            "eps": 1e-3, "p": 2, "bound_source": "analytic-scaling",
-            "include_mpf": True, "grid_points": 3,
-            "model_params": {"nu": 3.0,
-                             "pair_curves": {"XX": {"kind": "constant",
-                                                    "value": 1.0}}}})
-        assert run("resource-table", cfg, str(tmp_path / "out")) == 2
 
 
 class TestNonunitaryCheck:
@@ -464,6 +416,9 @@ class TestPlumbing:
         ("huyghebaert-check", "TDPF_WORKERS", "abc"),
         ("huyghebaert-check", "--workers", 0),
         ("huyghebaert-check", "--oracle-tol", float("nan")),
+        ("resource-table", "N_values", [4, 13]),
+        ("resource-table", "bound_source", "analytic-scaling"),
+        ("resource-table", "calibrate_N", 3),
     ])
     def test_bad_field_exits_2(self, tmp_path, capsys, monkeypatch, subcommand, field, value):
         base = {
@@ -511,9 +466,8 @@ class TestPlumbing:
         ("resource-table", {"model_class": "long-range",
                             "model_params": {"pair_curves": {"XX": ONE}}},
          "model_params.nu"),
-        ("resource-table", {"model_class": "long-range", "N_values": [16],
-                            "bound_source": "analytic-scaling",
-                            "model_params": {"pair_curves": {"XX": ONE}}},
+        ("resource-table", {"model_class": "long-range",
+                            "model_params": {"nu": True, "pair_curves": {"XX": ONE}}},
          "model_params.nu"),
         ("resource-table", {"model_class": "long-range",
                             "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE},
@@ -570,9 +524,11 @@ class TestPlumbing:
             raise AssertionError("a model was built")
 
         monkeypatch.setattr(cli, "model_from_descriptor", no_models)
-        cfg = write_config(tmp_path, "cfg.json", dict(RESOURCE_CFG, bound_source="guess"))
-        assert run("resource-table", cfg, str(tmp_path / "out")) == 2
-        assert "bound_source:" in capsys.readouterr().err
+        for field, value in (("bound_source", "guess"), ("bound_source", "analytic-scaling"),
+                             ("calibrate_N", 3), ("N_values", [4, 13])):
+            cfg = write_config(tmp_path, "cfg.json", dict(RESOURCE_CFG, **{field: value}))
+            assert run("resource-table", cfg, str(tmp_path / "out")) == 2
+            assert f"{field}:" in capsys.readouterr().err
 
     def test_unexpected_exception_exits_5(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

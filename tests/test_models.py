@@ -9,7 +9,7 @@ from tdpf.errors import InvalidInputError, SchemaError
 from tdpf.linalg import PAULI, commutator, embed_pauli_string, spectral_norm
 from tdpf.cli import _model_from_config
 from tdpf.models import (OperatorCurve, build_long_range, build_nn_chain,
-                         induced_norms, long_range_tables, model_from_descriptor)
+                         long_range_tables, model_from_descriptor)
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -200,38 +200,6 @@ class TestLongRange:
                     assert spectral_norm(commutator(mats[a_idx], mats[b_idx])) == 0.0
             ((total, _),) = term.summands
             np.testing.assert_array_equal(total, sum(mats))
-
-    def test_induced_norms_zero(self):
-        tables = long_range_tables(4, 1.0, {"XX": ConstantCurve(0.0)})
-        assert induced_norms(tables, 0.3) == (0.0, 0.0)
-
-    def test_induced_norms_single_pair(self):
-        tables = long_range_tables(2, 3.0, {"XX": ConstantCurve(0.5)})
-        one, induced = induced_norms(tables, 0.0)
-        assert one == pytest.approx(0.5)
-        assert induced == pytest.approx(0.5)
-
-    def test_induced_norms_n4_unit(self):
-        # nu = 0, unit coefficients, one channel: 6 unordered pairs, row sum 3
-        tables = long_range_tables(4, 0.0, {"XX": ConstantCurve(1.0)})
-        one, induced = induced_norms(tables, 0.0)
-        assert one == pytest.approx(6.0)
-        assert induced == pytest.approx(3.0)
-
-    def test_requires_metadata(self, driven2):
-        with pytest.raises(InvalidInputError):
-            induced_norms(driven2, 0.0)
-
-    def test_induced_norm_flat_for_decaying_interactions(self):
-        # nu > d = 1: per-site row sums saturate, so the fitted N-exponent
-        # of |||H|||_1 stays near zero (metadata only, so N can be large)
-        ns = [4, 8, 16, 32]
-        vals = []
-        for n in ns:
-            tables = long_range_tables(n, 3.0, {"XX": ConstantCurve(1.0)})
-            vals.append(induced_norms(tables, 0.0)[1])
-        slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
-        assert slope <= 0.1
 
 
 class TestOneSummandPerCurve:

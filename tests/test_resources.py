@@ -6,10 +6,10 @@ import pytest
 from conftest import driven_chain
 from tdpf.errors import InvalidInputError
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.models import long_range_tables
+from tdpf.models import build_long_range
 from tdpf.multiproduct import mpf_plan
-from tdpf.resources import (choose_trotter_steps, gate_count_pf, loglog_slope,
-                            mpf_resources)
+from tdpf.resources import (asymptotic_gate_form, choose_trotter_steps, gate_count_pf,
+                            loglog_slope, mpf_resources)
 
 
 class TestChooseTrotterSteps:
@@ -72,22 +72,16 @@ class TestGateCounts:
         assert b["r"] >= a["r"]
         assert b["r"] <= math.ceil(a["r"] * 2 ** (1 / 2)) + 1
 
-    def test_analytic_long_range_uses_metadata_only(self):
-        from tdpf.curves import ConstantCurve
-        tables = long_range_tables(32, 3.0, {"XX": ConstantCurve(1.0)})
-        res = gate_count_pf(tables, 1.0, 1e-3, 2, "analytic-scaling", grid_points=3)
-        assert res["N"] == 32 and res["r"] >= 1
-        # decaying interactions (nu >= d): the Table-form gate count
-        assert res["asymptotic_form"] == "N^2 t (N t / eps)^(1/2)"
-
     def test_asymptotic_forms(self):
         from tdpf.curves import ConstantCurve
         chain = driven_chain(3)
         res = gate_count_pf(chain, 0.2, 1e-2, 2, grid_points=3, refine_iters=2)
         assert res["asymptotic_form"] == "N t (N t / eps)^(1/2)"
-        slow = long_range_tables(8, 0.5, {"XX": ConstantCurve(1.0)})
-        res = gate_count_pf(slow, 0.5, 1e-2, 2, "analytic-scaling", grid_points=3)
-        assert res["asymptotic_form"] == "N^2.5 t (N^1.5 t / eps)^(1/2)"
+        # slowly decaying interactions (nu < d = 1), then decaying ones (nu >= d)
+        slow = build_long_range(4, 0.5, {"XX": ConstantCurve(1.0)})
+        assert asymptotic_gate_form(slow.metadata, 2) == "N^2.5 t (N^1.5 t / eps)^(1/2)"
+        fast = build_long_range(4, 3.0, {"XX": ConstantCurve(1.0)})
+        assert asymptotic_gate_form(fast.metadata, 2) == "N^2 t (N t / eps)^(1/2)"
 
     def test_unknown_model_class_rejected(self):
         from tdpf.curves import ConstantCurve
@@ -99,18 +93,6 @@ class TestGateCounts:
             metadata={"model": "custom", "local_gate_counts": [1, 1]})
         with pytest.raises(InvalidInputError):
             gate_count_pf(custom, 0.2, 1e-2, 2, grid_points=3, refine_iters=2)
-
-    def test_measured_and_analytic_exponents_agree(self):
-        ns = [4, 6, 8]
-        measured, analytic = [], []
-        for n in ns:
-            ham = driven_chain(n, boundary="periodic")
-            measured.append(gate_count_pf(ham, 0.3, 1e-3, 2, "measured-alpha",
-                                          grid_points=3, refine_iters=2)["gates"])
-            analytic.append(gate_count_pf(ham, 0.3, 1e-3, 2, "analytic-scaling",
-                                          grid_points=3)["gates"])
-        diff = abs(loglog_slope(ns, measured) - loglog_slope(ns, analytic))
-        assert diff <= 0.25
 
 
 class TestMpfResources:
