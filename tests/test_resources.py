@@ -6,7 +6,7 @@ import pytest
 from conftest import driven_chain
 from tdpf.errors import InvalidInputError
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.models import build_long_range
+from tdpf.models import build_long_range, long_range_tables
 from tdpf.multiproduct import mpf_plan
 from tdpf.resources import (asymptotic_gate_form, choose_trotter_steps, gate_count_pf,
                             loglog_slope, mpf_resources)
@@ -71,6 +71,15 @@ class TestGateCounts:
         assert a["gates_per_step"] == b["gates_per_step"]
         assert b["r"] >= a["r"]
         assert b["r"] <= math.ceil(a["r"] * 2 ** (1 / 2)) + 1
+
+    def test_analytic_long_range_uses_metadata_only(self):
+        # the asymptotic form needs only the coefficient tables, so it is
+        # available for sizes far over the dense-model qubit cap
+        from tdpf.curves import ConstantCurve
+        tables = long_range_tables(32, 3.0, {"XX": ConstantCurve(1.0)})
+        assert tables["n_sites"] == 32 and len(tables["pair_table"]) == 32 * 31 // 2
+        # decaying interactions (nu >= d): the Table-form gate count
+        assert asymptotic_gate_form(tables, 2) == "N^2 t (N t / eps)^(1/2)"
 
     def test_asymptotic_forms(self):
         from tdpf.curves import ConstantCurve
