@@ -32,7 +32,7 @@ from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
                       fourier_hamiltonian, reconstruct)
 from .formulas import (EXACT, INSTANTANEOUS, evaluate_pf, fit_order,
                        measure_error, suzuki_plan)
-from .linalg import DEFAULT_QUBIT_CAP, matrix_exp, spectral_norm
+from .linalg import QUBIT_CAP, matrix_exp, spectral_norm
 from .models import Hamiltonian, model_from_descriptor
 from .multiproduct import measure_mpf_error, mpf_plan
 from .propagator import evolve
@@ -329,9 +329,9 @@ def _loglog_exponent(summary: dict, key: str, ns: list[int], values: list[float]
 def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     model_class = one_of(cfg.get("model_class"), "model_class", ("nn-chain", "long-range"))
     n_values = list_of(cfg.get("N_values"), "N_values", integer, 2)
-    if max(n_values) > DEFAULT_QUBIT_CAP:
+    if max(n_values) > QUBIT_CAP:
         raise SchemaError("N_values", f"every size must be at most the qubit cap"
-                                      f" {DEFAULT_QUBIT_CAP}, got {max(n_values)}")
+                                      f" {QUBIT_CAP}, got {max(n_values)}")
     t = number(cfg.get("t", 1.0), "t", True)
     eps_values = (list_of(cfg["eps_values"], "eps_values", number, True) if "eps_values" in cfg
                   else [number(cfg.get("eps", 1e-3), "eps", True)])

@@ -6,6 +6,11 @@ dense LAPACK routines.  Batched kernels take ``(..., n, n)`` stacks and make
 one LAPACK call per class of matrix.  scipy is loaded only when a
 non-normal matrix is exponentiated, so the common Hermitian and
 skew-Hermitian paths never pay for importing ``scipy.linalg``.
+
+Pauli strings and chain translations are signed permutations of the basis
+states, P|b> = phase[b] |perm[b]> with site 0 the most significant bit of b.
+Only this module knows that bit order.  No register has more than
+``QUBIT_CAP`` qubits.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalBlowUpError
 
-DEFAULT_QUBIT_CAP = 12
+QUBIT_CAP = 12
 
 # Largest stack a batched caller builds at once: at most 2^16 complex
 # entries (1 MiB), so a batch of large matrices shrinks to one at a time.
@@ -122,26 +127,18 @@ def matrix_exps(stack: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def kron_all(ops: list[np.ndarray]) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def embed_pauli_string(
-    sites: list[tuple[int, str]], n_qubits: int, cap: int = DEFAULT_QUBIT_CAP
-) -> np.ndarray:
-    """Kronecker-embed single-site Paulis into an n_qubit register.
+def pauli_permutation(sites: list[tuple[int, str]], n_qubits: int):
+    """The Pauli string as a signed permutation: P|b> = phase[b] |perm[b]>.
 
     ``sites`` lists (site index, label) pairs with 0-based indices; all other
-    sites carry the identity.  An empty list gives the full identity.
+    sites carry the identity.  X and Y flip their site's bit, Z|1> = -|1>,
+    and Y|0> = i|1>, Y|1> = -i|0>.  Every input is checked before any
+    2^n_qubits array is made.
     """
     if n_qubits < 1:
         raise InvalidInputError("n_qubits must be >= 1")
-    if n_qubits > cap:
-        raise InvalidInputError(f"n_qubits={n_qubits} exceeds the dimension cap {cap}")
-    factors = [PAULI["I"]] * n_qubits
+    if n_qubits > QUBIT_CAP:
+        raise InvalidInputError(f"n_qubits={n_qubits} exceeds the qubit cap {QUBIT_CAP}")
     seen: set[int] = set()
     for site, label in sites:
         if site in seen:
@@ -151,5 +148,27 @@ def embed_pauli_string(
         if label not in PAULI:
             raise InvalidInputError(f"unknown Pauli label {label!r}")
         seen.add(site)
-        factors[site] = PAULI[label]
-    return kron_all(factors)
+    b = np.arange(2**n_qubits)
+    flips, sign = 0, np.ones(b.size, dtype=np.int64)
+    for site, label in sites:
+        shift = n_qubits - 1 - site
+        flips |= (label in "XY") << shift
+        if label in "YZ":
+            sign *= 1 - 2 * ((b >> shift) & 1)
+    n_y = [label for _, label in sites].count("Y")
+    return b ^ flips, (1, 1j, -1, -1j)[n_y % 4] * sign.astype(np.complex128)
+
+
+def translation_permutation(n_qubits: int, shift: int):
+    """The chain translated by ``shift`` sites, site i to i + shift."""
+    b = np.arange(2**n_qubits)
+    return ((b >> shift) | (b << (n_qubits - shift))) & (b.size - 1), np.ones(b.size, complex)
+
+
+def embed_pauli_string(sites: list[tuple[int, str]], n_qubits: int) -> np.ndarray:
+    """Dense matrix of a Pauli string on an n_qubit register, scattered from
+    ``pauli_permutation``; an empty list gives the identity."""
+    perm, phase = pauli_permutation(sites, n_qubits)
+    out = np.zeros((perm.size, perm.size), dtype=np.complex128)
+    out[perm, np.arange(perm.size)] = phase
+    return out

@@ -17,7 +17,7 @@ import numpy as np
 from .curves import ScalarCurve, curve_from_descriptor, extrapolate_scalar
 from .errors import (InvalidInputError, NumericalBlowUpError, SchemaError,
                      integer, number, one_of, required)
-from .linalg import DEFAULT_QUBIT_CAP, embed_pauli_string
+from .linalg import QUBIT_CAP, embed_pauli_string
 from .sectors import MIN_DIM, Sectors, project
 
 _PAULI_ORDER = ("X", "Y", "Z")
@@ -152,7 +152,7 @@ def _chain_bonds(n_sites: int, boundary: str) -> list[tuple[int, int]]:
 
 
 def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
-                   boundary: str = "open", cap: int = DEFAULT_QUBIT_CAP) -> Hamiltonian:
+                   boundary: str = "open") -> Hamiltonian:
     """Odd/even bond split of sum_i h_{i,i+1}(t) into two terms.
 
     Bond i couples sites (i, i+1) (0-based); bonds with even index go to term
@@ -168,8 +168,8 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
     """
     if n_sites < 2:
         raise InvalidInputError("chain needs at least 2 sites")
-    if n_sites > cap:
-        raise InvalidInputError(f"n_sites={n_sites} exceeds the dimension cap {cap}")
+    if n_sites > QUBIT_CAP:  # before a list of N bonds, whatever N a config gives
+        raise InvalidInputError(f"n_sites={n_sites} exceeds the qubit cap {QUBIT_CAP}")
     if boundary == "periodic" and n_sites % 2 and bond_paulis[0] != bond_paulis[1]:
         raise InvalidInputError(
             f"bond_paulis {''.join(bond_paulis)} on a periodic chain of odd N = {n_sites} "
@@ -183,8 +183,7 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
 
     def bond_terms(parity):
         for (i, j), curve in zip(bonds[parity::2], bond_curves[parity::2]):
-            yield (embed_pauli_string([(i, bond_paulis[0]), (j, bond_paulis[1])],
-                                      n_sites, cap), curve)
+            yield embed_pauli_string([(i, bond_paulis[0]), (j, bond_paulis[1])], n_sites), curve
 
     dim = 2**n_sites
     terms = [OperatorCurve(bond_terms(parity), dim=dim) for parity in (0, 1)]
@@ -196,15 +195,14 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
 def build_driven_chain(n_sites: int, bond_curve: ScalarCurve,
                        field_curve: ScalarCurve | None = None,
                        bond_paulis=("X", "X"), field_pauli: str = "Z",
-                       boundary: str = "open",
-                       cap: int = DEFAULT_QUBIT_CAP) -> Hamiltonian:
+                       boundary: str = "open") -> Hamiltonian:
     """Odd/even bond chain with optional driven on-site fields folded into the
     second term.  With n_sites = 2 the second term is the field alone, which
     is the smallest model whose two terms fail to commute."""
-    ham = build_nn_chain(n_sites, bond_curve, bond_paulis, boundary, cap)
+    ham = build_nn_chain(n_sites, bond_curve, bond_paulis, boundary)
     if field_curve is None:
         return ham
-    field = ((embed_pauli_string([(i, field_pauli)], n_sites, cap), field_curve)
+    field = ((embed_pauli_string([(i, field_pauli)], n_sites), field_curve)
              for i in range(n_sites))
     terms = [ham.terms[0], OperatorCurve(itertools.chain(ham.terms[1].summands, field))]
     meta = dict(ham.metadata)
@@ -300,25 +298,24 @@ def long_range_tables(n_sites: int, nu: float, pair_curves: dict,
 
 
 def build_long_range(n_sites: int, nu: float, pair_curves: dict,
-                     site_curves: dict | None = None, coupling: float = 1.0,
-                     cap: int = DEFAULT_QUBIT_CAP) -> Hamiltonian:
+                     site_curves: dict | None = None, coupling: float = 1.0) -> Hamiltonian:
     """Dense long-range model: one term per (stage, channel) pair plus a
     single-site term when fields are present."""
-    if n_sites > cap:
-        raise InvalidInputError(f"n_sites={n_sites} exceeds the dimension cap {cap}")
+    if n_sites > QUBIT_CAP:  # before the table of all N(N-1)/2 pairs
+        raise InvalidInputError(f"n_sites={n_sites} exceeds the qubit cap {QUBIT_CAP}")
     meta = long_range_tables(n_sites, nu, pair_curves, site_curves, coupling)
     dim = 2**n_sites
 
     def pair_terms(stage, channel):
         for (i, j, ch, gamma_p, mag, curve) in meta["pair_table"]:
             if (gamma_p, ch) == (stage, channel):
-                yield mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], n_sites, cap), curve
+                yield mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], n_sites), curve
 
     terms = [OperatorCurve(pair_terms(gamma_p, ch), dim=dim)
              for gamma_p in range(1, meta["n_stages"] + 1) for ch in meta["channels"]]
     if meta["site_table"]:
         terms.append(OperatorCurve(
-            ((embed_pauli_string([(i, sigma)], n_sites, cap), curve)
+            ((embed_pauli_string([(i, sigma)], n_sites), curve)
              for (i, sigma, curve) in meta["site_table"]), dim=dim))
     return Hamiltonian(terms, metadata=meta)
 
@@ -327,15 +324,14 @@ def build_long_range(n_sites: int, nu: float, pair_curves: dict,
 # JSON model descriptors
 # ---------------------------------------------------------------------------
 
-def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP,
-                          field: str = "model") -> Hamiltonian:
+def model_from_descriptor(desc: dict, field: str = "model") -> Hamiltonian:
     """Build a model from its JSON descriptor; ``field`` is the config path
     that schema errors name."""
     if not isinstance(desc, dict):
         raise SchemaError(field, "expected a model descriptor object")
     kind = one_of(desc.get("model"), f"{field}.model", ("custom", "nn-chain", "long-range"))
     if kind == "custom":
-        return _custom_from_descriptor(desc, cap, field)
+        return _custom_from_descriptor(desc, field)
     if kind == "nn-chain":
         n = integer(required(desc, "N", field), f"{field}.N", 2)
         bond = curve_from_descriptor(required(desc, "bond_curve", field),
@@ -352,7 +348,7 @@ def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP,
         boundary = one_of(desc.get("boundary", "open"), f"{field}.boundary",
                           ("open", "periodic"))
         try:
-            return build_driven_chain(n, bond, field_curve, paulis, field_pauli, boundary, cap)
+            return build_driven_chain(n, bond, field_curve, paulis, field_pauli, boundary)
         except InvalidInputError as exc:
             raise SchemaError(field, str(exc)) from exc
     n = integer(required(desc, "N", field), f"{field}.N", 2)
@@ -367,14 +363,14 @@ def model_from_descriptor(desc: dict, cap: int = DEFAULT_QUBIT_CAP,
                        for s, d in required(desc, "site_curves", field, dict).items()}
     coupling = number(desc.get("coupling", 1.0), f"{field}.coupling")
     try:
-        return build_long_range(n, nu, pair_curves, site_curves, coupling, cap)
+        return build_long_range(n, nu, pair_curves, site_curves, coupling)
     except NumericalBlowUpError:
         raise
     except InvalidInputError as exc:
         raise SchemaError(field, str(exc)) from exc
 
 
-def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:
+def _custom_from_descriptor(desc: dict, field: str) -> Hamiltonian:
     n = integer(required(desc, "N", field), f"{field}.N", 1)
     raw_terms = required(desc, "terms", field, list)
     if not raw_terms:
@@ -397,7 +393,7 @@ def _custom_from_descriptor(desc: dict, cap: int, field: str) -> Hamiltonian:
         curve = curve_from_descriptor(required(entry, "curve", term_field),
                                       f"{term_field}.curve")
         try:
-            mat = embed_pauli_string(sites, n, cap)
+            mat = embed_pauli_string(sites, n)
         except InvalidInputError as exc:
             raise SchemaError(f"{term_field}.paulis", str(exc)) from exc
         seen[gamma] = (mat, curve)

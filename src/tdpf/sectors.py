@@ -10,11 +10,12 @@ of its blocks.
 ``find_symmetries`` tests candidates exactly (``np.array_equal``, no
 tolerance): translation of the chain by the fewest sites that works, then
 the Pauli parities prod Z, prod X and prod Y, each kept when it commutes
-with every term and with the symmetries kept before it.  A term is tested
-through its summands, each already the sum of the local pieces that share
-one curve (see ``models.OperatorCurve``), because only those sums need be
-invariant: a translation maps one bond to another.  At most two parities
-are kept, since any two of them give the third.
+with every term and with the symmetries kept before it; ``linalg`` builds
+both kinds (a parity is the string with one label on every site).  A term
+is tested through its summands, each already the sum of the local pieces
+that share one curve (see ``models.OperatorCurve``), because only those sums
+need be invariant: a translation maps one bond to another.  At most two
+parities are kept, since any two of them give the third.
 
 ``project`` builds each sector's orthonormal basis from orbit
 representatives (Sandvik, arXiv:1101.3281): the basis vector of
@@ -39,6 +40,8 @@ import itertools
 
 import numpy as np
 
+from .linalg import pauli_permutation, translation_permutation
+
 # Smallest dimension that takes the sector walk.  Measured on alpha_com of
 # order 3 on the driven periodic chain (2 cores): dimension 32 wins 1.5x at
 # one tau and 2x at 65, 16 is a wash at one tau, and 4 loses, up to 1.7x
@@ -59,27 +62,8 @@ class Sectors:
 
 
 # ---------------------------------------------------------------------------
-# Signed permutations of n qubits (site 0 is the most significant bit)
+# Signed permutations (perm, phase); see ``linalg.pauli_permutation``
 # ---------------------------------------------------------------------------
-
-def _popcount(states: np.ndarray) -> np.ndarray:
-    return np.array([int(b).bit_count() for b in states])
-
-
-def _translation(n: int, shift: int):
-    b = np.arange(2**n)
-    return ((b >> shift) | (b << (n - shift))) & (2**n - 1), np.ones(2**n, complex)
-
-
-def _parity(n: int, label: str):
-    b = np.arange(2**n)
-    sign = (-1.0) ** _popcount(b)
-    if label == "Z":
-        return b, sign.astype(complex)
-    if label == "X":
-        return b ^ (2**n - 1), np.ones(2**n, complex)
-    return b ^ (2**n - 1), 1j**n * sign  # Y|0> = i|1>, Y|1> = -i|0>
-
 
 def _compose(g, h):
     """g h as a signed permutation: (gh)|b> = phase_h(b) phase_g(perm_h b) |...>."""
@@ -114,12 +98,12 @@ def find_symmetries(matrices: list[np.ndarray], n_sites: int) -> list[tuple]:
 
     found = []
     for shift in range(1, n_sites):
-        if n_sites % shift == 0 and holds(sym := _translation(n_sites, shift)):
+        if n_sites % shift == 0 and holds(sym := translation_permutation(n_sites, shift)):
             found.append((*sym, n_sites // shift))
             break
     parities = 0
     for label in "ZXY":
-        sym = _parity(n_sites, label)
+        sym = pauli_permutation([(i, label) for i in range(n_sites)], n_sites)
         if (parities < 2 and holds(sym)
                 and all(_same(_compose(sym, g[:2]), _compose(g[:2], sym)) for g in found)):
             found.append((*sym, 2))

@@ -14,9 +14,10 @@ from tdpf.curves import ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import (BudgetExceededError, InvalidInputError,
                          OutOfRegimeError, UnsupportedOrderError)
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.linalg import PAULI, embed_pauli_string, spectral_norm
+from tdpf.linalg import (PAULI, embed_pauli_string, pauli_permutation, spectral_norm,
+                         translation_permutation)
 from tdpf.models import Hamiltonian, OperatorCurve, build_long_range
-from tdpf.sectors import MIN_DIM, _parity, _translation, find_symmetries
+from tdpf.sectors import MIN_DIM, find_symmetries
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -521,6 +522,10 @@ def symmetries(ham):
     return find_symmetries(matrices, ham.metadata["n_sites"])
 
 
+def z_parity(n):
+    return pauli_permutation([(i, "Z") for i in range(n)], n)
+
+
 def same_symmetry(found, expected):
     perm, phase, order = found
     return (np.array_equal(perm, expected[0]) and np.array_equal(phase, expected[1])
@@ -577,8 +582,8 @@ class TestSectorWalk:
     def test_even_periodic_chain_has_parity_and_two_site_translation(self, n):
         ham = driven_chain(n, "periodic")
         translation, parity = symmetries(ham)
-        assert same_symmetry(translation, (*_translation(n, 2), n // 2))
-        assert same_symmetry(parity, (*_parity(n, "Z"), 2))
+        assert same_symmetry(translation, (*translation_permutation(n, 2), n // 2))
+        assert same_symmetry(parity, (*z_parity(n), 2))
         assert ham.sectors.count == n  # n / 2 momenta times two parities
         assert sum(ham.sectors.sizes) == ham.dim
 
@@ -586,7 +591,7 @@ class TestSectorWalk:
         # bonds (6, 0) and (0, 1) share site 0 in term 1: no shift maps the
         # terms onto themselves
         (parity,) = symmetries(driven_chain(7, "periodic"))
-        assert same_symmetry(parity, (*_parity(7, "Z"), 2))
+        assert same_symmetry(parity, (*z_parity(7), 2))
 
     def test_a_tiny_change_removes_the_symmetry(self):
         ham = driven_chain(6, "periodic")
@@ -599,7 +604,7 @@ class TestSectorWalk:
         nudged = Hamiltonian([ham.terms[0], OperatorCurve(
             [(bond, bond_curve), (fields, field_curve)])], metadata=ham.metadata)
         (parity,) = symmetries(nudged)
-        assert same_symmetry(parity, (*_parity(6, "Z"), 2))
+        assert same_symmetry(parity, (*z_parity(6), 2))
         # 1e-16 between states of opposite parity breaks every symmetry
         field = fields.copy()
         field[0, 1] = 1e-16

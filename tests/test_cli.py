@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -366,6 +367,10 @@ class TestPlumbing:
         assert run("resource-table", cfg, str(tmp_path / "out")) == 2
         assert "refine_iters" in capsys.readouterr().err
 
+    # pytest names a list or dict value by its position in the list, so each
+    # such case here and below pins the id it was first collected under, and
+    # adding or deleting a case renames no other.  A new case takes an id made
+    # of its subcommand, field and the JSON of its value.
     @pytest.mark.parametrize("subcommand,field,value", [
         ("floquet-check", "t", "0.5"),
         ("floquet-check", "t", 0),
@@ -374,9 +379,9 @@ class TestPlumbing:
         ("floquet-check", "omega", -2.0),
         ("floquet-check", "mode_cutoff", 1.5),
         ("floquet-check", "mode_cutoff", -1),
-        ("floquet-check", "l_values", [4, "8"]),
+        pytest.param("floquet-check", "l_values", [4, "8"], id="floquet-check-l_values-value7"),
         ("floquet-check", "l_values", 4),
-        ("floquet-check", "l_values", []),
+        pytest.param("floquet-check", "l_values", [], id="floquet-check-l_values-value9"),
         ("nonunitary-check", "p", "1"),
         ("nonunitary-check", "p", 0),
         ("nonunitary-check", "scale_im", "0.1"),
@@ -384,24 +389,27 @@ class TestPlumbing:
         ("nonunitary-check", "scale_im", None),
         ("mpf-scan", "p", "2"),
         ("mpf-scan", "p", True),
-        ("mpf-scan", "J_values", [1, "2"]),
-        ("mpf-scan", "J_values", [0]),
+        pytest.param("mpf-scan", "J_values", [1, "2"], id="mpf-scan-J_values-value17"),
+        pytest.param("mpf-scan", "J_values", [0], id="mpf-scan-J_values-value18"),
         ("resource-table", "t", "0.2"),
         ("resource-table", "t", -1.0),
         ("resource-table", "eps", "1e-2"),
         ("resource-table", "eps", 0),
-        ("resource-table", "eps_values", [1e-2, "1e-3"]),
-        ("resource-table", "eps_values", [1e-2, 0.0]),
+        pytest.param("resource-table", "eps_values", [1e-2, "1e-3"],
+                     id="resource-table-eps_values-value23"),
+        pytest.param("resource-table", "eps_values", [1e-2, 0.0],
+                     id="resource-table-eps_values-value24"),
         ("resource-table", "eps_values", 1e-2),
         ("resource-table", "p", "2"),
         ("resource-table", "p", 2.5),
-        ("order-scan", "family", ["x"]),
+        pytest.param("order-scan", "family", ["x"], id="order-scan-family-value28"),
         ("order-scan", "times_by_order", "123"),
-        ("order-scan", "times", [0.0]),
-        ("order-scan", "times", [0.01, -0.02]),
-        ("order-scan", "times", [float("nan")]),
-        ("bound-check", "times", [0.0]),
-        ("huyghebaert-check", "times", [0.01, -0.01]),
+        pytest.param("order-scan", "times", [0.0], id="order-scan-times-value30"),
+        pytest.param("order-scan", "times", [0.01, -0.02], id="order-scan-times-value31"),
+        pytest.param("order-scan", "times", [float("nan")], id="order-scan-times-value32"),
+        pytest.param("bound-check", "times", [0.0], id="bound-check-times-value33"),
+        pytest.param("huyghebaert-check", "times", [0.01, -0.01],
+                     id="huyghebaert-check-times-value34"),
         ("order-scan", "oracle_tol", "abc"),
         ("order-scan", "oracle_tol", "1e-11"),
         ("resource-table", "include_mpf", "false"),
@@ -409,14 +417,16 @@ class TestPlumbing:
         ("resource-table", "calibrate_N", "2"),
         ("resource-table", "calibrate_N", 2.0),
         ("resource-table", "bound_source", "guess"),
-        ("resource-table", "model_params", [1]),
+        pytest.param("resource-table", "model_params", [1],
+                     id="resource-table-model_params-value42"),
         ("resource-table", "model_params", "x"),
-        ("resource-table", "model_params", dict(RESOURCE_CFG["model_params"], N=9)),
+        pytest.param("resource-table", "model_params", dict(RESOURCE_CFG["model_params"], N=9),
+                     id="resource-table-model_params-value44"),
         ("resource-table", "calibrate_N", 13),
         ("huyghebaert-check", "TDPF_WORKERS", "abc"),
         ("huyghebaert-check", "--workers", 0),
         ("huyghebaert-check", "--oracle-tol", float("nan")),
-        ("resource-table", "N_values", [4, 13]),
+        pytest.param("resource-table", "N_values", [4, 13], id="resource-table-N_values-value49"),
         ("resource-table", "bound_source", "analytic-scaling"),
         ("resource-table", "calibrate_N", 3),
     ])
@@ -447,69 +457,94 @@ class TestPlumbing:
         assert "config error" in err and f"{field}:" in err
 
     @pytest.mark.parametrize("subcommand,update,named", [
-        ("order-scan", {"times_by_order": {"1": [0.0]}}, "times_by_order.1"),
-        ("order-scan", {"times_by_order": {"1": "abc"}}, "times_by_order.1"),
-        ("bound-check", {"times_by_order": {"1": [0.01, float("nan")]}},
-         "times_by_order.1"),
-        ("order-scan", {"times": {"min": 0.0, "max": 0.1, "count": 3}}, "times"),
-        ("order-scan", {"times": {"min": 0.01, "max": 0.1, "count": 3, "log": "no"}},
-         "times"),
-        ("resource-table", {"model_params": dict(RESOURCE_CFG["model_params"],
-                                                 bond_paulis=["X", "Q"])},
-         "model_params.bond_paulis"),
-        ("resource-table", {"model_params": dict(RESOURCE_CFG["model_params"],
-                                                 field_pauli="Q")},
-         "model_params.field_pauli"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"nu": "3", "pair_curves": {"XX": ONE}}},
-         "model_params.nu"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"pair_curves": {"XX": ONE}}},
-         "model_params.nu"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"nu": True, "pair_curves": {"XX": ONE}}},
-         "model_params.nu"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE},
-                                             "coupling": "2"}},
-         "model_params.coupling"),
-        ("resource-table", {"model_params": dict(
-            RESOURCE_CFG["model_params"],
-            bond_curve={"kind": "trig", "amp": float("nan"), "omega": 2.0})},
-         "model_params.bond_curve.amp"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"nu": float("inf"), "pair_curves": {"XX": ONE}}},
-         "model_params.nu"),
-        ("bound-check", {"model": dict(DRIVEN2, field_curve={"kind": "constant",
-                                                              "value": float("-inf")})},
-         "model.field_curve.value"),
+        pytest.param("order-scan", {"times_by_order": {"1": [0.0]}}, "times_by_order.1",
+                     id="order-scan-update0-times_by_order.1"),
+        pytest.param("order-scan", {"times_by_order": {"1": "abc"}}, "times_by_order.1",
+                     id="order-scan-update1-times_by_order.1"),
+        pytest.param("bound-check", {"times_by_order": {"1": [0.01, float("nan")]}},
+                     "times_by_order.1", id="bound-check-update2-times_by_order.1"),
+        pytest.param("order-scan", {"times": {"min": 0.0, "max": 0.1, "count": 3}}, "times",
+                     id="order-scan-update3-times"),
+        pytest.param("order-scan",
+                     {"times": {"min": 0.01, "max": 0.1, "count": 3, "log": "no"}}, "times",
+                     id="order-scan-update4-times"),
+        pytest.param("resource-table",
+                     {"model_params": dict(RESOURCE_CFG["model_params"], bond_paulis=["X", "Q"])},
+                     "model_params.bond_paulis",
+                     id="resource-table-update5-model_params.bond_paulis"),
+        pytest.param("resource-table",
+                     {"model_params": dict(RESOURCE_CFG["model_params"], field_pauli="Q")},
+                     "model_params.field_pauli",
+                     id="resource-table-update6-model_params.field_pauli"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range",
+                      "model_params": {"nu": "3", "pair_curves": {"XX": ONE}}},
+                     "model_params.nu", id="resource-table-update7-model_params.nu"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range", "model_params": {"pair_curves": {"XX": ONE}}},
+                     "model_params.nu", id="resource-table-update8-model_params.nu"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range",
+                      "model_params": {"nu": True, "pair_curves": {"XX": ONE}}},
+                     "model_params.nu", id="resource-table-update9-model_params.nu"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range",
+                      "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE}, "coupling": "2"}},
+                     "model_params.coupling", id="resource-table-update10-model_params.coupling"),
+        pytest.param("resource-table",
+                     {"model_params": dict(
+                         RESOURCE_CFG["model_params"],
+                         bond_curve={"kind": "trig", "amp": float("nan"), "omega": 2.0})},
+                     "model_params.bond_curve.amp",
+                     id="resource-table-update11-model_params.bond_curve.amp"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range",
+                      "model_params": {"nu": float("inf"), "pair_curves": {"XX": ONE}}},
+                     "model_params.nu", id="resource-table-update12-model_params.nu"),
+        pytest.param("bound-check",
+                     {"model": dict(DRIVEN2, field_curve={"kind": "constant",
+                                                          "value": float("-inf")})},
+                     "model.field_curve.value",
+                     id="bound-check-update13-model.field_curve.value"),
         # integers too large for a float, a bad label, booleans as integers
-        ("bound-check", {"model": dict(DRIVEN2, bond_curve={"kind": "trig", "amp": 10**400,
-                                                             "omega": 2.0})},
-         "model.bond_curve.amp"),
-        ("bound-check", {"model": dict(DRIVEN2, field_curve={"kind": "polynomial",
-                                                              "coeffs": [0.5, 10**400]})},
-         "model.field_curve.coeffs"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"nu": 2000, "pair_curves": {"XX": ONE},
-                                             "coupling": 10**400}},
-         "model_params.coupling"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE},
-                                             "site_curves": {"W": ONE}}},
-         "model_params.site_curves.W"),
-        ("resource-table", {"model_class": "long-range",
-                            "model_params": {"nu": 3.0, "pair_curves": {"XQ": ONE}}},
-         "model_params.pair_curves.XQ"),
-        ("bound-check", {"model": dict(DRIVEN2, bond_curve=dict(DRIVEN2["bond_curve"],
-                                                                derivative_budget=True))},
-         "model.bond_curve.derivative_budget"),
-        ("bound-check", {"model": dict(DRIVEN2, bond_curve=dict(DRIVEN2["bond_curve"],
-                                                                derivative_budget=False))},
-         "model.bond_curve.derivative_budget"),
-        ("resource-table", {"model_params": dict(RESOURCE_CFG["model_params"],
-                                                 boundary="ring")},
-         "model_params.boundary"),
+        pytest.param("bound-check",
+                     {"model": dict(DRIVEN2, bond_curve={"kind": "trig", "amp": 10**400,
+                                                         "omega": 2.0})},
+                     "model.bond_curve.amp", id="bound-check-update14-model.bond_curve.amp"),
+        pytest.param("bound-check",
+                     {"model": dict(DRIVEN2, field_curve={"kind": "polynomial",
+                                                          "coeffs": [0.5, 10**400]})},
+                     "model.field_curve.coeffs",
+                     id="bound-check-update15-model.field_curve.coeffs"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range",
+                      "model_params": {"nu": 2000, "pair_curves": {"XX": ONE},
+                                       "coupling": 10**400}},
+                     "model_params.coupling", id="resource-table-update16-model_params.coupling"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range",
+                      "model_params": {"nu": 3.0, "pair_curves": {"XX": ONE},
+                                       "site_curves": {"W": ONE}}},
+                     "model_params.site_curves.W",
+                     id="resource-table-update17-model_params.site_curves.W"),
+        pytest.param("resource-table",
+                     {"model_class": "long-range",
+                      "model_params": {"nu": 3.0, "pair_curves": {"XQ": ONE}}},
+                     "model_params.pair_curves.XQ",
+                     id="resource-table-update18-model_params.pair_curves.XQ"),
+        pytest.param("bound-check",
+                     {"model": dict(DRIVEN2, bond_curve=dict(DRIVEN2["bond_curve"],
+                                                             derivative_budget=True))},
+                     "model.bond_curve.derivative_budget",
+                     id="bound-check-update19-model.bond_curve.derivative_budget"),
+        pytest.param("bound-check",
+                     {"model": dict(DRIVEN2, bond_curve=dict(DRIVEN2["bond_curve"],
+                                                             derivative_budget=False))},
+                     "model.bond_curve.derivative_budget",
+                     id="bound-check-update20-model.bond_curve.derivative_budget"),
+        pytest.param("resource-table",
+                     {"model_params": dict(RESOURCE_CFG["model_params"], boundary="ring")},
+                     "model_params.boundary", id="resource-table-update21-model_params.boundary"),
     ])
     def test_bad_nested_field_exits_2(self, tmp_path, capsys, subcommand, update, named):
         base = RESOURCE_CFG if subcommand == "resource-table" else {
@@ -518,6 +553,28 @@ class TestPlumbing:
         assert run(subcommand, cfg, str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{named}:" in err
+
+    @pytest.mark.parametrize("model", [
+        {"model": "nn-chain", "N": 13, "bond_curve": ONE},
+        dict(DRIVEN2, N=13),
+        {"model": "long-range", "N": 13, "nu": 3.0, "pair_curves": {"XX": ONE}},
+        {"model": "long-range", "N": 13, "nu": 3.0, "pair_curves": {"XX": ONE},
+         "site_curves": {"Z": ONE}},
+        {"model": "custom", "N": 13, "terms": [{"gamma": 1, "paulis": [[0, "X"]],
+                                                 "curve": ONE}]},
+    ], ids=["nn-chain", "driven-chain", "long-range", "long-range-site-curves", "custom"])
+    def test_over_cap_exits_2_before_any_register_array(self, tmp_path, capsys, model):
+        cfg = write_config(tmp_path, "cfg.json", {"model": model, "orders": [1],
+                                                  "times": [0.01]})
+        tracemalloc.start()
+        try:
+            code = run("order-scan", cfg, str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "qubit cap 12" in capsys.readouterr().err
+        assert peak < 2**13 * 8  # less than one int64 entry per basis state of 13 qubits
 
     def test_bound_source_checked_before_any_model(self, tmp_path, capsys, monkeypatch):
         def no_models(*args, **kwargs):

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from conftest import random_matrix
 from tdpf.errors import InvalidInputError
 from tdpf.linalg import (PAULI, commutator, dagger, embed_pauli_string,
-                         matrix_exp, matrix_exps, spectral_norm, spectral_norms)
+                         matrix_exp, matrix_exps, pauli_permutation, spectral_norm,
+                         spectral_norms)
+from tdpf.sectors import _compose
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -220,9 +224,44 @@ class TestEmbedPauliString:
             embed_pauli_string([(0, "X"), (0, "Z")], 2)
 
     def test_cap_enforced(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="qubit cap 12"):
             embed_pauli_string([(0, "X")], 13)
-        embed_pauli_string([(0, "X")], 13, cap=13)  # raised cap is allowed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_string_equals_the_kronecker_product(self, n):
+        # the Kronecker product of the PAULI factors, site 0 leftmost, is the
+        # reference that the signed-permutation scatter must reproduce
+        for labels in product("IXYZ", repeat=n):
+            sites = [(i, label) for i, label in enumerate(labels) if label != "I"]
+            want = reduce(np.kron, [PAULI[label] for label in labels])
+            assert np.array_equal(embed_pauli_string(sites, n), want), labels
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("label", "XYZ")
+    def test_all_site_string_equals_the_dense_product(self, n, label):
+        # the parities that sectors.find_symmetries takes
+        got = embed_pauli_string([(i, label) for i in range(n)], n)
+        assert np.array_equal(got, reduce(np.kron, [PAULI[label]] * n))
+
+    def test_composition_is_the_matrix_product(self):
+        n = 4
+        g = pauli_permutation([(0, "Y"), (2, "X"), (3, "Z")], n)
+        h = pauli_permutation([(0, "X"), (1, "Y"), (3, "Y")], n)
+        gh_perm, gh_phase = _compose(g, h)
+        gh = np.zeros((2**n, 2**n), dtype=np.complex128)
+        gh[gh_perm, np.arange(2**n)] = gh_phase
+        want = (embed_pauli_string([(0, "Y"), (2, "X"), (3, "Z")], n)
+                @ embed_pauli_string([(0, "X"), (1, "Y"), (3, "Y")], n))
+        assert np.array_equal(gh, want)
+
+    @pytest.mark.parametrize("sites,n,message", [
+        ([(0, "X")], 0, ">= 1"),
+        ([(2, "X")], 2, "out of range"),
+        ([(0, "W")], 2, "unknown Pauli label"),
+    ])
+    def test_bad_string_is_rejected(self, sites, n, message):
+        with pytest.raises(InvalidInputError, match=message):
+            pauli_permutation(sites, n)
 
     def test_adjoint_involution(self, rng):
         a = random_matrix(rng, 6)

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -190,14 +191,13 @@ class TestLongRange:
         assert len(set(pairs)) == len(pairs)
 
     def test_summands_commute_within_term(self):
-        ham = build_long_range(8, 1.0, {"XZ": ConstantCurve(1.0)}, cap=12)
+        ham = build_long_range(8, 1.0, {"XZ": ConstantCurve(1.0)})
         pieces = [[] for _ in ham.terms]  # one channel: term gamma_p - 1
         for (i, j, ch, gamma_p, mag, _c) in ham.metadata["pair_table"]:
             pieces[gamma_p - 1].append(mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], 8))
         for term, mats in zip(ham.terms, pieces):
-            for a_idx in range(len(mats)):
-                for b_idx in range(a_idx + 1, len(mats)):
-                    assert spectral_norm(commutator(mats[a_idx], mats[b_idx])) == 0.0
+            for a, b in combinations(mats, 2):
+                assert np.array_equal(a @ b, b @ a)
             ((total, _),) = term.summands
             np.testing.assert_array_equal(total, sum(mats))
 
