@@ -165,10 +165,20 @@ def translation_permutation(n_qubits: int, shift: int):
     return ((b >> shift) | (b << (n_qubits - shift))) & (b.size - 1), np.ones(b.size, complex)
 
 
-def embed_pauli_string(sites: list[tuple[int, str]], n_qubits: int) -> np.ndarray:
-    """Dense matrix of a Pauli string on an n_qubit register, scattered from
-    ``pauli_permutation``; an empty list gives the identity."""
-    perm, phase = pauli_permutation(sites, n_qubits)
-    out = np.zeros((perm.size, perm.size), dtype=np.complex128)
-    out[perm, np.arange(perm.size)] = phase
+def pauli_sum(strings, n_qubits: int, rows=None) -> np.ndarray:
+    """Rows ``rows`` (default all) of the dense sum_k c_k P_k for ``strings``
+    of (c_k, sites of P_k) pairs, each checked before the output exists.  perm
+    is its own inverse, so row r of P_k holds phase[perm[r]] in column
+    perm[r]; each string adds those entries in place, in input order."""
+    signed = [(coef, *pauli_permutation(sites, n_qubits)) for coef, sites in strings]
+    rows = np.arange(2**n_qubits) if rows is None else rows
+    out = np.zeros((len(rows), 2**n_qubits), dtype=np.complex128)
+    for coef, perm, phase in signed:
+        cols = perm[rows]
+        out[np.arange(len(rows)), cols] += coef * phase[cols]
     return out
+
+
+def embed_pauli_string(sites: list[tuple[int, str]], n_qubits: int) -> np.ndarray:
+    """Dense matrix of one Pauli string; an empty list gives the identity."""
+    return pauli_sum([(1.0, sites)], n_qubits)

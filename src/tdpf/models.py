@@ -1,14 +1,13 @@
 """Time-dependent Hamiltonians as sums of labeled terms H(t) = sum_g H_g(t),
 each term a sum of (matrix, scalar curve) summands with one summed matrix
 per distinct curve, plus builders for the nearest-neighbor and long-range
-2-local model classes.  The builders stream their local terms (bonds, pairs,
-site fields) into the terms, so a term that shares one curve across many
-local pieces holds one dense matrix, not one per piece.
+2-local model classes.  A built term is a sum of Pauli strings times curves:
+it keeps the strings as ``paulis`` next to its matrices, scattered one per
+curve by ``OperatorCurve.from_paulis``, never one per bond, pair or field.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
 
@@ -17,7 +16,7 @@ import numpy as np
 from .curves import ScalarCurve, curve_from_descriptor, extrapolate_scalar
 from .errors import (InvalidInputError, NumericalBlowUpError, SchemaError,
                      integer, number, one_of, required)
-from .linalg import QUBIT_CAP, embed_pauli_string
+from .linalg import QUBIT_CAP, pauli_sum
 from .sectors import MIN_DIM, Sectors, project
 
 _PAULI_ORDER = ("X", "Y", "Z")
@@ -34,10 +33,13 @@ class OperatorCurve:
     distinct curve, in order of first appearance: every quantity reads a
     term only through sum_j A_j f_j.  Every A_j has one shape (..., dim,
     dim): a single matrix, or a stack of them such as a term's
-    symmetry-sector blocks, all sharing the curve f_j."""
+    symmetry-sector blocks, all sharing the curve f_j.  ``paulis`` lists
+    each A_j as its (coefficient, sites) Pauli strings (see ``from_paulis``);
+    it is None for a term given as matrices, which ``sectors`` never splits."""
 
     def __init__(self, summands, dim: int | None = None,
-                 derivative_budget: int | None = None):
+                 derivative_budget: int | None = None, paulis: list | None = None):
+        self.paulis = paulis
         groups: dict[int, tuple] = {}
         self.shape = None
         for mat, curve in summands:
@@ -62,10 +64,25 @@ class OperatorCurve:
         self.derivative_budget = min(budgets) if budgets else 0
         self.is_zero = all(not np.any(m) for m, _ in self.summands)
 
+    @classmethod
+    def from_paulis(cls, n_qubits: int, strings, derivative_budget: int | None = None):
+        """sum_k c_k P_k f_k(t) from (c_k, sites of P_k, f_k) triples: the
+        strings sharing one curve object make one summand, whose matrix
+        ``linalg.pauli_sum`` scatters from them."""
+        groups: dict[int, tuple] = {}
+        for coef, sites, curve in strings:
+            groups.setdefault(id(curve), (curve, []))[1].append((coef, sites))
+        return cls([(pauli_sum(group, n_qubits), curve) for curve, group in groups.values()],
+                   dim=2**n_qubits, derivative_budget=derivative_budget,
+                   paulis=[group for _, group in groups.values()])
+
     @cached_property
     def is_hermitian(self) -> bool:
-        """Every summand matrix exactly equals its conjugate transpose; the
-        curves are real, so every value and derivative is then Hermitian."""
+        """Every summand matrix exactly equals its conjugate transpose (for
+        Pauli strings: every coefficient is real); the curves are real, so
+        every value and derivative is then Hermitian."""
+        if self.paulis is not None:
+            return all(complex(c).imag == 0 for group in self.paulis for c, _ in group)
         return all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m, _ in self.summands)
 
     def value(self, tau: float, q: int = 0) -> np.ndarray:
@@ -82,15 +99,17 @@ class OperatorCurve:
         return out
 
     def scaled(self, factor: complex) -> OperatorCurve:
+        paulis = None if self.paulis is None else [
+            [(factor * c, s) for c, s in group] for group in self.paulis]
         return OperatorCurve([(factor * m, c) for m, c in self.summands],
-                             dim=self.dim, derivative_budget=self.derivative_budget)
+                             self.dim, self.derivative_budget, paulis)
 
     def extended(self, t_end: float, order: int) -> OperatorCurve:
         """Periodic C^(order+2) extension of every scalar summand beyond
         [0, t_end].  Each summand has its own curve, so the symmetries
         ``sectors`` finds in the summands survive."""
         return OperatorCurve([(m, extrapolate_scalar(c, t_end, order))
-                              for m, c in self.summands], dim=self.dim)
+                              for m, c in self.summands], dim=self.dim, paulis=self.paulis)
 
 
 class Hamiltonian:
@@ -115,12 +134,12 @@ class Hamiltonian:
     def sectors(self) -> Sectors:
         """The terms as blocks of the joint sectors of their symmetries (see
         ``sectors.py``), found and projected at the first bound walk that
-        asks.  Below ``sectors.MIN_DIM``, for a custom model, or when no
-        symmetry holds, the one sector is the whole space and its terms are
-        this model's own."""
-        if self.dim < MIN_DIM or self.metadata.get("model") not in ("nn-chain", "long-range"):
+        asks.  Below ``sectors.MIN_DIM``, when a term has no Pauli strings,
+        or when no symmetry holds, the one sector is the whole space and its
+        terms are this model's own."""
+        if self.dim < MIN_DIM or any(t.paulis is None for t in self.terms):
             return Sectors(self.terms, [self.dim])
-        return project(self.terms, self.metadata["n_sites"])
+        return project(self.terms)
 
     def term(self, gamma: int) -> OperatorCurve:
         """1-based term lookup."""
@@ -153,7 +172,15 @@ def _chain_bonds(n_sites: int, boundary: str) -> list[tuple[int, int]]:
 
 def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
                    boundary: str = "open") -> Hamiltonian:
-    """Odd/even bond split of sum_i h_{i,i+1}(t) into two terms.
+    """The chain of ``build_driven_chain`` with no field."""
+    return build_driven_chain(n_sites, bond_curves, None, bond_paulis, boundary=boundary)
+
+
+def build_driven_chain(n_sites: int, bond_curve, field_curve: ScalarCurve | None = None,
+                       bond_paulis=("X", "X"), field_pauli: str = "Z",
+                       boundary: str = "open") -> Hamiltonian:
+    """Odd/even bond split of sum_i h_{i,i+1}(t) into two terms, with
+    optional driven on-site fields folded into the second term.
 
     Bond i couples sites (i, i+1) (0-based); bonds with even index go to term
     1, odd index to term 2.  The bonds inside a term act on disjoint site
@@ -163,8 +190,10 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
     are equal (XX, not YZ).  Unequal ``bond_paulis`` on an odd periodic
     chain are therefore refused.  That shared site is also why an odd
     periodic chain has no translation symmetry: no shift maps term 1 onto
-    itself.  ``bond_curves`` is one ScalarCurve shared by all bonds or a
-    list with one curve per bond.
+    itself.  ``bond_curve`` is one ScalarCurve shared by all bonds or a
+    list with one curve per bond.  With n_sites = 2 the second term is the
+    field alone, which is the smallest model whose two terms fail to
+    commute.
     """
     if n_sites < 2:
         raise InvalidInputError("chain needs at least 2 sites")
@@ -176,40 +205,17 @@ def build_nn_chain(n_sites: int, bond_curves, bond_paulis=("X", "X"),
             f"put the anticommuting bonds ({n_sites - 1}, 0) and (0, 1) into one term; "
             "use equal Paulis or an even N")
     bonds = _chain_bonds(n_sites, boundary)
-    if isinstance(bond_curves, ScalarCurve):
-        bond_curves = [bond_curves] * len(bonds)
-    if len(bond_curves) != len(bonds):
-        raise InvalidInputError(f"need {len(bonds)} bond curves, got {len(bond_curves)}")
-
-    def bond_terms(parity):
-        for (i, j), curve in zip(bonds[parity::2], bond_curves[parity::2]):
-            yield embed_pauli_string([(i, bond_paulis[0]), (j, bond_paulis[1])], n_sites), curve
-
-    dim = 2**n_sites
-    terms = [OperatorCurve(bond_terms(parity), dim=dim) for parity in (0, 1)]
-    meta = {"model": "nn-chain", "n_sites": n_sites, "boundary": boundary,
-            "bonds": bonds, "local_gate_counts": [len(bonds[0::2]), len(bonds[1::2])]}
-    return Hamiltonian(terms, metadata=meta)
-
-
-def build_driven_chain(n_sites: int, bond_curve: ScalarCurve,
-                       field_curve: ScalarCurve | None = None,
-                       bond_paulis=("X", "X"), field_pauli: str = "Z",
-                       boundary: str = "open") -> Hamiltonian:
-    """Odd/even bond chain with optional driven on-site fields folded into the
-    second term.  With n_sites = 2 the second term is the field alone, which
-    is the smallest model whose two terms fail to commute."""
-    ham = build_nn_chain(n_sites, bond_curve, bond_paulis, boundary)
-    if field_curve is None:
-        return ham
-    field = ((embed_pauli_string([(i, field_pauli)], n_sites), field_curve)
-             for i in range(n_sites))
-    terms = [ham.terms[0], OperatorCurve(itertools.chain(ham.terms[1].summands, field))]
-    meta = dict(ham.metadata)
-    meta["field_pauli"] = field_pauli
-    meta["local_gate_counts"] = [meta["local_gate_counts"][0],
-                                 meta["local_gate_counts"][1] + n_sites]
-    return Hamiltonian(terms, metadata=meta)
+    curves = [bond_curve] * len(bonds) if isinstance(bond_curve, ScalarCurve) else bond_curve
+    if len(curves) != len(bonds):
+        raise InvalidInputError(f"need {len(bonds)} bond curves, got {len(curves)}")
+    strings = [[(1.0, [(i, bond_paulis[0]), (j, bond_paulis[1])], curve)
+                for (i, j), curve in zip(bonds[parity::2], curves[parity::2])]
+               for parity in (0, 1)]
+    meta = {"model": "nn-chain", "n_sites": n_sites, "boundary": boundary, "bonds": bonds}
+    if field_curve is not None:
+        strings[1] += [(1.0, [(i, field_pauli)], field_curve) for i in range(n_sites)]
+        meta["field_pauli"] = field_pauli
+    return Hamiltonian([OperatorCurve.from_paulis(n_sites, s) for s in strings], metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +291,11 @@ def long_range_tables(n_sites: int, nu: float, pair_curves: dict,
             for i in range(n_sites):
                 site_table.append((i, sigma, site_curves[sigma]))
     n_stage_terms = len(channels) * len(stages)
-    gate_counts = [len(stages[g]) for g in sorted(stages) for _ch in channels]
-    if site_table:
-        gate_counts.append(len(site_table))
     return {
         "model": "long-range", "n_sites": n_sites, "nu": nu,
         "channels": channels, "n_stages": len(stages),
         "n_terms": n_stage_terms + (1 if site_table else 0),
         "pair_table": pair_table, "site_table": site_table,
-        "local_gate_counts": gate_counts,
     }
 
 
@@ -304,19 +306,13 @@ def build_long_range(n_sites: int, nu: float, pair_curves: dict,
     if n_sites > QUBIT_CAP:  # before the table of all N(N-1)/2 pairs
         raise InvalidInputError(f"n_sites={n_sites} exceeds the qubit cap {QUBIT_CAP}")
     meta = long_range_tables(n_sites, nu, pair_curves, site_curves, coupling)
-    dim = 2**n_sites
-
-    def pair_terms(stage, channel):
-        for (i, j, ch, gamma_p, mag, curve) in meta["pair_table"]:
-            if (gamma_p, ch) == (stage, channel):
-                yield mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], n_sites), curve
-
-    terms = [OperatorCurve(pair_terms(gamma_p, ch), dim=dim)
-             for gamma_p in range(1, meta["n_stages"] + 1) for ch in meta["channels"]]
+    by_term = {(g, ch): [] for g in range(1, meta["n_stages"] + 1) for ch in meta["channels"]}
+    for (i, j, ch, gamma_p, mag, curve) in meta["pair_table"]:
+        by_term[gamma_p, ch].append((mag, [(i, ch[0]), (j, ch[1])], curve))
+    terms = [OperatorCurve.from_paulis(n_sites, strings) for strings in by_term.values()]
     if meta["site_table"]:
-        terms.append(OperatorCurve(
-            ((embed_pauli_string([(i, sigma)], n_sites), curve)
-             for (i, sigma, curve) in meta["site_table"]), dim=dim))
+        terms.append(OperatorCurve.from_paulis(
+            n_sites, [(1.0, [(i, sigma)], curve) for (i, sigma, curve) in meta["site_table"]]))
     return Hamiltonian(terms, metadata=meta)
 
 
@@ -330,10 +326,12 @@ def model_from_descriptor(desc: dict, field: str = "model") -> Hamiltonian:
     if not isinstance(desc, dict):
         raise SchemaError(field, "expected a model descriptor object")
     kind = one_of(desc.get("model"), f"{field}.model", ("custom", "nn-chain", "long-range"))
+    n = integer(required(desc, "N", field), f"{field}.N", 1 if kind == "custom" else 2)
+    if n > QUBIT_CAP:  # before any list or array sized by N
+        raise SchemaError(f"{field}.N", f"N={n} exceeds the qubit cap {QUBIT_CAP}")
     if kind == "custom":
-        return _custom_from_descriptor(desc, field)
+        return _custom_from_descriptor(desc, field, n)
     if kind == "nn-chain":
-        n = integer(required(desc, "N", field), f"{field}.N", 2)
         bond = curve_from_descriptor(required(desc, "bond_curve", field),
                                      f"{field}.bond_curve")
         field_curve = None
@@ -351,7 +349,6 @@ def model_from_descriptor(desc: dict, field: str = "model") -> Hamiltonian:
             return build_driven_chain(n, bond, field_curve, paulis, field_pauli, boundary)
         except InvalidInputError as exc:
             raise SchemaError(field, str(exc)) from exc
-    n = integer(required(desc, "N", field), f"{field}.N", 2)
     nu = number(required(desc, "nu", field), f"{field}.nu")
     pair_curves = {one_of(ch, f"{field}.pair_curves.{ch}", _CHANNELS):
                    curve_from_descriptor(d, f"{field}.pair_curves.{ch}")
@@ -370,12 +367,14 @@ def model_from_descriptor(desc: dict, field: str = "model") -> Hamiltonian:
         raise SchemaError(field, str(exc)) from exc
 
 
-def _custom_from_descriptor(desc: dict, field: str) -> Hamiltonian:
-    n = integer(required(desc, "N", field), f"{field}.N", 1)
+def _custom_from_descriptor(desc: dict, field: str, n: int) -> Hamiltonian:
     raw_terms = required(desc, "terms", field, list)
     if not raw_terms:
         raise SchemaError(f"{field}.terms", "expected a non-empty list")
-    seen: dict[int, tuple] = {}
+    budget = desc.get("derivative_budget")
+    if budget is not None:
+        integer(budget, f"{field}.derivative_budget", 0)
+    seen: dict[int, OperatorCurve] = {}
     for idx, entry in enumerate(raw_terms):
         term_field = f"{field}.terms[{idx}]"
         if not isinstance(entry, dict):
@@ -393,17 +392,11 @@ def _custom_from_descriptor(desc: dict, field: str) -> Hamiltonian:
         curve = curve_from_descriptor(required(entry, "curve", term_field),
                                       f"{term_field}.curve")
         try:
-            mat = embed_pauli_string(sites, n)
+            seen[gamma] = OperatorCurve.from_paulis(n, [(1.0, sites, curve)], budget)
         except InvalidInputError as exc:
             raise SchemaError(f"{term_field}.paulis", str(exc)) from exc
-        seen[gamma] = (mat, curve)
     labels = sorted(seen)
     if labels != list(range(1, len(labels) + 1)):
         raise SchemaError(f"{field}.terms",
                           f"gamma labels must be 1..{len(labels)}, got {labels}")
-    budget = desc.get("derivative_budget")
-    if budget is not None:
-        integer(budget, f"{field}.derivative_budget", 0)
-    terms = [OperatorCurve([seen[g]], derivative_budget=budget) for g in labels]
-    return Hamiltonian(terms, metadata={"model": "custom", "n_sites": n,
-                                        "local_gate_counts": [1] * len(labels)})
+    return Hamiltonian([seen[g] for g in labels], metadata={"model": "custom", "n_sites": n})

@@ -62,7 +62,7 @@ def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
     layers = suzuki_plan(p, ham.n_terms, EXACT).n_layers
     coeff = 3.0 * layers**order * alpha
     r = choose_trotter_steps(lambda tau: coeff * tau**order, t, eps, power=p)
-    per_step = layers * sum(meta["local_gate_counts"])
+    per_step = layers * sum(len(strings) for term in ham.terms for strings in term.paulis)
     return {"model": meta.get("model", "?"), "N": meta.get("n_sites"),
             "t": t, "eps": eps, "p": p, "r": r, "gates": r * per_step,
             "gates_per_step": per_step, "alpha": alpha, "bound_kind": "measured-alpha",

@@ -7,15 +7,16 @@ so each walk node is block-diagonal in the joint eigenspaces (sectors) of a
 commuting set of such symmetries, and its spectral norm is the largest norm
 of its blocks.
 
-``find_symmetries`` tests candidates exactly (``np.array_equal``, no
-tolerance): translation of the chain by the fewest sites that works, then
-the Pauli parities prod Z, prod X and prod Y, each kept when it commutes
-with every term and with the symmetries kept before it; ``linalg`` builds
-both kinds (a parity is the string with one label on every site).  A term
-is tested through its summands, each already the sum of the local pieces
-that share one curve (see ``models.OperatorCurve``), because only those sums
-need be invariant: a translation maps one bond to another.  At most two
-parities are kept, since any two of them give the third.
+``find_symmetries`` tests candidates exactly on the Pauli strings of each
+summand sum_k c_k P_k (``models.OperatorCurve.paulis``): only these sums
+share a curve, so only they need be invariant, as a translation maps one
+bond to another.  Distinct strings are linearly independent, so a chain
+translation (the fewest sites that works) holds when it maps each summand's
+strings, repeats merged, onto themselves with equal coefficients.  The
+parity prod L (label L on every site) holds when every string has an even
+number of sites with another label.  prod Z prod X = (-1)^N prod X prod Z,
+so two parities commute only on an even chain, where any two give the
+third: at most two are kept on an even chain, one on an odd chain.
 
 ``project`` builds each sector's orthonormal basis from orbit
 representatives (Sandvik, arXiv:1101.3281): the basis vector of
@@ -23,7 +24,7 @@ representative r in the sector of character lambda is the normalised sum
 over group elements g of conj(lambda(g)) g|r>, and r belongs to the sector
 when its stabiliser's phases agree with lambda.  Since A commutes with
 every g, a block entry needs only entries of A in the representatives'
-rows:
+rows, which ``project`` fills from the strings:
 
     B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / sqrt(s_r s_r')
 
@@ -37,10 +38,11 @@ which makes them exactly Hermitian for the walk's Hermitian fast path.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 import numpy as np
 
-from .linalg import pauli_permutation, translation_permutation
+from .linalg import pauli_permutation, pauli_sum, translation_permutation
 
 # Smallest dimension that takes the sector walk.  Measured on alpha_com of
 # order 3 on the driven periodic chain (2 cores): dimension 32 wins 1.5x at
@@ -70,43 +72,35 @@ def _compose(g, h):
     return g[0][h[0]], h[1] * g[1][h[0]]
 
 
-def _commutes(sym, a: np.ndarray, nonzero) -> bool:
-    """S A S† == A, exactly.  (S A S†)[perm b, perm c] = phase b conj(phase c)
-    A[b, c], and S maps positions one to one, so comparing at the nonzero
-    entries of A suffices."""
-    perm, phase = sym
-    rows, cols = nonzero
-    return np.array_equal(a[perm[rows], perm[cols]],
-                          phase[rows] * phase[cols].conj() * a[rows, cols])
-
-
-def _same(g, h) -> bool:
-    return np.array_equal(g[0], h[0]) and np.array_equal(g[1], h[1])
-
-
 # ---------------------------------------------------------------------------
 # Detection and projection
 # ---------------------------------------------------------------------------
 
-def find_symmetries(matrices: list[np.ndarray], n_sites: int) -> list[tuple]:
+def find_symmetries(paulis: list[list], n_sites: int) -> list[tuple]:
     """Mutually commuting signed permutations, each with its order, that
-    commute exactly with every one of ``matrices``: [(perm, phase, order)]."""
-    nonzeros = [np.nonzero(a) for a in matrices]
+    commute exactly with every summand sum_k c_k P_k of ``paulis`` (one
+    list of (c_k, sites of P_k) pairs per summand): [(perm, phase, order)]."""
+    tables = []
+    for strings in paulis:
+        table = defaultdict(int)
+        for coef, sites in strings:  # a repeated string adds to its coefficient
+            table[frozenset(sites)] += coef
+        tables.append({key: coef for key, coef in table.items() if coef})
 
-    def holds(sym):
-        return all(_commutes(sym, a, nz) for a, nz in zip(matrices, nonzeros))
+    def shifted(table, shift):
+        return {frozenset(((i + shift) % n_sites, label) for i, label in key): coef
+                for key, coef in table.items()}
 
     found = []
     for shift in range(1, n_sites):
-        if n_sites % shift == 0 and holds(sym := translation_permutation(n_sites, shift)):
-            found.append((*sym, n_sites // shift))
+        if n_sites % shift == 0 and all(shifted(t, shift) == t for t in tables):
+            found.append((*translation_permutation(n_sites, shift), n_sites // shift))
             break
     parities = 0
     for label in "ZXY":
-        sym = pauli_permutation([(i, label) for i in range(n_sites)], n_sites)
-        if (parities < 2 and holds(sym)
-                and all(_same(_compose(sym, g[:2]), _compose(g[:2], sym)) for g in found)):
-            found.append((*sym, 2))
+        if parities < 2 - n_sites % 2 and all(
+                sum(other != label for _, other in key) % 2 == 0 for t in tables for key in t):
+            found.append((*pauli_permutation([(i, label) for i in range(n_sites)], n_sites), 2))
             parities += 1
     return found
 
@@ -144,9 +138,11 @@ def _sector_bases(generators, dim: int):
     return perms, phases, bases
 
 
-def project(terms, n_sites: int) -> Sectors:
-    """The terms as sector blocks, or as one sector when they share no symmetry."""
-    generators = find_symmetries([a for term in terms for a, _ in term.summands], n_sites)
+def project(terms) -> Sectors:
+    """The terms, each carrying its Pauli strings, as sector blocks, or as one
+    sector when they share no symmetry."""
+    n_sites = terms[0].dim.bit_length() - 1
+    generators = find_symmetries([p for term in terms for p in term.paulis], n_sites)
     if not generators:
         return Sectors(terms, [2**n_sites])
     perms, phases, bases = _sector_bases(generators, 2**n_sites)
@@ -155,12 +151,13 @@ def project(terms, n_sites: int) -> Sectors:
     out = []
     for term in terms:
         projected = []
-        for a, curve in term.summands:
+        for strings, (_, curve) in zip(term.paulis, term.summands):
             blocks = np.zeros((len(bases), size, size), dtype=np.complex128)
             for k, (conj_chars, reps, stab_size) in enumerate(bases):
                 # B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / ...
+                a_reps = pauli_sum(strings, n_sites, reps)               # A[reps]
                 coeff = conj_chars[:, None] * phases[:, reps]            # (|G|, m)
-                block = np.einsum("rgs,gs->rs", a[reps][:, perms[:, reps]], coeff)
+                block = np.einsum("rgs,gs->rs", a_reps[:, perms[:, reps]], coeff)
                 blocks[k, :len(reps), :len(reps)] = block / np.sqrt(
                     np.outer(stab_size, stab_size))
             if term.is_hermitian:

@@ -216,7 +216,8 @@ def test_criterion_07_scaling_exponents():
         r = choose_trotter_steps(lambda tau: coeff * tau ** (p + 1), t_sim, eps,
                                  power=p)
         alphas.append(alpha)
-        gates.append(r * plan.n_layers * sum(ham.metadata["local_gate_counts"]))
+        n_strings = sum(len(strings) for term in ham.terms for strings in term.paulis)
+        gates.append(r * plan.n_layers * n_strings)
     alpha_slope = np.polyfit(np.log(ns), np.log(alphas), 1)[0]
     gate_slope = np.polyfit(np.log(ns), np.log(gates), 1)[0]
     assert abs(alpha_slope - 1.0) <= 0.2, alpha_slope

@@ -14,10 +14,9 @@ from tdpf.curves import ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import (BudgetExceededError, InvalidInputError,
                          OutOfRegimeError, UnsupportedOrderError)
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.linalg import (PAULI, embed_pauli_string, pauli_permutation, spectral_norm,
-                         translation_permutation)
-from tdpf.models import Hamiltonian, OperatorCurve, build_long_range
-from tdpf.sectors import MIN_DIM, find_symmetries
+from tdpf.linalg import PAULI, pauli_permutation, spectral_norm, translation_permutation
+from tdpf.models import Hamiltonian, OperatorCurve, build_driven_chain, build_long_range
+from tdpf.sectors import MIN_DIM, _compose, _sector_bases, find_symmetries
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -494,11 +493,16 @@ class TestGridMax:
         assert (val, arg) == (1.5, 0.5)
 
 
-# The sector walk against the dense walk.  Hamiltonian(ham.terms) drops the
-# model metadata, so its one sector is the whole space and holds the same terms.
+# The sector walk against the dense walk.
 
 def dense_copy(ham):
-    return Hamiltonian(ham.terms)
+    """The model rebuilt from its terms' summands alone: with no Pauli strings
+    it stays one sector, so the walk runs on the dense terms."""
+    dense = Hamiltonian([OperatorCurve(t.summands, dim=t.dim,
+                                       derivative_budget=t.derivative_budget)
+                         for t in ham.terms])
+    assert dense.sectors.count == 1
+    return dense
 
 
 SECTOR_MODELS = {
@@ -518,8 +522,8 @@ TAUS = np.array([0.11, 0.37])
 
 
 def symmetries(ham):
-    matrices = [a for term in ham.terms for a, _ in term.summands]
-    return find_symmetries(matrices, ham.metadata["n_sites"])
+    return find_symmetries([p for term in ham.terms for p in term.paulis],
+                           ham.metadata["n_sites"])
 
 
 def z_parity(n):
@@ -554,17 +558,19 @@ class TestSectorWalk:
 
     def test_dense_copy_is_one_sector_of_its_own_terms(self):
         ham = driven_chain(6, "periodic")
-        dense = dense_copy(ham).sectors
+        copy = dense_copy(ham)
+        dense = copy.sectors
         assert dense.count == 1 and dense.sizes == [ham.dim] and dense.size == ham.dim
-        assert all(got is term for got, term in zip(dense.terms, ham.terms))
+        assert all(got is term for got, term in zip(dense.terms, copy.terms))
         assert len(dense.terms) == ham.n_terms
+        assert all(term.paulis is None for term in copy.terms)
 
     def test_extension_keeps_the_translation_split(self):
         ham = driven_chain(6, "periodic")
         assert ham.sectors.count == ham.extended(0.1, 1).sectors.count == 6
         t, j = 0.02, 1  # alpha_com t < 1/2
         assert ham.extended(t, 2 * j - 1).sectors.count == 6
-        dense = Hamiltonian(ham.terms)
+        dense = dense_copy(ham)
         assert dense.extended(t, 2 * j - 1).sectors.count == 1
         got = mpf_bound(ham, t, j, 1.0, grid_points=5).extra["alpha_global"]
         want = mpf_bound(dense, t, j, 1.0, grid_points=5).extra["alpha_global"]
@@ -595,38 +601,60 @@ class TestSectorWalk:
 
     def test_a_tiny_change_removes_the_symmetry(self):
         ham = driven_chain(6, "periodic")
-        (bonds, bond_curve), (fields, field_curve) = ham.terms[1].summands
-        # one entry of the bond group 1.0 -> 1 - 1e-16 breaks translation, not parity
-        bond = bonds.copy()
-        assert bond[0, 24] == 1.0  # bond (1, 2) flips sites 1 and 2 of |000000>
-        bond[0, 24] -= 1e-16
-        assert bond[0, 24] != 1.0
-        nudged = Hamiltonian([ham.terms[0], OperatorCurve(
-            [(bond, bond_curve), (fields, field_curve)])], metadata=ham.metadata)
+        bond_curve, field_curve = (c for _, c in ham.terms[1].summands)
+        bonds, fields = ham.terms[1].paulis
+
+        def with_term2(strings):
+            term = OperatorCurve.from_paulis(6, strings)
+            return Hamiltonian([ham.terms[0], term], metadata=ham.metadata)
+
+        # one bond coefficient 1.0 -> 1 - 1e-16 breaks translation, not parity
+        (coef, sites), *rest = bonds
+        nudged_coef = coef - 1e-16
+        assert nudged_coef != 1.0
+        nudged = with_term2([(nudged_coef, sites, bond_curve)]
+                            + [(c, s, bond_curve) for c, s in rest]
+                            + [(c, s, field_curve) for c, s in fields])
         (parity,) = symmetries(nudged)
         assert same_symmetry(parity, (*z_parity(6), 2))
-        # 1e-16 between states of opposite parity breaks every symmetry
-        field = fields.copy()
-        field[0, 1] = 1e-16
-        broken = Hamiltonian([ham.terms[0], OperatorCurve(
-            [(bonds, bond_curve), (field, field_curve)])], metadata=ham.metadata)
+        # a 1e-16 X string on one site breaks every symmetry
+        broken = with_term2([(c, s, bond_curve) for c, s in bonds]
+                            + [(c, s, field_curve) for c, s in fields]
+                            + [(1e-16, [(0, "X")], field_curve)])
         assert symmetries(broken) == []
         assert broken.sectors.count == 1
         assert alpha_com(broken, 3, 0.2) == alpha_com(dense_copy(broken), 3, 0.2)
 
+    def test_repeated_strings_are_merged_before_the_translation_test(self):
+        ham = driven_chain(6, "periodic")
+        bond_curve, field_curve = (c for _, c in ham.terms[1].summands)
+        bonds, fields = ham.terms[1].paulis
+        (coef, sites), *rest = bonds
+        # one bond written as two halves: the summed matrix is the same
+        halves = [(coef / 2, sites, bond_curve), (coef / 2, sites, bond_curve)]
+        split = Hamiltonian([ham.terms[0], OperatorCurve.from_paulis(
+            6, halves + [(c, s, bond_curve) for c, s in rest]
+            + [(c, s, field_curve) for c, s in fields])], metadata=ham.metadata)
+        for got, want in zip(split.terms[1].summands, ham.terms[1].summands):
+            np.testing.assert_array_equal(got[0], want[0])
+        assert len(symmetries(split)) == len(symmetries(ham)) == 2
+        for got, want in zip(symmetries(split), symmetries(ham)):
+            assert same_symmetry(got, want)
+        assert split.sectors.count == ham.sectors.count == 6
+
     def test_term_vanishing_in_a_sector_stays_in_its_walk(self):
         # B = X0 X1 - Y0 Y1 Z2 Z3 Z4 = X0 X1 (1 + prod Z) is zero at odd parity
         n = 5
-        xx = embed_pauli_string([(0, "X"), (1, "X")], n)
-        yyzzz = embed_pauli_string(
-            [(0, "Y"), (1, "Y"), (2, "Z"), (3, "Z"), (4, "Z")], n)
-        field = sum(embed_pauli_string([(i, "Z")], n) for i in range(n))
+        drive = TrigCurve(0.6, 1.4, offset=0.3)
+        field = TrigCurve(0.8, 3.1)
         ham = Hamiltonian([
-            OperatorCurve([(xx - yyzzz, TrigCurve(0.6, 1.4, offset=0.3))]),
-            OperatorCurve([(field, TrigCurve(0.8, 3.1))]),
-            OperatorCurve([(embed_pauli_string([(1, "X"), (2, "X")], n),
-                            TrigCurve(0.5, 2.0, offset=1.0))]),
-        ], metadata={"model": "nn-chain", "n_sites": n})
+            OperatorCurve.from_paulis(n, [
+                (1.0, [(0, "X"), (1, "X")], drive),
+                (-1.0, [(0, "Y"), (1, "Y"), (2, "Z"), (3, "Z"), (4, "Z")], drive)]),
+            OperatorCurve.from_paulis(n, [(1.0, [(i, "Z")], field) for i in range(n)]),
+            OperatorCurve.from_paulis(n, [(1.0, [(1, "X"), (2, "X")],
+                                           TrigCurve(0.5, 2.0, offset=1.0))]),
+        ])
         blocks = ham.sectors.terms[0].values([0.3]).reshape(
             ham.sectors.count, ham.sectors.size, ham.sectors.size)
         zero = [not np.any(b) for b in blocks]
@@ -641,17 +669,20 @@ class TestSectorWalk:
         alpha_com(ham, 3, 0.2)
         assert ham.sectors.count > 1 and flags and all(flags)
 
-    def test_custom_and_small_models_never_enter_the_sector_code(self, monkeypatch):
+    def test_small_models_skip_and_custom_models_take_the_sector_code(self, monkeypatch):
         calls = []
         real = models.project
 
-        def spy(terms, n_sites):
-            calls.append(n_sites)
-            return real(terms, n_sites)
+        def spy(terms):
+            calls.append(terms[0].dim)
+            return real(terms)
 
         monkeypatch.setattr(models, "project", spy)
         small = driven_chain(4, "periodic")
         assert small.dim < MIN_DIM
+        alpha_com(small, 3, 0.2)
+        assert small.sectors.count == 1
+        assert calls == []
         custom = models.model_from_descriptor({
             "model": "custom", "N": 5, "terms": [
                 {"gamma": 1, "paulis": [[0, "X"], [1, "X"]], "curve": {"kind": "constant",
@@ -659,12 +690,138 @@ class TestSectorWalk:
                 {"gamma": 2, "paulis": [[0, "Z"]], "curve": {"kind": "trig", "amp": 0.8,
                                                              "omega": 3.1}}]})
         assert custom.dim >= MIN_DIM
-        for ham in (small, custom):
-            alpha_com(ham, 3, 0.2)
-            assert ham.sectors.count == 1
-        assert calls == []
-        at_min = driven_chain(5, "periodic")  # built, not yet walked: no detection
-        assert calls == []
+        assert calls == []  # built, not yet walked: no detection
+        (parity,) = symmetries(custom)
+        assert same_symmetry(parity, (*z_parity(5), 2))
+        for p in (1, 2):
+            assert alpha_com(custom, p + 1, 0.2) == pytest.approx(
+                alpha_com(dense_copy(custom), p + 1, 0.2), rel=1e-12)
+        assert custom.sectors.count == 2
+        assert calls == [32]  # detected once, at the first walk
+        at_min = driven_chain(5, "periodic")
+        assert calls == [32]
         alpha_com(at_min, 3, 0.2)
         alpha_com(at_min, 2, 0.3)
-        assert calls == [5]  # detected once, at the first walk
+        assert calls == [32, 32]
+
+
+# ---------------------------------------------------------------------------
+# Reference: symmetries and blocks read from the dense summed matrices
+# ---------------------------------------------------------------------------
+
+def _dense_commutes(sym, a, nonzero):
+    """S A S† == A, exactly, compared at the nonzero entries of A."""
+    perm, phase = sym
+    rows, cols = nonzero
+    return np.array_equal(a[perm[rows], perm[cols]],
+                          phase[rows] * phase[cols].conj() * a[rows, cols])
+
+
+def dense_symmetries(matrices, n_sites):
+    """The generators found on the summed matrices, candidate by candidate."""
+    nonzeros = [np.nonzero(a) for a in matrices]
+
+    def holds(sym):
+        return all(_dense_commutes(sym, a, nz) for a, nz in zip(matrices, nonzeros))
+
+    def same(g, h):
+        return np.array_equal(g[0], h[0]) and np.array_equal(g[1], h[1])
+
+    found = []
+    for shift in range(1, n_sites):
+        if n_sites % shift == 0 and holds(sym := translation_permutation(n_sites, shift)):
+            found.append((*sym, n_sites // shift))
+            break
+    parities = 0
+    for label in "ZXY":
+        sym = pauli_permutation([(i, label) for i in range(n_sites)], n_sites)
+        if (parities < 2 and holds(sym)
+                and all(same(_compose(sym, g[:2]), _compose(g[:2], sym)) for g in found)):
+            found.append((*sym, 2))
+            parities += 1
+    return found
+
+
+def dense_blocks(term, generators, dim):
+    """Each summand's sector blocks, gathered from the rows of its dense sum."""
+    perms, phases, bases = _sector_bases(generators, dim)
+    size = max(len(reps) for _, reps, _ in bases)
+    out = []
+    for a, _ in term.summands:
+        blocks = np.zeros((len(bases), size, size), dtype=np.complex128)
+        for k, (conj_chars, reps, stab_size) in enumerate(bases):
+            coeff = conj_chars[:, None] * phases[:, reps]
+            block = np.einsum("rgs,gs->rs", a[reps][:, perms[:, reps]], coeff)
+            blocks[k, :len(reps), :len(reps)] = block / np.sqrt(
+                np.outer(stab_size, stab_size))
+        if term.is_hermitian:
+            blocks = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
+        out.append(blocks)
+    return out
+
+
+def chain_model(n, boundary, bonds, field):
+    return build_driven_chain(n, TrigCurve(0.3, 2.0, offset=1.0), TrigCurve(0.8, 3.1),
+                              tuple(bonds), field, boundary)
+
+
+def long_range_model(n, channels, fields):
+    curves = [PolynomialCurve([1.0, 0.5, -0.3]), TrigCurve(0.5, 2.0), ConstantCurve(0.7)]
+    sites = {"Z": TrigCurve(0.4, 1.3), "X": ConstantCurve(0.2)}
+    return build_long_range(n, 1.5, dict(zip(channels, curves)),
+                            {f: sites[f] for f in fields} or None)
+
+
+def custom_model(n, strings):
+    one = {"kind": "constant", "value": 1.0}
+    terms = [{"gamma": g + 1, "paulis": [list(p) for p in sites],
+              "curve": dict(one, value=1.0 + 0.25 * g)} for g, sites in enumerate(strings)]
+    return models.model_from_descriptor({"model": "custom", "N": n, "terms": terms})
+
+
+def _reference_cases():
+    cases = {}
+    for n in range(5, 11):
+        for boundary, bonds, field in [("periodic", "XX", "Z"), ("open", "YY", "X"),
+                                       ("periodic", "ZZ", "X"), ("open", "XX", "Z")]:
+            cases[f"chain{n}-{boundary}-{bonds}-{field}"] = (
+                lambda n=n, b=boundary, p=bonds, f=field: chain_model(n, b, p, f))
+        if n % 2 == 0:
+            cases[f"chain{n}-periodic-YZ-Z"] = lambda n=n: chain_model(n, "periodic", "YZ", "Z")
+        for channels, fields in [(("XX", "ZZ", "YY"), "Z"), (("ZZ", "XY"), ""),
+                                 (("XX", "ZZ", "YZ"), "ZX"), (("ZZ",), "")]:
+            cases[f"long-range{n}-{'-'.join(channels)}-fields{fields or 'none'}"] = (
+                lambda n=n, c=channels, f=fields: long_range_model(n, c, f))
+        cases[f"custom{n}-bonds"] = lambda n=n: custom_model(
+            n, [[(0, "X"), (1, "X")], [(0, "Z")], [(1, "Y"), (2, "Y")], [(n - 1, "Z")]])
+        cases[f"custom{n}-all-z"] = lambda n=n: custom_model(
+            n, [[], [(i, "Z") for i in range(n)]])
+        # every parity commutes with both strings; on an odd chain they
+        # anticommute with each other, so only one is kept
+        cases[f"custom{n}-xx-zz"] = lambda n=n: custom_model(
+            n, [[(0, "X"), (1, "X")], [(1, "Z"), (2, "Z")]])
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+class TestStringsMatchDenseReference:
+    """Symmetries and sector blocks read from the Pauli strings equal, bit for
+    bit, those read from the dense summed matrices."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_same_generators_and_blocks(self, case):
+        ham = REFERENCE_CASES[case]()
+        n = ham.dim.bit_length() - 1
+        want = dense_symmetries([a for t in ham.terms for a, _ in t.summands], n)
+        got = symmetries(ham)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_symmetry(g, w)
+        if not want:
+            assert ham.sectors.count == 1
+            return
+        for projected, term in zip(ham.sectors.terms, ham.terms):
+            for (blocks, _), ref in zip(projected.summands, dense_blocks(term, want, ham.dim)):
+                assert np.array_equal(blocks, ref)

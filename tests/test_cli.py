@@ -562,7 +562,9 @@ class TestPlumbing:
          "site_curves": {"Z": ONE}},
         {"model": "custom", "N": 13, "terms": [{"gamma": 1, "paulis": [[0, "X"]],
                                                  "curve": ONE}]},
-    ], ids=["nn-chain", "driven-chain", "long-range", "long-range-site-curves", "custom"])
+        {"model": "custom", "N": 13, "terms": "not a list"},
+    ], ids=["nn-chain", "driven-chain", "long-range", "long-range-site-curves", "custom",
+            "custom-malformed-terms"])
     def test_over_cap_exits_2_before_any_register_array(self, tmp_path, capsys, model):
         cfg = write_config(tmp_path, "cfg.json", {"model": model, "orders": [1],
                                                   "times": [0.01]})
@@ -573,7 +575,8 @@ class TestPlumbing:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "qubit cap 12" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "qubit cap 12" in err and "model.N:" in err
         assert peak < 2**13 * 8  # less than one int64 entry per basis state of 13 qubits
 
     def test_bound_source_checked_before_any_model(self, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -8,8 +9,8 @@ import pytest
 from conftest import random_matrix
 from tdpf.errors import InvalidInputError
 from tdpf.linalg import (PAULI, commutator, dagger, embed_pauli_string,
-                         matrix_exp, matrix_exps, pauli_permutation, spectral_norm,
-                         spectral_norms)
+                         matrix_exp, matrix_exps, pauli_permutation, pauli_sum,
+                         spectral_norm, spectral_norms)
 from tdpf.sectors import _compose
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
@@ -253,6 +254,26 @@ class TestEmbedPauliString:
         want = (embed_pauli_string([(0, "Y"), (2, "X"), (3, "Z")], n)
                 @ embed_pauli_string([(0, "X"), (1, "Y"), (3, "Y")], n))
         assert np.array_equal(gh, want)
+
+    def test_sum_adds_each_string_in_order(self):
+        strings = [(0.3, [(0, "X"), (1, "X")]), (-1.7, [(0, "Y"), (1, "Y")]),
+                   (0.3, [(0, "X"), (1, "X")]), (2.5, [(2, "Z")]), (0.1j, [])]
+        want = np.zeros((8, 8), dtype=np.complex128)
+        for coef, sites in strings:
+            want = want + coef * embed_pauli_string(sites, 3)
+        assert np.array_equal(pauli_sum(strings, 3), want)
+
+    def test_sum_checks_every_string_before_its_register_array(self):
+        # a bad last string fails before the 4^12-entry (256 MiB) array exists
+        strings = [(1.0, [(i, "Z")]) for i in range(12)] + [(1.0, [(0, "W")])]
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="unknown Pauli label"):
+                pauli_sum(strings, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**12 * 16 * 40  # the strings' signed permutations alone
 
     @pytest.mark.parametrize("sites,n,message", [
         ([(0, "X")], 0, ">= 1"),

@@ -9,10 +9,15 @@ from tdpf.curves import ConstantCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import InvalidInputError, SchemaError
 from tdpf.linalg import PAULI, commutator, embed_pauli_string, spectral_norm
 from tdpf.cli import _model_from_config
-from tdpf.models import (OperatorCurve, build_long_range, build_nn_chain,
+from tdpf.models import (Hamiltonian, OperatorCurve, build_long_range, build_nn_chain,
                          long_range_tables, model_from_descriptor)
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
+
+
+def string_counts(ham):
+    """The number of Pauli strings (local gates) in each term."""
+    return [sum(len(strings) for strings in term.paulis) for term in ham.terms]
 
 
 class TestOperatorCurve:
@@ -100,6 +105,43 @@ class TestOperatorCurve:
     def test_scaled(self):
         oc = OperatorCurve([(X, ConstantCurve(2.0))])
         assert np.allclose(oc.scaled(1 - 0.1j).value(0.0), (1 - 0.1j) * 2.0 * X)
+        assert oc.paulis is None and oc.scaled(2.0).paulis is None
+
+
+class TestFromPaulis:
+    def test_one_summand_per_curve_in_order_of_first_appearance(self):
+        f, g = TrigCurve(0.5, 1.7), ConstantCurve(0.3)
+        term = OperatorCurve.from_paulis(3, [(0.5, [(0, "X"), (1, "X")], f),
+                                             (2.0, [(2, "Z")], g),
+                                             (-1.5, [(1, "Y"), (2, "Y")], f)])
+        assert [c for _, c in term.summands] == [f, g]
+        assert term.paulis == [[(0.5, [(0, "X"), (1, "X")]), (-1.5, [(1, "Y"), (2, "Y")])],
+                               [(2.0, [(2, "Z")])]]
+        want_f = (0.5 * embed_pauli_string([(0, "X"), (1, "X")], 3)
+                  - 1.5 * embed_pauli_string([(1, "Y"), (2, "Y")], 3))
+        np.testing.assert_array_equal(term.summands[0][0], want_f)
+        np.testing.assert_array_equal(term.summands[1][0],
+                                      2.0 * embed_pauli_string([(2, "Z")], 3))
+        assert term.is_hermitian and term.dim == 8
+
+    def test_no_strings_is_a_zero_term_of_explicit_dim(self):
+        zero = OperatorCurve.from_paulis(3, [])
+        assert zero.is_zero and zero.dim == 8 and zero.shape == (8, 8)
+        assert zero.summands == [] and zero.paulis == []
+        ham = driven_chain(6, "periodic")
+        with_zero = Hamiltonian(list(ham.terms) + [OperatorCurve.from_paulis(6, [])])
+        assert with_zero.sectors.count == ham.sectors.count == 6
+
+    def test_scaled_and_extended_carry_the_strings(self):
+        term = driven_chain(5, "periodic").terms[1]
+        scaled = term.scaled(1 - 0.1j)
+        assert scaled.paulis == [[((1 - 0.1j) * c, s) for c, s in group]
+                                 for group in term.paulis]
+        assert term.extended(0.3, 1).paulis is term.paulis
+
+    def test_derivative_budget(self):
+        term = OperatorCurve.from_paulis(1, [(1.0, [(0, "X")], TrigCurve(1.0, 1.0))], 3)
+        assert term.derivative_budget == 3
 
 
 class TestNnChain:
@@ -150,7 +192,7 @@ class TestNnChain:
     def test_odd_ring_with_equal_paulis_keeps_its_split(self):
         # the alpha-large benchmark's N = 7 periodic XX chain
         ham = driven_chain(7, "periodic")
-        assert ham.metadata["local_gate_counts"] == [4, 10]
+        assert string_counts(ham) == [4, 10]
 
     def test_periodic_boundary(self):
         ham = build_nn_chain(4, ConstantCurve(1.0), boundary="periodic")
@@ -209,14 +251,14 @@ class TestOneSummandPerCurve:
         ham = driven_chain(5)
         assert [len(t.summands) for t in ham.terms] == [1, 2]
         bonds = ham.metadata["bonds"]
-        assert ham.metadata["local_gate_counts"] == [len(bonds[0::2]), len(bonds[1::2]) + 5]
+        assert string_counts(ham) == [len(bonds[0::2]), len(bonds[1::2]) + 5]
 
     def test_nn_chain_with_a_curve_per_bond(self):
         curves = [TrigCurve(0.3, 2.0, offset=k) for k in range(6)]
         ham = build_nn_chain(6, curves, boundary="periodic")
         assert [len(t.summands) for t in ham.terms] == [3, 3]
         assert [c for t in ham.terms for _, c in t.summands] == curves[0::2] + curves[1::2]
-        assert ham.metadata["local_gate_counts"] == [3, 3]
+        assert string_counts(ham) == [3, 3]
 
     def test_long_range(self):
         site = {"Z": TrigCurve(0.4, 1.3), "X": ConstantCurve(0.2)}
@@ -226,7 +268,7 @@ class TestOneSummandPerCurve:
         tables = ham.metadata
         pairs = [sum(1 for row in tables["pair_table"] if row[2:4] == (ch, stage))
                  for stage in (1, 2, 3) for ch in ("XX", "YZ")]
-        assert tables["local_gate_counts"] == pairs + [len(tables["site_table"])] == \
+        assert string_counts(ham) == pairs + [len(tables["site_table"])] == \
             [4, 4, 4, 4, 2, 2, 10]
 
     def test_values_match_the_literal_sum_of_local_pieces(self):

@@ -99,7 +99,7 @@ class TestGateCounts:
         custom = Hamiltonian(
             [OperatorCurve([(PAULI["X"], ConstantCurve(1.0))]),
              OperatorCurve([(PAULI["Z"], ConstantCurve(0.5))])],
-            metadata={"model": "custom", "local_gate_counts": [1, 1]})
+            metadata={"model": "custom"})
         with pytest.raises(InvalidInputError):
             gate_count_pf(custom, 0.2, 1e-2, 2, grid_points=3, refine_iters=2)
 
