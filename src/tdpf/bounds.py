@@ -22,9 +22,10 @@ every node is a (B * S, m, m) stack of S sectors zero-padded to the
 largest size m, tau-major, walked in the same order in every sector, and a
 leaf's norm is the largest of its S block norms, taken before the per-tau
 fsum.  A term that vanishes in a sector stays in that sector's walk as a
-zero block.  A model with no sector split (a custom model, one of dimension
-under ``sectors.MIN_DIM``, or one with no exact symmetry) is its own single
-sector, S = 1 and m = dim, and walks its own terms.
+zero block.  A model with no sector split (one of dimension under
+``sectors.MIN_DIM``, one with a term given as matrices, or one with no exact
+symmetry) is its own single sector, S = 1 and m = dim, and walks its own
+terms.
 
 When every live term is Hermitian (decided from its matrices, never from
 the Hamiltonian's flag), every node is i^k times a Hermitian matrix: a step
@@ -36,8 +37,8 @@ The sector blocks of a Hermitian term are made exactly Hermitian too.  Any
 other step, or a non-Hermitian term, takes the general A†A path.
 
 Maxima over tau come from grid_max, which hands its function an array of
-points per call: the whole grid, then the two first golden-section probes,
-then one point per refinement step.
+points per call: the whole grid, then, in each halving round, the midpoints
+of the two intervals next to the best sample so far (one at an endpoint).
 
 Only the first-order and non-unitary bounds integrate adaptively; they
 import ``scipy.integrate`` when called, so the other bounds never load it.
@@ -55,8 +56,6 @@ from .errors import (BudgetExceededError, InvalidInputError, OutOfRegimeError,
 from .formulas import EXACT, StagePlan
 from .linalg import BATCH_ENTRIES, spectral_norm, spectral_norms
 from .models import Hamiltonian
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _QUAD_EPSABS = 1e-8  # absolute error target of both adaptive quadratures
 
@@ -205,42 +204,32 @@ class BoundReport:
 
 def grid_max(fn, lo: float, hi: float, n_points: int = 65,
              refine_iters: int = 30) -> tuple[float, float]:
-    """(max, argmax) of fn over [lo, hi]: uniform grid plus golden-section
-    refinement around the grid argmax.  A sampled maximum is a lower bound on
-    the true one, which reports flag via the grid_size field.
+    """(max, argmax) of fn over [lo, hi] from a uniform grid of n_points (at
+    least 2) and up to refine_iters halving rounds.  Each round splits the
+    two intervals next to the best sample so far at their midpoints.  A
+    sampled maximum is a lower bound on the true one, which reports flag via
+    the grid_size field.
 
     fn maps a 1-D array of points to the array of its values.  The grid is
-    one call, the first two golden-section probes are one call, and each
-    refinement step is one call with a single point."""
+    one call (one point when hi == lo); each round is one call with two
+    midpoints, or one when the best sample is an endpoint."""
     if hi < lo:
         raise InvalidInputError("empty maximization interval")
     if hi == lo:
         return float(fn(np.array([lo]))[0]), lo
+    if n_points < 2:
+        raise InvalidInputError(f"n_points must be >= 2 when hi > lo, got {n_points}")
     xs = np.linspace(lo, hi, n_points)
     vals = fn(xs)
-    k = int(np.argmax(vals))
-    best_val, best_x = float(vals[k]), float(xs[k])
-    if refine_iters == 0:
-        return best_val, best_x
-    a = float(xs[max(k - 1, 0)])
-    b = float(xs[min(k + 1, n_points - 1)])
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = (float(v) for v in fn(np.array([x1, x2])))
     for _ in range(refine_iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = float(fn(np.array([x2]))[0])
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = float(fn(np.array([x1]))[0])
-        if f1 > best_val:
-            best_val, best_x = f1, x1
-        if f2 > best_val:
-            best_val, best_x = f2, x2
-    return best_val, best_x
+        k = int(np.argmax(vals))
+        sides = [j for j in (k - 1, k + 1) if 0 <= j < len(xs)]
+        mids = np.array([(xs[j] + xs[k]) / 2.0 for j in sides])
+        at = [max(j, k) for j in sides]  # each midpoint goes between j and k
+        xs = np.insert(xs, at, mids)
+        vals = np.insert(vals, at, fn(mids))
+    k = int(np.argmax(vals))
+    return float(vals[k]), float(xs[k])
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ class OperatorCurve:
     """Matrix-valued function of time: sum_j A_j f_j(t), differentiable to the
     smallest budget among its scalar curves.
 
-    ``summands`` is any iterable of (matrix, curve) pairs, such as a builder's
-    generator of local terms.  Pairs that share one curve object are summed
-    as they arrive, in input order, so the term keeps one matrix per
-    distinct curve, in order of first appearance: every quantity reads a
-    term only through sum_j A_j f_j.  Every A_j has one shape (..., dim,
+    ``summands`` is any iterable of (matrix, curve) pairs, such as the pieces
+    of every term in ``Hamiltonian.total_curve``; builders go through
+    ``from_paulis``.  Pairs that share one curve object are summed as they
+    arrive, in input order, so the term keeps one matrix per distinct curve,
+    in order of first appearance: every quantity reads a term only through
+    sum_j A_j f_j.  Every A_j has one shape (..., dim,
     dim): a single matrix, or a stack of them such as a term's
     symmetry-sector blocks, all sharing the curve f_j.  ``paulis`` lists
     each A_j as its (coefficient, sites) Pauli strings (see ``from_paulis``);

@@ -52,7 +52,7 @@ def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
     """Trotter steps and local-gate count for one simulation at (t, eps, p).
 
     The commutator factor alpha is measured on the model; its maximum over
-    tau takes ``refine_iters`` golden-section steps.
+    tau takes up to ``refine_iters`` halving rounds (see ``bounds.grid_max``).
     """
     meta = ham.metadata
     form = asymptotic_gate_form(meta, p)  # also rejects unknown model classes

@@ -465,15 +465,70 @@ class TestGridMax:
         assert val == pytest.approx(0.0, abs=1e-6)
 
     def test_batches(self):
+        # the grid, then per round the midpoints on either side of the best
+        # sample: two inside, one when the best sample is the endpoint hi
+        for peak, shapes in [(lambda xs: -(xs - 0.37) ** 2, [9, 2, 2, 2]),
+                             (lambda xs: xs, [9, 1, 1, 1])]:
+            calls = []
+
+            def fn(xs):
+                calls.append(np.array(xs))
+                return peak(xs)
+
+            grid_max(fn, 0.0, 1.0, 9, refine_iters=3)
+            assert [len(c) for c in calls] == shapes
+            np.testing.assert_array_equal(calls[0], np.linspace(0.0, 1.0, 9))
+        # the best sample stays at hi = 1, so each round halves the last interval
+        assert [c[0] for c in calls[1:]] == [0.9375, 0.96875, 0.984375]
+
+    @pytest.mark.parametrize("rounds", [0, 1, 5, 30])
+    @pytest.mark.parametrize("target", [0.37, 0.38])
+    def test_argmax_within_halved_spacing(self, target, rounds):
+        # the grid spacing is h = 1/8; each round halves it next to the best
+        # sample, and targets on both sides of the sample 0.375 need both halves
+        val, arg = grid_max(lambda x: -(x - target) ** 2, 0.0, 1.0, 9, refine_iters=rounds)
+        assert abs(arg - target) <= 0.125 / 2**rounds
+        assert val == -(arg - target) ** 2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_probes_stay_in_the_interval(self, sign):
+        # maximum at hi (sign 1) or at lo (sign -1)
+        lo, hi = -0.3, 0.7
+        probes = []
+
+        def fn(xs):
+            probes.extend(xs)
+            return sign * xs
+
+        val, arg = grid_max(fn, lo, hi, 5, refine_iters=30)
+        assert min(probes) == lo and max(probes) == hi
+        assert len(probes) == 5 + 30
+        assert arg == (hi if sign > 0 else lo)
+        assert val == sign * arg
+
+    @pytest.mark.parametrize("rounds", [1, 4, 30])
+    def test_refinement_never_lowers_the_grid_maximum(self, rounds):
+        def fn(xs):
+            return np.sin(7.0 * xs) + 0.3 * np.cos(19.0 * xs)
+
+        grid_best = float(np.max(fn(np.linspace(0.0, 2.0, 9))))
+        val, arg = grid_max(fn, 0.0, 2.0, 9, refine_iters=rounds)
+        assert val >= grid_best
+        assert val == fn(np.array([arg]))[0]
+
+    def test_one_grid_point_raises(self):
+        with pytest.raises(InvalidInputError, match="n_points must be >= 2"):
+            grid_max(lambda x: x, 0.0, 1.0, 1)
+
+    def test_two_grid_points_sample_both_ends(self):
         calls = []
 
         def fn(xs):
             calls.append(np.array(xs))
-            return -(xs - 0.37) ** 2
+            return xs
 
-        grid_max(fn, 0.0, 1.0, 9, refine_iters=3)
-        assert [len(c) for c in calls] == [9, 2, 1, 1, 1]
-        np.testing.assert_array_equal(calls[0], np.linspace(0.0, 1.0, 9))
+        assert grid_max(fn, 0.0, 1.0, 2, refine_iters=0) == (1.0, 1.0)
+        np.testing.assert_array_equal(calls[0], [0.0, 1.0])
 
     def test_no_refinement_evaluates_the_grid_once(self):
         calls = []
