@@ -3,9 +3,9 @@
 All bounds reduce to weighted sums of spectral norms of nested operators
 D_{s_p} ... D_{s_1} H_gamma(tau), where every step s maps an operator curve X
 to [H_g, X] + c dX/dt (a commutator with a term, a derivative, or both).  One
-depth-first walk builds each operator-sequence prefix once, as the table of
-its value and of the derivatives its continuations still need; derivatives
-pass through commutators by the Leibniz rule, and each term derivative
+walk builds each operator-sequence prefix once, as the table of its value
+and of the derivatives its continuations still need; derivatives pass
+through commutators by the Leibniz rule, and each term derivative
 H_g^(r)(tau) is evaluated once per sum.  A sum of length-p sequences needs
 p derivatives of every term that is not identically zero, so a smaller
 declared derivative budget is an error; zero terms are never differentiated.
@@ -13,9 +13,17 @@ The exact norms of the complete sequences are summed; no symbolic norm
 inequalities are applied below the level of the published bound formulas.
 
 The walk runs on a batch of taus at once: every node is a (B, dim, dim)
-stack, each leaf's norms come from one batched eigensolve, and each tau gets
-its own exactly rounded fsum.  Batches hold at most ``linalg.BATCH_ENTRIES``
-(2^16) stack entries, so large dimensions go one tau at a time.
+stack, and each tau gets its own exactly rounded fsum.  Batches hold at most
+``linalg.BATCH_ENTRIES`` (2^16) stack entries, so large dimensions go one
+tau at a time.  It walks blocks of prefixes, not one prefix: each step maps
+a whole block to its children with one broadcast commutator per Leibniz
+term, the children of consecutive steps are gathered into blocks of up to
+BATCH_ENTRIES / 8 entries, and each leaf block's norms come from one
+batched eigensolve.  A block is cut to one node when one node fills it, and
+a walk then does the work of a depth-first walk of single prefixes.  Every
+node's entries come from the same operations in the same order either way,
+and fsum is exactly rounded, so the order of the leaves does not change a
+sum.
 
 The walk runs on the terms' symmetry-sector blocks (``Hamiltonian.sectors``):
 every node is a (B * S, m, m) stack of S sectors zero-padded to the
@@ -40,8 +48,12 @@ Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then, in each halving round, the midpoints
 of the two intervals next to the best sample so far (one at an endpoint).
 
-Only the first-order and non-unitary bounds integrate adaptively; they
-import ``scipy.integrate`` when called, so the other bounds never load it.
+The first-order and non-unitary bounds integrate over time with one
+globally adaptive Gauss-Kronrod rule, QUADPACK's 21-point qk21 with its
+error estimate: the panel with the largest estimate is halved until the
+estimates sum to at most 1e-8, each new pair of panels is one batched
+integrand call, and a 200-panel cap raises ConvergenceError.  The estimate
+is reported with the bound.
 """
 
 from __future__ import annotations
@@ -51,16 +63,45 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (BudgetExceededError, InvalidInputError, OutOfRegimeError,
-                     UnsupportedOrderError)
+from .errors import (BudgetExceededError, ConvergenceError, InvalidInputError,
+                     OutOfRegimeError, UnsupportedOrderError)
 from .formulas import EXACT, StagePlan
-from .linalg import BATCH_ENTRIES, spectral_norm, spectral_norms
+from .linalg import BATCH_ENTRIES, spectral_norms
 from .models import Hamiltonian
 
 _QUAD_EPSABS = 1e-8  # absolute error target of both adaptive quadratures
+_QUAD_PANELS = 200  # most panels a quadrature may split its interval into
 
 # (-i)^k for k mod 4 = 1, 2, 3
 _UNDO_I_POWER = {1: -1j, 2: -1.0, 3: 1j}
+
+# QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): the 21-point Kronrod
+# abscissae on [0, 1] in decreasing order (odd positions, counted from 0,
+# are the 10-point Gauss abscissae; the last is the centre), their Kronrod
+# weights, and the Gauss weights of the odd positions.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208838483100, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# the 21 nodes on [-1, 1] and their weights, left to right
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2], _GAUSS[11::2] = _WG, _WG[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +140,17 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
         part = batch[lo:lo + chunk]
         # steps use orders < p; only a seed's own table reaches order p
         derivs = {g: [values(g, part, r) for r in range(p)] for g in live}
-        norms = []
+        # nodes per block: a few blocks of every level are alive at once
+        cap = max(1, BATCH_ENTRIES // 8 // (len(part) * sectors.count * size**2))
+        norms = [np.empty((0, len(part) * sectors.count))]
         for gamma, weight in seeds:
             if weight != 0.0 and gamma in derivs:
-                _walk(derivs[gamma] + [values(gamma, part, p)], weight, p, derivs,
-                      walk_steps, norms, None if powers is None else 0)
+                table = derivs[gamma] + [values(gamma, part, p)]
+                root = ([d[None] for d in table], np.array([weight], dtype=float),
+                        None if powers is None else np.zeros(1, dtype=int))
+                _walk(root, p, derivs, walk_steps, cap, norms)
         # a node's norm is the largest of its sector blocks' norms
-        leaves = np.array(norms).reshape(len(norms), len(part), sectors.count).max(axis=2)
+        leaves = np.concatenate(norms).reshape(-1, len(part), sectors.count).max(axis=2)
         sums += [math.fsum(column) for column in leaves.T]
     return np.array(sums) if np.ndim(taus) else sums[0]
 
@@ -127,37 +172,87 @@ def _i_powers(steps, live):
     return powers
 
 
-def _walk(x, weight, depth, derivs, steps, norms, k) -> None:
-    """Append the weighted norms of every completion of the prefix whose
-    derivatives x[0..depth] are given as tau-batch stacks, with depth steps
-    still to apply.  k is the prefix's power of i (None: general matrices);
-    (-i)^k is exact in floating point and makes a leaf Hermitian."""
+def _walk(block, depth, derivs, steps, cap, norms) -> None:
+    """Append the weighted norms of every completion of a block of prefixes.
+
+    block is (x, w, k): x[q] stacks the q-th derivatives of its n prefixes
+    as an (n, B * S, m, m) array, q = 0..depth, with depth steps still to
+    apply; w holds their weights and k their powers of i (None: general
+    matrices).  Each step maps the whole block to its children at once,
+    and the children of consecutive steps are gathered into blocks of cap
+    nodes, so a leaf block is one eigensolve."""
+    x, w, k = block
     if depth == 0:
         if k is None:
-            norms.append(weight * spectral_norms(x[0]))
+            norms.append(w[:, None] * spectral_norms(x[0]))
         else:
-            leaf = x[0] if k % 4 == 0 else x[0] * _UNDO_I_POWER[k % 4]
-            norms.append(weight * spectral_norms(leaf, hermitian=True))
+            _undo_i_powers(x[0], k)
+            norms.append(w[:, None] * spectral_norms(x[0], hermitian=True))
         return
-    for (w, g, c), power in steps:
-        child_weight = weight * w
+    pending, count = [], 0
+    for (sw, g, c), power in steps:
         h = derivs.get(g)
-        if child_weight == 0.0 or (h is None and c == 0):
+        if h is None and c == 0:
             continue
+        child_w, src, child_k = w * sw, x, k
+        if not child_w.all():  # the step weight is 0 or a product underflowed
+            keep = child_w != 0.0
+            if not keep.any():
+                continue
+            child_w, src = child_w[keep], [a[keep] for a in x]
+            child_k = None if k is None else k[keep]
         if h is None:
-            child = [c * x[q + 1] for q in range(depth)]
+            child = [c * src[q + 1] for q in range(depth)]
         else:
             child = []
             for q in range(depth):
-                out = np.zeros_like(x[0])
+                out = np.zeros_like(src[0])
                 for r in range(q + 1):
-                    lv, rv = h[r], x[q - r]
+                    lv, rv = h[r], src[q - r]
                     out += math.comb(q, r) * (lv @ rv - rv @ lv)
                 if c:
-                    out += c * x[q + 1]
+                    out += c * src[q + 1]
                 child.append(out)
-        _walk(child, child_weight, depth - 1, derivs, steps, norms,
-              None if k is None else k + power)
+        pending.append((child, child_w, None if child_k is None else child_k + power))
+        count += len(child_w)
+        if count >= cap:
+            merged = _concat(pending)
+            for lo in range(0, count - cap + 1, cap):
+                _walk(_slice(merged, lo, lo + cap), depth - 1, derivs, steps, cap, norms)
+            rest = count % cap
+            pending = [_slice(merged, count - rest, count)] if rest else []
+            count = rest
+            del merged  # walked children go before the next step's are made
+    if pending:
+        _walk(_concat(pending), depth - 1, derivs, steps, cap, norms)
+
+
+def _concat(pieces):
+    """One block of the nodes of several, in order; a single block as is."""
+    if len(pieces) == 1:
+        return pieces[0]
+    xs, ws, ks = zip(*pieces)
+    return ([np.concatenate(col) for col in zip(*xs)], np.concatenate(ws),
+            None if ks[0] is None else np.concatenate(ks))
+
+
+def _slice(block, lo, hi):
+    """Nodes lo..hi-1 of a block, as views; the whole block as is."""
+    x, w, k = block
+    if lo == 0 and hi == len(w):
+        return block
+    return [a[lo:hi] for a in x], w[lo:hi], None if k is None else k[lo:hi]
+
+
+def _undo_i_powers(leaf, k) -> None:
+    """Multiply every node of a leaf block by (-i)^k in place, one slice per
+    run of equal k mod 4.  The walk made the leaf, so nothing else holds it;
+    only a seed with no steps is shared, and its k is 0."""
+    k = k % 4
+    cuts = [0, *(np.flatnonzero(np.diff(k)) + 1), len(k)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if k[lo]:
+            leaf[lo:hi] *= _UNDO_I_POWER[int(k[lo])]
 
 
 def _alpha_com_value(ham: Hamiltonian, order: int, tau,
@@ -230,6 +325,61 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
         vals = np.insert(vals, at, fn(mids))
     k = int(np.argmax(vals))
     return float(vals[k]), float(xs[k])
+
+
+# ---------------------------------------------------------------------------
+# Adaptive Gauss-Kronrod quadrature
+# ---------------------------------------------------------------------------
+
+def _kronrod_panels(f, lo, hi):
+    """QUADPACK's qk21 on every panel [lo_j, hi_j], with all 21 * n points in
+    one call of f: (values, estimates, weighted inner estimates) per panel."""
+    centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    fv, inner = f((centre[:, None] + half[:, None] * _NODES).ravel())
+    fv = fv.reshape(-1, 21)
+    resk, resg = fv @ _KRONROD, fv @ _GAUSS
+    resabs = np.abs(fv) @ _KRONROD * np.abs(half)
+    resasc = np.abs(fv - resk[:, None] / 2.0) @ _KRONROD * np.abs(half)
+    err = np.abs((resk - resg) * half)
+    scaled = resasc > 0.0
+    err[scaled] = resasc[scaled] * np.minimum(
+        1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)  # round-off floor
+    inner = np.abs(half) * (np.broadcast_to(inner, fv.size).reshape(-1, 21) @ _KRONROD)
+    return resk * half, err, inner
+
+
+def _integrate(f, lo: float, hi: float) -> tuple[float, float]:
+    """(value, estimate) of int_lo^hi f, globally adaptive: the panel with
+    the largest qk21 estimate is halved until the estimates sum to at most
+    _QUAD_EPSABS, and more than _QUAD_PANELS panels raise ConvergenceError.
+
+    f maps a 1-D array of points to (values, errors), errors being each
+    value's own absolute error (0.0 for an exact integrand, an inner
+    integral's estimate for a nested one).  The returned estimate adds
+    their Kronrod-weighted integral to the panels' estimates."""
+    edges = np.array([lo, hi])
+    value, err, inner = _kronrod_panels(f, edges[:1], edges[1:])
+    while math.fsum(err) > _QUAD_EPSABS:
+        if len(edges) > _QUAD_PANELS:
+            raise ConvergenceError(
+                f"quadrature over [{lo}, {hi}] did not reach {_QUAD_EPSABS} in "
+                f"{_QUAD_PANELS} panels (estimate {math.fsum(err):.3g})")
+        j = int(np.argmax(err))
+        a, b = edges[j], edges[j + 1]
+        mid = (a + b) / 2.0
+        halves = _kronrod_panels(f, np.array([a, mid]), np.array([mid, b]))
+        edges = np.insert(edges, j + 1, mid)
+        value, err, inner = (np.concatenate([old[:j], new, old[j + 1:]])
+                             for old, new in zip((value, err, inner), halves))
+    return math.fsum(value), math.fsum(err) + math.fsum(inner)
+
+
+def _batched(fn, xs, dim: int):
+    """fn over the points xs in batches of at most BATCH_ENTRIES // dim^2,
+    so no (points, dim, dim) stack passes BATCH_ENTRIES entries."""
+    step = max(1, BATCH_ENTRIES // dim**2)
+    return np.concatenate([fn(xs[i:i + step]) for i in range(0, len(xs), step)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,41 +458,53 @@ def huyghebaert_bound(ham: Hamiltonian, t: float) -> BoundReport:
 
     The first-order formula applies term 1 first, so the conjugation picture
     puts the later time in H_1; the transposed orientation is not a bound
-    (it is numerically violated on driven models).
+    (it is numerically violated on driven models).  The inner integral over
+    t_1 is one adaptive quadrature per outer node; extra["quadrature_error"]
+    is the outer estimate plus the weighted inner ones.
     """
     if ham.n_terms != 2:
         raise InvalidInputError("first-order bound needs exactly two terms")
-    from scipy.integrate import dblquad  # loaded only by the runs that need it
     h1, h2 = ham.term(1), ham.term(2)
 
-    def integrand(t1, t2):
-        a, b = h1.value(t2), h2.value(t1)
-        return spectral_norm(a @ b - b @ a)
+    def inner(t2):  # int_0^t2 ||[H_1(t2), H_2(t1)]|| dt1
+        a = h1.value(t2)
 
-    value, _err = dblquad(integrand, 0.0, t, 0.0, lambda t2: t2, epsabs=_QUAD_EPSABS)
-    return BoundReport("huyghebaert", 1, t, float(value),
-                       extra={"quadrature_epsabs": _QUAD_EPSABS})
+        def norms(t1s):
+            b = h2.values(t1s)
+            return spectral_norms(a @ b - b @ a)
+
+        return _integrate(lambda t1s: (_batched(norms, t1s, ham.dim), 0.0), 0.0, t2)
+
+    value, estimate = _integrate(lambda t2s: np.array([inner(t2) for t2 in t2s]).T, 0.0, t)
+    return BoundReport("huyghebaert", 1, t, value,
+                       extra={"quadrature_epsabs": _QUAD_EPSABS,
+                              "quadrature_error": estimate})
 
 
 def nonunitary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
                      grid_points: int = 65) -> BoundReport:
     """corollary_bound times the exponential amplification factor
     exp(4 V int_0^t sum_g ||Im H_g(tau)|| dtau) for non-Hermitian terms;
-    for Hermitian terms the factor is 1 and the two bounds agree."""
+    for Hermitian terms the factor is 1 and the two bounds agree.  The
+    integral's quadrature estimate e moves the bound by at most
+    value * (e^(4 V e) - 1), reported as extra["quadrature_error"]."""
     base = corollary_bound(plan, ham, t, grid_points)
 
-    def im_norm(tau):
-        total = 0.0
+    def im_norms(taus):
+        total = np.zeros(len(taus))
         for term in ham.terms:
-            m = term.value(tau)
-            total += spectral_norm((m - m.conj().T) / 2j)
+            m = term.values(taus)
+            total += spectral_norms((m - m.conj().swapaxes(-1, -2)) / 2j)
         return total
 
-    from scipy.integrate import quad  # loaded only by the runs that need it
-    integral, _err = quad(im_norm, 0.0, t, epsabs=_QUAD_EPSABS, limit=200)
-    factor = math.exp(4.0 * plan.n_layers * integral)
-    return replace(base, bound_kind="nonunitary", value=base.value * factor,
-                   extra={**base.extra, "amplification": factor, "im_integral": integral})
+    integral, estimate = _integrate(
+        lambda taus: (_batched(im_norms, taus, ham.dim), 0.0), 0.0, t)
+    exponent = 4.0 * plan.n_layers
+    factor = math.exp(exponent * integral)
+    value = base.value * factor
+    return replace(base, bound_kind="nonunitary", value=value,
+                   extra={**base.extra, "amplification": factor, "im_integral": integral,
+                          "quadrature_error": value * math.expm1(exponent * estimate)})
 
 
 def mpf_bound_value(alpha_t: float, n_products: int, c_norm: float) -> float:
@@ -377,12 +539,12 @@ def mpf_bound(ham: Hamiltonian, t: float, n_products: int, c_norm: float,
         raise InvalidInputError("J must be >= 1")
     orders = list(range(3, 2 * n_products + 2, 2))
     alpha_local = _alpha_com_sup(ham, orders, 0.0, t, grid_points)
-    alpha_global = _alpha_com_sup(ham.extended(t, 2 * n_products - 1), orders,
-                                  0.0, 2.0 * t, grid_points)
     if alpha_local * t >= 0.5:
         raise OutOfRegimeError(
             f"alpha_com * t = {alpha_local * t:.4f} >= 1/2: multi-product "
             "bound is outside its validity regime")
+    alpha_global = _alpha_com_sup(ham.extended(t, 2 * n_products - 1), orders,
+                                  0.0, 2.0 * t, grid_points)
     value = mpf_bound_value(alpha_local * t, n_products, c_norm)
     return BoundReport("mpf", 2 * n_products + 1, t, value, grid_size=grid_points,
                        extra={"J": n_products, "c_norm": c_norm,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,10 +12,11 @@ from tdpf.bounds import (_tight_sum, alpha_com, bar_alpha_com, corollary_bound,
                          grid_max, huyghebaert_bound, mpf_bound,
                          mpf_bound_value, nonunitary_bound, tight_bound)
 from tdpf.curves import ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve
-from tdpf.errors import (BudgetExceededError, InvalidInputError,
+from tdpf.errors import (BudgetExceededError, ConvergenceError, InvalidInputError,
                          OutOfRegimeError, UnsupportedOrderError)
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.linalg import PAULI, pauli_permutation, spectral_norm, translation_permutation
+from tdpf.linalg import (PAULI, pauli_permutation, spectral_norm, spectral_norms,
+                         translation_permutation)
 from tdpf.models import Hamiltonian, OperatorCurve, build_driven_chain, build_long_range
 from tdpf.sectors import MIN_DIM, _compose, _sector_bases, find_symmetries
 
@@ -99,6 +101,50 @@ def ref_tight_sum(plan, ham, tau):
     gammas = range(1, ham.n_terms + 1)
     steps = [(odd_weights[g], g, 1j) for g in gammas] + [(even_weight, None, 1j)]
     return ref_sum(ham, tau, plan.order, [(g, seed_counts[g]) for g in gammas], steps)
+
+
+def reference_walk(x, weight, depth, derivs, steps, norms, k):
+    """The depth-first walk of one prefix at a time that the block walk
+    replaced: x[0..depth] are one prefix's (B * S, m, m) derivative stacks,
+    and each leaf appends its weighted norms with its own eigensolve."""
+    if depth == 0:
+        if k is None:
+            norms.append(weight * spectral_norms(x[0]))
+        else:
+            leaf = x[0] if k % 4 == 0 else x[0] * bounds._UNDO_I_POWER[k % 4]
+            norms.append(weight * spectral_norms(leaf, hermitian=True))
+        return
+    for (w, g, c), power in steps:
+        child_weight = weight * w
+        h = derivs.get(g)
+        if child_weight == 0.0 or (h is None and c == 0):
+            continue
+        if h is None:
+            child = [c * x[q + 1] for q in range(depth)]
+        else:
+            child = []
+            for q in range(depth):
+                out = np.zeros_like(x[0])
+                for r in range(q + 1):
+                    lv, rv = h[r], x[q - r]
+                    out += math.comb(q, r) * (lv @ rv - rv @ lv)
+                if c:
+                    out += c * x[q + 1]
+                child.append(out)
+        reference_walk(child, child_weight, depth - 1, derivs, steps, norms,
+                       None if k is None else k + power)
+
+
+def walk_one_prefix_at_a_time(monkeypatch):
+    """Make _nested_norm_sum walk each seed's root block with reference_walk."""
+    def walk(block, depth, derivs, steps, cap, norms):
+        x, w, k = block
+        leaves = []
+        reference_walk([a[0] for a in x], float(w[0]), depth, derivs, steps, leaves,
+                       None if k is None else int(k[0]))
+        norms.append(np.array(leaves).reshape(len(leaves), x[0].shape[1]))
+
+    monkeypatch.setattr(bounds, "_walk", walk)
 
 
 PARITY_MODELS = {
@@ -220,6 +266,96 @@ class TestHermitianFastPath:
             expected = ref_sum(ham, 0.3, p, seeds, steps)
             got = bounds._nested_norm_sum(ham, 0.3, p, seeds, steps)
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+BLOCK_MODELS = {
+    "chain4": lambda: driven_chain(4),
+    "non-hermitian": lambda: driven_chain(3).scaled(1 - 0.1j),
+    "periodic6": lambda: driven_chain(6, "periodic"),
+    "zero-term": lambda: with_zero_term(single_qubit_fg()[0]),
+}
+
+
+def walk_sums(ham, orders, taus):
+    """alpha_com and bar_alpha_com at each order, the tight sums of p = 1
+    and 2, and a sum of length max(orders) - 1 whose seeds and steps all
+    have distinct weights and mix the powers of i, at every tau of taus."""
+    out = [fn(ham, order, taus) for fn in (alpha_com, bar_alpha_com) for order in orders]
+    for p in (1, 2):
+        plan = suzuki_plan(p, ham.n_terms)
+        out.append(_tight_sum(plan, ham, taus, *stage_weights(plan, ham.n_terms)))
+    gammas = range(1, ham.n_terms + 1)
+    seeds = [(g, 0.5 + 0.3 * g) for g in gammas]
+    steps = [(0.4 + 0.25 * g, g, 1j if g % 2 else 0) for g in gammas] + [(0.6, None, 2.0)]
+    out.append(bounds._nested_norm_sum(ham, taus, max(orders) - 1, seeds, steps))
+    return out
+
+
+class TestBlockWalk:
+    """The block walk against the depth-first walk it replaced, bit for bit."""
+
+    def assert_same_sums(self, monkeypatch, ham, orders, taus):
+        blocks = walk_sums(ham, orders, taus)
+        with monkeypatch.context() as m:
+            walk_one_prefix_at_a_time(m)
+            single = walk_sums(ham, orders, taus)
+        for got, expected in zip(blocks, single):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+    def test_sums_equal_the_depth_first_walk(self, monkeypatch, model):
+        ham = BLOCK_MODELS[model]()
+        orders = (3,) if model == "periodic6" else (2, 4, 5)
+        for taus in (0.31, np.array([0.0, 0.13, 0.4])):
+            self.assert_same_sums(monkeypatch, ham, orders, taus)
+
+    def test_blocks_split_in_the_middle_of_a_level(self, monkeypatch):
+        # 4x4 nodes: 5 per block at one tau and 2 at two, while the three
+        # steps make 3, 9, 27 ... nodes per level
+        monkeypatch.setattr(bounds, "BATCH_ENTRIES", 8 * 5 * 16)
+        caps = []
+        real = bounds._walk
+
+        def spy(block, depth, derivs, steps, cap, norms):
+            caps.append(cap)
+            real(block, depth, derivs, steps, cap, norms)
+
+        monkeypatch.setattr(bounds, "_walk", spy)
+        ham = driven_chain(2)
+        self.assert_same_sums(monkeypatch, ham, (3, 5), 0.27)
+        self.assert_same_sums(monkeypatch, ham, (3, 5), np.array([0.05, 0.3]))
+        assert set(caps) == {5, 2}
+
+    def test_one_eigensolve_per_leaf_block(self, monkeypatch):
+        sizes = []
+        real = bounds.spectral_norms
+
+        def spy(stack, hermitian=False):
+            sizes.append(len(stack))
+            return real(stack, hermitian)
+
+        monkeypatch.setattr(bounds, "spectral_norms", spy)
+        alpha_com(driven_chain(4), 5, 0.1)
+        # 2 seeds times 3^4 leaves, 32 16x16 nodes per block
+        assert sum(sizes) == 162 and max(sizes) == 32 and len(sizes) == 6
+
+    def test_memory_peak_stays_near_the_depth_first_walk(self, monkeypatch):
+        ham, plan = driven_chain(4), suzuki_plan(4, 2)
+        corollary_bound(plan, ham, 0.05)  # projections and caches outside the trace
+
+        def peak():
+            tracemalloc.start()
+            try:
+                corollary_bound(plan, ham, 0.05)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocks = peak()
+        with monkeypatch.context() as m:
+            walk_one_prefix_at_a_time(m)
+            single = peak()
+        assert blocks <= 1.5 * single
 
 
 class TestDerivativeBudget:
@@ -391,7 +527,7 @@ class TestHuyghebaert:
         ham = Hamiltonian([OperatorCurve([(a * X, ConstantCurve(1.0))]),
                            OperatorCurve([(b * Z, ConstantCurve(1.0))])])
         # ||[aX, bZ]|| = 2ab over the triangle of area t^2/2
-        assert huyghebaert_bound(ham, t).value == pytest.approx(a * b * t**2, abs=1e-8)
+        assert huyghebaert_bound(ham, t).value == pytest.approx(a * b * t**2, rel=1e-14)
 
     def test_dominates_first_order_error(self, driven2):
         for t in (0.05, 0.15):
@@ -425,6 +561,7 @@ class TestNonunitaryBound:
         t = 0.3
         rep = nonunitary_bound(suzuki_plan(1, 2), ham, t)
         # || Im(-iX) || = 1, so the integral is t and the factor e^{4 V t}
+        assert rep.extra["im_integral"] == pytest.approx(t, rel=1e-14)
         assert rep.extra["amplification"] == pytest.approx(math.exp(4 * t), rel=1e-6)
 
     def test_dominates_nonunitary_error(self, driven2):
@@ -433,6 +570,82 @@ class TestNonunitaryBound:
         for t in (0.05, 0.1):
             err = measure_error(plan, scaled, t)
             assert err <= nonunitary_bound(plan, scaled, t).value
+
+
+HUYGHEBAERT_TIMES = [0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.14, 0.16, 0.18, 0.2]
+NONUNITARY_TIMES = [0.02, 0.04, 0.06, 0.08, 0.1]
+
+
+class TestQuadrature:
+    """The in-house Gauss-Kronrod rule against scipy's QUADPACK and closed
+    forms; scipy.integrate is imported by these tests only."""
+
+    @pytest.mark.parametrize("t", HUYGHEBAERT_TIMES)
+    def test_huyghebaert_matches_dblquad(self, driven2, t):
+        from scipy.integrate import dblquad
+        h1, h2 = driven2.term(1), driven2.term(2)
+
+        def integrand(t1, t2):
+            a, b = h1.value(t2), h2.value(t1)
+            return spectral_norm(a @ b - b @ a)
+
+        expected, _err = dblquad(integrand, 0.0, t, 0.0, lambda t2: t2,
+                                 epsabs=bounds._QUAD_EPSABS)
+        rep = huyghebaert_bound(driven2, t)
+        assert rep.value == pytest.approx(expected, rel=1e-13)
+        assert 0.0 < rep.extra["quadrature_error"] <= bounds._QUAD_EPSABS
+
+    @pytest.mark.parametrize("t", NONUNITARY_TIMES)
+    def test_nonunitary_integral_matches_quad(self, driven2, t):
+        from scipy.integrate import quad
+        scaled = driven2.scaled(1 - 0.1j)
+
+        def im_norm(tau):
+            return sum(spectral_norm((m - m.conj().T) / 2j)
+                       for m in (term.value(tau) for term in scaled.terms))
+
+        expected, _err = quad(im_norm, 0.0, t, epsabs=bounds._QUAD_EPSABS, limit=200)
+        rep = nonunitary_bound(suzuki_plan(1, 2), scaled, t, grid_points=5)
+        assert rep.extra["im_integral"] == pytest.approx(expected, rel=1e-13)
+        assert 0.0 < rep.extra["quadrature_error"] <= 1e-6 * rep.value
+
+    def test_kinked_integrand_subdivides(self):
+        calls = []
+
+        def f(xs):
+            calls.append(len(xs))
+            return np.abs(np.cos(3.1 * xs + 1.5)), 0.0
+
+        value, estimate = bounds._integrate(f, 0.0, 1.0)
+        # the kink sits at x = (pi/2 - 1.5) / 3.1
+        exact = (2.0 - math.sin(1.5) - math.sin(4.6)) / 3.1
+        assert calls[0] == 21 and len(calls) > 1 and set(calls[1:]) == {42}
+        assert abs(value - exact) <= bounds._QUAD_EPSABS
+        assert abs(value - exact) <= estimate <= bounds._QUAD_EPSABS
+
+    def test_inner_estimates_add_to_the_estimate(self):
+        value, estimate = bounds._integrate(lambda xs: (np.ones_like(xs), 1e-10), 0.0, 2.0)
+        assert value == pytest.approx(2.0, rel=1e-15)
+        assert estimate == pytest.approx(2e-10, rel=1e-12)
+
+    def test_panel_cap_raises(self):
+        with pytest.raises(ConvergenceError):
+            bounds._integrate(lambda xs: (1.0 / xs, 0.0), 0.0, 1.0)
+
+    def test_integrand_batches_stay_under_the_entry_cap(self, monkeypatch, driven2):
+        monkeypatch.setattr(bounds, "BATCH_ENTRIES", 5 * 16)
+        sizes = []
+        real = bounds.spectral_norms
+
+        def spy(stack, hermitian=False):
+            sizes.append(len(stack))
+            return real(stack, hermitian)
+
+        monkeypatch.setattr(bounds, "spectral_norms", spy)
+        rep = huyghebaert_bound(driven2, 0.1)
+        assert max(sizes) == 5
+        monkeypatch.setattr(bounds, "spectral_norms", real)
+        assert rep.value == huyghebaert_bound(driven2, 0.1).value
 
 
 class TestMpfBound:
@@ -449,6 +662,21 @@ class TestMpfBound:
     def test_out_of_regime(self, driven2):
         with pytest.raises(OutOfRegimeError):
             mpf_bound(driven2, 5.0, 2, 5.0 / 3.0)
+
+    def test_out_of_regime_never_walks_the_extension(self, driven2, monkeypatch):
+        calls = []
+        real = Hamiltonian.extended
+
+        def counted(self, t_end, order):
+            calls.append(t_end)
+            return real(self, t_end, order)
+
+        monkeypatch.setattr(Hamiltonian, "extended", counted)
+        with pytest.raises(OutOfRegimeError):
+            mpf_bound(driven2, 5.0, 2, 5.0 / 3.0, grid_points=5)
+        assert calls == []
+        mpf_bound(driven2, 0.04, 2, 5.0 / 3.0, grid_points=5)
+        assert calls == [0.04]
 
     def test_reports_both_suprema(self, driven2):
         t = 0.04

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,39 @@ class TestNonunitaryCheck:
         for row in rows:
             assert float(row[1]) <= float(row[2])
             assert row[3] == "0"
+
+
+class TestQuadratureSummary:
+    @pytest.mark.parametrize("sub, name, extra", [
+        ("huyghebaert-check", "huyghebaert", {}),
+        ("nonunitary-check", "nonunitary", {"grid_points": 5}),
+    ])
+    def test_summary_reports_the_quadrature_error(self, tmp_path, sub, name, extra):
+        cfg = write_config(tmp_path, "cfg.json", {"model": DRIVEN2, "times": [0.02, 0.06],
+                                                  **extra})
+        out = tmp_path / "out"
+        assert run(sub, cfg, str(out)) == 0
+        header, rows = read_csv(out / f"{name}_check.csv")
+        assert header == ["t", "error", "bound", "violation"]
+        summary = strict_json(out / f"{name}_summary.json")
+        assert set(summary) == {"rows", "violations", "quadrature_error_max",
+                                "rows_within_quadrature_error"}
+        assert 0.0 < summary["quadrature_error_max"] < 1e-8
+        assert summary["rows_within_quadrature_error"] == 0
+
+    def test_a_margin_inside_the_estimate_is_counted(self, tmp_path, monkeypatch):
+        real = cli.huyghebaert_bound
+
+        def loose(ham, t):
+            rep = real(ham, t)
+            return replace(rep, extra={**rep.extra, "quadrature_error": rep.value})
+
+        monkeypatch.setattr(cli, "huyghebaert_bound", loose)
+        cfg = write_config(tmp_path, "cfg.json", {"model": DRIVEN2, "times": [0.02, 0.06]})
+        out = tmp_path / "out"
+        assert run("huyghebaert-check", cfg, str(out)) == 0
+        summary = strict_json(out / "huyghebaert_summary.json")
+        assert summary["rows_within_quadrature_error"] == 2
 
 
 class TestPlumbing:
@@ -713,6 +747,20 @@ print(json.dumps({"codes": codes, "loaded": [m for m in heavy if m in sys.module
 """
 
 
+def cold_start(tmp_path, runs) -> dict:
+    """Exit codes of the (subcommand, config) runs in one fresh interpreter,
+    and the heavy scipy subpackages it loaded."""
+    args = [(sub, write_config(tmp_path, f"{sub}.json", cfg), str(tmp_path / sub))
+            for sub, cfg in runs]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 class TestColdStart:
     def test_subcommands_without_quadrature_never_load_scipy_subpackages(self, tmp_path):
         runs = [
@@ -725,13 +773,13 @@ class TestColdStart:
                           "grid_points": 3}),
             ("resource-table", RESOURCE_CFG),
         ]
-        args = [(sub, write_config(tmp_path, f"{sub}.json", cfg), str(tmp_path / sub))
-                for sub, cfg in runs]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, json.dumps(args)],
-                              capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"codes": [0] * len(runs), "loaded": []}
+        assert cold_start(tmp_path, runs) == {"codes": [0] * len(runs), "loaded": []}
+
+    def test_huyghebaert_check_loads_no_scipy_subpackage(self, tmp_path):
+        runs = [("huyghebaert-check", {"model": DRIVEN2, "times": [0.02, 0.1]})]
+        assert cold_start(tmp_path, runs) == {"codes": [0], "loaded": []}
+
+    def test_nonunitary_check_loads_only_scipy_linalg(self, tmp_path):
+        # the oracle exponentiates the non-normal scaled model with scipy's expm
+        runs = [("nonunitary-check", {"model": DRIVEN2, "times": [0.02], "grid_points": 3})]
+        assert cold_start(tmp_path, runs) == {"codes": [0], "loaded": ["scipy.linalg"]}
