@@ -9,6 +9,9 @@ through commutators by the Leibniz rule, and each term derivative
 H_g^(r)(tau) is evaluated once per sum.  A sum of length-p sequences needs
 p derivatives of every term that is not identically zero, so a smaller
 declared derivative budget is an error; zero terms are never differentiated.
+A seed's own pure commutator step is skipped: by the Leibniz rule
+[H_g, H_g]^(q) = sum_r C(q, r) [H_g^(r), H_g^(q-r)] = 0, so its whole subtree
+is zero (a step with a derivative part keeps that child).
 The exact norms of the complete sequences are summed; no symbolic norm
 inequalities are applied below the level of the published bound formulas.
 
@@ -148,7 +151,7 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
                 table = derivs[gamma] + [values(gamma, part, p)]
                 root = ([d[None] for d in table], np.array([weight], dtype=float),
                         None if powers is None else np.zeros(1, dtype=int))
-                _walk(root, p, derivs, walk_steps, cap, norms)
+                _walk(root, p, derivs, walk_steps, cap, norms, gamma)
         # a node's norm is the largest of its sector blocks' norms
         leaves = np.concatenate(norms).reshape(-1, len(part), sectors.count).max(axis=2)
         sums += [math.fsum(column) for column in leaves.T]
@@ -172,7 +175,7 @@ def _i_powers(steps, live):
     return powers
 
 
-def _walk(block, depth, derivs, steps, cap, norms) -> None:
+def _walk(block, depth, derivs, steps, cap, norms, seed=None) -> None:
     """Append the weighted norms of every completion of a block of prefixes.
 
     block is (x, w, k): x[q] stacks the q-th derivatives of its n prefixes
@@ -180,7 +183,8 @@ def _walk(block, depth, derivs, steps, cap, norms) -> None:
     apply; w holds their weights and k their powers of i (None: general
     matrices).  Each step maps the whole block to its children at once,
     and the children of consecutive steps are gathered into blocks of cap
-    nodes, so a leaf block is one eigensolve."""
+    nodes, so a leaf block is one eigensolve.  A root block of term seed
+    skips the pure commutator step with H_seed, whose subtree is zero."""
     x, w, k = block
     if depth == 0:
         if k is None:
@@ -192,7 +196,7 @@ def _walk(block, depth, derivs, steps, cap, norms) -> None:
     pending, count = [], 0
     for (sw, g, c), power in steps:
         h = derivs.get(g)
-        if h is None and c == 0:
+        if c == 0 and (h is None or g == seed):
             continue
         child_w, src, child_k = w * sw, x, k
         if not child_w.all():  # the step weight is 0 or a product underflowed

@@ -312,7 +312,11 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
             return [j, t, err, None, False, False, None, None]
 
     rows = _pmap(cell, cells, workers)
-    summary = {"plans": {str(j): mpf_plan(j, base_order).to_json() for j in j_values}}
+    # the regime margin on the periodic extension, reported and not enforced
+    global_margins = [r[7] * r[1] for r in rows if r[4]]
+    summary = {"plans": {str(j): mpf_plan(j, base_order).to_json() for j in j_values},
+               "alpha_global_t_max": max(global_margins, default=None),
+               "cells_in_regime_globally": sum(m < 0.5 for m in global_margins)}
     for j in j_values:
         pts = [(r[1], r[2]) for r in rows if r[0] == j]
         try:

@@ -103,10 +103,11 @@ def ref_tight_sum(plan, ham, tau):
     return ref_sum(ham, tau, plan.order, [(g, seed_counts[g]) for g in gammas], steps)
 
 
-def reference_walk(x, weight, depth, derivs, steps, norms, k):
+def reference_walk(x, weight, depth, derivs, steps, norms, k, seed=None):
     """The depth-first walk of one prefix at a time that the block walk
     replaced: x[0..depth] are one prefix's (B * S, m, m) derivative stacks,
-    and each leaf appends its weighted norms with its own eigensolve."""
+    and each leaf appends its weighted norms with its own eigensolve.  Like
+    the block walk, a seed's root skips the pure commutator with itself."""
     if depth == 0:
         if k is None:
             norms.append(weight * spectral_norms(x[0]))
@@ -117,7 +118,7 @@ def reference_walk(x, weight, depth, derivs, steps, norms, k):
     for (w, g, c), power in steps:
         child_weight = weight * w
         h = derivs.get(g)
-        if child_weight == 0.0 or (h is None and c == 0):
+        if child_weight == 0.0 or (c == 0 and (h is None or g == seed)):
             continue
         if h is None:
             child = [c * x[q + 1] for q in range(depth)]
@@ -137,11 +138,11 @@ def reference_walk(x, weight, depth, derivs, steps, norms, k):
 
 def walk_one_prefix_at_a_time(monkeypatch):
     """Make _nested_norm_sum walk each seed's root block with reference_walk."""
-    def walk(block, depth, derivs, steps, cap, norms):
+    def walk(block, depth, derivs, steps, cap, norms, seed=None):
         x, w, k = block
         leaves = []
         reference_walk([a[0] for a in x], float(w[0]), depth, derivs, steps, leaves,
-                       None if k is None else int(k[0]))
+                       None if k is None else int(k[0]), seed)
         norms.append(np.array(leaves).reshape(len(leaves), x[0].shape[1]))
 
     monkeypatch.setattr(bounds, "_walk", walk)
@@ -276,18 +277,25 @@ BLOCK_MODELS = {
 }
 
 
+def mixed_seeds_and_steps(ham):
+    """Seeds and steps with distinct weights that mix the powers of i: odd
+    terms step with ad_H + i d/dt, even ones with ad_H alone."""
+    gammas = range(1, ham.n_terms + 1)
+    seeds = [(g, 0.5 + 0.3 * g) for g in gammas]
+    steps = [(0.4 + 0.25 * g, g, 1j if g % 2 else 0) for g in gammas] + [(0.6, None, 2.0)]
+    return seeds, steps
+
+
 def walk_sums(ham, orders, taus):
     """alpha_com and bar_alpha_com at each order, the tight sums of p = 1
-    and 2, and a sum of length max(orders) - 1 whose seeds and steps all
-    have distinct weights and mix the powers of i, at every tau of taus."""
+    and 2, and the mixed sum of length max(orders) - 1, at every tau of
+    taus."""
     out = [fn(ham, order, taus) for fn in (alpha_com, bar_alpha_com) for order in orders]
     for p in (1, 2):
         plan = suzuki_plan(p, ham.n_terms)
         out.append(_tight_sum(plan, ham, taus, *stage_weights(plan, ham.n_terms)))
-    gammas = range(1, ham.n_terms + 1)
-    seeds = [(g, 0.5 + 0.3 * g) for g in gammas]
-    steps = [(0.4 + 0.25 * g, g, 1j if g % 2 else 0) for g in gammas] + [(0.6, None, 2.0)]
-    out.append(bounds._nested_norm_sum(ham, taus, max(orders) - 1, seeds, steps))
+    out.append(bounds._nested_norm_sum(ham, taus, max(orders) - 1,
+                                       *mixed_seeds_and_steps(ham)))
     return out
 
 
@@ -309,16 +317,30 @@ class TestBlockWalk:
         for taus in (0.31, np.array([0.0, 0.13, 0.4])):
             self.assert_same_sums(monkeypatch, ham, orders, taus)
 
+    @pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_skipped_self_commutators_change_no_sum(self, model, order):
+        # the literal sums walk every sequence, the zero ones included
+        ham = BLOCK_MODELS[model]()
+        n = ham.n_terms
+        assert alpha_com(ham, order, 0.37) == pytest.approx(
+            ref_alpha_com(ham, order, 0.37, 2.0 * n), rel=1e-14)
+        assert bar_alpha_com(ham, order, 0.37) == pytest.approx(
+            ref_alpha_com(ham, order, 0.37, 1.0), rel=1e-14)
+        seeds, steps = mixed_seeds_and_steps(ham)
+        assert bounds._nested_norm_sum(ham, 0.37, order - 1, seeds, steps) == pytest.approx(
+            ref_sum(ham, 0.37, order - 1, seeds, steps), rel=1e-14)
+
     def test_blocks_split_in_the_middle_of_a_level(self, monkeypatch):
         # 4x4 nodes: 5 per block at one tau and 2 at two, while the three
-        # steps make 3, 9, 27 ... nodes per level
+        # steps make up to 3, 9, 27 ... nodes per level
         monkeypatch.setattr(bounds, "BATCH_ENTRIES", 8 * 5 * 16)
         caps = []
         real = bounds._walk
 
-        def spy(block, depth, derivs, steps, cap, norms):
+        def spy(block, depth, derivs, steps, cap, norms, seed=None):
             caps.append(cap)
-            real(block, depth, derivs, steps, cap, norms)
+            real(block, depth, derivs, steps, cap, norms, seed)
 
         monkeypatch.setattr(bounds, "_walk", spy)
         ham = driven_chain(2)
@@ -336,8 +358,9 @@ class TestBlockWalk:
 
         monkeypatch.setattr(bounds, "spectral_norms", spy)
         alpha_com(driven_chain(4), 5, 0.1)
-        # 2 seeds times 3^4 leaves, 32 16x16 nodes per block
-        assert sum(sizes) == 162 and max(sizes) == 32 and len(sizes) == 6
+        # 2 seeds times 2 * 3^3 leaves (a seed's commutator with itself is
+        # skipped), 32 16x16 nodes per block: 32 + 22 per seed
+        assert sum(sizes) == 108 and max(sizes) == 32 and len(sizes) == 4
 
     def test_memory_peak_stays_near_the_depth_first_walk(self, monkeypatch):
         ham, plan = driven_chain(4), suzuki_plan(4, 2)

@@ -162,11 +162,19 @@ class TestMpfScan:
         for row in rows:
             assert row[4] == "1"  # in regime
             assert float(row[2]) <= float(row[3])
+        margins = [float(row[7]) * float(row[1]) for row in rows]
+        summary = json.loads((out / "mpf_summary.json").read_text())
+        assert summary["alpha_global_t_max"] == max(margins)
+        assert summary["cells_in_regime_globally"] == sum(m < 0.5 for m in margins)
 
     def test_out_of_regime_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "model": DRIVEN2, "J_values": [2], "times": [3.0]})
-        assert run("mpf-scan", cfg, str(tmp_path / "out")) == 4
+        out = tmp_path / "out"
+        assert run("mpf-scan", cfg, str(out)) == 4
+        summary = json.loads((out / "mpf_summary.json").read_text())
+        assert summary["alpha_global_t_max"] is None
+        assert summary["cells_in_regime_globally"] == 0
 
 
 class TestResourceTable:
@@ -779,7 +787,7 @@ class TestColdStart:
         runs = [("huyghebaert-check", {"model": DRIVEN2, "times": [0.02, 0.1]})]
         assert cold_start(tmp_path, runs) == {"codes": [0], "loaded": []}
 
-    def test_nonunitary_check_loads_only_scipy_linalg(self, tmp_path):
-        # the oracle exponentiates the non-normal scaled model with scipy's expm
+    def test_nonunitary_check_loads_no_scipy_subpackage(self, tmp_path):
+        # the oracle exponentiates the non-normal scaled model in-house
         runs = [("nonunitary-check", {"model": DRIVEN2, "times": [0.02], "grid_points": 3})]
-        assert cold_start(tmp_path, runs) == {"codes": [0], "loaded": ["scipy.linalg"]}
+        assert cold_start(tmp_path, runs) == {"codes": [0], "loaded": []}

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_matrix
-from tdpf.errors import InvalidInputError
+from tdpf.errors import InvalidInputError, NumericalBlowUpError
 from tdpf.linalg import (PAULI, commutator, dagger, embed_pauli_string,
                          matrix_exp, matrix_exps, pauli_permutation, pauli_sum,
                          spectral_norm, spectral_norms)
@@ -128,9 +130,40 @@ class TestMatrixExp:
         assert spectral_norm(dagger(u) @ u - np.eye(dim)) <= 1e-10
 
 
+# Higham's [13/13] Pade coefficients, b_k = b_0 (26 - k)! 13! / (26! k! (13 - k)!),
+# and theta_13 (SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+PADE13 = [float(Fraction(math.factorial(26 - k) * math.factorial(13),
+                         math.factorial(26) * math.factorial(k) * math.factorial(13 - k))
+                * 64764752532480000) for k in range(14)]
+THETA13 = 5.371920351148152
+
+
+def pade13_exponent(m):
+    """Higham's scaling exponent max(0, ceil(log2(||A||_1 / theta_13)))."""
+    return max(0, math.ceil(math.log2(np.abs(m).sum(axis=0).max() / THETA13)))
+
+
+def literal_pade13(m):
+    """Higham's scaling and squaring for one matrix, written out."""
+    b = PADE13
+    s = pade13_exponent(m)
+    a = m / 2.0**s
+    ident = np.eye(len(m))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def literal_exp(m):
     """The per-matrix exponential as written before the batched classifier."""
-    import scipy.linalg
     adj = m.conj().T
     scale = np.max(np.abs(m), initial=1.0)
     if np.max(np.abs(m - adj), initial=0.0) <= 1e-13 * scale:
@@ -139,7 +172,7 @@ def literal_exp(m):
     if np.max(np.abs(m + adj), initial=0.0) <= 1e-13 * scale:
         evals, vecs = np.linalg.eigh(1j * m)
         return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-    return scipy.linalg.expm(m)
+    return literal_pade13(m)
 
 
 class TestMatrixExps:
@@ -188,6 +221,41 @@ class TestMatrixExps:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInputError):
             matrix_exps(np.ones((2, 2, 3)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+    def test_general_matches_scipy_expm(self, rng, dim):
+        import scipy.linalg  # the reference only; tdpf never imports it
+        for norm in (1e-8, 1e-3, 0.1, 1.0, 5.0, 30.0, 200.0):
+            a = random_matrix(rng, dim)
+            a *= norm / np.abs(a).sum(axis=0).max()
+            want = scipy.linalg.expm(a)
+            err = spectral_norm(matrix_exp(a) - want) / spectral_norm(want)
+            assert err <= 1e-14 * max(1.0, norm), (norm, err)
+
+    def test_stack_mixing_scaling_exponents(self, rng):
+        # ||A||_1 = theta_13 2^(s - 1/2) needs s squarings (s = 0: theta_13 / 2)
+        stack = []
+        for s in range(9):
+            a = random_matrix(rng, 4)
+            a *= THETA13 * 2.0 ** (s - 0.5 if s else -1.0) / np.abs(a).sum(axis=0).max()
+            assert pade13_exponent(a) == s
+            stack.append(a)
+        stack = np.stack(stack)[rng.permutation(9)]
+        got = matrix_exps(stack)
+        for m, e in zip(stack, got):
+            assert np.array_equal(e, matrix_exp(m))
+            assert np.array_equal(e, literal_pade13(m))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_overflow_is_a_blow_up_error(self, rng, batch):
+        # ||e^A|| is about e^1000 for ||A|| about 1000; no inf or warning escapes
+        a = 1000.0 * np.eye(4) + random_matrix(rng, 4)
+        stack = np.stack([0.5 * random_matrix(rng, 4) for _ in range(batch - 1)] + [a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBlowUpError) as excinfo:
+                matrix_exps(stack)
+        assert excinfo.type is NumericalBlowUpError
 
 
 class TestCommutator:

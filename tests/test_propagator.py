@@ -73,7 +73,7 @@ class TestChunkedProduct:
                               reference_cf4_product(gen, 0.0, 0.4, n))
 
     def test_non_hermitian_generator_bit_equal(self, rng):
-        # general matrices take the per-matrix expm fallback
+        # general matrices take the batched Pade kernel
         a = 0.4 * random_matrix(rng, 3)
         gen = OperatorCurve([(a, TrigCurve(1.0, 1.3, offset=0.5))])
         assert np.array_equal(_cf4_product(gen, 0.0, 0.6, 9),
