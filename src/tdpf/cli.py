@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import (corollary_bound, huyghebaert_bound, mpf_bound,
@@ -36,7 +35,7 @@ from .linalg import QUBIT_CAP, matrix_exp, spectral_norm
 from .models import Hamiltonian, model_from_descriptor
 from .multiproduct import measure_mpf_error, mpf_plan
 from .propagator import evolve
-from .resources import gate_count_pf, loglog_slope, mpf_resources
+from .resources import asymptotic_gate_form, gate_count_pf, loglog_slope, mpf_resources
 
 _VIOLATION_SLACK = 1e-12
 
@@ -118,7 +117,6 @@ def _manifest(out: Path, subcommand: str, cfg: dict, oracle_tol: float,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "tdpf_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "oracle_tol": oracle_tol,
         "workers": workers,
     })
@@ -297,12 +295,14 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     j_values = list_of(cfg.get("J_values", [1, 2]), "J_values", integer, 1)
     ts = _times(cfg.get("times"), "times")
     grid_points = integer(cfg.get("grid_points", 33), "grid_points", 2)
-    base_order = integer(cfg.get("p", 2), "p", 1)
+    # the coefficients cancel the even error orders of a second-order base
+    if integer(cfg.get("p", 2), "p", 1) != 2:
+        raise SchemaError("p", f"the multi-product base formula is second order; got {cfg['p']}")
     cells = [(j, t) for j in j_values for t in ts]
 
     def cell(args):
         j, t = args
-        plan = mpf_plan(j, base_order)
+        plan = mpf_plan(j)
         err = measure_mpf_error(plan, ham, t, oracle_tol=oracle_tol)
         try:
             rep = mpf_bound(ham, t, j, plan.c_norm, grid_points)
@@ -314,7 +314,7 @@ def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     rows = _pmap(cell, cells, workers)
     # the regime margin on the periodic extension, reported and not enforced
     global_margins = [r[7] * r[1] for r in rows if r[4]]
-    summary = {"plans": {str(j): mpf_plan(j, base_order).to_json() for j in j_values},
+    summary = {"plans": {str(j): mpf_plan(j).to_json() for j in j_values},
                "alpha_global_t_max": max(global_margins, default=None),
                "cells_in_regime_globally": sum(m < 0.5 for m in global_margins)}
     for j in j_values:
@@ -371,19 +371,20 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
         rows, results = [], []
         for eps in eps_values:
             res = gate_count_pf(ham, t, eps, p, grid_points, refine_iters)
-            rows.append([res["model"], n, t, eps, p, res["r"], res["gates"],
-                         None, None, None, res["bound_kind"]])
+            rows.append([model_class, n, t, eps, p, res["r"], res["gates"],
+                         None, None, None, "measured-alpha"])
             results.append(res)
             if include_mpf:
                 mres = mpf_resources(ham, t, eps, grid_points, refine_iters)
-                rows.append([mres["model"], n, t, eps, p, mres["r"], None,
+                rows.append([model_class, n, t, eps, p, mres["r"], None,
                              mres["J"], mres["queries"], mres["ancillas"], "mpf"])
         return rows, results
 
     cells = _pmap(cell, n_values, workers)
     rows = [row for cell_rows, _ in cells for row in cell_rows]
     at_base_eps = [results[0] for _, results in cells]  # each size's PF at eps_values[0]
-    summary = {"asymptotic_form": at_base_eps[0]["asymptotic_form"]}
+    # nu is read only now: building the models has checked it
+    summary = {"asymptotic_form": asymptotic_gate_form(model_class, p, params.get("nu"))}
     if len(set(n_values)) >= 2:
         for key, col in (("gate_exponent_vs_N", "gates"), ("alpha_exponent_vs_N", "alpha")):
             _loglog_exponent(summary, key, n_values, [r[col] for r in at_base_eps])

@@ -40,9 +40,6 @@ class ScalarCurve:
     def _eval(self, tau: float, q: int) -> float:
         raise NotImplementedError
 
-    def __call__(self, tau: float, q: int = 0) -> float:
-        return self.eval(tau, q)
-
 
 class ConstantCurve(ScalarCurve):
     kind = "constant"

@@ -4,6 +4,8 @@ per distinct curve, plus builders for the nearest-neighbor and long-range
 2-local model classes.  A built term is a sum of Pauli strings times curves:
 it keeps the strings as ``paulis`` next to its matrices, scattered one per
 curve by ``OperatorCurve.from_paulis``, never one per bond, pair or field.
+Those strings are the model's only record of its structure: a Hamiltonian
+holds its terms and nothing else.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class Hamiltonian:
     """Ordered list of OperatorCurve terms (gamma = 1..n_terms) sharing one
     Hilbert-space dimension."""
 
-    def __init__(self, terms, metadata: dict | None = None):
+    def __init__(self, terms):
         self.terms = list(terms)
         if not self.terms:
             raise InvalidInputError("a Hamiltonian needs at least one term")
@@ -125,7 +127,6 @@ class Hamiltonian:
         if len(dims) > 1:
             raise InvalidInputError(f"term dimensions disagree: {sorted(dims)}")
         self.dim = dims.pop()
-        self.metadata = dict(metadata or {})
 
     @property
     def n_terms(self) -> int:
@@ -152,11 +153,10 @@ class Hamiltonian:
         return OperatorCurve((s for t in self.terms for s in t.summands), dim=self.dim)
 
     def scaled(self, factor: complex) -> Hamiltonian:
-        return Hamiltonian([t.scaled(factor) for t in self.terms], metadata=self.metadata)
+        return Hamiltonian([t.scaled(factor) for t in self.terms])
 
     def extended(self, t_end: float, order: int) -> Hamiltonian:
-        return Hamiltonian([t.extended(t_end, order) for t in self.terms],
-                           metadata=self.metadata)
+        return Hamiltonian([t.extended(t_end, order) for t in self.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +212,9 @@ def build_driven_chain(n_sites: int, bond_curve, field_curve: ScalarCurve | None
     strings = [[(1.0, [(i, bond_paulis[0]), (j, bond_paulis[1])], curve)
                 for (i, j), curve in zip(bonds[parity::2], curves[parity::2])]
                for parity in (0, 1)]
-    meta = {"model": "nn-chain", "n_sites": n_sites, "boundary": boundary, "bonds": bonds}
     if field_curve is not None:
         strings[1] += [(1.0, [(i, field_pauli)], field_curve) for i in range(n_sites)]
-        meta["field_pauli"] = field_pauli
-    return Hamiltonian([OperatorCurve.from_paulis(n_sites, s) for s in strings], metadata=meta)
+    return Hamiltonian([OperatorCurve.from_paulis(n_sites, s) for s in strings])
 
 
 # ---------------------------------------------------------------------------
@@ -267,54 +265,28 @@ def _pair_magnitude(coupling: float, distance: int, nu: float) -> float:
     return mag
 
 
-def long_range_tables(n_sites: int, nu: float, pair_curves: dict,
-                      site_curves: dict | None = None,
-                      coupling: float = 1.0) -> dict:
-    """Coefficient metadata for a 1-D 2-local long-range model.
-
-    Pair coefficients are coupling / |i-j|^nu times the channel curve; stage
-    assignment follows the block divide-and-conquer split, giving
-    n_channels * ceil(log2 N) pair terms plus one single-site term.
-    """
-    if n_sites < 2:
-        raise InvalidInputError("long-range model needs at least 2 sites")
-    channels = _canonical_channels(pair_curves)
-    stages = _stage_pairs(n_sites)
-    pair_table = []
-    for gamma_p in sorted(stages):
-        for ch_idx, ch in enumerate(channels):
-            for (i, j) in stages[gamma_p]:
-                mag = _pair_magnitude(coupling, abs(i - j), nu)
-                pair_table.append((i, j, ch, gamma_p, mag, pair_curves[ch]))
-    site_table = []
-    if site_curves:
-        for sigma in sorted(site_curves, key=_PAULI_ORDER.index):
-            for i in range(n_sites):
-                site_table.append((i, sigma, site_curves[sigma]))
-    n_stage_terms = len(channels) * len(stages)
-    return {
-        "model": "long-range", "n_sites": n_sites, "nu": nu,
-        "channels": channels, "n_stages": len(stages),
-        "n_terms": n_stage_terms + (1 if site_table else 0),
-        "pair_table": pair_table, "site_table": site_table,
-    }
-
-
 def build_long_range(n_sites: int, nu: float, pair_curves: dict,
                      site_curves: dict | None = None, coupling: float = 1.0) -> Hamiltonian:
-    """Dense long-range model: one term per (stage, channel) pair plus a
-    single-site term when fields are present."""
-    if n_sites > QUBIT_CAP:  # before the table of all N(N-1)/2 pairs
+    """1-D 2-local long-range model: the pair (i, j) of stage gamma' in
+    channel ab is the string a_i b_j with coefficient coupling / |i-j|^nu and
+    the channel's curve.  One term per (stage, channel), in that order, each
+    listing its stage's pairs in ``_stage_pairs`` order: n_channels *
+    ceil(log2 N) pair terms, then one single-site term when fields are
+    present, holding every site of each field in X, Y, Z order."""
+    if n_sites < 2:
+        raise InvalidInputError("long-range model needs at least 2 sites")
+    if n_sites > QUBIT_CAP:  # before the list of all N(N-1)/2 pairs
         raise InvalidInputError(f"n_sites={n_sites} exceeds the qubit cap {QUBIT_CAP}")
-    meta = long_range_tables(n_sites, nu, pair_curves, site_curves, coupling)
-    by_term = {(g, ch): [] for g in range(1, meta["n_stages"] + 1) for ch in meta["channels"]}
-    for (i, j, ch, gamma_p, mag, curve) in meta["pair_table"]:
-        by_term[gamma_p, ch].append((mag, [(i, ch[0]), (j, ch[1])], curve))
-    terms = [OperatorCurve.from_paulis(n_sites, strings) for strings in by_term.values()]
-    if meta["site_table"]:
-        terms.append(OperatorCurve.from_paulis(
-            n_sites, [(1.0, [(i, sigma)], curve) for (i, sigma, curve) in meta["site_table"]]))
-    return Hamiltonian(terms, metadata=meta)
+    channels = _canonical_channels(pair_curves)
+    stages = _stage_pairs(n_sites)
+    strings = [[(_pair_magnitude(coupling, j - i, nu), [(i, ch[0]), (j, ch[1])], pair_curves[ch])
+                for i, j in stages[gamma_p]]
+               for gamma_p in sorted(stages) for ch in channels]
+    if site_curves:
+        strings.append([(1.0, [(i, sigma)], site_curves[sigma])
+                        for sigma in sorted(site_curves, key=_PAULI_ORDER.index)
+                        for i in range(n_sites)])
+    return Hamiltonian([OperatorCurve.from_paulis(n_sites, s) for s in strings])
 
 
 # ---------------------------------------------------------------------------
@@ -400,4 +372,4 @@ def _custom_from_descriptor(desc: dict, field: str, n: int) -> Hamiltonian:
     if labels != list(range(1, len(labels) + 1)):
         raise SchemaError(f"{field}.terms",
                           f"gamma labels must be 1..{len(labels)}, got {labels}")
-    return Hamiltonian([seen[g] for g in labels], metadata={"model": "custom", "n_sites": n})
+    return Hamiltonian([seen[g] for g in labels])

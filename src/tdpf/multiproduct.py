@@ -1,11 +1,10 @@
 """Time-dependent multi-product formulas: a linear combination of k_j-fold
-Trotterized base product formulas whose coefficients cancel the low even
-error orders, lifting a base order-p formula to order 2J+1.
+Trotterized second-order product formulas whose coefficients cancel the low
+even error orders, lifting the base formula to order 2J+1.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ def moment_residual(ks, cs) -> float:
 class MpfPlan:
     k: tuple[int, ...]
     c: tuple[float, ...]
-    base_order: int = 2
 
     def __post_init__(self):
         if list(self.k) != sorted(self.k):
@@ -78,31 +76,23 @@ class MpfPlan:
 
     def to_json(self) -> dict:
         return {"J": self.n_products, "k": list(self.k), "c": list(self.c),
-                "p": self.base_order, "c_norm": self.c_norm, "k_norm": self.k_norm}
+                "p": 2, "c_norm": self.c_norm, "k_norm": self.k_norm}
 
 
-def mpf_plan(n_products: int, base_order: int = 2) -> MpfPlan:
-    """Plan of J products over an order-p base formula with the sequential
-    choice k_j = j.  Its conditioning is surfaced through the plan's c_norm
-    and k_norm rather than guessed from the literature's (uncited-construction)
-    well-conditioned asymptotics."""
-    if base_order != 2:
-        if base_order < 2 or base_order % 2:
-            raise InvalidInputError("base order must be even")
-        warnings.warn(
-            "multi-product coefficients cancel even orders starting from 2; "
-            f"with base order {base_order} the extrapolation formally starts "
-            "from the second order", stacklevel=2)
+def mpf_plan(n_products: int) -> MpfPlan:
+    """Plan of J products over the second-order base formula with the
+    sequential choice k_j = j.  Its conditioning is surfaced through the
+    plan's c_norm and k_norm rather than guessed from the literature's
+    (uncited-construction) well-conditioned asymptotics."""
     ks = list(range(1, n_products + 1))
-    return MpfPlan(tuple(ks), tuple(float(c) for c in solve_coefficients(ks)),
-                   base_order)
+    return MpfPlan(tuple(ks), tuple(float(c) for c in solve_coefficients(ks)))
 
 
 def evaluate_mpf(plan: MpfPlan, ham: Hamiltonian, t: float,
                  oracle_tol: float = 1e-12) -> np.ndarray:
-    """sum_j c_j prod_k S_p(k t / k_j, (k-1) t / k_j): generally non-unitary
+    """sum_j c_j prod_k S_2(k t / k_j, (k-1) t / k_j): generally non-unitary
     as a matrix since it is a linear combination of unitaries."""
-    base = suzuki_plan(plan.base_order, ham.n_terms, EXACT)
+    base = suzuki_plan(2, ham.n_terms, EXACT)
     out = np.zeros((ham.dim, ham.dim), dtype=np.complex128)
     for k_j, c_j in zip(plan.k, plan.c):
         out += c_j * trotterize(base, ham, t, k_j, 0.0, oracle_tol)

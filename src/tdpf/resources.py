@@ -1,9 +1,11 @@
 """Trotter-step selection and local-gate counting for resource-table.
 
 One local exponential (single- or two-qubit) counts as one gate.  A product
-formula application costs V * (total local terms) gates, and a simulation of
-length t costs r such applications, with r chosen so the accumulated error
-bound stays below the target.
+formula application costs V * (total local terms) gates, where the local
+terms are the Pauli strings of the model's terms, and a simulation of length
+t costs r such applications, with r chosen so the accumulated error bound
+stays below the target.  The results hold only what is computed here; the
+caller already knows the model, sizes and targets it asked for.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
 
     The commutator factor alpha is measured on the model; its maximum over
     tau takes up to ``refine_iters`` halving rounds (see ``bounds.grid_max``).
+    Every term must carry its Pauli strings, since those are the gates.
     """
-    meta = ham.metadata
-    form = asymptotic_gate_form(meta, p)  # also rejects unknown model classes
+    if any(term.paulis is None for term in ham.terms):
+        raise InvalidInputError("gate counts need every term's Pauli strings")
     order = p + 1
     alpha, _ = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
                         refine_iters)
@@ -63,10 +66,7 @@ def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
     coeff = 3.0 * layers**order * alpha
     r = choose_trotter_steps(lambda tau: coeff * tau**order, t, eps, power=p)
     per_step = layers * sum(len(strings) for term in ham.terms for strings in term.paulis)
-    return {"model": meta.get("model", "?"), "N": meta.get("n_sites"),
-            "t": t, "eps": eps, "p": p, "r": r, "gates": r * per_step,
-            "gates_per_step": per_step, "alpha": alpha, "bound_kind": "measured-alpha",
-            "asymptotic_form": form}
+    return {"r": r, "gates": r * per_step, "gates_per_step": per_step, "alpha": alpha}
 
 
 def loglog_slope(xs, ys) -> float:
@@ -75,14 +75,13 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def asymptotic_gate_form(meta: dict, p: int) -> str:
-    """Leading-order gate-count form in (N, t, eps) for the model class,
-    d = 1 throughout (poly-log factors suppressed)."""
-    model = meta.get("model")
+def asymptotic_gate_form(model: str, p: int, nu: float | None = None) -> str:
+    """Leading-order gate-count form in (N, t, eps) for the model class, with
+    the long-range decay exponent ``nu``; d = 1 throughout (poly-log factors
+    suppressed)."""
     if model == "nn-chain":
         return f"N t (N t / eps)^(1/{p})"
     if model == "long-range":
-        nu = meta["nu"]
         if nu >= 1.0:
             return f"N^2 t (N t / eps)^(1/{p})"
         return f"N^{3 - nu:g} t (N^{2 - nu:g} t / eps)^(1/{p})"
@@ -119,6 +118,5 @@ def mpf_resources(ham: Hamiltonian, t: float, eps: float,
         raise OutOfRegimeError("multi-product regime condition unreachable")
     queries = math.ceil(r * c_norm * k_norm)
     ancillas = math.ceil(math.log2(n_products)) if n_products > 1 else 0
-    return {"model": ham.metadata.get("model", "?"), "N": ham.metadata.get("n_sites"),
-            "t": t, "eps": eps, "J": n_products, "r": r, "queries": queries,
-            "ancillas": ancillas, "c_norm": c_norm, "k_norm": k_norm, "alpha": rate}
+    return {"J": n_products, "r": r, "queries": queries, "ancillas": ancillas,
+            "c_norm": c_norm, "k_norm": k_norm, "alpha": rate}

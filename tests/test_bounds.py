@@ -829,7 +829,7 @@ TAUS = np.array([0.11, 0.37])
 
 def symmetries(ham):
     return find_symmetries([p for term in ham.terms for p in term.paulis],
-                           ham.metadata["n_sites"])
+                           ham.dim.bit_length() - 1)
 
 
 def z_parity(n):
@@ -912,7 +912,7 @@ class TestSectorWalk:
 
         def with_term2(strings):
             term = OperatorCurve.from_paulis(6, strings)
-            return Hamiltonian([ham.terms[0], term], metadata=ham.metadata)
+            return Hamiltonian([ham.terms[0], term])
 
         # one bond coefficient 1.0 -> 1 - 1e-16 breaks translation, not parity
         (coef, sites), *rest = bonds
@@ -940,7 +940,7 @@ class TestSectorWalk:
         halves = [(coef / 2, sites, bond_curve), (coef / 2, sites, bond_curve)]
         split = Hamiltonian([ham.terms[0], OperatorCurve.from_paulis(
             6, halves + [(c, s, bond_curve) for c, s in rest]
-            + [(c, s, field_curve) for c, s in fields])], metadata=ham.metadata)
+            + [(c, s, field_curve) for c, s in fields])])
         for got, want in zip(split.terms[1].summands, ham.terms[1].summands):
             np.testing.assert_array_equal(got[0], want[0])
         assert len(symmetries(split)) == len(symmetries(ham)) == 2

@@ -190,8 +190,11 @@ class TestResourceTable:
         header, rows = read_csv(out / "resource_table.csv")
         assert header == RESOURCE_COLUMNS
         assert len(rows) == 4  # (pf + mpf) x 2 sizes
+        assert [(r[0], r[1], r[-1]) for r in rows] == [
+            ("nn-chain", n, kind) for n in ("2", "3") for kind in ("measured-alpha", "mpf")]
         summary = json.loads((out / "resource_summary.json").read_text())
         assert "gate_exponent_vs_N" in summary
+        assert summary["asymptotic_form"] == "N t (N t / eps)^(1/2)"
 
     @pytest.mark.parametrize("model_class,params", [
         ("nn-chain", dict(RESOURCE_CFG["model_params"], bond_paulis=["Y", "Z"],
@@ -199,6 +202,8 @@ class TestResourceTable:
         ("long-range", {"nu": 1.5, "coupling": 0.8,
                         "pair_curves": {"ZZ": DRIVEN2["bond_curve"], "XY": ONE},
                         "site_curves": {"X": DRIVEN2["field_curve"]}}),
+        ("long-range", {"nu": 0.5, "pair_curves": {"XX": ONE},
+                        "site_curves": {"Z": DRIVEN2["field_curve"]}}),
     ])
     def test_models_come_from_the_descriptor(self, tmp_path, monkeypatch,
                                              model_class, params):
@@ -213,7 +218,14 @@ class TestResourceTable:
         cfg = write_config(tmp_path, "cfg.json", {
             "model_class": model_class, "N_values": [4], "t": 0.2, "eps": 1e-2,
             "p": 1, "grid_points": 3, "model_params": params})
-        assert run("resource-table", cfg, str(tmp_path / "out")) == 0
+        out = tmp_path / "out"
+        assert run("resource-table", cfg, str(out)) == 0
+        # the class and nu come from the config, not from the built model
+        _, (row,) = read_csv(out / "resource_table.csv")
+        assert (row[0], row[1], row[-1]) == (model_class, "4", "measured-alpha")
+        form = json.loads((out / "resource_summary.json").read_text())["asymptotic_form"]
+        assert form == {None: "N t (N t / eps)^(1/1)", 1.5: "N^2 t (N t / eps)^(1/1)",
+                        0.5: "N^2.5 t (N^1.5 t / eps)^(1/1)"}[params.get("nu")]
         (ham,) = seen
         expected = model_from_descriptor(dict(params, model=model_class, N=4))
         assert ham.n_terms == expected.n_terms
@@ -221,8 +233,10 @@ class TestResourceTable:
             for tau in (0.0, 0.13):
                 np.testing.assert_array_equal(got.value(tau), want.value(tau))
         if model_class == "nn-chain":
-            yz = sum(embed_pauli_string([(i, "Y"), (j, "Z")], 4)
-                     for i, j in ham.metadata["bonds"][0::2])
+            # term 1 of the periodic N = 4 ring: bonds (0, 1) and (2, 3)
+            strings = [[(i, "Y"), (j, "Z")] for i, j in ((0, 1), (2, 3))]
+            assert ham.term(1).paulis == [[(1.0, sites) for sites in strings]]
+            yz = sum(embed_pauli_string(sites, 4) for sites in strings)
             np.testing.assert_array_equal(ham.term(1).summands[0][0], yz)
 
     def test_commuting_sizes_write_null_exponent(self, tmp_path):
@@ -280,7 +294,8 @@ class TestResourceTable:
         else:
             ham = model_from_descriptor({"model": "long-range", "N": 4, "nu": nu,
                                          "pair_curves": {"XX": DRIVEN2["bond_curve"]}})
-            mags = {abs(i - j): mag for i, j, *_, mag, _c in ham.metadata["pair_table"]}
+            mags = {j - i: mag for term in ham.terms for group in term.paulis
+                    for mag, ((i, _a), (j, _b)) in group}
             assert mags == {1: 1.0, 2: 0.0, 3: 0.0}
 
 
@@ -471,6 +486,7 @@ class TestPlumbing:
         pytest.param("resource-table", "N_values", [4, 13], id="resource-table-N_values-value49"),
         ("resource-table", "bound_source", "analytic-scaling"),
         ("resource-table", "calibrate_N", 3),
+        ("mpf-scan", "p", 4),  # the base formula is second order
     ])
     def test_bad_field_exits_2(self, tmp_path, capsys, monkeypatch, subcommand, field, value):
         base = {
@@ -750,14 +766,15 @@ COLD_START_SCRIPT = """
 import json, sys
 import tdpf.cli
 codes = [tdpf.cli.run(sub, cfg, out) for sub, cfg, out in json.loads(sys.argv[1])]
-heavy = ("scipy.integrate", "scipy.linalg", "scipy.special")
-print(json.dumps({"codes": codes, "loaded": [m for m in heavy if m in sys.modules]}))
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
 def cold_start(tmp_path, runs) -> dict:
     """Exit codes of the (subcommand, config) runs in one fresh interpreter,
-    and the heavy scipy subpackages it loaded."""
+    and every scipy module it loaded, the top-level package included: the
+    program needs numpy only."""
     args = [(sub, write_config(tmp_path, f"{sub}.json", cfg), str(tmp_path / sub))
             for sub, cfg in runs]
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -9,8 +9,8 @@ from tdpf.curves import ConstantCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import InvalidInputError, SchemaError
 from tdpf.linalg import PAULI, commutator, embed_pauli_string, spectral_norm
 from tdpf.cli import _model_from_config
-from tdpf.models import (Hamiltonian, OperatorCurve, build_long_range, build_nn_chain,
-                         long_range_tables, model_from_descriptor)
+from tdpf.models import (Hamiltonian, OperatorCurve, _stage_pairs, build_long_range,
+                         build_nn_chain, model_from_descriptor)
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -18,6 +18,16 @@ X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 def string_counts(ham):
     """The number of Pauli strings (local gates) in each term."""
     return [sum(len(strings) for strings in term.paulis) for term in ham.terms]
+
+
+def chain_bonds(n, boundary="open"):
+    """The chain's bonds (i, i+1), in bond-index order."""
+    return [(i, (i + 1) % n) for i in range(n if boundary == "periodic" else n - 1)]
+
+
+def pairs_of(term):
+    """The (i, j) site pairs of a term's 2-local strings, in order."""
+    return [(i, j) for strings in term.paulis for _c, ((i, _a), (j, _b)) in strings]
 
 
 class TestOperatorCurve:
@@ -180,10 +190,12 @@ class TestNnChain:
         (6, ("Y", "Z"), "periodic"), (5, ("Y", "Z"), "open")])
     def test_terms_commute_internally(self, n, paulis, boundary):
         ham = build_nn_chain(n, ConstantCurve(1.0), paulis, boundary=boundary)
-        bonds = ham.metadata["bonds"]
+        bonds = chain_bonds(n, boundary)
         for parity, term in enumerate(ham.terms):
-            pieces = [embed_pauli_string([(i, paulis[0]), (j, paulis[1])], n)
-                      for i, j in bonds[parity::2]]
+            (strings,) = term.paulis
+            assert strings == [(1.0, [(i, paulis[0]), (j, paulis[1])])
+                               for i, j in bonds[parity::2]]
+            pieces = [c * embed_pauli_string(sites, n) for c, sites in strings]
             for a, b in zip(pieces, pieces[1:] + pieces[:1]):
                 assert not np.any(commutator(a, b))
             ((total, _),) = term.summands
@@ -196,7 +208,8 @@ class TestNnChain:
 
     def test_periodic_boundary(self):
         ham = build_nn_chain(4, ConstantCurve(1.0), boundary="periodic")
-        assert len(ham.metadata["bonds"]) == 4
+        assert pairs_of(ham.term(1)) == [(0, 1), (2, 3)]
+        assert pairs_of(ham.term(2)) == [(1, 2), (3, 0)]
         wrap = embed_pauli_string([(3, "X"), (0, "X")], 4)
         assert np.allclose(ham.term(2).value(0.0) - wrap,
                            embed_pauli_string([(1, "X"), (2, "X")], 4))
@@ -218,26 +231,42 @@ class TestLongRange:
         assert ham.n_terms == 9 * 2 + 1  # 9 ceil(log2 4) + 1
 
     def test_stage_structure_n4(self):
-        tables = long_range_tables(4, 1.0, {"XX": ConstantCurve(1.0)})
-        by_stage = {}
-        for (i, j, _ch, stage, _mag, _c) in tables["pair_table"]:
-            by_stage.setdefault(stage, []).append((i, j))
-        # stage 1: one pair of adjacent blocks of size 2
-        assert sorted(by_stage[1]) == [(0, 2), (0, 3), (1, 2), (1, 3)]
-        assert sorted(by_stage[2]) == [(0, 1), (2, 3)]
+        ham = build_long_range(4, 1.0, {"XX": ConstantCurve(1.0)})
+        # one channel: term gamma' holds stage gamma'; stage 1: one pair of
+        # adjacent blocks of size 2
+        assert sorted(pairs_of(ham.term(1))) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert sorted(pairs_of(ham.term(2))) == [(0, 1), (2, 3)]
 
     def test_every_pair_once_n8(self):
-        tables = long_range_tables(8, 1.5, {"XY": ConstantCurve(1.0)})
-        pairs = [(i, j) for (i, j, *_rest) in tables["pair_table"]]
+        ham = build_long_range(8, 1.5, {"XY": ConstantCurve(1.0)})
+        pairs = [pair for term in ham.terms for pair in pairs_of(term)]
         assert sorted(pairs) == [(i, j) for i in range(8) for j in range(i + 1, 8)]
         assert len(set(pairs)) == len(pairs)
 
+    @pytest.mark.parametrize("n,nu,sites", [
+        (5, 1.5, None), (6, 0.5, {"Z": TrigCurve(0.4, 1.3), "X": ConstantCurve(0.2)}),
+        (8, 3.0, {"Y": ConstantCurve(0.7)})])
+    def test_strings_are_the_stage_pairs(self, n, nu, sites):
+        # one term per (stage, channel), channels in X, Y, Z order, each
+        # holding its stage's pairs in order with coupling / |i-j|^nu and the
+        # channel's curve; then one term of every site of each field
+        channels = {"YZ": TrigCurve(0.5, 2.0), "XX": ConstantCurve(1.0)}
+        ham = build_long_range(n, nu, channels, sites, coupling=0.9)
+        stages = _stage_pairs(n)
+        want = [[(0.9 / (j - i) ** nu, [(i, ch[0]), (j, ch[1])], channels[ch])
+                 for i, j in stages[g]] for g in sorted(stages) for ch in ("XX", "YZ")]
+        if sites:
+            want.append([(1.0, [(i, s)], sites[s]) for s in ("X", "Y", "Z") if s in sites
+                         for i in range(n)])
+        # a term keeps its strings one group per curve, in summand order
+        assert [[(c, s, curve) for group, (_m, curve) in zip(term.paulis, term.summands)
+                 for c, s in group] for term in ham.terms] == want
+
     def test_summands_commute_within_term(self):
         ham = build_long_range(8, 1.0, {"XZ": ConstantCurve(1.0)})
-        pieces = [[] for _ in ham.terms]  # one channel: term gamma_p - 1
-        for (i, j, ch, gamma_p, mag, _c) in ham.metadata["pair_table"]:
-            pieces[gamma_p - 1].append(mag * embed_pauli_string([(i, ch[0]), (j, ch[1])], 8))
-        for term, mats in zip(ham.terms, pieces):
+        for term in ham.terms:
+            (strings,) = term.paulis
+            mats = [c * embed_pauli_string(sites, 8) for c, sites in strings]
             for a, b in combinations(mats, 2):
                 assert np.array_equal(a @ b, b @ a)
             ((total, _),) = term.summands
@@ -250,7 +279,7 @@ class TestOneSummandPerCurve:
     def test_driven_chain(self):
         ham = driven_chain(5)
         assert [len(t.summands) for t in ham.terms] == [1, 2]
-        bonds = ham.metadata["bonds"]
+        bonds = chain_bonds(5)
         assert string_counts(ham) == [len(bonds[0::2]), len(bonds[1::2]) + 5]
 
     def test_nn_chain_with_a_curve_per_bond(self):
@@ -265,16 +294,15 @@ class TestOneSummandPerCurve:
         ham = build_long_range(5, 1.5, {"XX": ConstantCurve(1.0), "YZ": TrigCurve(0.5, 2.0)},
                                site)
         assert [len(t.summands) for t in ham.terms] == [1] * 6 + [2]
-        tables = ham.metadata
-        pairs = [sum(1 for row in tables["pair_table"] if row[2:4] == (ch, stage))
-                 for stage in (1, 2, 3) for ch in ("XX", "YZ")]
-        assert string_counts(ham) == pairs + [len(tables["site_table"])] == \
-            [4, 4, 4, 4, 2, 2, 10]
+        stages = _stage_pairs(5)
+        pairs = [len(stages[stage]) for stage in (1, 2, 3) for _ch in ("XX", "YZ")]
+        assert string_counts(ham) == pairs + [len(site) * 5] == [4, 4, 4, 4, 2, 2, 10]
 
     def test_values_match_the_literal_sum_of_local_pieces(self):
         ham = driven_chain(6, "periodic")
         bond, field = TrigCurve(0.3, 2.0, offset=1.0), TrigCurve(0.8, 3.1)
-        bonds = [embed_pauli_string([(i, "X"), (j, "X")], 6) for i, j in ham.metadata["bonds"]]
+        bonds = [embed_pauli_string([(i, "X"), (j, "X")], 6)
+                 for i, j in chain_bonds(6, "periodic")]
         zs = [embed_pauli_string([(i, "Z")], 6) for i in range(6)]
         taus = np.array([0.0, 0.37, 1.1])
         for q in (0, 1, 2):

@@ -69,12 +69,6 @@ class TestPlans:
         assert js["c"] == pytest.approx([-1.0 / 3.0, 4.0 / 3.0], abs=1e-14)
         assert all(isinstance(c, float) for c in js["c"])
 
-    def test_generic_base_order_warns(self):
-        with pytest.warns(UserWarning):
-            mpf_plan(2, base_order=4)
-        with pytest.raises(InvalidInputError):
-            mpf_plan(2, base_order=3)
-
 
 class TestEvaluation:
     def test_single_product_is_base_formula(self, driven2):

@@ -6,7 +6,6 @@ import pytest
 from conftest import driven_chain
 from tdpf.errors import InvalidInputError
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.models import build_long_range, long_range_tables
 from tdpf.multiproduct import mpf_plan
 from tdpf.resources import (asymptotic_gate_form, choose_trotter_steps, gate_count_pf,
                             loglog_slope, mpf_resources)
@@ -53,8 +52,8 @@ class TestGateCounts:
         res = gate_count_pf(ham, 0.2, 1e-2, 2, grid_points=3, refine_iters=4)
         assert res["r"] >= 1
         assert res["gates"] == res["r"] * res["gates_per_step"]
-        assert res["bound_kind"] == "measured-alpha"
-        assert res["N"] == 3
+        # only what it computes: the model, sizes and targets are the caller's
+        assert sorted(res) == ["alpha", "gates", "gates_per_step", "r"]
 
     def test_selected_r_reaches_target(self):
         # the bound is valid, so the chosen step count must meet eps
@@ -72,36 +71,30 @@ class TestGateCounts:
         assert b["r"] >= a["r"]
         assert b["r"] <= math.ceil(a["r"] * 2 ** (1 / 2)) + 1
 
-    def test_analytic_long_range_uses_metadata_only(self):
-        # the asymptotic form needs only the coefficient tables, so it is
-        # available for sizes far over the dense-model qubit cap
-        from tdpf.curves import ConstantCurve
-        tables = long_range_tables(32, 3.0, {"XX": ConstantCurve(1.0)})
-        assert tables["n_sites"] == 32 and len(tables["pair_table"]) == 32 * 31 // 2
-        # decaying interactions (nu >= d): the Table-form gate count
-        assert asymptotic_gate_form(tables, 2) == "N^2 t (N t / eps)^(1/2)"
+    def test_analytic_long_range_needs_no_model(self):
+        # the asymptotic form needs only the class and nu, so it is available
+        # for sizes far over the dense-model qubit cap; decaying interactions
+        # (nu >= d): the Table-form gate count
+        assert asymptotic_gate_form("long-range", 2, 3.0) == "N^2 t (N t / eps)^(1/2)"
 
     def test_asymptotic_forms(self):
-        from tdpf.curves import ConstantCurve
-        chain = driven_chain(3)
-        res = gate_count_pf(chain, 0.2, 1e-2, 2, grid_points=3, refine_iters=2)
-        assert res["asymptotic_form"] == "N t (N t / eps)^(1/2)"
+        assert asymptotic_gate_form("nn-chain", 2) == "N t (N t / eps)^(1/2)"
         # slowly decaying interactions (nu < d = 1), then decaying ones (nu >= d)
-        slow = build_long_range(4, 0.5, {"XX": ConstantCurve(1.0)})
-        assert asymptotic_gate_form(slow.metadata, 2) == "N^2.5 t (N^1.5 t / eps)^(1/2)"
-        fast = build_long_range(4, 3.0, {"XX": ConstantCurve(1.0)})
-        assert asymptotic_gate_form(fast.metadata, 2) == "N^2 t (N t / eps)^(1/2)"
+        assert asymptotic_gate_form("long-range", 2, 0.5) == "N^2.5 t (N^1.5 t / eps)^(1/2)"
+        assert asymptotic_gate_form("long-range", 2, 3.0) == "N^2 t (N t / eps)^(1/2)"
 
     def test_unknown_model_class_rejected(self):
         from tdpf.curves import ConstantCurve
         from tdpf.models import Hamiltonian, OperatorCurve
         from tdpf.linalg import PAULI
-        custom = Hamiltonian(
+        # terms given as matrices carry no strings, so there are no gates to count
+        matrices = Hamiltonian(
             [OperatorCurve([(PAULI["X"], ConstantCurve(1.0))]),
-             OperatorCurve([(PAULI["Z"], ConstantCurve(0.5))])],
-            metadata={"model": "custom"})
-        with pytest.raises(InvalidInputError):
-            gate_count_pf(custom, 0.2, 1e-2, 2, grid_points=3, refine_iters=2)
+             OperatorCurve([(PAULI["Z"], ConstantCurve(0.5))])])
+        with pytest.raises(InvalidInputError, match="Pauli strings"):
+            gate_count_pf(matrices, 0.2, 1e-2, 2, grid_points=3, refine_iters=2)
+        with pytest.raises(InvalidInputError, match="custom"):
+            asymptotic_gate_form("custom", 2)
 
 
 class TestMpfResources:
