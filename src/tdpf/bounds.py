@@ -49,7 +49,10 @@ other step, or a non-Hermitian term, takes the general A†A path.
 
 Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then, in each halving round, the midpoints
-of the two intervals next to the best sample so far (one at an endpoint).
+of the two intervals next to the best sample so far.  While the best sample
+is an endpoint, each round halves the one interval next to it, so the
+coming rounds' midpoints are known in advance; they go in runs of 1, 2, 4,
+... points per call, and the rounds replay the stored values.
 
 The first-order and non-unitary bounds integrate over time with one
 globally adaptive Gauss-Kronrod rule, QUADPACK's 21-point qk21 with its
@@ -310,8 +313,14 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
     the grid_size field.
 
     fn maps a 1-D array of points to the array of its values.  The grid is
-    one call (one point when hi == lo); each round is one call with two
-    midpoints, or one when the best sample is an endpoint."""
+    one call (one point when hi == lo), and a round with the best sample
+    inside is one call with two midpoints.  While the best sample is an
+    endpoint x_k, the coming rounds' midpoints are m, (m + x_k) / 2, ...:
+    they are evaluated ahead in runs of 1, 2, 4, ... points (never past the
+    last round), one call per run, and each round takes its stored value.
+    So the samples, the max and the argmax are those of one call per round,
+    and the points a run evaluates past the round that overtakes x_k are at
+    most those the endpoint's earlier rounds used."""
     if hi < lo:
         raise InvalidInputError("empty maximization interval")
     if hi == lo:
@@ -320,13 +329,28 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
         raise InvalidInputError(f"n_points must be >= 2 when hi > lo, got {n_points}")
     xs = np.linspace(lo, hi, n_points)
     vals = fn(xs)
-    for _ in range(refine_iters):
+    # values of the endpoint's coming midpoints, evaluated ahead.  Once a
+    # sample inside is best, no endpoint is best again: argmax takes the
+    # first of equal values, and the best value never falls.  So the values
+    # left when a midpoint overtakes the endpoint are never read.
+    ahead, run = [], 1
+    for i in range(refine_iters):
         k = int(np.argmax(vals))
         sides = [j for j in (k - 1, k + 1) if 0 <= j < len(xs)]
         mids = np.array([(xs[j] + xs[k]) / 2.0 for j in sides])
+        if len(sides) == 2:
+            new = fn(mids)
+        elif ahead:
+            new = ahead.pop(0)
+        else:
+            points = [mids[0]]
+            for _ in range(min(run, refine_iters - i) - 1):
+                points.append((points[-1] + xs[k]) / 2.0)
+            new, *ahead = fn(np.array(points))
+            run *= 2
         at = [max(j, k) for j in sides]  # each midpoint goes between j and k
         xs = np.insert(xs, at, mids)
-        vals = np.insert(vals, at, fn(mids))
+        vals = np.insert(vals, at, new)
     k = int(np.argmax(vals))
     return float(vals[k]), float(xs[k])
 

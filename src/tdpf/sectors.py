@@ -45,10 +45,12 @@ import numpy as np
 from .linalg import pauli_permutation, pauli_sum, translation_permutation
 
 # Smallest dimension that takes the sector walk.  Measured on alpha_com of
-# order 3 on the driven periodic chain (2 cores): dimension 32 wins 1.5x at
-# one tau and 2x at 65, 16 is a wash at one tau, and 4 loses, up to 1.7x
-# slower at 65 taus.
-MIN_DIM = 32
+# orders 3 and 5 at 1 and 65 taus on the open and periodic driven chains,
+# sector walk against dense walk (2 cores, best of 3-21 runs): dimension 32
+# runs 1.5-2.7x faster, and 16 (N = 4) 1.4-1.9x at 65 taus and 0.7-1.3x at
+# one tau, where a walk takes under 6 ms; 8 is a wash (0.9-1.7x) and 4
+# loses (0.57-0.93x).  The sums move by at most 7e-16 relative.
+MIN_DIM = 16
 
 
 class Sectors:

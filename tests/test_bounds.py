@@ -357,9 +357,9 @@ class TestBlockWalk:
             return real(stack, hermitian)
 
         monkeypatch.setattr(bounds, "spectral_norms", spy)
-        alpha_com(driven_chain(4), 5, 0.1)
+        alpha_com(dense_copy(driven_chain(4)), 5, 0.1)
         # 2 seeds times 2 * 3^3 leaves (a seed's commutator with itself is
-        # skipped), 32 16x16 nodes per block: 32 + 22 per seed
+        # skipped), 32 dense 16x16 nodes per block: 32 + 22 per seed
         assert sum(sizes) == 108 and max(sizes) == 32 and len(sizes) == 4
 
     def test_memory_peak_stays_near_the_depth_first_walk(self, monkeypatch):
@@ -709,7 +709,66 @@ class TestMpfBound:
             mpf_bound_value(rep.extra["alpha_local"] * t, 2, 5.0 / 3.0), rel=1e-12)
 
 
+def plain_grid_max(fn, lo, hi, n_points, refine_iters):
+    """Reference grid_max with one fn call per halving round: (max, argmax,
+    samples)."""
+    xs = np.linspace(lo, hi, n_points)
+    vals = fn(xs)
+    for _ in range(refine_iters):
+        k = int(np.argmax(vals))
+        sides = [j for j in (k - 1, k + 1) if 0 <= j < len(xs)]
+        mids = np.array([(xs[j] + xs[k]) / 2.0 for j in sides])
+        at = [max(j, k) for j in sides]
+        xs = np.insert(xs, at, mids)
+        vals = np.insert(vals, at, fn(mids))
+    k = int(np.argmax(vals))
+    return float(vals[k]), float(xs[k]), xs
+
+
+def narrow_bump(r):
+    """x on [0, 1] plus a bump that the 9-point grid and the first r - 1
+    halving rounds at hi miss, centred on the round-r midpoint 1 - 2^-(3 + r)."""
+    centre, width = 1.0 - 0.125 / 2**r, 0.125 / 2**r / 8
+    return lambda xs: xs + 2.0 * np.exp(-((xs - centre) / width) ** 2)
+
+
+# (function on [0, 1], evaluations past the reference's samples at 30 rounds):
+# an endpoint overtaken at round 5 wastes rounds 6 and 7 of the run of 4
+GRID_CASES = {
+    "max-at-hi": (lambda xs: xs, 0),
+    "max-at-lo": (lambda xs: -xs, 0),
+    "interior": (lambda xs: -(xs - 0.37) ** 2, 0),
+    "hi-overtaken-at-round-1": (narrow_bump(1), 0),
+    "hi-overtaken-at-round-5": (narrow_bump(5), 2),
+    "lo-overtaken-at-round-5": (lambda xs: narrow_bump(5)(1.0 - xs), 2),
+}
+
+
 class TestGridMax:
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_matches_one_call_per_round(self, case):
+        f, waste = GRID_CASES[case]
+        probes = []
+
+        def fn(xs):
+            probes.extend(xs.tolist())
+            return f(xs)
+
+        want_max, want_arg, samples = plain_grid_max(f, 0.0, 1.0, 9, 30)
+        assert grid_max(fn, 0.0, 1.0, 9, refine_iters=30) == (want_max, want_arg)
+        assert set(samples.tolist()) <= set(probes)
+        assert len(probes) == len(samples) + waste <= 2 * len(samples)
+
+    def test_alpha_com_maximum_matches_one_call_per_round(self):
+        ham = driven_chain(4)
+
+        def fn(tau):
+            return alpha_com(ham, 3, tau)
+
+        want_max, want_arg, _ = plain_grid_max(fn, 0.0, 0.05, 65, 30)
+        assert want_arg == 0.05  # the endpoint runs evaluate several taus per walk
+        assert grid_max(fn, 0.0, 0.05) == (want_max, want_arg)
+
     def test_finds_interior_maximum(self):
         val, arg = grid_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0, 65)
         assert arg == pytest.approx(0.37, abs=1e-3)
@@ -717,9 +776,10 @@ class TestGridMax:
 
     def test_batches(self):
         # the grid, then per round the midpoints on either side of the best
-        # sample: two inside, one when the best sample is the endpoint hi
+        # sample: two inside; while the best sample is the endpoint hi, the
+        # coming rounds' midpoints in runs of 1, 2, ... up to the last round
         for peak, shapes in [(lambda xs: -(xs - 0.37) ** 2, [9, 2, 2, 2]),
-                             (lambda xs: xs, [9, 1, 1, 1])]:
+                             (lambda xs: xs, [9, 1, 2])]:
             calls = []
 
             def fn(xs):
@@ -730,7 +790,7 @@ class TestGridMax:
             assert [len(c) for c in calls] == shapes
             np.testing.assert_array_equal(calls[0], np.linspace(0.0, 1.0, 9))
         # the best sample stays at hi = 1, so each round halves the last interval
-        assert [c[0] for c in calls[1:]] == [0.9375, 0.96875, 0.984375]
+        assert np.concatenate(calls[1:]).tolist() == [0.9375, 0.96875, 0.984375]
 
     @pytest.mark.parametrize("rounds", [0, 1, 5, 30])
     @pytest.mark.parametrize("target", [0.37, 0.38])
@@ -812,6 +872,8 @@ def dense_copy(ham):
 
 
 SECTOR_MODELS = {
+    "open4": lambda: driven_chain(4),
+    "periodic4": lambda: driven_chain(4, "periodic"),
     "periodic5": lambda: driven_chain(5, "periodic"),
     "periodic6": lambda: driven_chain(6, "periodic"),
     "periodic7": lambda: driven_chain(7, "periodic"),
@@ -984,13 +1046,13 @@ class TestSectorWalk:
             return real(terms)
 
         monkeypatch.setattr(models, "project", spy)
-        small = driven_chain(4, "periodic")
+        small = driven_chain(3, "periodic")
         assert small.dim < MIN_DIM
         alpha_com(small, 3, 0.2)
         assert small.sectors.count == 1
         assert calls == []
         custom = models.model_from_descriptor({
-            "model": "custom", "N": 5, "terms": [
+            "model": "custom", "N": 4, "terms": [
                 {"gamma": 1, "paulis": [[0, "X"], [1, "X"]], "curve": {"kind": "constant",
                                                                        "value": 1.0}},
                 {"gamma": 2, "paulis": [[0, "Z"]], "curve": {"kind": "trig", "amp": 0.8,
@@ -998,17 +1060,18 @@ class TestSectorWalk:
         assert custom.dim >= MIN_DIM
         assert calls == []  # built, not yet walked: no detection
         (parity,) = symmetries(custom)
-        assert same_symmetry(parity, (*z_parity(5), 2))
+        assert same_symmetry(parity, (*z_parity(4), 2))
         for p in (1, 2):
             assert alpha_com(custom, p + 1, 0.2) == pytest.approx(
                 alpha_com(dense_copy(custom), p + 1, 0.2), rel=1e-12)
         assert custom.sectors.count == 2
-        assert calls == [32]  # detected once, at the first walk
-        at_min = driven_chain(5, "periodic")
-        assert calls == [32]
+        assert calls == [16]  # detected once, at the first walk
+        at_min = driven_chain(4, "periodic")
+        assert at_min.dim == MIN_DIM
+        assert calls == [16]
         alpha_com(at_min, 3, 0.2)
         alpha_com(at_min, 2, 0.3)
-        assert calls == [32, 32]
+        assert calls == [16, 16]
 
 
 # ---------------------------------------------------------------------------
