@@ -39,20 +39,22 @@ symmetry) is its own single sector, S = 1 and m = dim, and walks its own
 terms.
 
 When every live term is Hermitian (decided from its matrices, never from
-the Hamiltonian's flag), every node is i^k times a Hermitian matrix: a step
-with a commutator and no derivative, or with an imaginary derivative
-coefficient, multiplies by i; a derivative step with a real coefficient by
-1.  The leaf times (-i)^k, which is exact in floating point, is then
-Hermitian, and its norm is its largest |eigenvalue| with no A†A product.
+the Hamiltonian's flag), each step carries a unit phase f and maps X to
+f [H_g, X] + (f c) dX/dt: f = i for a step with a commutator or with an
+imaginary derivative coefficient, f = 1 for a real coefficient and no
+commutator.  A unit phase changes no norm, and every node is Hermitian by
+construction, so its norm is its largest |eigenvalue| with no A†A product.
 The sector blocks of a Hermitian term are made exactly Hermitian too.  Any
-other step, or a non-Hermitian term, takes the general A†A path.
+other step, or a non-Hermitian term, gives every step f = 1 and takes the
+general A†A path.
 
 Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then, in each halving round, the midpoints
 of the two intervals next to the best sample so far.  While the best sample
 is an endpoint, each round halves the one interval next to it, so the
 coming rounds' midpoints are known in advance; they go in runs of 1, 2, 4,
-... points per call, and the rounds replay the stored values.
+... points per call.  Every value is kept by its point, and a round calls
+fn only for the midpoints it does not have yet.
 
 The first-order and non-unitary bounds integrate over time with one
 globally adaptive Gauss-Kronrod rule, QUADPACK's 21-point qk21 with its
@@ -77,9 +79,6 @@ from .models import Hamiltonian
 
 _QUAD_EPSABS = 1e-8  # absolute error target of both adaptive quadratures
 _QUAD_PANELS = 200  # most panels a quadrature may split its interval into
-
-# (-i)^k for k mod 4 = 1, 2, 3
-_UNDO_I_POWER = {1: -1j, 2: -1.0, 3: 1j}
 
 # QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): the 21-point Kronrod
 # abscissae on [0, 1] in decreasing order (odd positions, counted from 0,
@@ -131,9 +130,12 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
                 f"term {g} has derivative budget {term.derivative_budget}; "
                 f"this sum needs derivatives up to order {p}")
         live[g] = term
-    powers = (_i_powers(steps, live)
-              if all(term.is_hermitian for term in live.values()) else None)
-    walk_steps = list(zip(steps, powers or [0] * len(steps)))
+    phases = [_phase(g, c, live) for _w, g, c in steps]
+    hermitian = None not in phases and all(term.is_hermitian for term in live.values())
+    # a zero step weight zeroes its whole subtree; a weight product that
+    # underflows to 0.0 is walked and adds 0.0 to the fsum
+    walk_steps = [(w, g, f, f * c) if hermitian else (w, g, 1, c)
+                  for (w, g, c), f in zip(steps, phases) if w != 0.0]
     sectors = ham.sectors
     size = sectors.size
     chunk = max(1, BATCH_ENTRIES // (sectors.count * size**2))  # large: one tau at a time
@@ -152,114 +154,87 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
         for gamma, weight in seeds:
             if weight != 0.0 and gamma in derivs:
                 table = derivs[gamma] + [values(gamma, part, p)]
-                root = ([d[None] for d in table], np.array([weight], dtype=float),
-                        None if powers is None else np.zeros(1, dtype=int))
-                _walk(root, p, derivs, walk_steps, cap, norms, gamma)
+                root = ([d[None] for d in table], np.array([weight], dtype=float))
+                _walk(root, p, derivs, walk_steps, cap, norms, hermitian, gamma)
         # a node's norm is the largest of its sector blocks' norms
         leaves = np.concatenate(norms).reshape(-1, len(part), sectors.count).max(axis=2)
         sums += [math.fsum(column) for column in leaves.T]
     return np.array(sums) if np.ndim(taus) else sums[0]
 
 
-def _i_powers(steps, live):
-    """The power of i each step contributes when every live term is
-    Hermitian, or None when some step leaves that form.  Then every node is
-    i^k times a Hermitian matrix: ad_{H_g} and an imaginary c d/dt multiply
-    by i, a real c d/dt by 1."""
-    powers = []
-    for _w, g, c in steps:
-        c = complex(c)
-        if c.real == 0.0 and (c.imag != 0.0 or g in live):
-            powers.append(1)
-        elif c.imag == 0.0 and g not in live:
-            powers.append(0)
-        else:
-            return None
-    return powers
+def _phase(g, c, live):
+    """The unit phase f that makes f ([H_g, X] + c dX/dt) Hermitian for every
+    Hermitian X when the live terms are Hermitian, or None if there is none:
+    i for a commutator or an imaginary c, 1 for a real c and no commutator."""
+    c = complex(c)
+    if c.real == 0.0 and (c.imag != 0.0 or g in live):
+        return 1j
+    if c.imag == 0.0 and g not in live:
+        return 1
+    return None
 
 
-def _walk(block, depth, derivs, steps, cap, norms, seed=None) -> None:
+def _walk(block, depth, derivs, steps, cap, norms, hermitian, seed=None) -> None:
     """Append the weighted norms of every completion of a block of prefixes.
 
-    block is (x, w, k): x[q] stacks the q-th derivatives of its n prefixes
-    as an (n, B * S, m, m) array, q = 0..depth, with depth steps still to
-    apply; w holds their weights and k their powers of i (None: general
-    matrices).  Each step maps the whole block to its children at once,
-    and the children of consecutive steps are gathered into blocks of cap
-    nodes, so a leaf block is one eigensolve.  A root block of term seed
-    skips the pure commutator step with H_seed, whose subtree is zero."""
-    x, w, k = block
+    block is (x, w): x[q] stacks the q-th derivatives of its n prefixes as an
+    (n, B * S, m, m) array, q = 0..depth, with depth steps still to apply,
+    and w holds their weights.  A step (weight, g, f, fc) maps X to
+    f [H_g, X] + fc dX/dt; with hermitian every node is Hermitian.  Each
+    step maps the whole block to its children at once, and the children of
+    consecutive steps are gathered into blocks of cap nodes, so a leaf block
+    is one eigensolve.  A root block of term seed skips the pure commutator
+    step with H_seed, whose subtree is zero."""
+    x, w = block
     if depth == 0:
-        if k is None:
-            norms.append(w[:, None] * spectral_norms(x[0]))
-        else:
-            _undo_i_powers(x[0], k)
-            norms.append(w[:, None] * spectral_norms(x[0], hermitian=True))
+        norms.append(w[:, None] * spectral_norms(x[0], hermitian=hermitian))
         return
     pending, count = [], 0
-    for (sw, g, c), power in steps:
+    for sw, g, f, fc in steps:
         h = derivs.get(g)
-        if c == 0 and (h is None or g == seed):
+        if fc == 0 and (h is None or g == seed):
             continue
-        child_w, src, child_k = w * sw, x, k
-        if not child_w.all():  # the step weight is 0 or a product underflowed
-            keep = child_w != 0.0
-            if not keep.any():
-                continue
-            child_w, src = child_w[keep], [a[keep] for a in x]
-            child_k = None if k is None else k[keep]
         if h is None:
-            child = [c * src[q + 1] for q in range(depth)]
+            child = [fc * x[q + 1] for q in range(depth)]
         else:
             child = []
             for q in range(depth):
-                out = np.zeros_like(src[0])
+                out = np.zeros_like(x[0])
                 for r in range(q + 1):
-                    lv, rv = h[r], src[q - r]
-                    out += math.comb(q, r) * (lv @ rv - rv @ lv)
-                if c:
-                    out += c * src[q + 1]
+                    lv, rv = h[r], x[q - r]
+                    out += (f * math.comb(q, r)) * (lv @ rv - rv @ lv)
+                if fc:
+                    out += fc * x[q + 1]
                 child.append(out)
-        pending.append((child, child_w, None if child_k is None else child_k + power))
-        count += len(child_w)
+        pending.append((child, w * sw))
+        count += len(w)
         if count >= cap:
             merged = _concat(pending)
             for lo in range(0, count - cap + 1, cap):
-                _walk(_slice(merged, lo, lo + cap), depth - 1, derivs, steps, cap, norms)
+                _walk(_slice(merged, lo, lo + cap), depth - 1, derivs, steps, cap, norms,
+                      hermitian)
             rest = count % cap
             pending = [_slice(merged, count - rest, count)] if rest else []
             count = rest
             del merged  # walked children go before the next step's are made
     if pending:
-        _walk(_concat(pending), depth - 1, derivs, steps, cap, norms)
+        _walk(_concat(pending), depth - 1, derivs, steps, cap, norms, hermitian)
 
 
 def _concat(pieces):
     """One block of the nodes of several, in order; a single block as is."""
     if len(pieces) == 1:
         return pieces[0]
-    xs, ws, ks = zip(*pieces)
-    return ([np.concatenate(col) for col in zip(*xs)], np.concatenate(ws),
-            None if ks[0] is None else np.concatenate(ks))
+    xs, ws = zip(*pieces)
+    return [np.concatenate(col) for col in zip(*xs)], np.concatenate(ws)
 
 
 def _slice(block, lo, hi):
     """Nodes lo..hi-1 of a block, as views; the whole block as is."""
-    x, w, k = block
+    x, w = block
     if lo == 0 and hi == len(w):
         return block
-    return [a[lo:hi] for a in x], w[lo:hi], None if k is None else k[lo:hi]
-
-
-def _undo_i_powers(leaf, k) -> None:
-    """Multiply every node of a leaf block by (-i)^k in place, one slice per
-    run of equal k mod 4.  The walk made the leaf, so nothing else holds it;
-    only a seed with no steps is shared, and its k is 0."""
-    k = k % 4
-    cuts = [0, *(np.flatnonzero(np.diff(k)) + 1), len(k)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if k[lo]:
-            leaf[lo:hi] *= _UNDO_I_POWER[int(k[lo])]
+    return [a[lo:hi] for a in x], w[lo:hi]
 
 
 def _alpha_com_value(ham: Hamiltonian, order: int, tau,
@@ -313,14 +288,14 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
     the grid_size field.
 
     fn maps a 1-D array of points to the array of its values.  The grid is
-    one call (one point when hi == lo), and a round with the best sample
-    inside is one call with two midpoints.  While the best sample is an
-    endpoint x_k, the coming rounds' midpoints are m, (m + x_k) / 2, ...:
-    they are evaluated ahead in runs of 1, 2, 4, ... points (never past the
-    last round), one call per run, and each round takes its stored value.
-    So the samples, the max and the argmax are those of one call per round,
-    and the points a run evaluates past the round that overtakes x_k are at
-    most those the endpoint's earlier rounds used."""
+    one call (one point when hi == lo), and every evaluated value is kept by
+    its point, so each round makes one call with only its missing midpoints.
+    While the best sample is an endpoint x_k, the coming rounds' midpoints
+    are m, (m + x_k) / 2, ...: that call takes them ahead in runs of 1, 2,
+    4, ... points (never past the last round).  So the samples, the max and
+    the argmax are those of one call per round, and the points a run
+    evaluates past the round that overtakes x_k are at most those the
+    endpoint's earlier rounds used."""
     if hi < lo:
         raise InvalidInputError("empty maximization interval")
     if hi == lo:
@@ -329,28 +304,21 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
         raise InvalidInputError(f"n_points must be >= 2 when hi > lo, got {n_points}")
     xs = np.linspace(lo, hi, n_points)
     vals = fn(xs)
-    # values of the endpoint's coming midpoints, evaluated ahead.  Once a
-    # sample inside is best, no endpoint is best again: argmax takes the
-    # first of equal values, and the best value never falls.  So the values
-    # left when a midpoint overtakes the endpoint are never read.
-    ahead, run = [], 1
+    known, run = {}, 1  # midpoint values by point, some evaluated ahead
     for i in range(refine_iters):
         k = int(np.argmax(vals))
         sides = [j for j in (k - 1, k + 1) if 0 <= j < len(xs)]
-        mids = np.array([(xs[j] + xs[k]) / 2.0 for j in sides])
-        if len(sides) == 2:
-            new = fn(mids)
-        elif ahead:
-            new = ahead.pop(0)
-        else:
-            points = [mids[0]]
+        mids = [(xs[j] + xs[k]) / 2.0 for j in sides]
+        points = [m for m in mids if m not in known]
+        if points and len(sides) == 1:
             for _ in range(min(run, refine_iters - i) - 1):
                 points.append((points[-1] + xs[k]) / 2.0)
-            new, *ahead = fn(np.array(points))
             run *= 2
+        if points:
+            known.update(zip(points, fn(np.array(points))))
         at = [max(j, k) for j in sides]  # each midpoint goes between j and k
         xs = np.insert(xs, at, mids)
-        vals = np.insert(vals, at, new)
+        vals = np.insert(vals, at, [known[m] for m in mids])
     k = int(np.argmax(vals))
     return float(vals[k]), float(xs[k])
 

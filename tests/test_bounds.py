@@ -103,46 +103,41 @@ def ref_tight_sum(plan, ham, tau):
     return ref_sum(ham, tau, plan.order, [(g, seed_counts[g]) for g in gammas], steps)
 
 
-def reference_walk(x, weight, depth, derivs, steps, norms, k, seed=None):
+def reference_walk(x, weight, depth, derivs, steps, norms, hermitian, seed=None):
     """The depth-first walk of one prefix at a time that the block walk
     replaced: x[0..depth] are one prefix's (B * S, m, m) derivative stacks,
-    and each leaf appends its weighted norms with its own eigensolve.  Like
-    the block walk, a seed's root skips the pure commutator with itself."""
+    each step (w, g, f, fc) maps X to f [H_g, X] + fc dX/dt, and each leaf
+    appends its weighted norms with its own eigensolve.  Like the block
+    walk, a seed's root skips the pure commutator with itself."""
     if depth == 0:
-        if k is None:
-            norms.append(weight * spectral_norms(x[0]))
-        else:
-            leaf = x[0] if k % 4 == 0 else x[0] * bounds._UNDO_I_POWER[k % 4]
-            norms.append(weight * spectral_norms(leaf, hermitian=True))
+        norms.append(weight * spectral_norms(x[0], hermitian=hermitian))
         return
-    for (w, g, c), power in steps:
-        child_weight = weight * w
+    for w, g, f, fc in steps:
         h = derivs.get(g)
-        if child_weight == 0.0 or (c == 0 and (h is None or g == seed)):
+        if fc == 0 and (h is None or g == seed):
             continue
         if h is None:
-            child = [c * x[q + 1] for q in range(depth)]
+            child = [fc * x[q + 1] for q in range(depth)]
         else:
             child = []
             for q in range(depth):
                 out = np.zeros_like(x[0])
                 for r in range(q + 1):
                     lv, rv = h[r], x[q - r]
-                    out += math.comb(q, r) * (lv @ rv - rv @ lv)
-                if c:
-                    out += c * x[q + 1]
+                    out += (f * math.comb(q, r)) * (lv @ rv - rv @ lv)
+                if fc:
+                    out += fc * x[q + 1]
                 child.append(out)
-        reference_walk(child, child_weight, depth - 1, derivs, steps, norms,
-                       None if k is None else k + power)
+        reference_walk(child, weight * w, depth - 1, derivs, steps, norms, hermitian)
 
 
 def walk_one_prefix_at_a_time(monkeypatch):
     """Make _nested_norm_sum walk each seed's root block with reference_walk."""
-    def walk(block, depth, derivs, steps, cap, norms, seed=None):
-        x, w, k = block
+    def walk(block, depth, derivs, steps, cap, norms, hermitian, seed=None):
+        x, w = block
         leaves = []
         reference_walk([a[0] for a in x], float(w[0]), depth, derivs, steps, leaves,
-                       None if k is None else int(k[0]), seed)
+                       hermitian, seed)
         norms.append(np.array(leaves).reshape(len(leaves), x[0].shape[1]))
 
     monkeypatch.setattr(bounds, "_walk", walk)
@@ -259,7 +254,7 @@ class TestHermitianFastPath:
             assert alpha_com(ham, p + 1, tau) == pytest.approx(expected, rel=1e-12)
 
     def test_real_derivative_coefficient_in_a_commutator_step(self):
-        # ad_H + c d/dt with real c != 0 leaves the i^k form: general path
+        # ad_H + c d/dt with real c != 0 has no Hermitian phase: general path
         ham = driven_chain(2)
         seeds = [(1, 1.0), (2, 1.0)]
         steps = [(1.0, 1, 0.7), (0.5, 2, 1j), (0.3, None, -1.3)]
@@ -278,8 +273,9 @@ BLOCK_MODELS = {
 
 
 def mixed_seeds_and_steps(ham):
-    """Seeds and steps with distinct weights that mix the powers of i: odd
-    terms step with ad_H + i d/dt, even ones with ad_H alone."""
+    """Seeds and steps with distinct weights that mix the step phases: odd
+    terms step with ad_H + i d/dt, even ones with ad_H alone (both phase i),
+    and the derivative step has a real coefficient (phase 1)."""
     gammas = range(1, ham.n_terms + 1)
     seeds = [(g, 0.5 + 0.3 * g) for g in gammas]
     steps = [(0.4 + 0.25 * g, g, 1j if g % 2 else 0) for g in gammas] + [(0.6, None, 2.0)]
@@ -338,9 +334,9 @@ class TestBlockWalk:
         caps = []
         real = bounds._walk
 
-        def spy(block, depth, derivs, steps, cap, norms, seed=None):
+        def spy(block, depth, derivs, steps, cap, *rest):
             caps.append(cap)
-            real(block, depth, derivs, steps, cap, norms, seed)
+            real(block, depth, derivs, steps, cap, *rest)
 
         monkeypatch.setattr(bounds, "_walk", spy)
         ham = driven_chain(2)
@@ -361,6 +357,44 @@ class TestBlockWalk:
         # 2 seeds times 2 * 3^3 leaves (a seed's commutator with itself is
         # skipped), 32 dense 16x16 nodes per block: 32 + 22 per seed
         assert sum(sizes) == 108 and max(sizes) == 32 and len(sizes) == 4
+
+    @pytest.mark.parametrize("model", sorted(set(BLOCK_MODELS) - {"non-hermitian"}))
+    def test_every_hermitian_leaf_is_hermitian(self, monkeypatch, model):
+        # the step phases keep every node Hermitian, with no correction at the leaf
+        flags = []
+        real = bounds.spectral_norms
+
+        def spy(stack, hermitian=False):
+            flags.append(hermitian)
+            if hermitian:
+                adjoint = stack.conj().swapaxes(-1, -2)
+                assert np.abs(stack - adjoint).max() <= 1e-13 * np.abs(stack).max()
+            return real(stack, hermitian)
+
+        monkeypatch.setattr(bounds, "spectral_norms", spy)
+        orders = (3,) if model == "periodic6" else (2, 4)
+        walk_sums(BLOCK_MODELS[model](), orders, np.array([0.0, 0.31]))
+        assert flags and all(flags)
+
+    @pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+    def test_zero_weight_steps_add_no_leaves(self, monkeypatch, model):
+        ham = BLOCK_MODELS[model]()
+        seeds, steps = mixed_seeds_and_steps(ham)
+        leaves = []
+        real = bounds.spectral_norms
+
+        def spy(stack, hermitian=False):
+            leaves.append(len(stack))
+            return real(stack, hermitian)
+
+        monkeypatch.setattr(bounds, "spectral_norms", spy)
+        taus = np.array([0.0, 0.31])
+        plain = bounds._nested_norm_sum(ham, taus, 3, seeds, steps)
+        plain_leaves = sum(leaves)
+        leaves.clear()
+        padded = steps[:1] + [(0.0, 1, 1j), (0.0, None, 2.0)] + steps[1:]
+        assert np.array_equal(bounds._nested_norm_sum(ham, taus, 3, seeds, padded), plain)
+        assert sum(leaves) == plain_leaves
 
     def test_memory_peak_stays_near_the_depth_first_walk(self, monkeypatch):
         ham, plan = driven_chain(4), suzuki_plan(4, 2)
@@ -733,14 +767,15 @@ def narrow_bump(r):
 
 
 # (function on [0, 1], evaluations past the reference's samples at 30 rounds):
-# an endpoint overtaken at round 5 wastes rounds 6 and 7 of the run of 4
+# an endpoint overtaken at round 5 wastes round 7 of the run of 4 (round 6's
+# point is a midpoint of the interior round that follows)
 GRID_CASES = {
     "max-at-hi": (lambda xs: xs, 0),
     "max-at-lo": (lambda xs: -xs, 0),
     "interior": (lambda xs: -(xs - 0.37) ** 2, 0),
     "hi-overtaken-at-round-1": (narrow_bump(1), 0),
-    "hi-overtaken-at-round-5": (narrow_bump(5), 2),
-    "lo-overtaken-at-round-5": (lambda xs: narrow_bump(5)(1.0 - xs), 2),
+    "hi-overtaken-at-round-5": (narrow_bump(5), 1),
+    "lo-overtaken-at-round-5": (lambda xs: narrow_bump(5)(1.0 - xs), 1),
 }
 
 
@@ -757,6 +792,7 @@ class TestGridMax:
         want_max, want_arg, samples = plain_grid_max(f, 0.0, 1.0, 9, 30)
         assert grid_max(fn, 0.0, 1.0, 9, refine_iters=30) == (want_max, want_arg)
         assert set(samples.tolist()) <= set(probes)
+        assert len(set(probes)) == len(probes)  # no point is evaluated twice
         assert len(probes) == len(samples) + waste <= 2 * len(samples)
 
     def test_alpha_com_maximum_matches_one_call_per_round(self):
