@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
                       fourier_hamiltonian, reconstruct)
 from .formulas import (EXACT, INSTANTANEOUS, evaluate_pf, fit_order,
                        measure_error, suzuki_plan)
-from .linalg import QUBIT_CAP, matrix_exp, spectral_norm
+from .linalg import QUBIT_CAP, spectral_norm
 from .models import Hamiltonian, model_from_descriptor
 from .multiproduct import measure_mpf_error, mpf_plan
 from .propagator import evolve
@@ -125,6 +124,8 @@ def _manifest(out: Path, subcommand: str, cfg: dict, oracle_tol: float,
 def _pmap(fn, items, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: a one-worker run, the default, never starts a pool
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -254,18 +255,21 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
     def cell(l_max):
         space = floquet_space(l_max, ham.dim)
         ops = build_floquet_operators(fh, space)
-        exp_hf = matrix_exp(-1j * t * ops.h_f)
+        # the symmetry check reads the block columns |l| <= l_keep and
+        # reconstruct block column 0, so only those columns are computed
+        window, column0 = space.slab(space.l_keep), space.slab(0)
+        exp_hf = ops.apply("F", t, window)
         row = [l_max, space.l_keep]
         dev_sym = check_translation_symmetry(exp_hf, space, fh.omega, t)
         tf2 = None
         for p in orders:
             plan = suzuki_plan(p, ham.n_terms, EXACT)
-            tf = build_tf(plan, ops, t)
+            tf = build_tf(plan, ops, t, window)
             if p == max(orders):
                 tf2 = (tf, pf[p])
             row.append(spectral_norm(pf[p] - reconstruct(tf, space, fh.omega, t)))
-            row.append(spectral_norm(
-                pf[p] - reconstruct(build_tf_suzuki(ops, p, t), space, fh.omega, t)))
+            row.append(spectral_norm(pf[p] - reconstruct(
+                build_tf_suzuki(ops, p, t, column0), space, fh.omega, t)))
             dev_sym = max(dev_sym, check_translation_symmetry(tf, space, fh.omega, t))
         row.append(spectral_norm(exact - reconstruct(exp_hf, space, fh.omega, t)))
         tf_mat, s_mat = tf2

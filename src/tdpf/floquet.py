@@ -5,6 +5,16 @@ time-independent H^F = sum_m Add_m (x) H_m - H_LP on the ancilla-extended
 space spanned by |l>, |l| <= L.  The shift operators are hard-truncated
 (entries falling off the ancilla window are dropped), and results are read
 from an interior window |l| <= L_keep to keep boundary pollution out.
+
+Each builder applies its formula to a block of columns it is given (by
+default the identity, which gives the whole operator), one exponential at a
+time (``FloquetOperators.apply``): a Hermitian lifted matrix is diagonalised
+once, and its exponential is never formed.  The readouts read few columns:
+``reconstruct`` reads block column 0 and ``check_translation_symmetry`` the
+block columns |l| <= L_keep.  Both take a slab of the 2w+1 block columns
+|l| <= w (``FloquetSpace.slab``) as well as the whole operator, so
+floquet-check applies e^{-i H^F t} and ``build_tf`` to the window slab
+|l| <= L_keep only, and ``build_tf_suzuki`` to block column 0 only.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .formulas import EXACT, StagePlan, suzuki_a
-from .linalg import matrix_exp, spectral_norm, spectral_norms
+from .linalg import BATCH_ENTRIES, matrix_exp, spectral_norm, spectral_norms
 from .models import Hamiltonian, OperatorCurve
 
 FOURIER_SAMPLES = 4096  # trapezoidal-rule points per period
@@ -95,16 +105,46 @@ class FloquetSpace:
     def lifted_dim(self) -> int:
         return self.n_blocks * self.dim
 
+    def half_width(self, op: np.ndarray) -> int:
+        """w of an operator given as its 2w+1 block columns |l| <= w, all
+        rows kept; w = l_max for the whole operator."""
+        cols = op.shape[1] // self.dim
+        if (op.shape != (self.lifted_dim, cols * self.dim) or cols % 2 == 0
+                or cols > self.n_blocks):
+            raise InvalidInputError(
+                f"shape {op.shape} is not a slab of block columns |l| <= w of"
+                f" a {self.lifted_dim}-dimensional lifted operator")
+        return cols // 2
+
+    def slab(self, width: int) -> np.ndarray:
+        """The identity's block columns |l| <= width, the column block a
+        builder acts on to give just those columns of its operator."""
+        d = self.dim
+        return np.eye(self.lifted_dim, (2 * width + 1) * d, k=-(self.l_max - width) * d,
+                      dtype=np.complex128)
+
     def block(self, op: np.ndarray, l_row: int, l_col: int) -> np.ndarray:
-        """<l_row| op |l_col> as a dim x dim block."""
-        d, lm = self.dim, self.l_max
-        r = (l_row + lm) * d
-        c = (l_col + lm) * d
+        """<l_row| op |l_col> as a dim x dim block of the whole operator or
+        of a slab of its block columns (``half_width``)."""
+        d = self.dim
+        r = (l_row + self.l_max) * d
+        c = (l_col + self.half_width(op)) * d
         return op[r:r + d, c:c + d]
 
 
 def floquet_space(l_max: int, dim: int, l_keep: int | None = None) -> FloquetSpace:
     return FloquetSpace(l_max, l_max // 2 if l_keep is None else l_keep, dim)
+
+
+def _is_hermitian(mat: np.ndarray) -> bool:
+    """||M - M†|| <= 1e-10 max(||M||, 1) in the spectral norm.  The Frobenius
+    test ||M - M†||_F <= 1e-10 max(||M||_F / sqrt(n), 1) implies it, since
+    ||D|| <= ||D||_F and ||M|| >= ||M||_F / sqrt(n), and settles most
+    matrices without the two spectral norms."""
+    skew = mat - mat.conj().T
+    if np.linalg.norm(skew) <= 1e-10 * max(np.linalg.norm(mat) / math.sqrt(len(mat)), 1.0):
+        return True
+    return spectral_norm(skew) <= 1e-10 * max(spectral_norm(mat), 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,26 +158,32 @@ class FloquetOperators:
     _eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _lifted(self, key) -> np.ndarray:
+        if key == "F":
+            return self.h_f
         if key == "LP":
             return self.h_lp
         kind, gamma = key
         return (self.h_f_terms if kind == "F" else self.h_add_terms)[gamma - 1]
 
-    def exp(self, key, duration: float) -> np.ndarray:
-        """exp(-i M duration) for the lifted matrix M named by ``key``:
-        ("F", g) is H_g^F, ("Add", g) is H_g^Add and "LP" is H_LP.  A
-        Hermitian M is diagonalised once, on first use, and the decomposition
-        serves every later duration and formula built on these operators."""
+    def apply(self, key, duration: float, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """E x with E = exp(-i M duration), or E† x with ``adjoint``, for the
+        lifted matrix M named by ``key``: "F" is H^F, ("F", g) is H_g^F,
+        ("Add", g) is H_g^Add and "LP" is H_LP.  A Hermitian M is
+        diagonalised once, on first use, and E x = V (e^{-i lambda duration}
+        . (V† x)) serves every later duration and formula built on these
+        operators without forming E; any other M is exponentiated densely."""
         if key not in self._eigs:
             mat = self._lifted(key)
-            hermitian = (spectral_norm(mat - mat.conj().T)
-                         <= 1e-10 * max(spectral_norm(mat), 1.0))
-            self._eigs[key] = np.linalg.eigh(mat) if hermitian else None
+            self._eigs[key] = np.linalg.eigh(mat) if _is_hermitian(mat) else None
         eig = self._eigs[key]
         if eig is None:
-            return matrix_exp(-1j * duration * self._lifted(key))
+            exp = matrix_exp(-1j * duration * self._lifted(key))
+            return (exp.conj().T if adjoint else exp) @ x
         evals, vecs = eig
-        return (vecs * np.exp(-1j * duration * evals)) @ vecs.conj().T
+        phases = np.exp(-1j * duration * evals)
+        if adjoint:
+            phases = phases.conj()
+        return vecs @ (phases[:, None] * (vecs.conj().T @ x))
 
 
 def build_floquet_operators(fh: FourierHamiltonian, space: FloquetSpace) -> FloquetOperators:
@@ -169,10 +215,18 @@ def _lp_phase_diag(ops: FloquetOperators, duration: float) -> np.ndarray:
     return np.repeat(np.exp(-1j * ls * ops.omega * duration), ops.space.dim)
 
 
-def build_tf(plan: StagePlan, ops: FloquetOperators, t: float) -> np.ndarray:
-    """Lifted time-independent formula matching an exact-segment plan:
+def _columns(ops: FloquetOperators, x: np.ndarray | None) -> np.ndarray:
+    """The column block a builder acts on; None is the whole identity."""
+    return ops.space.slab(ops.space.l_max) if x is None else x
+
+
+def build_tf(plan: StagePlan, ops: FloquetOperators, t: float,
+             x: np.ndarray | None = None) -> np.ndarray:
+    """Lifted time-independent formula matching an exact-segment plan,
     exp(-i H_{gK}^F aK t) prod_k [exp(-i H_LP (b_k+a_k-b_{k+1}) t)
-    exp(-i H_{g_k}^F a_k t)], with exact diagonal H_LP exponentials."""
+    exp(-i H_{g_k}^F a_k t)] with exact diagonal H_LP exponentials, applied
+    to the column block ``x``: by default the identity, which gives the
+    whole formula; floquet-check passes the readout window |l| <= l_keep."""
     if plan.family != EXACT:
         raise InvalidInputError("lifted formula needs an exact-segment plan")
     stages = plan.stages
@@ -181,9 +235,9 @@ def build_tf(plan: StagePlan, ops: FloquetOperators, t: float) -> np.ndarray:
     if abs(lp_total - (plan.n_terms - 1)) > 1e-12:
         raise InvalidInputError(
             f"plan's total linear-potential time {lp_total} != Gamma - 1")
-    total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
+    total = _columns(ops, x)
     for k, st in enumerate(stages):
-        total = ops.exp(("F", st.gamma), st.alpha * t) @ total
+        total = ops.apply(("F", st.gamma), st.alpha * t, total)
         if k + 1 < len(stages):
             gap = (st.beta + st.alpha - stages[k + 1].beta) * t
             if gap != 0.0:
@@ -191,54 +245,57 @@ def build_tf(plan: StagePlan, ops: FloquetOperators, t: float) -> np.ndarray:
     return total
 
 
-def build_tf_instantaneous(plan: StagePlan, ops: FloquetOperators, t: float) -> np.ndarray:
-    """Lifted counterpart of the instantaneous family: exp(+i H_LP (1-b_K) t)
-    prod_k [exp(-i H_{g_k}^Add a_k t) exp(+i H_LP (b_k - b_{k-1}) t)]."""
+def build_tf_instantaneous(plan: StagePlan, ops: FloquetOperators, t: float,
+                           x: np.ndarray | None = None) -> np.ndarray:
+    """Lifted counterpart of the instantaneous family, exp(+i H_LP (1-b_K) t)
+    prod_k [exp(-i H_{g_k}^Add a_k t) exp(+i H_LP (b_k - b_{k-1}) t)],
+    applied to the column block ``x`` (default: the identity, the whole
+    formula)."""
     stages = plan.stages
-    total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
+    total = _columns(ops, x)
     beta_prev = 0.0
     for st in stages:
         gap = (st.beta - beta_prev) * t
         if gap != 0.0:
             total = _lp_phase_diag(ops, -gap)[:, None] * total
-        total = ops.exp(("Add", st.gamma), st.alpha * t) @ total
+        total = ops.apply(("Add", st.gamma), st.alpha * t, total)
         beta_prev = st.beta
     total = _lp_phase_diag(ops, -(1.0 - beta_prev) * t)[:, None] * total
     return total
 
 
-def build_tf_suzuki(ops: FloquetOperators, p: int, t: float) -> np.ndarray:
+def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,
+                    x: np.ndarray | None = None) -> np.ndarray:
     """Independent construction of the lifted Suzuki formula: the plain
     time-independent recursion applied to the 2 Gamma - 1 term split
-    [H_1^F, H_LP, H_2^F, ..., H_LP, H_Gamma^F].  Only the eigendecompositions
-    are shared with build_tf, through ``ops.exp``."""
+    [H_1^F, H_LP, H_2^F, ..., H_LP, H_Gamma^F], applied to the column block
+    ``x`` (default: the identity, the whole formula; floquet-check passes
+    block column 0, all that ``reconstruct`` reads).  Only the
+    eigendecompositions are shared with build_tf, through ``ops.apply``."""
     keys = []
     for g in range(1, len(ops.h_f_terms) + 1):
         if g > 1:
             keys.append("LP")
         keys.append(("F", g))
 
-    def build(order, s):
+    def factors(order, s):
+        """(key, duration, adjoint) of each exponential, first applied first."""
         if order == 1:
-            total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
-            for key in keys:
-                total = ops.exp(key, s) @ total
-            return total
+            return [(key, s, False) for key in keys]
         if order == 2:
-            total = np.eye(ops.space.lifted_dim, dtype=np.complex128)
-            for key in keys:
-                total = ops.exp(key, s / 2) @ total
-            for key in reversed(keys):
-                total = ops.exp(key, s / 2) @ total
-            return total
+            return [(key, s / 2, False) for key in keys + keys[::-1]]
         a = suzuki_a(order // 2)
-        wing = build(order - 2, a * s)
-        mid = build(order - 2, (4 * a - 1) * s).conj().T
-        return wing @ wing @ mid @ wing @ wing
+        wing = factors(order - 2, a * s)
+        # the middle formula's adjoint: its factors' adjoints in reverse order
+        mid = [(key, d, not adj) for key, d, adj in reversed(factors(order - 2, (4 * a - 1) * s))]
+        return wing + wing + mid + wing + wing
 
     if p != 1 and (p < 1 or p % 2):
         raise InvalidInputError(f"order must be 1 or even, got {p}")
-    return build(p, t)
+    total = _columns(ops, x)
+    for key, duration, adjoint in factors(p, t):
+        total = ops.apply(key, duration, total, adjoint)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +303,8 @@ def build_tf_suzuki(ops: FloquetOperators, p: int, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def reconstruct(lifted: np.ndarray, space: FloquetSpace, omega: float, t: float) -> np.ndarray:
-    """sum over |l| <= l_keep of e^{-i l w t} <l| lifted |0>."""
+    """sum over |l| <= l_keep of e^{-i l w t} <l| lifted |0>, from the whole
+    lifted operator or any slab of its block columns |l| <= w."""
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for l in range(-space.l_keep, space.l_keep + 1):
         out += np.exp(-1j * l * omega * t) * space.block(lifted, l, 0)
@@ -255,20 +313,28 @@ def reconstruct(lifted: np.ndarray, space: FloquetSpace, omega: float, t: float)
 
 def check_translation_symmetry(lifted: np.ndarray, space: FloquetSpace,
                                omega: float, t: float) -> float:
-    """Largest deviation of <l|op|l'> from e^{i l'' w t} <l-l''|op|l'-l''> over
-    interior index triples (|l|, |l'|, |l''| <= l_keep), from one batched norm
-    call."""
-    keep = space.l_keep
-    n, d = space.n_blocks, space.dim
-    blocks = lifted.reshape(n, d, n, d).transpose(0, 2, 1, 3)  # [row, col]
-    ls = np.arange(-keep, keep + 1)
-    s, r, c = ls[:, None, None], ls[None, :, None], ls[None, None, :]
-    inside = (s != 0) & (np.abs(r - s) <= keep) & (np.abs(c - s) <= keep)
-    shift, l_row, l_col = (ls[i] for i in np.nonzero(inside))
-    if not shift.size:
-        return 0.0
-    row, col = l_row + space.l_max, l_col + space.l_max
-    phase = np.exp(1j * shift * omega * t)[:, None, None]
-    diffs = blocks[row, col]
-    diffs -= phase * blocks[row - shift, col - shift]
-    return float(spectral_norms(diffs).max())
+    """Largest deviation of <l|op|l'> from e^{i s w t} <l-s|op|l'-s> over
+    interior index triples (|l|, |l'|, |l-s|, |l'-s| <= l_keep, s != 0),
+    read from the whole operator or a slab of its block columns |l| <= w
+    with w >= l_keep.  The triple (-s, l-s, l'-s) compares the same pair of
+    blocks up to a unit phase, so only s > 0 is evaluated, in batched norm
+    calls of at most ``BATCH_ENTRIES`` entries (or one block, if larger)."""
+    keep, d, lm = space.l_keep, space.dim, space.l_max
+    width = space.half_width(lifted)
+    if width < keep:
+        raise InvalidInputError(f"slab |l| <= {width} misses the window |l| <= {keep}")
+    blocks = lifted.reshape(space.n_blocks, d, 2 * width + 1, d).transpose(0, 2, 1, 3)
+    per_call = max(1, BATCH_ENTRIES // (d * d))  # blocks per norm call
+    worst = 0.0
+    for shift in range(1, keep + 1):
+        phase = np.exp(1j * shift * omega * t)
+        # [row, col] views over l, l' = shift - keep .. keep and their shifts
+        here = blocks[lm + shift - keep:lm + keep + 1, width + shift - keep:width + keep + 1]
+        back = blocks[lm - keep:lm + keep + 1 - shift, width - keep:width + keep + 1 - shift]
+        side = 2 * keep + 1 - shift
+        rows, cols = max(1, per_call // side), min(side, per_call)
+        for r in range(0, side, rows):
+            for c in range(0, side, cols):
+                diffs = here[r:r + rows, c:c + cols] - phase * back[r:r + rows, c:c + cols]
+                worst = max(worst, float(spectral_norms(diffs).max()))
+    return worst

@@ -157,13 +157,19 @@ def project(terms) -> Sectors:
             blocks = np.zeros((len(bases), size, size), dtype=np.complex128)
             for k, (conj_chars, reps, stab_size) in enumerate(bases):
                 # B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / ...
+                # summed over g in order, one (m, m) gather at a time
                 a_reps = pauli_sum(strings, n_sites, reps)               # A[reps]
                 coeff = conj_chars[:, None] * phases[:, reps]            # (|G|, m)
-                block = np.einsum("rgs,gs->rs", a_reps[:, perms[:, reps]], coeff)
+                block = np.zeros((len(reps), len(reps)), dtype=np.complex128)
+                for perm, c in zip(perms[:, reps], coeff):
+                    image = np.take(a_reps, perm, axis=1)
+                    image *= c
+                    block += image
                 blocks[k, :len(reps), :len(reps)] = block / np.sqrt(
                     np.outer(stab_size, stab_size))
-            if term.is_hermitian:
-                blocks = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
+            if term.is_hermitian:  # in place: one stack-sized temporary
+                blocks += blocks.conj().swapaxes(-1, -2)
+                blocks /= 2
             projected.append((blocks, curve))
         # the term's own class, since models imports this module
         out.append(type(term)(projected, dim=size))

@@ -3,11 +3,12 @@ import pytest
 
 from tdpf.curves import ConstantCurve, TrigCurve, extrapolate_scalar
 from tdpf.errors import InvalidInputError
+import tdpf.floquet as floquet
 from tdpf.floquet import (build_floquet_operators, build_tf,
                           build_tf_instantaneous, build_tf_suzuki,
                           check_translation_symmetry, floquet_space,
                           fourier_decompose, fourier_hamiltonian, reconstruct)
-from tdpf.formulas import INSTANTANEOUS, evaluate_pf, suzuki_plan
+from tdpf.formulas import INSTANTANEOUS, evaluate_pf, suzuki_a, suzuki_plan
 from tdpf.linalg import PAULI, matrix_exp, spectral_norm
 from tdpf.models import Hamiltonian, OperatorCurve
 from tdpf.propagator import evolve
@@ -129,6 +130,52 @@ class TestBuildOperators:
             build_floquet_operators(fh, floquet_space(0, 4))
 
 
+    def test_hermitian_pretest_keeps_the_spectral_verdict(self):
+        # M = A + eps K with A Hermitian and K anti-Hermitian of full rank:
+        # the Frobenius pre-test settles some verdicts, and the spectral test
+        # the rest, including eps between the two thresholds
+        rng = np.random.default_rng(3)
+        n = 16
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a, k = a + a.conj().T, (k - k.conj().T) / spectral_norm(k - k.conj().T)
+        settled_by = set()
+        for eps in np.geomspace(1e-13, 1e-8, 41):
+            m = a + eps * k
+            skew = m - m.conj().T
+            spectral = spectral_norm(skew) <= 1e-10 * max(spectral_norm(m), 1.0)
+            frobenius = (np.linalg.norm(skew)
+                         <= 1e-10 * max(np.linalg.norm(m) / np.sqrt(n), 1.0))
+            assert floquet._is_hermitian(m) == spectral
+            settled_by.add((frobenius, spectral))
+        assert settled_by == {(True, True), (False, True), (False, False)}
+
+
+def dense_suzuki(ops, p, t):
+    """Reference: the Suzuki recursion on dense exponentials of the lifted
+    split [H_1^F, H_LP, H_2^F, ...], with the middle formula's conjugate
+    transpose."""
+    mats = []
+    for g, term in enumerate(ops.h_f_terms):
+        mats += [ops.h_lp, term] if g else [term]
+    ident = np.eye(ops.space.lifted_dim, dtype=np.complex128)
+
+    def build(order, s):
+        if order <= 2:
+            total = ident
+            split = [(m, s) for m in mats] if order == 1 else [
+                (m, s / 2) for m in mats + mats[::-1]]
+            for mat, duration in split:
+                total = matrix_exp(-1j * duration * mat) @ total
+            return total
+        a = suzuki_a(order // 2)
+        wing = build(order - 2, a * s)
+        mid = build(order - 2, (4 * a - 1) * s).conj().T
+        return wing @ wing @ mid @ wing @ wing
+
+    return build(p, t)
+
+
 class TestBuildTf:
     def test_first_order_product_shape(self, drive):
         # three exponential groups for Gamma = 2
@@ -190,6 +237,38 @@ class TestBuildTf:
                 np.testing.assert_array_equal(build(shared, p), want)
         gamma = fh.n_terms
         assert 0 < len(calls) <= 2 * gamma - 1 + gamma
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_column_blocks_are_columns_of_the_whole_formula(self, drive, p):
+        _, fh = drive
+        space = floquet_space(8, 4)
+        ops = build_floquet_operators(fh, space)
+        builders = (
+            lambda *x: build_tf(suzuki_plan(p, 2), ops, DRIVE_T, *x),
+            lambda *x: build_tf_instantaneous(suzuki_plan(p, 2, INSTANTANEOUS),
+                                              ops, DRIVE_T, *x),
+            lambda *x: build_tf_suzuki(ops, p, DRIVE_T, *x),
+        )
+        for build in builders:
+            whole = build()
+            for width in (0, space.l_keep, space.l_max):
+                lo, hi = (space.l_max - width) * 4, (space.l_max + width + 1) * 4
+                got = build(space.slab(width))
+                assert got.shape == (space.lifted_dim, hi - lo)
+                assert np.linalg.norm(got - whole[:, lo:hi], 2) <= 1e-13
+
+    @pytest.mark.parametrize("scale_im", [0.0, 0.1])
+    def test_suzuki_adjoint_factors_match_the_dense_recursion(self, scale_im):
+        # p = 4 applies the middle formula as its factors' adjoints; with
+        # scale_im > 0 the H_g^F are not Hermitian and take the dense path
+        ham = single_mode_model().scaled(1.0 - 1j * scale_im)
+        fh = fourier_hamiltonian(ham, OMEGA, 1)
+        ops = build_floquet_operators(fh, floquet_space(6, 4))
+        want = dense_suzuki(ops, 4, DRIVE_T)
+        got = build_tf_suzuki(ops, 4, DRIVE_T)
+        assert (ops._eigs[("F", 1)] is None) == (scale_im > 0)
+        assert ops._eigs["LP"] is not None
+        assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
 
     def test_requires_exact_family(self, drive):
         _, fh = drive
@@ -360,3 +439,65 @@ class TestTranslationSymmetry:
         envelope = profile[2:]
         assert all(b <= a * (1 + 1e-9) + 1e-12
                    for a, b in zip(envelope, envelope[1:]))
+
+    def test_chunks_of_bounded_size_match_the_literal_loop(self, monkeypatch):
+        # dimension 16 and l_keep 9: the shifts s = 1, 2 have 18 and 17
+        # rows of 256-entry block pairs, more than one call of BATCH_ENTRIES
+        rng = np.random.default_rng(11)
+        space = floquet_space(9, 16, l_keep=9)
+        n = space.lifted_dim
+        lifted = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sizes = []
+        real_norms = floquet.spectral_norms
+
+        def counting_norms(stack):
+            sizes.append(stack.size)
+            return real_norms(stack)
+
+        monkeypatch.setattr(floquet, "spectral_norms", counting_norms)
+        got = check_translation_symmetry(lifted, space, OMEGA, 0.3)
+        assert max(sizes) <= floquet.BATCH_ENTRIES
+        assert len(sizes) > space.l_keep  # some shift took two calls
+        # each unordered pair once: sum over s = 1..l_keep of (2 l_keep + 1 - s)^2
+        assert sum(sizes) == 256 * sum((19 - s) ** 2 for s in range(1, 10))
+        expected = literal_translation_symmetry(lifted, space, OMEGA, 0.3, 9)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, 16, 160])
+    def test_any_chunk_budget_gives_the_same_value(self, drive, monkeypatch, budget):
+        # budgets under one 4 x 4 block (1), of one block (16) and of ten
+        # blocks, which splits the rows of up to 12 blocks into columns
+        _, fh = drive
+        space = floquet_space(12, 4, l_keep=6)
+        ops = build_floquet_operators(fh, space)
+        lifted = ops.apply("F", DRIVE_T, space.slab(6))
+        whole = check_translation_symmetry(lifted, space, OMEGA, DRIVE_T)
+        sizes = []
+        real_norms = floquet.spectral_norms
+
+        def counting_norms(stack):
+            sizes.append(stack.size)
+            return real_norms(stack)
+
+        monkeypatch.setattr(floquet, "BATCH_ENTRIES", budget)
+        monkeypatch.setattr(floquet, "spectral_norms", counting_norms)
+        assert check_translation_symmetry(lifted, space, OMEGA, DRIVE_T) == whole
+        assert max(sizes) == max(budget // 16 * 16, 16)
+        assert sum(sizes) == 16 * sum((13 - s) ** 2 for s in range(1, 7))
+
+    def test_window_slab_reads_like_the_whole_matrix(self, drive):
+        _, fh = drive
+        space = floquet_space(10, 4, l_keep=5)
+        ops = build_floquet_operators(fh, space)
+        whole = matrix_exp(-1j * DRIVE_T * ops.h_f)
+        want = check_translation_symmetry(whole, space, OMEGA, DRIVE_T)
+        assert want == pytest.approx(literal_translation_symmetry(
+            whole, space, OMEGA, DRIVE_T, 5), rel=1e-12)
+        for width in (5, 7, 10):
+            lo, hi = (10 - width) * 4, (10 + width + 1) * 4
+            slab = whole[:, lo:hi]
+            assert check_translation_symmetry(slab, space, OMEGA, DRIVE_T) == want
+            np.testing.assert_array_equal(reconstruct(slab, space, OMEGA, DRIVE_T),
+                                          reconstruct(whole, space, OMEGA, DRIVE_T))
+        with pytest.raises(InvalidInputError):
+            check_translation_symmetry(whole[:, 5 * 4:16 * 4 - 4], space, OMEGA, DRIVE_T)
