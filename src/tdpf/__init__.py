@@ -12,13 +12,12 @@ from .errors import (BudgetExceededError, ConvergenceError, InvalidInputError,
                      NumericalBlowUpError, OutOfRegimeError, SchemaError,
                      UnsupportedOrderError)
 from .floquet import (FloquetSpace, FourierHamiltonian, build_floquet_operators,
-                      build_tf, build_tf_instantaneous, build_tf_suzuki,
-                      check_translation_symmetry, floquet_space,
-                      fourier_decompose, fourier_hamiltonian, reconstruct)
+                      build_tf, build_tf_suzuki, check_translation_symmetry,
+                      floquet_space, fourier_decompose, fourier_hamiltonian,
+                      reconstruct)
 from .formulas import (EXACT, INSTANTANEOUS, Stage, StagePlan, evaluate_pf,
                        fit_order, measure_error, suzuki_plan, trotterize)
-from .linalg import (PAULI, commutator, embed_pauli_string, matrix_exp,
-                     spectral_norm)
+from .linalg import PAULI, matrix_exp, spectral_norm
 from .models import (Hamiltonian, OperatorCurve, build_driven_chain,
                      build_long_range, build_nn_chain, model_from_descriptor)
 from .multiproduct import (MpfPlan, evaluate_mpf, measure_mpf_error, mpf_plan,

@@ -37,6 +37,9 @@ from .propagator import evolve
 from .resources import asymptotic_gate_form, gate_count_pf, loglog_slope, mpf_resources
 
 _VIOLATION_SLACK = 1e-12
+# floquet-check's deviations at L >= 16 are round-off of 2-4e-14 that moves
+# with the summation order; a rise under this floor is not a rise
+_MONOTONE_FLOOR = 1e-12
 
 RESOURCE_COLUMNS = ["model", "N", "t", "eps", "p", "r", "gates", "J",
                     "queries", "ancillas", "bound_kind"]
@@ -240,6 +243,11 @@ def _cmd_huyghebaert_check(cfg: dict, out: Path, workers: int, oracle_tol: float
                                      _pmap(cell, ts, workers))
 
 
+def _monotone_decreasing(series: list[float]) -> bool:
+    """No value exceeds the one before it by more than ``_MONOTONE_FLOOR``."""
+    return all(b <= a + _MONOTONE_FLOOR for a, b in zip(series, series[1:]))
+
+
 def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
     omega = number(cfg.get("omega"), "omega", True)
@@ -283,13 +291,12 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
     for p in orders:
         header += [f"pf_dev_p{p}", f"suzuki_dev_p{p}"]
     header += ["evolution_dev", "error_identity_dev", "symmetry_dev"]
-    summary = {}
+    summary = {"monotone_floor": _MONOTONE_FLOOR}
     for col in range(2, len(header)):
         series = [r[col] for r in rows]
         summary[header[col]] = {
             "final": series[-1],
-            "monotone_decreasing": all(b <= a * (1 + 1e-9) + 1e-14
-                                       for a, b in zip(series, series[1:])),
+            "monotone_decreasing": _monotone_decreasing(series),
         }
     return _write_outputs(out, "floquet_check", "floquet_summary", header, rows, summary)
 

@@ -6,10 +6,15 @@ space spanned by |l>, |l| <= L.  The shift operators are hard-truncated
 (entries falling off the ancilla window are dropped), and results are read
 from an interior window |l| <= L_keep to keep boundary pollution out.
 
-Each builder applies its formula to a block of columns it is given (by
-default the identity, which gives the whole operator), one exponential at a
-time (``FloquetOperators.apply``): a Hermitian lifted matrix is diagonalised
-once, and its exponential is never formed.  The readouts read few columns:
+Every lifted formula, of either plan family (``build_tf``) or the
+independent Suzuki recursion (``build_tf_suzuki``), is a list of
+(key, duration, adjoint) exponentials that ``FloquetOperators.apply_factors``
+applies in one loop to a block of columns it is given (by default the
+identity, which gives the whole operator).  H_LP is diagonal, so its
+exponential is one phase per row.  When the model's terms are Hermitian
+(read from the model, exactly), every other lifted matrix is diagonalised
+once and its exponential is never formed; a non-Hermitian model's lifted
+matrices are exponentiated densely.  The readouts read few columns:
 ``reconstruct`` reads block column 0 and ``check_translation_symmetry`` the
 block columns |l| <= L_keep.  Both take a slab of the 2w+1 block columns
 |l| <= w (``FloquetSpace.slab``) as well as the whole operator, so
@@ -44,6 +49,7 @@ class FourierHamiltonian:
     mode_cutoff: int
     coefficients: tuple  # tuple over terms of ndarray (2M+1, d, d)
     dim: int
+    hermitian: bool      # every term is Hermitian, so H_{-m} = H_m†
 
     @property
     def n_terms(self) -> int:
@@ -77,7 +83,7 @@ def fourier_decompose(term: OperatorCurve, omega: float, mode_cutoff: int) -> np
 def fourier_hamiltonian(ham: Hamiltonian, omega: float, mode_cutoff: int) -> FourierHamiltonian:
     return FourierHamiltonian(omega, mode_cutoff,
                               tuple(fourier_decompose(t, omega, mode_cutoff) for t in ham.terms),
-                              ham.dim)
+                              ham.dim, all(t.is_hermitian for t in ham.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -136,54 +142,62 @@ def floquet_space(l_max: int, dim: int, l_keep: int | None = None) -> FloquetSpa
     return FloquetSpace(l_max, l_max // 2 if l_keep is None else l_keep, dim)
 
 
-def _is_hermitian(mat: np.ndarray) -> bool:
-    """||M - M†|| <= 1e-10 max(||M||, 1) in the spectral norm.  The Frobenius
-    test ||M - M†||_F <= 1e-10 max(||M||_F / sqrt(n), 1) implies it, since
-    ||D|| <= ||D||_F and ||M|| >= ||M||_F / sqrt(n), and settles most
-    matrices without the two spectral norms."""
-    skew = mat - mat.conj().T
-    if np.linalg.norm(skew) <= 1e-10 * max(np.linalg.norm(mat) / math.sqrt(len(mat)), 1.0):
-        return True
-    return spectral_norm(skew) <= 1e-10 * max(spectral_norm(mat), 1.0)
-
-
 @dataclass(frozen=True)
 class FloquetOperators:
-    h_f: np.ndarray            # full lifted generator
-    h_f_terms: tuple           # per-term H_g^F = H_g^Add - H_LP
+    """The lifted generator H^F = sum_g H_g^Add - H_LP, stored as its parts:
+    the per-term shift parts H_g^Add and the diagonal of H_LP."""
+
     h_add_terms: tuple         # per-term shift parts H_g^Add
-    h_lp: np.ndarray           # diagonal linear-potential part
+    lp_diag: np.ndarray        # diagonal of H_LP: l w on every row of block l
     space: FloquetSpace
-    omega: float
+    hermitian: bool            # every term of the model is, hence every lifted matrix
     _eigs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _lifted(self, key) -> np.ndarray:
-        if key == "F":
-            return self.h_f
+    def lifted(self, key) -> np.ndarray:
+        """The lifted matrix named by ``key``: "F" is H^F, ("F", g) is
+        H_g^F = H_g^Add - H_LP, ("Add", g) is H_g^Add and "LP" is H_LP."""
+        h_lp = np.diag(self.lp_diag).astype(np.complex128)
         if key == "LP":
-            return self.h_lp
+            return h_lp
+        if key == "F":
+            return sum(self.h_add_terms) - h_lp
         kind, gamma = key
-        return (self.h_f_terms if kind == "F" else self.h_add_terms)[gamma - 1]
+        add = self.h_add_terms[gamma - 1]
+        return add - h_lp if kind == "F" else add
 
     def apply(self, key, duration: float, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """E x with E = exp(-i M duration), or E† x with ``adjoint``, for the
-        lifted matrix M named by ``key``: "F" is H^F, ("F", g) is H_g^F,
-        ("Add", g) is H_g^Add and "LP" is H_LP.  A Hermitian M is
-        diagonalised once, on first use, and E x = V (e^{-i lambda duration}
-        . (V† x)) serves every later duration and formula built on these
-        operators without forming E; any other M is exponentiated densely."""
-        if key not in self._eigs:
-            mat = self._lifted(key)
-            self._eigs[key] = np.linalg.eigh(mat) if _is_hermitian(mat) else None
-        eig = self._eigs[key]
-        if eig is None:
-            exp = matrix_exp(-1j * duration * self._lifted(key))
+        lifted matrix M = ``lifted(key)``.  H_LP is diagonal, so its E is one
+        phase per row.  For a Hermitian model every other M is diagonalised
+        once, on first use, and E x = V (e^{-i lambda duration} . (V† x))
+        serves every later duration and formula built on these operators
+        without forming E; otherwise M is exponentiated densely."""
+        if key == "LP":
+            return _phases(self.lp_diag, duration, adjoint)[:, None] * x
+        if not self.hermitian:
+            exp = matrix_exp(-1j * duration * self.lifted(key))
             return (exp.conj().T if adjoint else exp) @ x
-        evals, vecs = eig
-        phases = np.exp(-1j * duration * evals)
-        if adjoint:
-            phases = phases.conj()
-        return vecs @ (phases[:, None] * (vecs.conj().T @ x))
+        if key not in self._eigs:
+            self._eigs[key] = np.linalg.eigh(self.lifted(key))
+        evals, vecs = self._eigs[key]
+        return vecs @ (_phases(evals, duration, adjoint)[:, None] * (vecs.conj().T @ x))
+
+    def apply_factors(self, factors, x: np.ndarray | None = None) -> np.ndarray:
+        """The product of the (key, duration, adjoint) exponentials of
+        ``apply``, first applied first, applied to the column block ``x``: by
+        default the identity, which gives the whole operator.  A factor of
+        zero duration is the identity and is skipped."""
+        total = self.space.slab(self.space.l_max) if x is None else x
+        for key, duration, adjoint in factors:
+            if duration != 0.0:
+                total = self.apply(key, duration, total, adjoint)
+        return total
+
+
+def _phases(evals: np.ndarray, duration: float, adjoint: bool) -> np.ndarray:
+    """e^{-i lambda duration} for each eigenvalue, conjugated for the adjoint."""
+    phases = np.exp(-1j * duration * evals)
+    return phases.conj() if adjoint else phases
 
 
 def build_floquet_operators(fh: FourierHamiltonian, space: FloquetSpace) -> FloquetOperators:
@@ -194,7 +208,6 @@ def build_floquet_operators(fh: FourierHamiltonian, space: FloquetSpace) -> Floq
             f"mode cutoff {fh.mode_cutoff} exceeds 2 L = {2 * space.l_max}")
     n = space.n_blocks
     ls = np.arange(-space.l_max, space.l_max + 1)
-    h_lp = np.kron(np.diag(ls * fh.omega), np.eye(space.dim)).astype(np.complex128)
     adds = []
     for g in range(1, fh.n_terms + 1):
         acc = np.zeros((space.lifted_dim, space.lifted_dim), dtype=np.complex128)
@@ -204,64 +217,40 @@ def build_floquet_operators(fh: FourierHamiltonian, space: FloquetSpace) -> Floq
                 continue
             acc += np.kron(np.eye(n, k=-m), coeff)  # |l+m><l|, truncated
         adds.append(acc)
-    h_f_terms = tuple(a - h_lp for a in adds)
-    h_f = sum(adds) - h_lp
-    return FloquetOperators(h_f, h_f_terms, tuple(adds), h_lp, space, fh.omega)
-
-
-def _lp_phase_diag(ops: FloquetOperators, duration: float) -> np.ndarray:
-    """Diagonal of exp(-i H_LP * duration)."""
-    ls = np.arange(-ops.space.l_max, ops.space.l_max + 1)
-    return np.repeat(np.exp(-1j * ls * ops.omega * duration), ops.space.dim)
-
-
-def _columns(ops: FloquetOperators, x: np.ndarray | None) -> np.ndarray:
-    """The column block a builder acts on; None is the whole identity."""
-    return ops.space.slab(ops.space.l_max) if x is None else x
+    return FloquetOperators(tuple(adds), np.repeat(ls * fh.omega, space.dim), space,
+                            fh.hermitian)
 
 
 def build_tf(plan: StagePlan, ops: FloquetOperators, t: float,
              x: np.ndarray | None = None) -> np.ndarray:
-    """Lifted time-independent formula matching an exact-segment plan,
-    exp(-i H_{gK}^F aK t) prod_k [exp(-i H_LP (b_k+a_k-b_{k+1}) t)
-    exp(-i H_{g_k}^F a_k t)] with exact diagonal H_LP exponentials, applied
-    to the column block ``x``: by default the identity, which gives the
-    whole formula; floquet-check passes the readout window |l| <= l_keep."""
-    if plan.family != EXACT:
-        raise InvalidInputError("lifted formula needs an exact-segment plan")
-    stages = plan.stages
-    lp_total = sum(stages[k].beta + stages[k].alpha - stages[k + 1].beta
-                   for k in range(len(stages) - 1))
-    if abs(lp_total - (plan.n_terms - 1)) > 1e-12:
-        raise InvalidInputError(
-            f"plan's total linear-potential time {lp_total} != Gamma - 1")
-    total = _columns(ops, x)
-    for k, st in enumerate(stages):
-        total = ops.apply(("F", st.gamma), st.alpha * t, total)
-        if k + 1 < len(stages):
-            gap = (st.beta + st.alpha - stages[k + 1].beta) * t
-            if gap != 0.0:
-                total = _lp_phase_diag(ops, gap)[:, None] * total
-    return total
+    """The lifted time-independent formula of a plan of either family,
+    applied to the column block ``x``: by default the identity, which gives
+    the whole formula; floquet-check passes the readout window
+    |l| <= l_keep.  Stage k is applied first.
 
-
-def build_tf_instantaneous(plan: StagePlan, ops: FloquetOperators, t: float,
-                           x: np.ndarray | None = None) -> np.ndarray:
-    """Lifted counterpart of the instantaneous family, exp(+i H_LP (1-b_K) t)
-    prod_k [exp(-i H_{g_k}^Add a_k t) exp(+i H_LP (b_k - b_{k-1}) t)],
-    applied to the column block ``x`` (default: the identity, the whole
-    formula)."""
+    exact-segment: exp(-i H_{gK}^F aK t) prod_k [exp(-i H_LP (b_k+a_k-b_{k+1}) t)
+    exp(-i H_{g_k}^F a_k t)], whose linear-potential times add up to Gamma - 1;
+    instantaneous: exp(+i H_LP (1-b_K) t) prod_k [exp(-i H_{g_k}^Add a_k t)
+    exp(+i H_LP (b_k - b_{k-1}) t)] with b_0 = 0."""
     stages = plan.stages
-    total = _columns(ops, x)
-    beta_prev = 0.0
-    for st in stages:
-        gap = (st.beta - beta_prev) * t
-        if gap != 0.0:
-            total = _lp_phase_diag(ops, -gap)[:, None] * total
-        total = ops.apply(("Add", st.gamma), st.alpha * t, total)
-        beta_prev = st.beta
-    total = _lp_phase_diag(ops, -(1.0 - beta_prev) * t)[:, None] * total
-    return total
+    factors = []
+    if plan.family == EXACT:
+        lp_total = sum(st.beta + st.alpha - nxt.beta for st, nxt in zip(stages, stages[1:]))
+        if abs(lp_total - (plan.n_terms - 1)) > 1e-12:
+            raise InvalidInputError(
+                f"plan's total linear-potential time {lp_total} != Gamma - 1")
+        for st, nxt in zip(stages, stages[1:]):
+            factors += [(("F", st.gamma), st.alpha * t, False),
+                        ("LP", (st.beta + st.alpha - nxt.beta) * t, False)]
+        factors.append((("F", stages[-1].gamma), stages[-1].alpha * t, False))
+    else:
+        beta_prev = 0.0
+        for st in stages:
+            factors += [("LP", -(st.beta - beta_prev) * t, False),
+                        (("Add", st.gamma), st.alpha * t, False)]
+            beta_prev = st.beta
+        factors.append(("LP", -(1.0 - beta_prev) * t, False))
+    return ops.apply_factors(factors, x)
 
 
 def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,
@@ -273,7 +262,7 @@ def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,
     block column 0, all that ``reconstruct`` reads).  Only the
     eigendecompositions are shared with build_tf, through ``ops.apply``."""
     keys = []
-    for g in range(1, len(ops.h_f_terms) + 1):
+    for g in range(1, len(ops.h_add_terms) + 1):
         if g > 1:
             keys.append("LP")
         keys.append(("F", g))
@@ -292,10 +281,7 @@ def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,
 
     if p != 1 and (p < 1 or p % 2):
         raise InvalidInputError(f"order must be 1 or even, got {p}")
-    total = _columns(ops, x)
-    for key, duration, adjoint in factors(p, t):
-        total = ops.apply(key, duration, total, adjoint)
-    return total
+    return ops.apply_factors(factors(p, t), x)
 
 
 # ---------------------------------------------------------------------------

@@ -79,14 +79,6 @@ def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
     return norms
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """e^A for one square complex matrix; see ``matrix_exps``."""
     return matrix_exps(as_operator(a)[None])[0]
@@ -210,20 +202,15 @@ def translation_permutation(n_qubits: int, shift: int):
     return ((b >> shift) | (b << (n_qubits - shift))) & (b.size - 1), np.ones(b.size, complex)
 
 
-def pauli_sum(strings, n_qubits: int, rows=None) -> np.ndarray:
-    """Rows ``rows`` (default all) of the dense sum_k c_k P_k for ``strings``
-    of (c_k, sites of P_k) pairs, each checked before the output exists.  perm
-    is its own inverse, so row r of P_k holds phase[perm[r]] in column
-    perm[r]; each string adds those entries in place, in input order."""
+def pauli_sum(strings, n_qubits: int) -> np.ndarray:
+    """The dense sum_k c_k P_k for ``strings`` of (c_k, sites of P_k) pairs,
+    each checked before the output exists; an empty list of sites is the
+    identity.  perm is its own inverse, so row r of P_k holds phase[perm[r]]
+    in column perm[r]; each string adds those entries in place, in input
+    order."""
     signed = [(coef, *pauli_permutation(sites, n_qubits)) for coef, sites in strings]
-    rows = np.arange(2**n_qubits) if rows is None else rows
-    out = np.zeros((len(rows), 2**n_qubits), dtype=np.complex128)
+    rows = np.arange(2**n_qubits)
+    out = np.zeros((rows.size, rows.size), dtype=np.complex128)
     for coef, perm, phase in signed:
-        cols = perm[rows]
-        out[np.arange(len(rows)), cols] += coef * phase[cols]
+        out[rows, perm] += coef * phase[perm]
     return out
-
-
-def embed_pauli_string(sites: list[tuple[int, str]], n_qubits: int) -> np.ndarray:
-    """Dense matrix of one Pauli string; an empty list gives the identity."""
-    return pauli_sum([(1.0, sites)], n_qubits)

@@ -24,15 +24,18 @@ representative r in the sector of character lambda is the normalised sum
 over group elements g of conj(lambda(g)) g|r>, and r belongs to the sector
 when its stabiliser's phases agree with lambda.  Since A commutes with
 every g, a block entry needs only entries of A in the representatives'
-rows, which ``project`` fills from the strings:
+rows:
 
     B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / sqrt(s_r s_r')
 
-with s_r the size of r's stabiliser.  Blocks are zero-padded to the largest
-sector and stacked, so a projected term is an ``OperatorCurve`` with one
-summand per summand of the term: its (sectors, m, m) stack of blocks and
-its curve.  The blocks of a Hermitian term are symmetrised, (B + B†)/2,
-which makes them exactly Hermitian for the walk's Hermitian fast path.
+with s_r the size of r's stabiliser.  Row r of a string c P holds one entry,
+c phase(perm(r)) in column perm(r), so ``project`` scatters each term of the
+sum straight from the strings' signed permutations, and no dense row of A
+is formed.  Blocks are zero-padded to the largest sector and stacked, so a
+projected term is an ``OperatorCurve`` with one summand per summand of the
+term: its (sectors, m, m) stack of blocks and its curve.  The blocks of a
+Hermitian term are symmetrised, (B + B†)/2, which makes them exactly
+Hermitian for the walk's Hermitian fast path.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .linalg import pauli_permutation, pauli_sum, translation_permutation
+from .linalg import pauli_permutation, translation_permutation
 
 # Smallest dimension that takes the sector walk.  Measured on alpha_com of
 # orders 3 and 5 at 1 and 65 taus on the open and periodic driven chains,
@@ -148,28 +151,41 @@ def project(terms) -> Sectors:
     if not generators:
         return Sectors(terms, [2**n_sites])
     perms, phases, bases = _sector_bases(generators, 2**n_sites)
+    inverses = np.argsort(perms, axis=1)  # inverses[g, perm_g(b)] = b
     sizes = [len(reps) for _, reps, _ in bases]
     size = max(sizes)
     out = []
     for term in terms:
         projected = []
         for strings, (_, curve) in zip(term.paulis, term.summands):
+            signed = [(coef, *pauli_permutation(sites, n_sites)) for coef, sites in strings]
+            cols = np.array([perm for _, perm, _ in signed])                   # (S, dim)
+            vals = np.array([coef * phase[perm] for coef, perm, phase in signed])
             blocks = np.zeros((len(bases), size, size), dtype=np.complex128)
             for k, (conj_chars, reps, stab_size) in enumerate(bases):
                 # B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / ...
-                # summed over g in order, one (m, m) gather at a time
-                a_reps = pauli_sum(strings, n_sites, reps)               # A[reps]
+                # summed over g in order; A[r, perm_g(r')] is scattered from the
+                # strings, in their order, at r' = perm_g^-1(perm_s(r)) when r'
+                # is a representative
+                m = len(reps)
+                where = np.full(2**n_sites, -1)
+                where[reps] = np.arange(m)
+                rows = np.broadcast_to(np.arange(m), (len(signed), m))
+                targets, entries = cols[:, reps], vals[:, reps]
                 coeff = conj_chars[:, None] * phases[:, reps]            # (|G|, m)
-                block = np.zeros((len(reps), len(reps)), dtype=np.complex128)
-                for perm, c in zip(perms[:, reps], coeff):
-                    image = np.take(a_reps, perm, axis=1)
+                block = np.zeros((m, m), dtype=np.complex128)
+                for inverse, c in zip(inverses, coeff):
+                    at = where[inverse[targets]]
+                    hit = at >= 0
+                    image = np.zeros((m, m), dtype=np.complex128)
+                    np.add.at(image, (rows[hit], at[hit]), entries[hit])
                     image *= c
                     block += image
-                blocks[k, :len(reps), :len(reps)] = block / np.sqrt(
-                    np.outer(stab_size, stab_size))
-            if term.is_hermitian:  # in place: one stack-sized temporary
-                blocks += blocks.conj().swapaxes(-1, -2)
-                blocks /= 2
+                block /= np.sqrt(np.outer(stab_size, stab_size))
+                if term.is_hermitian:  # in place, one block at a time
+                    block += block.conj().T
+                    block /= 2
+                blocks[k, :m, :m] = block
             projected.append((blocks, curve))
         # the term's own class, since models imports this module
         out.append(type(term)(projected, dim=size))

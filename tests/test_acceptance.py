@@ -150,7 +150,7 @@ def test_criterion_05_floquet_identities():
     for l_max in (4, 8, 16, 24):
         space = floquet_space(l_max, 4, l_keep=12 if l_max == 24 else None)
         ops = build_floquet_operators(fh, space)
-        exp_hf = matrix_exp(-1j * t * ops.h_f)
+        exp_hf = matrix_exp(-1j * t * ops.lifted("F"))
         devs = {}
         for p in (1, 2):
             plan = suzuki_plan(p, 2, EXACT)

@@ -15,7 +15,7 @@ import tdpf.cli as cli
 import tdpf.propagator as propagator
 import tdpf.resources as resources
 from tdpf.cli import RESOURCE_COLUMNS, main, run
-from tdpf.linalg import embed_pauli_string
+from tdpf.linalg import pauli_sum
 from tdpf.models import model_from_descriptor
 
 DRIVEN2 = {
@@ -146,8 +146,16 @@ class TestFloquetCheck:
         assert header[:2] == ["L", "L_keep"]
         assert [row[0] for row in rows] == ["4", "8", "16"]
         summary = json.loads((out / "floquet_summary.json").read_text())
+        assert summary.pop("monotone_floor") == 1e-12
         for key, entry in summary.items():
             assert entry["monotone_decreasing"], key
+
+    def test_monotone_flag_ignores_round_off_under_its_floor(self):
+        # deviations at L >= 16 wander by a few 1e-14 around 2e-14
+        wander = [1e-3, 2e-5, 2.1e-14, 4e-14, 1e-14, 3.9e-14, 2e-14]
+        assert cli._monotone_decreasing(wander)
+        assert not cli._monotone_decreasing(wander + [2e-14 + 1e-11])
+        assert not cli._monotone_decreasing([1e-3, 1e-3 + 1e-11])
 
 
 class TestMpfScan:
@@ -236,7 +244,7 @@ class TestResourceTable:
             # term 1 of the periodic N = 4 ring: bonds (0, 1) and (2, 3)
             strings = [[(i, "Y"), (j, "Z")] for i, j in ((0, 1), (2, 3))]
             assert ham.term(1).paulis == [[(1.0, sites) for sites in strings]]
-            yz = sum(embed_pauli_string(sites, 4) for sites in strings)
+            yz = sum(pauli_sum([(1.0, sites)], 4) for sites in strings)
             np.testing.assert_array_equal(ham.term(1).summands[0][0], yz)
 
     def test_commuting_sizes_write_null_exponent(self, tmp_path):

@@ -4,8 +4,7 @@ import pytest
 from tdpf.curves import ConstantCurve, TrigCurve, extrapolate_scalar
 from tdpf.errors import InvalidInputError
 import tdpf.floquet as floquet
-from tdpf.floquet import (build_floquet_operators, build_tf,
-                          build_tf_instantaneous, build_tf_suzuki,
+from tdpf.floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
                           check_translation_symmetry, floquet_space,
                           fourier_decompose, fourier_hamiltonian, reconstruct)
 from tdpf.formulas import INSTANTANEOUS, evaluate_pf, suzuki_a, suzuki_plan
@@ -95,20 +94,21 @@ class TestBuildOperators:
         for l_row in range(-3, 4):
             for l_col in range(-3, 4):
                 if l_row != l_col:
-                    assert spectral_norm(space.block(ops.h_f, l_row, l_col)) <= 1e-12
+                    assert spectral_norm(space.block(ops.lifted("F"), l_row, l_col)) <= 1e-12
 
     def test_term_decomposition_identity(self, drive):
         _, fh = drive
         space = floquet_space(6, 4)
         ops = build_floquet_operators(fh, space)
-        recomposed = sum(ops.h_f_terms) + (fh.n_terms - 1) * ops.h_lp
-        assert spectral_norm(ops.h_f - recomposed) == 0.0
+        recomposed = (sum(ops.lifted(("F", g)) for g in range(1, fh.n_terms + 1))
+                      + (fh.n_terms - 1) * ops.lifted("LP"))
+        assert spectral_norm(ops.lifted("F") - recomposed) == 0.0
 
     def test_single_mode_band_structure(self, drive):
         _, fh = drive
         space = floquet_space(8, 4)
         ops = build_floquet_operators(fh, space)
-        h_add = ops.h_add_terms[1]
+        h_add = ops.lifted(("Add", 2))
         for l_row in range(-8, 9):
             for l_col in range(-8, 9):
                 blk = spectral_norm(space.block(h_add, l_row, l_col))
@@ -122,7 +122,7 @@ class TestBuildOperators:
         space = floquet_space(4, 4)
         ops = build_floquet_operators(fh, space)
         ls = np.repeat(np.arange(-4, 5), 4)
-        assert np.allclose(ops.h_lp, np.diag(ls * OMEGA), atol=1e-14)
+        assert np.allclose(ops.lifted("LP"), np.diag(ls * OMEGA), atol=1e-14)
 
     def test_mode_cutoff_cap(self, drive):
         _, fh = drive
@@ -130,34 +130,13 @@ class TestBuildOperators:
             build_floquet_operators(fh, floquet_space(0, 4))
 
 
-    def test_hermitian_pretest_keeps_the_spectral_verdict(self):
-        # M = A + eps K with A Hermitian and K anti-Hermitian of full rank:
-        # the Frobenius pre-test settles some verdicts, and the spectral test
-        # the rest, including eps between the two thresholds
-        rng = np.random.default_rng(3)
-        n = 16
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a, k = a + a.conj().T, (k - k.conj().T) / spectral_norm(k - k.conj().T)
-        settled_by = set()
-        for eps in np.geomspace(1e-13, 1e-8, 41):
-            m = a + eps * k
-            skew = m - m.conj().T
-            spectral = spectral_norm(skew) <= 1e-10 * max(spectral_norm(m), 1.0)
-            frobenius = (np.linalg.norm(skew)
-                         <= 1e-10 * max(np.linalg.norm(m) / np.sqrt(n), 1.0))
-            assert floquet._is_hermitian(m) == spectral
-            settled_by.add((frobenius, spectral))
-        assert settled_by == {(True, True), (False, True), (False, False)}
-
-
 def dense_suzuki(ops, p, t):
     """Reference: the Suzuki recursion on dense exponentials of the lifted
     split [H_1^F, H_LP, H_2^F, ...], with the middle formula's conjugate
     transpose."""
     mats = []
-    for g, term in enumerate(ops.h_f_terms):
-        mats += [ops.h_lp, term] if g else [term]
+    for g in range(1, len(ops.h_add_terms) + 1):
+        mats += ([ops.lifted("LP")] if g > 1 else []) + [ops.lifted(("F", g))]
     ident = np.eye(ops.space.lifted_dim, dtype=np.complex128)
 
     def build(order, s):
@@ -183,9 +162,9 @@ class TestBuildTf:
         space = floquet_space(6, 4)
         ops = build_floquet_operators(fh, space)
         t = DRIVE_T
-        direct = (matrix_exp(-1j * t * ops.h_f_terms[1])
-                  @ matrix_exp(-1j * t * ops.h_lp)
-                  @ matrix_exp(-1j * t * ops.h_f_terms[0]))
+        direct = (matrix_exp(-1j * t * ops.lifted(("F", 2)))
+                  @ matrix_exp(-1j * t * ops.lifted("LP"))
+                  @ matrix_exp(-1j * t * ops.lifted(("F", 1))))
         got = build_tf(suzuki_plan(1, 2), ops, t)
         assert spectral_norm(got - direct) <= 1e-11
 
@@ -211,7 +190,7 @@ class TestBuildTf:
             assert spectral_norm(a - b) <= 1e-12
 
     def test_one_eigendecomposition_per_lifted_matrix(self, drive, monkeypatch):
-        # H_1^F .. H_G^F, H_LP and H_1^Add .. H_G^Add: at most 2 G - 1 + G
+        # H_1^F .. H_G^F and H_1^Add .. H_G^Add; H_LP is never diagonalised
         _, fh = drive
         space = floquet_space(6, 4)
         shared = build_floquet_operators(fh, space)
@@ -225,8 +204,7 @@ class TestBuildTf:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         builders = (
             lambda ops, p: build_tf(suzuki_plan(p, 2), ops, DRIVE_T),
-            lambda ops, p: build_tf_instantaneous(suzuki_plan(p, 2, INSTANTANEOUS),
-                                                  ops, DRIVE_T),
+            lambda ops, p: build_tf(suzuki_plan(p, 2, INSTANTANEOUS), ops, DRIVE_T),
             lambda ops, p: build_tf_suzuki(ops, p, DRIVE_T),
         )
         for p in (1, 2, 4):
@@ -236,7 +214,7 @@ class TestBuildTf:
                 del calls[before:]  # count only the shared operators' calls
                 np.testing.assert_array_equal(build(shared, p), want)
         gamma = fh.n_terms
-        assert 0 < len(calls) <= 2 * gamma - 1 + gamma
+        assert 0 < len(calls) <= 2 * gamma
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_column_blocks_are_columns_of_the_whole_formula(self, drive, p):
@@ -245,8 +223,7 @@ class TestBuildTf:
         ops = build_floquet_operators(fh, space)
         builders = (
             lambda *x: build_tf(suzuki_plan(p, 2), ops, DRIVE_T, *x),
-            lambda *x: build_tf_instantaneous(suzuki_plan(p, 2, INSTANTANEOUS),
-                                              ops, DRIVE_T, *x),
+            lambda *x: build_tf(suzuki_plan(p, 2, INSTANTANEOUS), ops, DRIVE_T, *x),
             lambda *x: build_tf_suzuki(ops, p, DRIVE_T, *x),
         )
         for build in builders:
@@ -260,21 +237,50 @@ class TestBuildTf:
     @pytest.mark.parametrize("scale_im", [0.0, 0.1])
     def test_suzuki_adjoint_factors_match_the_dense_recursion(self, scale_im):
         # p = 4 applies the middle formula as its factors' adjoints; with
-        # scale_im > 0 the H_g^F are not Hermitian and take the dense path
+        # scale_im > 0 the model is not Hermitian, and every H_g^F takes the
+        # dense path; H_LP is a phase per row either way
         ham = single_mode_model().scaled(1.0 - 1j * scale_im)
         fh = fourier_hamiltonian(ham, OMEGA, 1)
+        assert fh.hermitian == (scale_im == 0)
         ops = build_floquet_operators(fh, floquet_space(6, 4))
         want = dense_suzuki(ops, 4, DRIVE_T)
         got = build_tf_suzuki(ops, 4, DRIVE_T)
-        assert (ops._eigs[("F", 1)] is None) == (scale_im > 0)
-        assert ops._eigs["LP"] is not None
+        assert set(ops._eigs) == ({("F", 1), ("F", 2)} if scale_im == 0 else set())
         assert spectral_norm(got - want) <= 1e-12 * spectral_norm(want)
 
-    def test_requires_exact_family(self, drive):
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_instantaneous_plan_is_the_literal_lifted_product(self, drive, p):
+        # exp(+i H_LP (1-b_K) t) prod_k [exp(-i H_{g_k}^Add a_k t)
+        # exp(+i H_LP (b_k - b_{k-1}) t)], stage 1 applied first
         _, fh = drive
-        ops = build_floquet_operators(fh, floquet_space(4, 4))
-        with pytest.raises(InvalidInputError):
-            build_tf(suzuki_plan(1, 2, INSTANTANEOUS), ops, 0.3)
+        ops = build_floquet_operators(fh, floquet_space(6, 4))
+        plan = suzuki_plan(p, 2, INSTANTANEOUS)
+        want = np.eye(ops.space.lifted_dim, dtype=np.complex128)
+        beta_prev = 0.0
+        for st in plan.stages:
+            want = matrix_exp(1j * (st.beta - beta_prev) * DRIVE_T * ops.lifted("LP")) @ want
+            want = matrix_exp(-1j * st.alpha * DRIVE_T * ops.lifted(("Add", st.gamma))) @ want
+            beta_prev = st.beta
+        want = matrix_exp(1j * (1.0 - beta_prev) * DRIVE_T * ops.lifted("LP")) @ want
+        assert spectral_norm(build_tf(plan, ops, DRIVE_T) - want) <= 1e-11
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_lp_is_a_phase_per_row_without_eigh(self, drive, monkeypatch, adjoint):
+        _, fh = drive
+        ops = build_floquet_operators(fh, floquet_space(6, 4))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(ops.space.lifted_dim, 8)) + 1j * rng.normal(
+            size=(ops.space.lifted_dim, 8))
+        exp = matrix_exp(-1j * 0.37 * ops.lifted("LP"))
+        want = (exp.conj().T if adjoint else exp) @ x
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("H_LP was diagonalised")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        got = ops.apply("LP", 0.37, x, adjoint)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        assert not ops._eigs
 
     def test_rejects_corrupt_linear_potential_budget(self, drive):
         # a plan whose stage windows do not add up leaves the wrong total
@@ -296,7 +302,7 @@ class TestReconstruct:
         for l_max in (0, 2):
             space = floquet_space(l_max, 4, l_keep=l_max)
             ops = build_floquet_operators(fh, space)
-            got = reconstruct(matrix_exp(-1j * t * ops.h_f), space, OMEGA, t)
+            got = reconstruct(matrix_exp(-1j * t * ops.lifted("F")), space, OMEGA, t)
             assert spectral_norm(got - exact) <= 1e-10
 
     @pytest.mark.parametrize("builder_order", [1, 2])
@@ -322,7 +328,7 @@ class TestReconstruct:
         for l_max in (4, 8, 16, 24):
             space = floquet_space(l_max, 4)
             ops = build_floquet_operators(fh, space)
-            got = reconstruct(matrix_exp(-1j * t * ops.h_f), space, OMEGA, t)
+            got = reconstruct(matrix_exp(-1j * t * ops.lifted("F")), space, OMEGA, t)
             devs.append(spectral_norm(got - exact))
         assert all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(devs, devs[1:]))
         assert devs[-1] <= 1e-6
@@ -336,7 +342,7 @@ class TestReconstruct:
         s_mat = evaluate_pf(plan, ham, t)
         space = floquet_space(24, 4)
         ops = build_floquet_operators(fh, space)
-        lifted_err = matrix_exp(-1j * t * ops.h_f) - build_tf(plan, ops, t)
+        lifted_err = matrix_exp(-1j * t * ops.lifted("F")) - build_tf(plan, ops, t)
         dev = spectral_norm(reconstruct(lifted_err, space, OMEGA, t)
                             - (exact - s_mat))
         assert dev <= 1e-6
@@ -349,7 +355,7 @@ class TestReconstruct:
         for p in (1, 2):
             plan = suzuki_plan(p, 2, INSTANTANEOUS)
             target = evaluate_pf(plan, ham, t)
-            got = reconstruct(build_tf_instantaneous(plan, ops, t), space, OMEGA, t)
+            got = reconstruct(build_tf(plan, ops, t), space, OMEGA, t)
             assert spectral_norm(target - got) <= 1e-6
 
 
@@ -386,7 +392,7 @@ class TestTranslationSymmetry:
         _, fh = drive
         space = floquet_space(8, 4, l_keep=4)
         ops = build_floquet_operators(fh, space)
-        lifted = matrix_exp(-1j * DRIVE_T * ops.h_f)
+        lifted = matrix_exp(-1j * DRIVE_T * ops.lifted("F"))
         expected = literal_translation_symmetry(lifted, space, OMEGA, DRIVE_T, 4)
         got = check_translation_symmetry(lifted, space, OMEGA, DRIVE_T)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -410,7 +416,7 @@ class TestTranslationSymmetry:
         _, fh = drive
         space = floquet_space(6, 4, l_keep=3)
         ops = build_floquet_operators(fh, space)
-        dev = check_translation_symmetry(matrix_exp(1j * 0.7 * ops.h_lp),
+        dev = check_translation_symmetry(matrix_exp(1j * 0.7 * ops.lifted("LP")),
                                          space, OMEGA, 0.7)
         assert dev <= 1e-12
 
@@ -419,7 +425,7 @@ class TestTranslationSymmetry:
         fh = fourier_hamiltonian(ham, OMEGA, 0)
         space = floquet_space(6, 4, l_keep=3)
         ops = build_floquet_operators(fh, space)
-        dev = check_translation_symmetry(matrix_exp(-1j * 0.5 * ops.h_f),
+        dev = check_translation_symmetry(matrix_exp(-1j * 0.5 * ops.lifted("F")),
                                          space, OMEGA, 0.5)
         assert dev <= 1e-12
 
@@ -427,7 +433,7 @@ class TestTranslationSymmetry:
         _, fh = drive
         space = floquet_space(16, 4, l_keep=8)
         ops = build_floquet_operators(fh, space)
-        dev = check_translation_symmetry(matrix_exp(-1j * DRIVE_T * ops.h_f),
+        dev = check_translation_symmetry(matrix_exp(-1j * DRIVE_T * ops.lifted("F")),
                                          space, OMEGA, DRIVE_T)
         assert dev <= 1e-6
 
@@ -435,7 +441,7 @@ class TestTranslationSymmetry:
         _, fh = drive
         space = floquet_space(24, 4, l_keep=12)
         ops = build_floquet_operators(fh, space)
-        profile = transition_profile(matrix_exp(-1j * DRIVE_T * ops.h_f), space)
+        profile = transition_profile(matrix_exp(-1j * DRIVE_T * ops.lifted("F")), space)
         envelope = profile[2:]
         assert all(b <= a * (1 + 1e-9) + 1e-12
                    for a, b in zip(envelope, envelope[1:]))
@@ -489,7 +495,7 @@ class TestTranslationSymmetry:
         _, fh = drive
         space = floquet_space(10, 4, l_keep=5)
         ops = build_floquet_operators(fh, space)
-        whole = matrix_exp(-1j * DRIVE_T * ops.h_f)
+        whole = matrix_exp(-1j * DRIVE_T * ops.lifted("F"))
         want = check_translation_symmetry(whole, space, OMEGA, DRIVE_T)
         assert want == pytest.approx(literal_translation_symmetry(
             whole, space, OMEGA, DRIVE_T, 5), rel=1e-12)

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import random_matrix
 from tdpf.errors import InvalidInputError, NumericalBlowUpError
-from tdpf.linalg import (PAULI, commutator, dagger, embed_pauli_string,
-                         matrix_exp, matrix_exps, pauli_permutation, pauli_sum,
-                         spectral_norm, spectral_norms)
+from tdpf.linalg import (PAULI, dagger, matrix_exp, matrix_exps,
+                         pauli_permutation, pauli_sum, spectral_norm,
+                         spectral_norms)
 from tdpf.sectors import _compose
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
@@ -261,40 +261,36 @@ class TestMatrixExps:
 class TestCommutator:
     def test_self_commutator_vanishes(self, rng):
         a = random_matrix(rng, 5)
-        assert spectral_norm(commutator(a, a)) < 1e-12
+        assert spectral_norm(a @ a - a @ a) < 1e-12
 
     def test_xz(self):
-        # 2x2 multiplication: XZ - ZX = -2iY
-        assert np.allclose(commutator(X, Z), -2j * Y, atol=1e-12)
+        # the PAULI table: XZ - ZX = -2iY
+        assert np.allclose(X @ Z - Z @ X, -2j * Y, atol=1e-12)
 
     def test_identity_commutes(self, rng):
         b = random_matrix(rng, 4)
-        assert spectral_norm(commutator(np.eye(4), b)) < 1e-13
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            commutator(np.eye(2), np.eye(3))
+        assert spectral_norm(np.eye(4) @ b - b @ np.eye(4)) < 1e-13
 
 
 class TestEmbedPauliString:
     def test_empty_is_identity(self):
-        assert np.allclose(embed_pauli_string([], 1), I2)
+        assert np.allclose(pauli_sum([(1.0, [])], 1), I2)
 
     def test_single_site(self):
-        assert np.allclose(embed_pauli_string([(0, "Z")], 2), np.kron(Z, I2))
+        assert np.allclose(pauli_sum([(1.0, [(0, "Z")])], 2), np.kron(Z, I2))
 
     def test_two_site(self):
-        m = embed_pauli_string([(0, "X"), (1, "X")], 2)
+        m = pauli_sum([(1.0, [(0, "X"), (1, "X")])], 2)
         assert np.allclose(m, np.kron(X, X))
         assert spectral_norm(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicate_site_rejected(self):
         with pytest.raises(InvalidInputError):
-            embed_pauli_string([(0, "X"), (0, "Z")], 2)
+            pauli_sum([(1.0, [(0, "X"), (0, "Z")])], 2)
 
     def test_cap_enforced(self):
         with pytest.raises(InvalidInputError, match="qubit cap 12"):
-            embed_pauli_string([(0, "X")], 13)
+            pauli_sum([(1.0, [(0, "X")])], 13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_string_equals_the_kronecker_product(self, n):
@@ -303,13 +299,13 @@ class TestEmbedPauliString:
         for labels in product("IXYZ", repeat=n):
             sites = [(i, label) for i, label in enumerate(labels) if label != "I"]
             want = reduce(np.kron, [PAULI[label] for label in labels])
-            assert np.array_equal(embed_pauli_string(sites, n), want), labels
+            assert np.array_equal(pauli_sum([(1.0, sites)], n), want), labels
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     @pytest.mark.parametrize("label", "XYZ")
     def test_all_site_string_equals_the_dense_product(self, n, label):
         # the parities that sectors.find_symmetries takes
-        got = embed_pauli_string([(i, label) for i in range(n)], n)
+        got = pauli_sum([(1.0, [(i, label) for i in range(n)])], n)
         assert np.array_equal(got, reduce(np.kron, [PAULI[label]] * n))
 
     def test_composition_is_the_matrix_product(self):
@@ -319,8 +315,8 @@ class TestEmbedPauliString:
         gh_perm, gh_phase = _compose(g, h)
         gh = np.zeros((2**n, 2**n), dtype=np.complex128)
         gh[gh_perm, np.arange(2**n)] = gh_phase
-        want = (embed_pauli_string([(0, "Y"), (2, "X"), (3, "Z")], n)
-                @ embed_pauli_string([(0, "X"), (1, "Y"), (3, "Y")], n))
+        want = (pauli_sum([(1.0, [(0, "Y"), (2, "X"), (3, "Z")])], n)
+                @ pauli_sum([(1.0, [(0, "X"), (1, "Y"), (3, "Y")])], n))
         assert np.array_equal(gh, want)
 
     def test_sum_adds_each_string_in_order(self):
@@ -328,7 +324,7 @@ class TestEmbedPauliString:
                    (0.3, [(0, "X"), (1, "X")]), (2.5, [(2, "Z")]), (0.1j, [])]
         want = np.zeros((8, 8), dtype=np.complex128)
         for coef, sites in strings:
-            want = want + coef * embed_pauli_string(sites, 3)
+            want = want + coef * pauli_sum([(1.0, sites)], 3)
         assert np.array_equal(pauli_sum(strings, 3), want)
 
     def test_sum_checks_every_string_before_its_register_array(self):

@@ -7,7 +7,7 @@ import pytest
 from conftest import driven_chain
 from tdpf.curves import ConstantCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import InvalidInputError, SchemaError
-from tdpf.linalg import PAULI, commutator, embed_pauli_string, spectral_norm
+from tdpf.linalg import PAULI, pauli_sum, spectral_norm
 from tdpf.cli import _model_from_config
 from tdpf.models import (Hamiltonian, OperatorCurve, _stage_pairs, build_long_range,
                          build_nn_chain, model_from_descriptor)
@@ -127,11 +127,11 @@ class TestFromPaulis:
         assert [c for _, c in term.summands] == [f, g]
         assert term.paulis == [[(0.5, [(0, "X"), (1, "X")]), (-1.5, [(1, "Y"), (2, "Y")])],
                                [(2.0, [(2, "Z")])]]
-        want_f = (0.5 * embed_pauli_string([(0, "X"), (1, "X")], 3)
-                  - 1.5 * embed_pauli_string([(1, "Y"), (2, "Y")], 3))
+        want_f = (0.5 * pauli_sum([(1.0, [(0, "X"), (1, "X")])], 3)
+                  - 1.5 * pauli_sum([(1.0, [(1, "Y"), (2, "Y")])], 3))
         np.testing.assert_array_equal(term.summands[0][0], want_f)
         np.testing.assert_array_equal(term.summands[1][0],
-                                      2.0 * embed_pauli_string([(2, "Z")], 3))
+                                      2.0 * pauli_sum([(1.0, [(2, "Z")])], 3))
         assert term.is_hermitian and term.dim == 8
 
     def test_no_strings_is_a_zero_term_of_explicit_dim(self):
@@ -158,9 +158,9 @@ class TestNnChain:
     def test_bond_split_n4(self):
         ham = build_nn_chain(4, ConstantCurve(1.0))
         # 1-indexed bonds {1-2, 3-4} in term 1 and {2-3} in term 2
-        h1_expected = (embed_pauli_string([(0, "X"), (1, "X")], 4)
-                       + embed_pauli_string([(2, "X"), (3, "X")], 4))
-        h2_expected = embed_pauli_string([(1, "X"), (2, "X")], 4)
+        h1_expected = (pauli_sum([(1.0, [(0, "X"), (1, "X")])], 4)
+                       + pauli_sum([(1.0, [(2, "X"), (3, "X")])], 4))
+        h2_expected = pauli_sum([(1.0, [(1, "X"), (2, "X")])], 4)
         assert np.allclose(ham.term(1).value(0.0), h1_expected)
         assert np.allclose(ham.term(2).value(0.0), h2_expected)
 
@@ -171,7 +171,7 @@ class TestNnChain:
 
     def test_total_is_sum_of_bonds(self):
         ham = build_nn_chain(4, ConstantCurve(0.7))
-        direct = sum(0.7 * embed_pauli_string([(i, "X"), (i + 1, "X")], 4)
+        direct = sum(0.7 * pauli_sum([(1.0, [(i, "X"), (i + 1, "X")])], 4)
                      for i in range(3))
         assert np.allclose(ham.total_curve().value(0.0), direct, atol=1e-14)
 
@@ -195,9 +195,9 @@ class TestNnChain:
             (strings,) = term.paulis
             assert strings == [(1.0, [(i, paulis[0]), (j, paulis[1])])
                                for i, j in bonds[parity::2]]
-            pieces = [c * embed_pauli_string(sites, n) for c, sites in strings]
+            pieces = [c * pauli_sum([(1.0, sites)], n) for c, sites in strings]
             for a, b in zip(pieces, pieces[1:] + pieces[:1]):
-                assert not np.any(commutator(a, b))
+                assert not np.any(a @ b - b @ a)
             ((total, _),) = term.summands
             np.testing.assert_array_equal(total, sum(pieces))
 
@@ -210,9 +210,9 @@ class TestNnChain:
         ham = build_nn_chain(4, ConstantCurve(1.0), boundary="periodic")
         assert pairs_of(ham.term(1)) == [(0, 1), (2, 3)]
         assert pairs_of(ham.term(2)) == [(1, 2), (3, 0)]
-        wrap = embed_pauli_string([(3, "X"), (0, "X")], 4)
+        wrap = pauli_sum([(1.0, [(3, "X"), (0, "X")])], 4)
         assert np.allclose(ham.term(2).value(0.0) - wrap,
-                           embed_pauli_string([(1, "X"), (2, "X")], 4))
+                           pauli_sum([(1.0, [(1, "X"), (2, "X")])], 4))
 
     def test_hermitian_at_random_times(self, rng):
         ham = driven_chain(3)
@@ -266,7 +266,7 @@ class TestLongRange:
         ham = build_long_range(8, 1.0, {"XZ": ConstantCurve(1.0)})
         for term in ham.terms:
             (strings,) = term.paulis
-            mats = [c * embed_pauli_string(sites, 8) for c, sites in strings]
+            mats = [c * pauli_sum([(1.0, sites)], 8) for c, sites in strings]
             for a, b in combinations(mats, 2):
                 assert np.array_equal(a @ b, b @ a)
             ((total, _),) = term.summands
@@ -301,9 +301,9 @@ class TestOneSummandPerCurve:
     def test_values_match_the_literal_sum_of_local_pieces(self):
         ham = driven_chain(6, "periodic")
         bond, field = TrigCurve(0.3, 2.0, offset=1.0), TrigCurve(0.8, 3.1)
-        bonds = [embed_pauli_string([(i, "X"), (j, "X")], 6)
+        bonds = [pauli_sum([(1.0, [(i, "X"), (j, "X")])], 6)
                  for i, j in chain_bonds(6, "periodic")]
-        zs = [embed_pauli_string([(i, "Z")], 6) for i in range(6)]
+        zs = [pauli_sum([(1.0, [(i, "Z")])], 6) for i in range(6)]
         taus = np.array([0.0, 0.37, 1.1])
         for q in (0, 1, 2):
             for tau, got in zip(taus, ham.total_curve().values(taus, q)):
