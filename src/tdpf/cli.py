@@ -11,7 +11,6 @@ convergence, or a non-finite intermediate matrix), 4 out-of-regime request,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -33,7 +32,6 @@ from .formulas import (EXACT, INSTANTANEOUS, evaluate_pf, fit_order,
 from .linalg import QUBIT_CAP, spectral_norm
 from .models import Hamiltonian, model_from_descriptor
 from .multiproduct import measure_mpf_error, mpf_plan
-from .propagator import evolve
 from .resources import asymptotic_gate_form, gate_count_pf, loglog_slope, mpf_resources
 
 _VIOLATION_SLACK = 1e-12
@@ -113,6 +111,8 @@ def _write_json(path: Path, obj) -> None:
 
 def _manifest(out: Path, subcommand: str, cfg: dict, oracle_tol: float,
               workers: int) -> None:
+    # imported here: hashlib loads OpenSSL's libcrypto, which only this hash needs
+    import hashlib
     blob = json.dumps(cfg, sort_keys=True).encode()
     _write_json(out / "manifest.json", {
         "subcommand": subcommand,
@@ -256,7 +256,7 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
     l_values = list_of(cfg.get("l_values", [4, 8, 16, 24]), "l_values", integer, 0)
     orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
     fh = fourier_hamiltonian(ham, omega, mode_cutoff)
-    exact = evolve(ham.total_curve(), 0.0, t, tol=oracle_tol)
+    exact = ham.exact_evolution(0.0, t, oracle_tol)
     pf = {p: evaluate_pf(suzuki_plan(p, ham.n_terms, EXACT), ham, t,
                          oracle_tol=oracle_tol) for p in orders}
 

@@ -185,7 +185,7 @@ def measure_error(plan: StagePlan, ham: Hamiltonian, t: float, t0: float = 0.0,
                   r: int = 1, oracle_tol: float = 1e-12) -> float:
     """Spectral-norm distance between the oracle evolution and the (possibly
     r-fold Trotterized) product formula."""
-    exact = evolve(ham.total_curve(), t0, t, tol=oracle_tol)
+    exact = ham.exact_evolution(t0, t, oracle_tol)
     approx = trotterize(plan, ham, t, r, t0, oracle_tol)
     return spectral_norm(exact - approx)
 

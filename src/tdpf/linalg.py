@@ -164,14 +164,10 @@ def _pade13_exps(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def pauli_permutation(sites: list[tuple[int, str]], n_qubits: int):
-    """The Pauli string as a signed permutation: P|b> = phase[b] |perm[b]>.
-
-    ``sites`` lists (site index, label) pairs with 0-based indices; all other
-    sites carry the identity.  X and Y flip their site's bit, Z|1> = -|1>,
-    and Y|0> = i|1>, Y|1> = -i|0>.  Every input is checked before any
-    2^n_qubits array is made.
-    """
+def check_pauli_string(sites: list[tuple[int, str]], n_qubits: int) -> None:
+    """Raise InvalidInputError unless ``sites`` is a Pauli string on
+    ``n_qubits`` qubits, 1 to ``QUBIT_CAP``: (site, label) pairs with
+    distinct sites in range and labels in PAULI.  No array is made."""
     if n_qubits < 1:
         raise InvalidInputError("n_qubits must be >= 1")
     if n_qubits > QUBIT_CAP:
@@ -185,6 +181,17 @@ def pauli_permutation(sites: list[tuple[int, str]], n_qubits: int):
         if label not in PAULI:
             raise InvalidInputError(f"unknown Pauli label {label!r}")
         seen.add(site)
+
+
+def pauli_permutation(sites: list[tuple[int, str]], n_qubits: int):
+    """The Pauli string as a signed permutation: P|b> = phase[b] |perm[b]>.
+
+    ``sites`` lists (site index, label) pairs with 0-based indices; all other
+    sites carry the identity.  X and Y flip their site's bit, Z|1> = -|1>,
+    and Y|0> = i|1>, Y|1> = -i|0>.  Every input is checked
+    (``check_pauli_string``) before any 2^n_qubits array is made.
+    """
+    check_pauli_string(sites, n_qubits)
     b = np.arange(2**n_qubits)
     flips, sign = 0, np.ones(b.size, dtype=np.int64)
     for site, label in sites:

@@ -2,10 +2,14 @@
 each term a sum of (matrix, scalar curve) summands with one summed matrix
 per distinct curve, plus builders for the nearest-neighbor and long-range
 2-local model classes.  A built term is a sum of Pauli strings times curves:
-it keeps the strings as ``paulis`` next to its matrices, scattered one per
-curve by ``OperatorCurve.from_paulis``, never one per bond, pair or field.
-Those strings are the model's only record of its structure: a Hamiltonian
-holds its terms and nothing else.
+it keeps the strings as ``paulis`` and scatters its matrices from them, one
+per curve (``OperatorCurve.from_paulis``), never one per bond, pair or
+field.  Those dense 2^N matrices are formed only when something reads them
+(the oracle, the product formulas, the Floquet lift, or a walk on a model
+that does not split into sectors); a term's shape, derivative budget,
+Hermiticity and ``is_zero`` are read from its strings and curves.  The
+strings are the model's only record of its structure: a Hamiltonian holds
+its terms, and the oracle evolutions it has computed, and nothing else.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import numpy as np
 from .curves import ScalarCurve, curve_from_descriptor, extrapolate_scalar
 from .errors import (InvalidInputError, NumericalBlowUpError, SchemaError,
                      integer, number, one_of, required)
-from .linalg import QUBIT_CAP, pauli_sum
-from .sectors import MIN_DIM, Sectors, project
+from .linalg import QUBIT_CAP, check_pauli_string, pauli_sum
+from .propagator import evolve
+from .sectors import MIN_DIM, Sectors, merged_strings, project
 
 _PAULI_ORDER = ("X", "Y", "Z")
 _CHANNELS = tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
@@ -34,50 +39,84 @@ class OperatorCurve:
     ``from_paulis``.  Pairs that share one curve object are summed as they
     arrive, in input order, so the term keeps one matrix per distinct curve,
     in order of first appearance: every quantity reads a term only through
-    sum_j A_j f_j.  Every A_j has one shape (..., dim,
-    dim): a single matrix, or a stack of them such as a term's
+    sum_j A_j f_j.  ``curves`` lists the f_j.  Every A_j has one shape
+    (..., dim, dim): a single matrix, or a stack of them such as a term's
     symmetry-sector blocks, all sharing the curve f_j.  ``paulis`` lists
     each A_j as its (coefficient, sites) Pauli strings (see ``from_paulis``);
-    it is None for a term given as matrices, which ``sectors`` never splits."""
+    it is None for a term given as matrices, which ``sectors`` never splits.
+
+    A term given as matrices keeps them from the constructor.  A term built
+    from Pauli strings, and every ``scaled`` or ``extended`` copy, forms its
+    matrices once, at the first read of ``summands`` (``value``, ``values``
+    or ``Hamiltonian.total_curve``).  ``shape``, ``dim``,
+    ``derivative_budget``, ``is_hermitian`` and ``is_zero`` come from the
+    strings and curves, so projecting a split model onto its sectors and
+    walking its bounds form no dense 2^N matrix."""
 
     def __init__(self, summands, dim: int | None = None,
                  derivative_budget: int | None = None, paulis: list | None = None):
         self.paulis = paulis
         groups: dict[int, tuple] = {}
-        self.shape = None
+        shape = None
         for mat, curve in summands:
             mat = np.asarray(mat, dtype=np.complex128)
-            if self.shape is None:
-                self.shape = mat.shape
-            elif mat.shape != self.shape:
+            if shape is None:
+                shape = mat.shape
+            elif mat.shape != shape:
                 raise InvalidInputError(
-                    f"summand shapes disagree: {self.shape} and {mat.shape}")
+                    f"summand shapes disagree: {shape} and {mat.shape}")
             prev = groups.get(id(curve))
             # never in place: asarray may return the caller's own array
             groups[id(curve)] = (mat if prev is None else prev[0] + mat, curve)
-        self.summands = list(groups.values())
-        if self.shape is None:
+        self.summands = list(groups.values())  # shadows the property: never formed
+        if shape is None:
             if dim is None:
                 raise InvalidInputError("empty OperatorCurve needs an explicit dim")
-            self.shape = (int(dim), int(dim))
-        self.dim = self.shape[-1]
-        budgets = [curve.derivative_budget for _, curve in self.summands]
+            shape = (int(dim), int(dim))
+        self._describe([curve for _, curve in self.summands], shape, derivative_budget)
+
+    def _describe(self, curves: list, shape: tuple, derivative_budget: int | None) -> None:
+        self.curves = curves
+        self.shape = shape
+        self.dim = shape[-1]
+        budgets = [curve.derivative_budget for curve in curves]
         if derivative_budget is not None:
             budgets.append(int(derivative_budget))
         self.derivative_budget = min(budgets) if budgets else 0
-        self.is_zero = all(not np.any(m) for m, _ in self.summands)
+
+    @classmethod
+    def _deferred(cls, form, curves: list, shape: tuple, paulis: list | None,
+                  derivative_budget: int | None = None) -> OperatorCurve:
+        """The term whose matrices, one per curve, ``form()`` returns at the
+        first read of ``summands``."""
+        term = cls.__new__(cls)
+        term.paulis, term._form = paulis, form
+        term._describe(curves, shape, derivative_budget)
+        return term
+
+    @cached_property
+    def summands(self) -> list:
+        """(A_j, f_j) per distinct curve, formed at the first read."""
+        return list(zip(self._form(), self.curves))
 
     @classmethod
     def from_paulis(cls, n_qubits: int, strings, derivative_budget: int | None = None):
         """sum_k c_k P_k f_k(t) from (c_k, sites of P_k, f_k) triples: the
-        strings sharing one curve object make one summand, whose matrix
-        ``linalg.pauli_sum`` scatters from them."""
+        strings sharing one curve object make one summand.  Every string is
+        checked here; the summand's matrix, which ``linalg.pauli_sum``
+        scatters from its strings, is formed at the first read of
+        ``summands``."""
         groups: dict[int, tuple] = {}
         for coef, sites, curve in strings:
             groups.setdefault(id(curve), (curve, []))[1].append((coef, sites))
-        return cls([(pauli_sum(group, n_qubits), curve) for curve, group in groups.values()],
-                   dim=2**n_qubits, derivative_budget=derivative_budget,
-                   paulis=[group for _, group in groups.values()])
+        paulis = [group for _, group in groups.values()]
+        for group in paulis:
+            for _coef, sites in group:
+                check_pauli_string(sites, n_qubits)
+        dim = 2**n_qubits
+        return cls._deferred(lambda: [pauli_sum(group, n_qubits) for group in paulis],
+                             [curve for curve, _ in groups.values()], (dim, dim), paulis,
+                             derivative_budget)
 
     @cached_property
     def is_hermitian(self) -> bool:
@@ -87,6 +126,14 @@ class OperatorCurve:
         if self.paulis is not None:
             return all(complex(c).imag == 0 for group in self.paulis for c, _ in group)
         return all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m, _ in self.summands)
+
+    @cached_property
+    def is_zero(self) -> bool:
+        """Every summand matrix is zero (for Pauli strings: every distinct
+        string's summed coefficient is 0, see ``sectors.merged_strings``)."""
+        if self.paulis is not None:
+            return not any(merged_strings(group) for group in self.paulis)
+        return all(not np.any(m) for m, _ in self.summands)
 
     def value(self, tau: float, q: int = 0) -> np.ndarray:
         return self.values([tau], q)[0]
@@ -102,17 +149,20 @@ class OperatorCurve:
         return out
 
     def scaled(self, factor: complex) -> OperatorCurve:
+        """factor times the term: its matrices are factor A_j, from this
+        term's A_j, formed at the first read."""
         paulis = None if self.paulis is None else [
             [(factor * c, s) for c, s in group] for group in self.paulis]
-        return OperatorCurve([(factor * m, c) for m, c in self.summands],
-                             self.dim, self.derivative_budget, paulis)
+        return OperatorCurve._deferred(lambda: [factor * m for m, _ in self.summands],
+                                       self.curves, self.shape, paulis, self.derivative_budget)
 
     def extended(self, t_end: float, order: int) -> OperatorCurve:
         """Periodic C^(order+2) extension of every scalar summand beyond
-        [0, t_end].  Each summand has its own curve, so the symmetries
-        ``sectors`` finds in the summands survive."""
-        return OperatorCurve([(m, extrapolate_scalar(c, t_end, order))
-                              for m, c in self.summands], dim=self.dim, paulis=self.paulis)
+        [0, t_end], sharing this term's matrices.  Each summand has its own
+        curve, so the symmetries ``sectors`` finds in the summands survive."""
+        return OperatorCurve._deferred(lambda: [m for m, _ in self.summands],
+                                       [extrapolate_scalar(c, t_end, order) for c in self.curves],
+                                       self.shape, self.paulis)
 
 
 class Hamiltonian:
@@ -127,6 +177,7 @@ class Hamiltonian:
         if len(dims) > 1:
             raise InvalidInputError(f"term dimensions disagree: {sorted(dims)}")
         self.dim = dims.pop()
+        self._evolutions: dict[tuple, np.ndarray] = {}
 
     @property
     def n_terms(self) -> int:
@@ -151,6 +202,18 @@ class Hamiltonian:
 
     def total_curve(self) -> OperatorCurve:
         return OperatorCurve((s for t in self.terms for s in t.summands), dim=self.dim)
+
+    def exact_evolution(self, t0: float, t: float, tol: float = 1e-12) -> np.ndarray:
+        """The oracle U(t, t0), ``propagator.evolve`` of ``total_curve`` at
+        ``tol``, computed once per (t0, t, tol) and shared, read-only, by
+        every later call.  Two threads asking for the same U at once may
+        each compute it; the results are bit-equal, so either one is kept."""
+        key = (t0, t, tol)
+        if key not in self._evolutions:
+            u = evolve(self.total_curve(), t0, t, tol=tol)
+            u.flags.writeable = False
+            self._evolutions[key] = u
+        return self._evolutions[key]
 
     def scaled(self, factor: complex) -> Hamiltonian:
         return Hamiltonian([t.scaled(factor) for t in self.terms])

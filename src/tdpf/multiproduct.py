@@ -13,7 +13,6 @@ from .errors import InvalidInputError
 from .formulas import EXACT, suzuki_plan, trotterize
 from .linalg import spectral_norm
 from .models import Hamiltonian
-from .propagator import evolve
 
 MAX_PRODUCTS = 8  # double precision keeps the Vandermonde residual <= 1e-12
 _RESIDUAL_TOL = 1e-12
@@ -101,5 +100,5 @@ def evaluate_mpf(plan: MpfPlan, ham: Hamiltonian, t: float,
 
 def measure_mpf_error(plan: MpfPlan, ham: Hamiltonian, t: float,
                       oracle_tol: float = 1e-12) -> float:
-    exact = evolve(ham.total_curve(), 0.0, t, tol=oracle_tol)
+    exact = ham.exact_evolution(0.0, t, oracle_tol)
     return spectral_norm(exact - evaluate_mpf(plan, ham, t, oracle_tol))

@@ -31,11 +31,13 @@ rows:
 with s_r the size of r's stabiliser.  Row r of a string c P holds one entry,
 c phase(perm(r)) in column perm(r), so ``project`` scatters each term of the
 sum straight from the strings' signed permutations, and no dense row of A
-is formed.  Blocks are zero-padded to the largest sector and stacked, so a
-projected term is an ``OperatorCurve`` with one summand per summand of the
-term: its (sectors, m, m) stack of blocks and its curve.  The blocks of a
-Hermitian term are symmetrised, (B + B†)/2, which makes them exactly
-Hermitian for the walk's Hermitian fast path.
+is formed: ``project`` reads a term's strings, curves and Hermiticity, never
+its matrices, so a built term's dense matrices stay unformed.  Blocks are
+zero-padded to the largest sector and stacked, so a projected term is an
+``OperatorCurve`` with one summand per summand of the term: its (sectors,
+m, m) stack of blocks and its curve.  The blocks of a Hermitian term are
+symmetrised, (B + B†)/2, which makes them exactly Hermitian for the walk's
+Hermitian fast path.
 """
 
 from __future__ import annotations
@@ -81,16 +83,22 @@ def _compose(g, h):
 # Detection and projection
 # ---------------------------------------------------------------------------
 
+def merged_strings(strings) -> dict:
+    """sum_k c_k P_k as {frozenset of P's sites: summed coefficient}: a
+    repeated string adds to its coefficient, in input order, and strings
+    whose sum is 0 are dropped.  Distinct strings are linearly independent,
+    so the sum is the zero operator exactly when the table is empty."""
+    table = defaultdict(int)
+    for coef, sites in strings:
+        table[frozenset(sites)] += coef
+    return {key: coef for key, coef in table.items() if coef}
+
+
 def find_symmetries(paulis: list[list], n_sites: int) -> list[tuple]:
     """Mutually commuting signed permutations, each with its order, that
     commute exactly with every summand sum_k c_k P_k of ``paulis`` (one
     list of (c_k, sites of P_k) pairs per summand): [(perm, phase, order)]."""
-    tables = []
-    for strings in paulis:
-        table = defaultdict(int)
-        for coef, sites in strings:  # a repeated string adds to its coefficient
-            table[frozenset(sites)] += coef
-        tables.append({key: coef for key, coef in table.items() if coef})
+    tables = [merged_strings(strings) for strings in paulis]
 
     def shifted(table, shift):
         return {frozenset(((i + shift) % n_sites, label) for i, label in key): coef
@@ -157,7 +165,7 @@ def project(terms) -> Sectors:
     out = []
     for term in terms:
         projected = []
-        for strings, (_, curve) in zip(term.paulis, term.summands):
+        for strings, curve in zip(term.paulis, term.curves):
             signed = [(coef, *pauli_permutation(sites, n_sites)) for coef, sites in strings]
             cols = np.array([perm for _, perm, _ in signed])                   # (S, dim)
             vals = np.array([coef * phase[perm] for coef, perm, phase in signed])

@@ -12,6 +12,7 @@ import pytest
 
 import tdpf.bounds as bounds
 import tdpf.cli as cli
+import tdpf.models as models
 import tdpf.propagator as propagator
 import tdpf.resources as resources
 from tdpf.cli import RESOURCE_COLUMNS, main, run
@@ -113,6 +114,17 @@ class TestBoundCheck:
         for row in rows:
             assert row[5] == "0"
             assert float(row[2]) <= float(row[3]) <= float(row[4]) * (1 + 1e-9)
+
+    def test_one_oracle_per_distinct_time(self, tmp_path, monkeypatch):
+        # two orders at two times: the exact U of each time serves both orders
+        oracles = []
+        real = models.evolve
+        monkeypatch.setattr(models, "evolve", lambda gen, t0, t, tol: oracles.append(t)
+                            or real(gen, t0, t, tol=tol))
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": DRIVEN2, "orders": [1, 2], "times": [0.02, 0.05], "grid_points": 3})
+        assert run("bound-check", cfg, str(tmp_path / "out")) == 0
+        assert sorted(oracles) == [0.02, 0.05]
 
     def test_violation_tripwire(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "measure_error", lambda *a, **k: 1e9)
@@ -807,6 +819,18 @@ class TestColdStart:
             ("resource-table", RESOURCE_CFG),
         ]
         assert cold_start(tmp_path, runs) == {"codes": [0] * len(runs), "loaded": []}
+
+    def test_import_loads_no_hash_library(self):
+        # hashlib maps OpenSSL's libcrypto; only writing a manifest needs it
+        script = ("import sys; import numpy; before = set(sys.modules); import tdpf.cli; "
+                  "print(sorted(m for m in set(sys.modules) - before if 'hashlib' in m))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_huyghebaert_check_loads_no_scipy_subpackage(self, tmp_path):
         runs = [("huyghebaert-check", {"model": DRIVEN2, "times": [0.02, 0.1]})]

@@ -1,13 +1,17 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import tdpf.models as models
 from conftest import driven_chain
 from tdpf.curves import ConstantCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import InvalidInputError, SchemaError
 from tdpf.linalg import PAULI, pauli_sum, spectral_norm
+from tdpf.propagator import evolve
 from tdpf.cli import _model_from_config
 from tdpf.models import (Hamiltonian, OperatorCurve, _stage_pairs, build_long_range,
                          build_nn_chain, model_from_descriptor)
@@ -152,6 +156,93 @@ class TestFromPaulis:
     def test_derivative_budget(self):
         term = OperatorCurve.from_paulis(1, [(1.0, [(0, "X")], TrigCurve(1.0, 1.0))], 3)
         assert term.derivative_budget == 3
+
+
+TRIG = {"kind": "trig", "amp": 0.3, "omega": 2.0, "offset": 1.0}
+FIELD = {"kind": "trig", "amp": 0.8, "omega": 3.1}
+
+
+def long_range(n):
+    return model_from_descriptor({"model": "long-range", "N": n, "nu": 1.5,
+                                  "pair_curves": {"XX": TRIG, "ZZ": {"kind": "constant",
+                                                                     "value": 0.7}},
+                                  "site_curves": {"Z": FIELD}})
+
+
+def cancelling():
+    """Term 1's repeated string cancels exactly: X0 - X0 = 0."""
+    f, g = TrigCurve(0.5, 1.7), ConstantCurve(0.3)
+    return Hamiltonian([OperatorCurve.from_paulis(2, [(1.0, [(0, "X")], f),
+                                                      (0.5, [(1, "Z")], g),
+                                                      (-1.0, [(0, "X")], f),
+                                                      (-0.5, [(1, "Z")], g)]),
+                        OperatorCurve.from_paulis(2, [(1.0, [(0, "Z"), (1, "Y")], f)])])
+
+
+# Every kind of built model, each built afresh so that no matrix is formed yet.
+BUILT_MODELS = {
+    **{f"{boundary}{n}": (lambda n=n, b=boundary: driven_chain(n, b))
+       for boundary in ("open", "periodic") for n in range(2, 9)},
+    "open2-no-field": lambda: build_nn_chain(2, ConstantCurve(1.0)),  # term 2 has no string
+    "long-range6": lambda: long_range(6),
+    "long-range9": lambda: long_range(9),
+    "custom3": lambda: model_from_descriptor({"model": "custom", "N": 3, "terms": [
+        {"gamma": 1, "paulis": [[0, "X"], [2, "Y"]], "curve": TRIG},
+        {"gamma": 2, "paulis": [[1, "Z"]], "curve": FIELD},
+        {"gamma": 3, "paulis": [], "curve": {"kind": "constant", "value": 0.4}}]}),
+    "cancelling": cancelling,
+}
+
+
+class TestDeferredMatrices:
+    """A built term forms its matrices at the first read of ``summands``,
+    bit-equal to the ``pauli_sum`` of each curve's strings."""
+
+    @pytest.mark.parametrize("name", BUILT_MODELS)
+    def test_summands_are_the_pauli_sums_per_curve(self, name):
+        ham = BUILT_MODELS[name]()
+        n = ham.dim.bit_length() - 1
+        for term in ham.terms:
+            factor = 1 - 0.1j
+            scaled, extended = term.scaled(factor), term.extended(0.3, 3)
+            want = [pauli_sum(group, n) for group in term.paulis]
+            for copy, scale in ((scaled, factor), (term, None), (extended, None)):
+                assert len(copy.summands) == len(want) == len(copy.curves)
+                assert [c for _, c in copy.summands] == copy.curves
+                for (mat, _), sums in zip(copy.summands, want):
+                    np.testing.assert_array_equal(mat, sums if scale is None else scale * sums)
+            assert [c for _, c in term.summands] == term.curves
+            # the extension shares the term's matrices under its own curves
+            assert all(a is b for (a, _), (b, _) in zip(extended.summands, term.summands))
+            assert term.shape == scaled.shape == extended.shape == (ham.dim, ham.dim)
+
+    @pytest.mark.parametrize("name", BUILT_MODELS)
+    def test_is_zero_is_read_from_the_strings(self, name, monkeypatch):
+        ham = BUILT_MODELS[name]()
+        copies = [c for t in ham.terms for c in (t, t.scaled(1 - 0.1j), t.extended(0.3, 3))]
+        formed = []
+        real = models.pauli_sum
+        monkeypatch.setattr(models, "pauli_sum", lambda *a: formed.append(a) or real(*a))
+        zeros = [c.is_zero for c in copies]
+        assert formed == []
+        assert zeros == [all(not np.any(m) for m, _ in c.summands) for c in copies]
+        if name in ("open2-no-field", "cancelling"):
+            assert zeros[:3] == [name == "cancelling"] * 3
+            assert zeros[3:] == [name == "open2-no-field"] * 3
+
+    def test_a_value_forms_each_summand_once(self, monkeypatch):
+        formed = []
+        real = models.pauli_sum
+        monkeypatch.setattr(models, "pauli_sum", lambda group, n: formed.append(group)
+                            or real(group, n))
+        term = driven_chain(4).terms[1]  # two curves: the bond and the field
+        assert formed == []
+        first = term.value(0.2)
+        assert [id(g) for g in formed] == [id(g) for g in term.paulis]
+        np.testing.assert_array_equal(term.value(0.2), first)
+        term.values([0.1, 0.3], 1)
+        term.scaled(2.0).value(0.2)
+        assert len(formed) == 2
 
 
 class TestNnChain:
@@ -362,6 +453,22 @@ class TestIngest:
         with pytest.raises(SchemaError):
             _model_from_config({"model_path": str(path)})
 
+    @pytest.mark.parametrize("paulis, message", [
+        ([[0, "X"], [0, "Z"]], "duplicate site 0 in Pauli string"),
+        ([[0, "X"], [2, "Z"]], "site 2 out of range for 2 qubits"),
+    ], ids=["duplicate-site", "site-out-of-range"])
+    def test_bad_string_is_refused_at_build(self, monkeypatch, paulis, message):
+        def no_matrix(*args):
+            raise AssertionError("a string is checked before any matrix is formed")
+
+        monkeypatch.setattr(models, "pauli_sum", no_matrix)
+        with pytest.raises(SchemaError) as err:
+            model_from_descriptor({"model": "custom", "N": 2, "terms": [
+                {"gamma": 1, "paulis": paulis,
+                 "curve": {"kind": "constant", "value": 1.0}}]})
+        assert err.value.field == "model.terms[0].paulis"
+        assert str(err.value) == f"model.terms[0].paulis: {message}"
+
     def test_noncontiguous_gammas(self):
         with pytest.raises(SchemaError):
             model_from_descriptor({"model": "custom", "N": 1, "terms": [
@@ -389,3 +496,35 @@ class TestHamiltonian:
         for tau in (0.0, 0.5):
             by_term = driven2.term(1).value(tau) + driven2.term(2).value(tau)
             assert np.allclose(tc.value(tau), by_term, atol=1e-14)
+
+    def test_exact_evolution_is_computed_once_per_interval_and_tolerance(self, monkeypatch):
+        ham = driven_chain(3)
+        want = evolve(ham.total_curve(), 0.0, 0.1, tol=1e-12)
+        calls = []
+        monkeypatch.setattr(models, "evolve", lambda gen, t0, t, tol: calls.append(
+            (t0, t, tol)) or evolve(gen, t0, t, tol=tol))
+        u = ham.exact_evolution(0.0, 0.1, 1e-12)
+        np.testing.assert_array_equal(u, want)
+        assert ham.exact_evolution(0.0, 0.1, 1e-12) is u and not u.flags.writeable
+        ham.exact_evolution(0.0, 0.2, 1e-12)
+        ham.exact_evolution(0.0, 0.1, 1e-10)
+        ham.exact_evolution(0.0, 0.2, 1e-12)
+        assert calls == [(0.0, 0.1, 1e-12), (0.0, 0.2, 1e-12), (0.0, 0.1, 1e-10)]
+
+    def test_exact_evolution_from_many_threads(self):
+        # threads that ask for one U at once, while its terms form their
+        # matrices, all get the bit-equal U of a serial call
+        times = (0.05, 0.1) * 8
+        want = {t: evolve(driven_chain(3).total_curve(), 0.0, t, tol=1e-12) for t in times}
+        ham = driven_chain(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(ham.exact_evolution, 0.0, t, 1e-12) for t in times]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for t, u in zip(times, results):
+            np.testing.assert_array_equal(u, want[t])
+            np.testing.assert_array_equal(ham.exact_evolution(0.0, t, 1e-12), want[t])

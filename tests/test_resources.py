@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import tdpf.models as models
 from conftest import driven_chain
 from tdpf.errors import InvalidInputError
 from tdpf.formulas import measure_error, suzuki_plan
+from tdpf.models import model_from_descriptor
 from tdpf.multiproduct import mpf_plan
 from tdpf.resources import (asymptotic_gate_form, choose_trotter_steps, gate_count_pf,
                             loglog_slope, mpf_resources)
@@ -82,6 +84,27 @@ class TestGateCounts:
         # slowly decaying interactions (nu < d = 1), then decaying ones (nu >= d)
         assert asymptotic_gate_form("long-range", 2, 0.5) == "N^2.5 t (N^1.5 t / eps)^(1/2)"
         assert asymptotic_gate_form("long-range", 2, 3.0) == "N^2 t (N t / eps)^(1/2)"
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_split_model_forms_no_dense_matrix(self, monkeypatch, n):
+        # the periodic driven chain splits into sectors (2 at N = 7, 8 at N = 8):
+        # building, projecting and walking it read only its strings and curves
+        formed = []
+        real = models.pauli_sum
+        monkeypatch.setattr(models, "pauli_sum", lambda group, n_qubits: formed.append(group)
+                            or real(group, n_qubits))
+        ham = model_from_descriptor({
+            "model": "nn-chain", "N": n, "boundary": "periodic",
+            "bond_curve": {"kind": "trig", "amp": 0.3, "omega": 2.0, "offset": 1.0},
+            "field_curve": {"kind": "trig", "amp": 0.8, "omega": 3.1}})
+        assert ham.sectors.count > 1
+        res = gate_count_pf(ham, 0.5, 1e-3, 2, 3, 0)
+        assert formed == [] and res["r"] > 1
+        # a read of the values forms each summand's matrix once
+        for _ in range(2):
+            for term in ham.terms:
+                term.value(0.2)
+        assert [id(g) for g in formed] == [id(g) for t in ham.terms for g in t.paulis]
 
     def test_unknown_model_class_rejected(self):
         from tdpf.curves import ConstantCurve
