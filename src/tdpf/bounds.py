@@ -52,9 +52,9 @@ Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then, in each halving round, the midpoints
 of the two intervals next to the best sample so far.  While the best sample
 is an endpoint, each round halves the one interval next to it, so the
-coming rounds' midpoints are known in advance; they go in runs of 1, 2, 4,
-... points per call.  Every value is kept by its point, and a round calls
-fn only for the midpoints it does not have yet.
+remaining rounds' midpoints are known in advance and go in one call.  Every
+value is kept by its point, and a round calls fn only for the midpoints it
+does not have yet.
 
 The first-order and non-unitary bounds integrate over time with one
 globally adaptive Gauss-Kronrod rule, QUADPACK's 21-point qk21 with its
@@ -290,12 +290,11 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
     fn maps a 1-D array of points to the array of its values.  The grid is
     one call (one point when hi == lo), and every evaluated value is kept by
     its point, so each round makes one call with only its missing midpoints.
-    While the best sample is an endpoint x_k, the coming rounds' midpoints
-    are m, (m + x_k) / 2, ...: that call takes them ahead in runs of 1, 2,
-    4, ... points (never past the last round).  So the samples, the max and
-    the argmax are those of one call per round, and the points a run
-    evaluates past the round that overtakes x_k are at most those the
-    endpoint's earlier rounds used."""
+    While the best sample is an endpoint x_k, the remaining rounds'
+    midpoints are m, (m + x_k) / 2, ...: that call takes all of them (one
+    per remaining round).  So the samples, the max and the argmax are those
+    of one call per round, and fewer than refine_iters points go unused if
+    a midpoint overtakes x_k."""
     if hi < lo:
         raise InvalidInputError("empty maximization interval")
     if hi == lo:
@@ -304,16 +303,15 @@ def grid_max(fn, lo: float, hi: float, n_points: int = 65,
         raise InvalidInputError(f"n_points must be >= 2 when hi > lo, got {n_points}")
     xs = np.linspace(lo, hi, n_points)
     vals = fn(xs)
-    known, run = {}, 1  # midpoint values by point, some evaluated ahead
+    known = {}  # midpoint values by point, some evaluated ahead
     for i in range(refine_iters):
         k = int(np.argmax(vals))
         sides = [j for j in (k - 1, k + 1) if 0 <= j < len(xs)]
         mids = [(xs[j] + xs[k]) / 2.0 for j in sides]
         points = [m for m in mids if m not in known]
         if points and len(sides) == 1:
-            for _ in range(min(run, refine_iters - i) - 1):
+            for _ in range(refine_iters - i - 1):
                 points.append((points[-1] + xs[k]) / 2.0)
-            run *= 2
         if points:
             known.update(zip(points, fn(np.array(points))))
         at = [max(j, k) for j in sides]  # each midpoint goes between j and k

@@ -54,8 +54,9 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
     ``generator`` needs ``.dim``, ``.value(tau)`` and ``.values(taus)`` (an
     OperatorCurve).  The result is certified by step halving: refinement
     continues until doubling the step count moves the answer by at most
-    ``tol``.  The first step count is 0.5 dt ||H(midpoint)||; a count over
-    ``max_steps`` raises ConvergenceError before any step is taken.  For
+    ``tol``.  The first step count is 0.5 dt ||H(midpoint)||, and no product
+    of over ``max_steps`` steps is formed: a doubling past the cap raises
+    ConvergenceError first, before any step if it is the first one.  For
     t1 < t0 the adjoint of the forward evolution is returned, which is the
     backward propagator whenever the generator is Hermitian.
     """
@@ -69,9 +70,9 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
     dt = t1 - t0
     scale = spectral_norm(generator.value(t0 + 0.5 * dt))
     n = max(1, int(math.ceil(0.5 * dt * max(scale, 1e-12))))
-    if n > max_steps:
-        raise ConvergenceError(f"propagator needs about {n} steps at ||H|| = {scale:.3e},"
-                               f" over the cap of {max_steps}")
+    if 2 * n > max_steps:
+        raise ConvergenceError(f"propagator needs at least {2 * n} steps at ||H|| ="
+                               f" {scale:.3e}, over the cap of {max_steps}")
     u_prev = _cf4_product(generator, t0, dt, n)
     while True:
         n *= 2
@@ -79,7 +80,7 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
         diff = spectral_norm(u_next - u_prev)
         if diff <= tol:
             return u_next
-        if n > max_steps:
+        if 2 * n > max_steps:
             raise ConvergenceError(
                 f"propagator did not reach tol={tol} within {n} steps"
                 f" (last step-halving disagreement {diff:.3e})",

@@ -40,8 +40,7 @@ def choose_trotter_steps(bound_at, t: float, eps: float, power: int) -> int:
 
     if total(1) <= eps:
         return 1
-    c = bound_at(t) / t ** (power + 1)
-    r = max(1, math.ceil((c * t ** (power + 1) / eps) ** (1.0 / power)))
+    r = max(1, math.ceil((bound_at(t) / eps) ** (1.0 / power)))
     while total(r) > eps:
         r += 1
     while r > 1 and total(r - 1) <= eps:
@@ -93,8 +92,10 @@ def mpf_resources(ham: Hamiltonian, t: float, eps: float,
     """Query and ancilla counts for the multi-product route at (t, eps).
 
     J follows ceil(0.5 log(alpha t / eps)); the commutator rate alpha is the
-    sup of (alpha_com^q)^(1/q) over q in {3, 5}, which stabilizes quickly in
-    q and keeps the estimator affordable at large J.
+    sup of (alpha_com^q)^(1/q) over q in {3, 5} only.  That is below the
+    rate ``bounds.mpf_bound`` takes, the sup over every odd q <= 2J+1: the
+    rate keeps growing in q (ROADMAP item 2), so these counts are not yet
+    backed by the bound they cite.
     """
     if eps <= 0:
         raise InvalidInputError("target accuracy must be positive")

@@ -767,15 +767,16 @@ def narrow_bump(r):
 
 
 # (function on [0, 1], evaluations past the reference's samples at 30 rounds):
-# an endpoint overtaken at round 5 wastes round 7 of the run of 4 (round 6's
-# point is a midpoint of the interior round that follows)
+# an endpoint overtaken at round r took the 31 - r midpoints of rounds r..30
+# in one call, and only rounds r and r + 1 use theirs (round r + 1's point is
+# a midpoint of the interior round that follows), so 29 - r are wasted
 GRID_CASES = {
     "max-at-hi": (lambda xs: xs, 0),
     "max-at-lo": (lambda xs: -xs, 0),
     "interior": (lambda xs: -(xs - 0.37) ** 2, 0),
-    "hi-overtaken-at-round-1": (narrow_bump(1), 0),
-    "hi-overtaken-at-round-5": (narrow_bump(5), 1),
-    "lo-overtaken-at-round-5": (lambda xs: narrow_bump(5)(1.0 - xs), 1),
+    "hi-overtaken-at-round-1": (narrow_bump(1), 28),
+    "hi-overtaken-at-round-5": (narrow_bump(5), 24),
+    "lo-overtaken-at-round-5": (lambda xs: narrow_bump(5)(1.0 - xs), 24),
 }
 
 
@@ -794,6 +795,7 @@ class TestGridMax:
         assert set(samples.tolist()) <= set(probes)
         assert len(set(probes)) == len(probes)  # no point is evaluated twice
         assert len(probes) == len(samples) + waste <= 2 * len(samples)
+        assert waste < 30  # fewer than refine_iters points go unused
 
     def test_alpha_com_maximum_matches_one_call_per_round(self):
         ham = driven_chain(4)
@@ -802,8 +804,21 @@ class TestGridMax:
             return alpha_com(ham, 3, tau)
 
         want_max, want_arg, _ = plain_grid_max(fn, 0.0, 0.05, 65, 30)
-        assert want_arg == 0.05  # the endpoint runs evaluate several taus per walk
+        assert want_arg == 0.05  # the endpoint's rounds evaluate their taus in one walk
         assert grid_max(fn, 0.0, 0.05) == (want_max, want_arg)
+
+    def test_endpoint_maximum_takes_two_walks(self, monkeypatch):
+        # the grid, then every halving round's midpoint in one walk
+        walk, calls = bounds._nested_norm_sum, []
+
+        def spy(ham, taus, *args):
+            calls.append(np.size(taus))
+            return walk(ham, taus, *args)
+
+        monkeypatch.setattr(bounds, "_nested_norm_sum", spy)
+        report = corollary_bound(suzuki_plan(2, 2), driven_chain(4), 0.05)
+        assert report.tau_argmax == 0.05
+        assert calls == [65, 30]
 
     def test_finds_interior_maximum(self):
         val, arg = grid_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0, 65)
@@ -812,10 +827,10 @@ class TestGridMax:
 
     def test_batches(self):
         # the grid, then per round the midpoints on either side of the best
-        # sample: two inside; while the best sample is the endpoint hi, the
-        # coming rounds' midpoints in runs of 1, 2, ... up to the last round
+        # sample: two inside; while the best sample is the endpoint hi, every
+        # remaining round's midpoint in one call
         for peak, shapes in [(lambda xs: -(xs - 0.37) ** 2, [9, 2, 2, 2]),
-                             (lambda xs: xs, [9, 1, 2])]:
+                             (lambda xs: xs, [9, 3])]:
             calls = []
 
             def fn(xs):

@@ -130,10 +130,28 @@ class TestEvolve:
             evolve(driven_generator(), 0.0, 0.1, tol=1e-14)
 
     def test_convergence_error_carries_disagreement(self):
+        # 18 and 36 steps disagree, and the next doubling passes the cap
         with pytest.raises(ConvergenceError) as err:
-            evolve(driven_generator(), 0.0, 50.0, tol=1e-13, max_steps=64)
+            evolve(driven_generator(), 0.0, 20.0, tol=1e-13, max_steps=64)
         assert err.value.last_disagreement is not None
         assert err.value.last_disagreement > 0
+
+    @pytest.mark.parametrize("t1, formed", [(20.0, [18, 36]), (50.0, [])])
+    def test_no_product_over_the_cap(self, monkeypatch, t1, formed):
+        # over [0, 50] the first count is 46, so its doubling 92 passes the
+        # cap of 64 before any step: one product alone certifies nothing
+        steps = []
+
+        def spy(generator, t0, dt, n_steps):
+            steps.append(n_steps)
+            return _cf4_product(generator, t0, dt, n_steps)
+
+        monkeypatch.setattr(propagator, "_cf4_product", spy)
+        with pytest.raises(ConvergenceError) as err:
+            evolve(driven_generator(), 0.0, t1, tol=1e-13, max_steps=64)
+        assert steps == formed
+        assert max(steps, default=0) <= 64
+        assert (err.value.last_disagreement is None) == (not formed)
 
     def test_non_hermitian_generator(self, rng):
         a = 0.4 * random_matrix(rng, 3)
