@@ -381,17 +381,21 @@ def _batched(fn, xs, dim: int):
 # ---------------------------------------------------------------------------
 
 def corollary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
-                    grid_points: int = 65) -> BoundReport:
-    """3 V^(p+1) max_tau alpha_com^(p+1)(tau) t^(p+1) over tau in [0, t]."""
+                    grid_points: int = 65, refine_iters: int = 30) -> BoundReport:
+    """3 V^(p+1) max_tau alpha_com^(p+1)(tau) t^(p+1) over tau in [0, t],
+    the maximum taking up to ``refine_iters`` halving rounds (see
+    ``grid_max``); ``extra["coefficient"]`` is the factor of t^(p+1)."""
     p = plan.order
     order = p + 1
-    best, arg = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points)
+    best, arg = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
+                         refine_iters)
     v = plan.n_layers
-    value = 3.0 * v**order * best * t**order
+    coefficient = 3.0 * v**order * best
     count = (ham.n_terms + 1) ** p * ham.n_terms
-    return BoundReport("corollary", p, t, value, tau_argmax=arg,
+    return BoundReport("corollary", p, t, coefficient * t**order, tau_argmax=arg,
                        term_count=count, grid_size=grid_points,
-                       extra={"alpha_com_max": best, "layers": v})
+                       extra={"alpha_com_max": best, "layers": v,
+                              "coefficient": coefficient})
 
 
 def _tight_sum(plan: StagePlan, ham: Hamiltonian, tau,

@@ -8,13 +8,15 @@ from an interior window |l| <= L_keep to keep boundary pollution out.
 
 Every lifted formula, of either plan family (``build_tf``) or the
 independent Suzuki recursion (``build_tf_suzuki``), is a list of
-(key, duration, adjoint) exponentials that ``FloquetOperators.apply_factors``
-applies in one loop to a block of columns it is given (by default the
-identity, which gives the whole operator).  H_LP is diagonal, so its
-exponential is one phase per row.  When the model's terms are Hermitian
-(read from the model, exactly), every other lifted matrix is diagonalised
-once and its exponential is never formed; a non-Hermitian model's lifted
-matrices are exponentiated densely.  The readouts read few columns:
+(key, duration) exponentials exp(-i M duration) that
+``FloquetOperators.apply_factors`` applies in one loop to a block of columns
+it is given (by default the identity, which gives the whole operator).  A
+negative duration is the backward evolution exp(+i M |duration|), which is
+the adjoint of the forward one only for a Hermitian model.  H_LP is
+diagonal, so its exponential is one phase per row.  When the model's terms
+are Hermitian (read from the model, exactly), every other lifted matrix is
+diagonalised once and its exponential is never formed; a non-Hermitian
+model's lifted matrices are exponentiated densely.  The readouts read few columns:
 ``reconstruct`` reads block column 0 and ``check_translation_symmetry`` the
 block columns |l| <= L_keep.  Both take a slab of the 2w+1 block columns
 |l| <= w (``FloquetSpace.slab``) as well as the whole operator, so
@@ -165,39 +167,33 @@ class FloquetOperators:
         add = self.h_add_terms[gamma - 1]
         return add - h_lp if kind == "F" else add
 
-    def apply(self, key, duration: float, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """E x with E = exp(-i M duration), or E† x with ``adjoint``, for the
-        lifted matrix M = ``lifted(key)``.  H_LP is diagonal, so its E is one
-        phase per row.  For a Hermitian model every other M is diagonalised
-        once, on first use, and E x = V (e^{-i lambda duration} . (V† x))
-        serves every later duration and formula built on these operators
-        without forming E; otherwise M is exponentiated densely."""
+    def apply(self, key, duration: float, x: np.ndarray) -> np.ndarray:
+        """E x with E = exp(-i M duration) for the lifted matrix M =
+        ``lifted(key)``, with ``duration`` of either sign.  H_LP is diagonal,
+        so its E is one phase per row.  For a Hermitian model every other M
+        is diagonalised once, on first use, and
+        E x = V (e^{-i lambda duration} . (V† x)) serves every later duration
+        and formula built on these operators without forming E; otherwise M
+        is exponentiated densely."""
         if key == "LP":
-            return _phases(self.lp_diag, duration, adjoint)[:, None] * x
+            return np.exp(-1j * duration * self.lp_diag)[:, None] * x
         if not self.hermitian:
-            exp = matrix_exp(-1j * duration * self.lifted(key))
-            return (exp.conj().T if adjoint else exp) @ x
+            return matrix_exp(-1j * duration * self.lifted(key)) @ x
         if key not in self._eigs:
             self._eigs[key] = np.linalg.eigh(self.lifted(key))
         evals, vecs = self._eigs[key]
-        return vecs @ (_phases(evals, duration, adjoint)[:, None] * (vecs.conj().T @ x))
+        return vecs @ (np.exp(-1j * duration * evals)[:, None] * (vecs.conj().T @ x))
 
     def apply_factors(self, factors, x: np.ndarray | None = None) -> np.ndarray:
-        """The product of the (key, duration, adjoint) exponentials of
-        ``apply``, first applied first, applied to the column block ``x``: by
+        """The product of the (key, duration) exponentials of ``apply``,
+        first applied first, applied to the column block ``x``: by
         default the identity, which gives the whole operator.  A factor of
         zero duration is the identity and is skipped."""
         total = self.space.slab(self.space.l_max) if x is None else x
-        for key, duration, adjoint in factors:
+        for key, duration in factors:
             if duration != 0.0:
-                total = self.apply(key, duration, total, adjoint)
+                total = self.apply(key, duration, total)
         return total
-
-
-def _phases(evals: np.ndarray, duration: float, adjoint: bool) -> np.ndarray:
-    """e^{-i lambda duration} for each eigenvalue, conjugated for the adjoint."""
-    phases = np.exp(-1j * duration * evals)
-    return phases.conj() if adjoint else phases
 
 
 def build_floquet_operators(fh: FourierHamiltonian, space: FloquetSpace) -> FloquetOperators:
@@ -240,16 +236,16 @@ def build_tf(plan: StagePlan, ops: FloquetOperators, t: float,
             raise InvalidInputError(
                 f"plan's total linear-potential time {lp_total} != Gamma - 1")
         for st, nxt in zip(stages, stages[1:]):
-            factors += [(("F", st.gamma), st.alpha * t, False),
-                        ("LP", (st.beta + st.alpha - nxt.beta) * t, False)]
-        factors.append((("F", stages[-1].gamma), stages[-1].alpha * t, False))
+            factors += [(("F", st.gamma), st.alpha * t),
+                        ("LP", (st.beta + st.alpha - nxt.beta) * t)]
+        factors.append((("F", stages[-1].gamma), stages[-1].alpha * t))
     else:
         beta_prev = 0.0
         for st in stages:
-            factors += [("LP", -(st.beta - beta_prev) * t, False),
-                        (("Add", st.gamma), st.alpha * t, False)]
+            factors += [("LP", -(st.beta - beta_prev) * t),
+                        (("Add", st.gamma), st.alpha * t)]
             beta_prev = st.beta
-        factors.append(("LP", -(1.0 - beta_prev) * t, False))
+        factors.append(("LP", -(1.0 - beta_prev) * t))
     return ops.apply_factors(factors, x)
 
 
@@ -259,7 +255,9 @@ def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,
     time-independent recursion applied to the 2 Gamma - 1 term split
     [H_1^F, H_LP, H_2^F, ..., H_LP, H_Gamma^F], applied to the column block
     ``x`` (default: the identity, the whole formula; floquet-check passes
-    block column 0, all that ``reconstruct`` reads).  Only the
+    block column 0, all that ``reconstruct`` reads).  Order p is
+    S_{p-2}(a s)^2 S_{p-2}((1 - 4a) s) S_{p-2}(a s)^2, whose middle factor
+    has negative durations (1 - 4a < 0) and so runs backward.  Only the
     eigendecompositions are shared with build_tf, through ``ops.apply``."""
     keys = []
     for g in range(1, len(ops.h_add_terms) + 1):
@@ -268,16 +266,14 @@ def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,
         keys.append(("F", g))
 
     def factors(order, s):
-        """(key, duration, adjoint) of each exponential, first applied first."""
+        """(key, duration) of each exponential, first applied first."""
         if order == 1:
-            return [(key, s, False) for key in keys]
+            return [(key, s) for key in keys]
         if order == 2:
-            return [(key, s / 2, False) for key in keys + keys[::-1]]
+            return [(key, s / 2) for key in keys + keys[::-1]]
         a = suzuki_a(order // 2)
         wing = factors(order - 2, a * s)
-        # the middle formula's adjoint: its factors' adjoints in reverse order
-        mid = [(key, d, not adj) for key, d, adj in reversed(factors(order - 2, (4 * a - 1) * s))]
-        return wing + wing + mid + wing + wing
+        return wing + wing + factors(order - 2, (1 - 4 * a) * s) + wing + wing
 
     if p != 1 and (p < 1 or p % 2):
         raise InvalidInputError(f"order must be 1 or even, got {p}")

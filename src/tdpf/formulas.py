@@ -4,8 +4,9 @@ A plan is an ordered list of stages (gamma_k, alpha_k, beta_k), k = 1..K, with
 stage k applied first.  Two families share the plan format:
 
 * exact-segment: stage k is the exact sub-evolution U_gamma(beta t + alpha t,
-  beta t), with negative alpha meaning the adjoint of the corresponding
-  forward segment;
+  beta t); a negative alpha makes it the backward evolution
+  U_gamma(beta t, (beta + alpha) t)^-1, which is the adjoint of that forward
+  segment only for a Hermitian term;
 * instantaneous: stage k is exp(-i H_gamma(beta t) alpha t), the Hamiltonian
   frozen at the stage's evaluation time.
 
@@ -94,14 +95,6 @@ def suzuki_a(q: int) -> float:
     return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * q - 1)))
 
 
-def _adjoint_exact(stages):
-    return [Stage(s.gamma, -s.alpha, _clamp01(s.beta + s.alpha)) for s in reversed(stages)]
-
-
-def _adjoint_instantaneous(stages):
-    return [Stage(s.gamma, -s.alpha, s.beta) for s in reversed(stages)]
-
-
 def _window_stages(p: int, n_terms: int, lo: float, hi: float, family: str) -> list[Stage]:
     width = hi - lo
     if p == 1:
@@ -119,11 +112,11 @@ def _window_stages(p: int, n_terms: int, lo: float, hi: float, family: str) -> l
     a = suzuki_a(q)
     u1, u2 = lo + a * width, lo + 2 * a * width
     u3, u4 = lo + (1 - 2 * a) * width, lo + (1 - a) * width
-    adjoint = _adjoint_exact if family == EXACT else _adjoint_instantaneous
     sub = p - 2
+    # a > 1/4, so u3 < u2: the middle window runs backward, from u2 to u3
     return (_window_stages(sub, n_terms, lo, u1, family)
             + _window_stages(sub, n_terms, u1, u2, family)
-            + adjoint(_window_stages(sub, n_terms, u3, u2, family))
+            + _window_stages(sub, n_terms, u2, u3, family)
             + _window_stages(sub, n_terms, u3, u4, family)
             + _window_stages(sub, n_terms, u4, hi, family))
 

@@ -43,10 +43,6 @@ def as_operator(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def spectral_norm(a: np.ndarray) -> float:
     """Operator 2-norm ||A|| of one square matrix; see ``spectral_norms``."""
     return float(spectral_norms(as_operator(a)))

@@ -54,8 +54,8 @@ class OperatorCurve:
     walking its bounds form no dense 2^N matrix."""
 
     def __init__(self, summands, dim: int | None = None,
-                 derivative_budget: int | None = None, paulis: list | None = None):
-        self.paulis = paulis
+                 derivative_budget: int | None = None):
+        self.paulis = None
         groups: dict[int, tuple] = {}
         shape = None
         for mat, curve in summands:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .linalg import BATCH_ENTRIES, dagger, matrix_exps, spectral_norm
+from .linalg import BATCH_ENTRIES, matrix_exps, spectral_norm
 
 _SQRT3 = math.sqrt(3.0)
 _C1 = 0.5 - _SQRT3 / 6.0
@@ -54,22 +54,21 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
     ``generator`` needs ``.dim``, ``.value(tau)`` and ``.values(taus)`` (an
     OperatorCurve).  The result is certified by step halving: refinement
     continues until doubling the step count moves the answer by at most
-    ``tol``.  The first step count is 0.5 dt ||H(midpoint)||, and no product
-    of over ``max_steps`` steps is formed: a doubling past the cap raises
-    ConvergenceError first, before any step if it is the first one.  For
-    t1 < t0 the adjoint of the forward evolution is returned, which is the
-    backward propagator whenever the generator is Hermitian.
+    ``tol``.  The first step count is 0.5 |dt| ||H(midpoint)||, and no
+    product of over ``max_steps`` steps is formed: a doubling past the cap
+    raises ConvergenceError first, before any step if it is the first one.
+    For t1 < t0 the same product runs with a negative step dt = t1 - t0: the
+    result is the backward evolution U(t0, t1)^-1, which is the adjoint
+    U(t0, t1)† only for a Hermitian generator.
     """
     if tol < MIN_TOL:
         raise InvalidInputError(f"tol {tol} below supported floor {MIN_TOL}")
     if t1 == t0:
         return np.eye(generator.dim, dtype=np.complex128)
-    if t1 < t0:
-        return dagger(evolve(generator, t1, t0, tol, max_steps))
 
     dt = t1 - t0
     scale = spectral_norm(generator.value(t0 + 0.5 * dt))
-    n = max(1, int(math.ceil(0.5 * dt * max(scale, 1e-12))))
+    n = max(1, int(math.ceil(0.5 * abs(dt) * max(scale, 1e-12))))
     if 2 * n > max_steps:
         raise ConvergenceError(f"propagator needs at least {2 * n} steps at ||H|| ="
                                f" {scale:.3e}, over the cap of {max_steps}")

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .bounds import _alpha_com_sup, alpha_com, grid_max, mpf_bound_value
+from .bounds import _alpha_com_sup, corollary_bound, mpf_bound_value
 from .errors import InvalidInputError, OutOfRegimeError
 from .formulas import EXACT, suzuki_plan
 from .models import Hamiltonian
@@ -52,20 +52,21 @@ def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
                   grid_points: int = 9, refine_iters: int = 12) -> dict:
     """Trotter steps and local-gate count for one simulation at (t, eps, p).
 
-    The commutator factor alpha is measured on the model; its maximum over
-    tau takes up to ``refine_iters`` halving rounds (see ``bounds.grid_max``).
-    Every term must carry its Pauli strings, since those are the gates.
+    The one-window error bound is ``bounds.corollary_bound``'s coefficient
+    times tau^(p+1), with the commutator factor alpha measured on the model
+    and maximised over tau in up to ``refine_iters`` halving rounds.  Every
+    term must carry its Pauli strings, since those are the gates.
     """
     if any(term.paulis is None for term in ham.terms):
         raise InvalidInputError("gate counts need every term's Pauli strings")
-    order = p + 1
-    alpha, _ = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
-                        refine_iters)
-    layers = suzuki_plan(p, ham.n_terms, EXACT).n_layers
-    coeff = 3.0 * layers**order * alpha
-    r = choose_trotter_steps(lambda tau: coeff * tau**order, t, eps, power=p)
-    per_step = layers * sum(len(strings) for term in ham.terms for strings in term.paulis)
-    return {"r": r, "gates": r * per_step, "gates_per_step": per_step, "alpha": alpha}
+    rep = corollary_bound(suzuki_plan(p, ham.n_terms, EXACT), ham, t, grid_points,
+                          refine_iters)
+    coeff = rep.extra["coefficient"]
+    r = choose_trotter_steps(lambda tau: coeff * tau**(p + 1), t, eps, power=p)
+    per_step = rep.extra["layers"] * sum(
+        len(strings) for term in ham.terms for strings in term.paulis)
+    return {"r": r, "gates": r * per_step, "gates_per_step": per_step,
+            "alpha": rep.extra["alpha_com_max"]}
 
 
 def loglog_slope(xs, ys) -> float:

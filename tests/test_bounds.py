@@ -529,8 +529,10 @@ class TestCorollaryBound:
         assert rep.term_count == 3 * 2  # (Gamma+1)^p * Gamma
         assert rep.grid_size == 65
         assert 0.0 <= rep.tau_argmax <= 0.2
-        assert set(rep.extra) == {"alpha_com_max", "layers"} and rep.extra["layers"] == 1
-        assert rep.value == 3.0 * rep.extra["alpha_com_max"] * 0.2**2  # V = 1, order 2
+        assert set(rep.extra) == {"alpha_com_max", "layers", "coefficient"}
+        assert rep.extra["layers"] == 1
+        assert rep.extra["coefficient"] == 3.0 * rep.extra["alpha_com_max"]  # V = 1
+        assert rep.value == 3.0 * rep.extra["alpha_com_max"] * 0.2**2  # order 2
 
 
 class TestTightBound:

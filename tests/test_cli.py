@@ -14,7 +14,6 @@ import tdpf.bounds as bounds
 import tdpf.cli as cli
 import tdpf.models as models
 import tdpf.propagator as propagator
-import tdpf.resources as resources
 from tdpf.cli import RESOURCE_COLUMNS, main, run
 from tdpf.linalg import pauli_sum
 from tdpf.models import model_from_descriptor
@@ -289,8 +288,7 @@ class TestResourceTable:
 
             return real(counted, *args, **kwargs)
 
-        monkeypatch.setattr(bounds, "grid_max", spy)
-        monkeypatch.setattr(resources, "grid_max", spy)
+        monkeypatch.setattr(bounds, "grid_max", spy)  # resources reaches it through bounds
         cfg = write_config(tmp_path, "cfg.json", {
             "model_class": "long-range", "N_values": [3], "t": 0.2, "eps": 1e-2,
             "p": 2, "include_mpf": True, "grid_points": 3, "refine_iters": 0,

@@ -132,8 +132,8 @@ class TestBuildOperators:
 
 def dense_suzuki(ops, p, t):
     """Reference: the Suzuki recursion on dense exponentials of the lifted
-    split [H_1^F, H_LP, H_2^F, ...], with the middle formula's conjugate
-    transpose."""
+    split [H_1^F, H_LP, H_2^F, ...], with the middle formula at the negative
+    time (1 - 4a) s."""
     mats = []
     for g in range(1, len(ops.h_add_terms) + 1):
         mats += ([ops.lifted("LP")] if g > 1 else []) + [ops.lifted(("F", g))]
@@ -149,8 +149,7 @@ def dense_suzuki(ops, p, t):
             return total
         a = suzuki_a(order // 2)
         wing = build(order - 2, a * s)
-        mid = build(order - 2, (4 * a - 1) * s).conj().T
-        return wing @ wing @ mid @ wing @ wing
+        return wing @ wing @ build(order - 2, (1 - 4 * a) * s) @ wing @ wing
 
     return build(p, t)
 
@@ -235,8 +234,8 @@ class TestBuildTf:
                 assert np.linalg.norm(got - whole[:, lo:hi], 2) <= 1e-13
 
     @pytest.mark.parametrize("scale_im", [0.0, 0.1])
-    def test_suzuki_adjoint_factors_match_the_dense_recursion(self, scale_im):
-        # p = 4 applies the middle formula as its factors' adjoints; with
+    def test_suzuki_backward_middle_matches_the_dense_recursion(self, scale_im):
+        # p = 4 applies the middle formula at negative durations; with
         # scale_im > 0 the model is not Hermitian, and every H_g^F takes the
         # dense path; H_LP is a phase per row either way
         ham = single_mode_model().scaled(1.0 - 1j * scale_im)
@@ -264,21 +263,20 @@ class TestBuildTf:
         want = matrix_exp(1j * (1.0 - beta_prev) * DRIVE_T * ops.lifted("LP")) @ want
         assert spectral_norm(build_tf(plan, ops, DRIVE_T) - want) <= 1e-11
 
-    @pytest.mark.parametrize("adjoint", [False, True])
-    def test_lp_is_a_phase_per_row_without_eigh(self, drive, monkeypatch, adjoint):
+    @pytest.mark.parametrize("duration", [0.37, -0.37])
+    def test_lp_is_a_phase_per_row_without_eigh(self, drive, monkeypatch, duration):
         _, fh = drive
         ops = build_floquet_operators(fh, floquet_space(6, 4))
         rng = np.random.default_rng(5)
         x = rng.normal(size=(ops.space.lifted_dim, 8)) + 1j * rng.normal(
             size=(ops.space.lifted_dim, 8))
-        exp = matrix_exp(-1j * 0.37 * ops.lifted("LP"))
-        want = (exp.conj().T if adjoint else exp) @ x
+        want = matrix_exp(-1j * duration * ops.lifted("LP")) @ x
 
         def no_eigh(*args, **kwargs):
             raise AssertionError("H_LP was diagonalised")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        got = ops.apply("LP", 0.37, x, adjoint)
+        got = ops.apply("LP", duration, x)
         assert np.allclose(got, want, rtol=0, atol=1e-13)
         assert not ops._eigs
 
@@ -346,6 +344,23 @@ class TestReconstruct:
         dev = spectral_norm(reconstruct(lifted_err, space, OMEGA, t)
                             - (exact - s_mat))
         assert dev <= 1e-6
+
+    @pytest.mark.parametrize("scale_im", [0.0, 0.1])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_lifted_formulas_match_evaluate_pf(self, p, scale_im):
+        # floquet-check's drive; with scale_im > 0 a negative duration is the
+        # backward evolution, not the adjoint, in evaluate_pf and both lifted
+        # builders alike
+        ham = single_mode_model(amp=2.0, n_qubits=1).scaled(1.0 - 1j * scale_im)
+        fh = fourier_hamiltonian(ham, OMEGA, 1)
+        space = floquet_space(32, 2)
+        ops = build_floquet_operators(fh, space)
+        plan = suzuki_plan(p, 2)
+        target = evaluate_pf(plan, ham, DRIVE_T)
+        column0 = space.slab(0)
+        for tf in (build_tf(plan, ops, DRIVE_T, column0),
+                   build_tf_suzuki(ops, p, DRIVE_T, column0)):
+            assert spectral_norm(target - reconstruct(tf, space, OMEGA, DRIVE_T)) <= 1e-12
 
     def test_instantaneous_family_reconstruction(self, drive):
         ham, fh = drive

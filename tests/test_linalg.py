@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_matrix
 from tdpf.errors import InvalidInputError, NumericalBlowUpError
-from tdpf.linalg import (PAULI, dagger, matrix_exp, matrix_exps,
+from tdpf.linalg import (PAULI, matrix_exp, matrix_exps,
                          pauli_permutation, pauli_sum, spectral_norm,
                          spectral_norms)
 from tdpf.sectors import _compose
@@ -46,7 +46,7 @@ class TestSpectralNorm:
         a = random_matrix(rng, 8)
         h = random_matrix(rng, 8, hermitian=True)
         u = matrix_exp(-1j * h)
-        assert spectral_norm(u @ a @ dagger(u)) == pytest.approx(
+        assert spectral_norm(u @ a @ u.conj().T) == pytest.approx(
             spectral_norm(a), abs=1e-9)
 
 
@@ -127,7 +127,7 @@ class TestMatrixExp:
     def test_unitarity_for_hermitian_generator(self, rng, dim):
         h = random_matrix(rng, dim, hermitian=True)
         u = matrix_exp(-1j * 0.7 * h)
-        assert spectral_norm(dagger(u) @ u - np.eye(dim)) <= 1e-10
+        assert spectral_norm(u.conj().T @ u - np.eye(dim)) <= 1e-10
 
 
 # Higham's [13/13] Pade coefficients, b_k = b_0 (26 - k)! 13! / (26! k! (13 - k)!),
@@ -347,10 +347,6 @@ class TestEmbedPauliString:
     def test_bad_string_is_rejected(self, sites, n, message):
         with pytest.raises(InvalidInputError, match=message):
             pauli_permutation(sites, n)
-
-    def test_adjoint_involution(self, rng):
-        a = random_matrix(rng, 6)
-        assert np.array_equal(dagger(dagger(a)), a)
 
     def test_hermitian_eigenvalues_real(self, rng):
         h = random_matrix(rng, 8, hermitian=True)

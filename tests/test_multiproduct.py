@@ -5,7 +5,7 @@ from tdpf.bounds import mpf_bound
 from tdpf.curves import ConstantCurve
 from tdpf.errors import InvalidInputError
 from tdpf.formulas import evaluate_pf, fit_order, suzuki_plan
-from tdpf.linalg import PAULI, dagger, spectral_norm
+from tdpf.linalg import PAULI, spectral_norm
 from tdpf.models import Hamiltonian, OperatorCurve
 from tdpf.multiproduct import (MpfPlan, evaluate_mpf, measure_mpf_error,
                                moment_residual, mpf_plan, solve_coefficients)
@@ -113,5 +113,5 @@ class TestEvaluation:
         t = 0.15
         n = evaluate_mpf(plan, driven2, t)
         err = measure_mpf_error(plan, driven2, t)
-        dev = spectral_norm(dagger(n) @ n - np.eye(4))
+        dev = spectral_norm(n.conj().T @ n - np.eye(4))
         assert dev <= 2 * err + err**2 + 1e-10
