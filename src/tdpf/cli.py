@@ -23,7 +23,8 @@ from . import __version__
 from .bounds import (corollary_bound, huyghebaert_bound, mpf_bound,
                      nonunitary_bound, tight_bound)
 from .errors import (ConvergenceError, InvalidInputError, NumericalBlowUpError,
-                     OutOfRegimeError, SchemaError, integer, list_of, number, one_of)
+                     OutOfRegimeError, SchemaError, UnsupportedOrderError, integer,
+                     list_of, number, one_of)
 from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
                       check_translation_symmetry, floquet_space,
                       fourier_hamiltonian, reconstruct)
@@ -219,7 +220,10 @@ def _cmd_bound_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> i
     def cell(args):
         p, plan, t = args
         err = measure_error(plan, ham, t, oracle_tol=oracle_tol)
-        tight = tight_bound(plan, ham, t, grid_points).value if p <= 2 else None
+        try:
+            tight = tight_bound(plan, ham, t, grid_points).value
+        except UnsupportedOrderError:  # past the stage-resolved bound's order limit
+            tight = None
         coro = corollary_bound(plan, ham, t, grid_points).value
         violation = _exceeds(err, coro if tight is None else tight)
         if tight is not None and _exceeds(tight, coro):

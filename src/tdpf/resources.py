@@ -2,10 +2,11 @@
 
 One local exponential (single- or two-qubit) counts as one gate.  A product
 formula application costs V * (total local terms) gates, where the local
-terms are the Pauli strings of the model's terms, and a simulation of length
-t costs r such applications, with r chosen so the accumulated error bound
-stays below the target.  The results hold only what is computed here; the
-caller already knows the model, sizes and targets it asked for.
+terms are the distinct non-zero Pauli strings of each of the model's terms,
+and a simulation of length t costs r such applications, with r chosen so the
+accumulated error bound stays below the target.  The results hold only what
+is computed here; the caller already knows the model, sizes and targets it
+asked for.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import InvalidInputError, OutOfRegimeError
 from .formulas import EXACT, suzuki_plan
 from .models import Hamiltonian
 from .multiproduct import MAX_PRODUCTS, mpf_plan
+from .sectors import merged_strings
 
 _R_CAP = 1 << 40
 
@@ -55,7 +57,9 @@ def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
     The one-window error bound is ``bounds.corollary_bound``'s coefficient
     times tau^(p+1), with the commutator factor alpha measured on the model
     and maximised over tau in up to ``refine_iters`` halving rounds.  Every
-    term must carry its Pauli strings, since those are the gates.
+    term must carry its Pauli strings, since those are the gates: one for
+    each distinct string of a term that some curve carries with a non-zero
+    summed coefficient (``sectors.merged_strings``).
     """
     if any(term.paulis is None for term in ham.terms):
         raise InvalidInputError("gate counts need every term's Pauli strings")
@@ -64,7 +68,7 @@ def gate_count_pf(ham: Hamiltonian, t: float, eps: float, p: int,
     coeff = rep.extra["coefficient"]
     r = choose_trotter_steps(lambda tau: coeff * tau**(p + 1), t, eps, power=p)
     per_step = rep.extra["layers"] * sum(
-        len(strings) for term in ham.terms for strings in term.paulis)
+        len(set().union(*map(merged_strings, term.paulis))) for term in ham.terms)
     return {"r": r, "gates": r * per_step, "gates_per_step": per_step,
             "alpha": rep.extra["alpha_com_max"]}
 

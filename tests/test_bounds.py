@@ -870,6 +870,21 @@ class TestGridMax:
         assert arg == (hi if sign > 0 else lo)
         assert val == sign * arg
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rounds_stop_at_the_float_resolution(self, sign):
+        # maximum at hi (sign 1) or at lo (sign -1): the intervals next to it
+        # halve from 1/8 down to 2^-51, twice the float spacing at 1, in 48
+        # rounds, so the other 152 rounds add no point
+        probes = []
+
+        def fn(xs):
+            probes.extend(xs.tolist())
+            return sign * xs
+
+        arg = 1.0 if sign > 0 else 0.0
+        assert grid_max(fn, 0.0, 1.0, 9, refine_iters=200) == (sign * arg, arg)
+        assert len(set(probes)) == len(probes) <= 60
+
     @pytest.mark.parametrize("rounds", [1, 4, 30])
     def test_refinement_never_lowers_the_grid_maximum(self, rounds):
         def fn(xs):

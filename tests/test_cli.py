@@ -114,6 +114,16 @@ class TestBoundCheck:
             assert row[5] == "0"
             assert float(row[2]) <= float(row[3]) <= float(row[4]) * (1 + 1e-9)
 
+    def test_order_limit_lives_in_tight_bound(self, tmp_path, monkeypatch):
+        # a tight bound that accepts p = 4 fills that row's tight_bound cell
+        monkeypatch.setattr(cli, "tight_bound", cli.corollary_bound)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": DRIVEN2, "orders": [4], "times": [0.02], "grid_points": 3})
+        out = tmp_path / "out"
+        assert run("bound-check", cfg, str(out)) == 0
+        _, rows = read_csv(out / "bound_check.csv")
+        assert rows[0][3] == rows[0][4] != ""
+
     def test_one_oracle_per_distinct_time(self, tmp_path, monkeypatch):
         # two orders at two times: the exact U of each time serves both orders
         oracles = []

@@ -5,9 +5,10 @@ import pytest
 
 import tdpf.models as models
 from conftest import driven_chain
+from tdpf.curves import ConstantCurve
 from tdpf.errors import InvalidInputError
 from tdpf.formulas import measure_error, suzuki_plan
-from tdpf.models import model_from_descriptor
+from tdpf.models import Hamiltonian, OperatorCurve, model_from_descriptor
 from tdpf.multiproduct import mpf_plan
 from tdpf.resources import (asymptotic_gate_form, choose_trotter_steps, gate_count_pf,
                             loglog_slope, mpf_resources)
@@ -48,6 +49,23 @@ class TestGateCounts:
         for p, per_step in ((1, 7), (2, 14)):  # p = 2 has V = 2 layers
             res = gate_count_pf(ham, 0.1, 1e-2, p, grid_points=2, refine_iters=0)
             assert res["gates_per_step"] == per_step
+
+    def test_gates_per_step_counts_distinct_nonzero_strings(self):
+        # the pairs at distance 2 and 3 have dist^nu past the float range,
+        # so a zero coupling: 3 bonds and 4 fields, in V = 2 layers
+        far = model_from_descriptor({
+            "model": "long-range", "N": 4, "nu": 2000,
+            "pair_curves": {"XX": {"kind": "trig", "amp": 0.5, "omega": 2.0, "offset": 1.0}},
+            "site_curves": {"Z": {"kind": "constant", "value": 0.5}}})
+        assert gate_count_pf(far, 0.2, 1e-2, 2, grid_points=3, refine_iters=0)[
+            "gates_per_step"] == 14
+        # a string listed twice under one curve is one exponential
+        xx, bond, field = [(0, "X"), (1, "X")], ConstantCurve(1.0), ConstantCurve(0.5)
+        twice = Hamiltonian([
+            OperatorCurve.from_paulis(2, [(1.0, xx, bond), (1.0, xx, bond)]),
+            OperatorCurve.from_paulis(2, [(1.0, [(0, "Z")], field), (1.0, [(1, "Z")], field)])])
+        assert gate_count_pf(twice, 0.2, 1e-2, 2, grid_points=3, refine_iters=0)[
+            "gates_per_step"] == 6
 
     def test_measured_alpha_result_fields(self):
         ham = driven_chain(3)
@@ -107,8 +125,6 @@ class TestGateCounts:
         assert [id(g) for g in formed] == [id(g) for t in ham.terms for g in t.paulis]
 
     def test_unknown_model_class_rejected(self):
-        from tdpf.curves import ConstantCurve
-        from tdpf.models import Hamiltonian, OperatorCurve
         from tdpf.linalg import PAULI
         # terms given as matrices carry no strings, so there are no gates to count
         matrices = Hamiltonian(
