@@ -11,7 +11,11 @@ p derivatives of every term that is not identically zero, so a smaller
 declared derivative budget is an error; zero terms are never differentiated.
 A seed's own pure commutator step is skipped: by the Leibniz rule
 [H_g, H_g]^(q) = sum_r C(q, r) [H_g^(r), H_g^(q-r)] = 0, so its whole subtree
-is zero (a step with a derivative part keeps that child).
+is zero (a step with a derivative part keeps that child).  And since
+[H_g, H_gamma] = -[H_gamma, H_g] and every later step is linear, the pure
+commutator children (gamma, g) and (g, gamma) of two seeds have equal norms
+at every leaf: each such pair is walked once, with both weights, so the
+root subtrees of alpha_com number Gamma (Gamma + 1) / 2, not Gamma^2.
 The exact norms of the complete sequences are summed; no symbolic norm
 inequalities are applied below the level of the published bound formulas.
 
@@ -29,24 +33,42 @@ and fsum is exactly rounded, so the order of the leaves does not change a
 sum.
 
 The walk runs on the terms' symmetry-sector blocks (``Hamiltonian.sectors``):
-every node is a (B * S, m, m) stack of S sectors zero-padded to the
+every node is a (B * S, m, m) stack of S sectors zero-padded to their
 largest size m, tau-major, walked in the same order in every sector, and a
-leaf's norm is the largest of its S block norms, taken before the per-tau
-fsum.  A term that vanishes in a sector stays in that sector's walk as a
-zero block.  A model with no sector split (one of dimension under
+leaf's norm is the largest of its walked sectors' block norms, taken before
+the per-tau fsum.  A term that vanishes in a sector stays in that sector's
+walk as a zero block.  A model with no sector split (one of dimension under
 ``sectors.MIN_DIM``, one with a term given as matrices, or one with no exact
 symmetry) is its own single sector, S = 1 and m = dim, and walks its own
 terms.
 
-When every live term is Hermitian (decided from its matrices, never from
-the Hamiltonian's flag), each step carries a unit phase f and maps X to
+A model is real when every term's Pauli strings have real coefficients and
+an even number of Y factors each (``OperatorCurve.is_real``, read from the
+strings, never from matrices).  When the model is real and every step's
+derivative coefficient c is real (alpha_com and bar_alpha_com), every node
+is real in the computational basis, so complex conjugation keeps its norm
+and maps its block in one sector onto its block in the conjugate sector
+(``Sectors.conjugates``, read from the sector labels).  Such a walk takes
+one sector of each conjugate pair (6 of the 8 sectors of the even periodic
+chain at N = 8, 8 of 12 at N = 12) and walks the sectors that are their own
+conjugate, whose blocks are real, in float64 with no phases.  A real node
+is symmetric after an even number of commutators and antisymmetric after
+an odd one, so its norm comes from the eigensolve of X^T X.  The float64
+and the complex128 sectors are two walks of the same roots with the same
+block size, so their leaves come in the same order.
+
+Otherwise every sector is walked in complex128.  When every live term is
+Hermitian (decided from its strings or matrices, never from the
+Hamiltonian's flag), each complex step carries a unit phase f and maps X to
 f [H_g, X] + (f c) dX/dt: f = i for a step with a commutator or with an
 imaginary derivative coefficient, f = 1 for a real coefficient and no
 commutator.  A unit phase changes no norm, and every node is Hermitian by
 construction, so its norm is its largest |eigenvalue| with no A†A product.
 The sector blocks of a Hermitian term are made exactly Hermitian too.  Any
 other step, or a non-Hermitian term, gives every step f = 1 and takes the
-general A†A path.
+general A†A path.  The stage-resolved (tight) sum's steps, ad_{H_g} +
+i d/dt, mix two phases, so its nodes are neither real nor conjugation
+symmetric, and it always takes this walk.
 
 Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then, in each halving round, the midpoints
@@ -130,43 +152,112 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
                 f"term {g} has derivative budget {term.derivative_budget}; "
                 f"this sum needs derivatives up to order {p}")
         live[g] = term
-    phases = [_phase(g, c, live) for _w, g, c in steps]
-    hermitian = None not in phases and all(term.is_hermitian for term in live.values())
     # a zero step weight zeroes its whole subtree; a weight product that
     # underflows to 0.0 is walked and adds 0.0 to the fsum
-    walk_steps = [(w, g, f, f * c) if hermitian else (w, g, 1, c)
-                  for (w, g, c), f in zip(steps, phases) if w != 0.0]
+    steps = [(w, g, complex(c)) for w, g, c in steps if w != 0.0]
+    phases = [_phase(g, c, live) for _w, g, c in steps]
+    hermitian = None not in phases and all(term.is_hermitian for term in live.values())
+    real = (all(c.imag == 0.0 for _w, _g, c in steps)
+            and all(term.is_real for term in live.values()))
     sectors = ham.sectors
     size = sectors.size
-    chunk = max(1, BATCH_ENTRIES // (sectors.count * size**2))  # large: one tau at a time
-
-    def values(g, part, r):  # H_g^(r) at every tau of part, as (len(part) * S, m, m)
-        return sectors.terms[g - 1].values(part, r).reshape(-1, size, size)
+    groups = []  # (sectors, their padded size, float64, walk steps, Hermitian nodes)
+    for ks, real_blocks in zip(_sector_groups(sectors, real), (True, False)):
+        if not ks:
+            continue
+        if real_blocks:  # no phases: every node is real
+            walk_steps = [(w, g, 1, c.real) for w, g, c in steps]
+        elif hermitian:
+            walk_steps = [(w, g, f, f * c) for (w, g, c), f in zip(steps, phases)]
+        else:
+            walk_steps = [(w, g, 1, c) for w, g, c in steps]
+        groups.append((ks, max(sectors.sizes[k] for k in ks), real_blocks, walk_steps,
+                       hermitian and not real_blocks))
+    roots = _roots(seeds, steps, live)
+    entries = max(len(ks) * m**2 for ks, m, *_ in groups)
+    chunk = max(1, BATCH_ENTRIES // entries)  # large: one tau at a time
 
     sums = []
     for lo in range(0, len(batch), chunk):
         part = batch[lo:lo + chunk]
-        # steps use orders < p; only a seed's own table reaches order p
-        derivs = {g: [values(g, part, r) for r in range(p)] for g in live}
-        # nodes per block: a few blocks of every level are alive at once
-        cap = max(1, BATCH_ENTRIES // 8 // (len(part) * sectors.count * size**2))
-        norms = [np.empty((0, len(part) * sectors.count))]
-        for gamma, weight in seeds:
-            if weight != 0.0 and gamma in derivs:
-                table = derivs[gamma] + [values(gamma, part, p)]
-                root = ([d[None] for d in table], np.array([weight], dtype=float))
-                _walk(root, p, derivs, walk_steps, cap, norms, hermitian, gamma)
-        # a node's norm is the largest of its sector blocks' norms
-        leaves = np.concatenate(norms).reshape(-1, len(part), sectors.count).max(axis=2)
+        # nodes per block, the same in every group, so that the groups'
+        # leaves come in one order; a few blocks of every level are alive at once
+        cap = max(1, BATCH_ENTRIES // 8 // (len(part) * entries))
+        leaves = []
+        for ks, m, real_blocks, walk_steps, node_hermitian in groups:
+            def values(g, r, ks=ks, m=m, real_blocks=real_blocks):
+                # H_g^(r) at every tau of part in the sectors ks, as (len(part) * len(ks), m, m)
+                v = sectors.terms[g - 1].values(part, r).reshape(
+                    len(part), sectors.count, size, size)
+                if len(ks) < sectors.count or m < size:
+                    v = v[:, ks, :m, :m]
+                if real_blocks:
+                    v = np.ascontiguousarray(v.real)
+                return v.reshape(-1, m, m)
+
+            # steps use orders < p; only a seed's own table reaches order p
+            derivs = {g: [values(g, r) for r in range(p)] for g in live}
+            norms = [np.empty((0, len(part) * len(ks)))]
+            for gamma, weight, first in roots:
+                table = derivs[gamma] + [values(gamma, p)]
+                # the seed weight rides on the first steps
+                root = ([d[None] for d in table], np.array([1.0 if p else weight]))
+                _walk(root, p, derivs, walk_steps, cap, norms, node_hermitian,
+                      [(w, *walk_steps[j][1:]) for w, j in first])
+            leaves.append(np.concatenate(norms).reshape(-1, len(part), len(ks)))
+        # a node's norm is the largest of its walked sector blocks' norms
+        leaves = np.concatenate(leaves, axis=2).max(axis=2)
         sums += [math.fsum(column) for column in leaves.T]
     return np.array(sums) if np.ndim(taus) else sums[0]
+
+
+def _sector_groups(sectors, real: bool) -> tuple[list, list]:
+    """The sectors a walk takes, as (float64 sectors, complex128 sectors).
+
+    When the model and the steps are real, every node is real in the
+    computational basis, so complex conjugation maps a node's block in
+    sector k onto its block in sector conjugates[k] with the same norm: one
+    sector of each conjugate pair is walked, and a sector that is its own
+    conjugate has real blocks.  Otherwise every sector is walked in
+    complex128."""
+    conjugates = sectors.conjugates
+    if not real or conjugates is None:
+        return [], list(range(sectors.count))
+    pairs = [k for k, j in enumerate(conjugates) if k <= j]
+    return ([k for k in pairs if conjugates[k] == k],
+            [k for k in pairs if conjugates[k] != k])
+
+
+def _roots(seeds, steps, live) -> list:
+    """Per live seed (gamma, weight): (gamma, weight, its first steps as
+    (weight, index into steps)), with the seed weight in each first weight.
+    A pure commutator with the seed's own term is dropped, and the pure
+    commutator children (gamma, g) and (g, gamma) are walked once, at the
+    first of them, with the sum of both weights (see the module docstring)."""
+    seeds = [(gamma, weight) for gamma, weight in seeds if weight != 0.0 and gamma in live]
+    pure = [c == 0 and g in live for _w, g, c in steps]
+    pairs = {}
+    for gamma, weight in seeds:
+        for (sw, g, _c), is_pure in zip(steps, pure):
+            if is_pure and g != gamma:
+                key = (min(g, gamma), max(g, gamma))
+                pairs[key] = pairs.get(key, 0.0) + weight * sw
+    roots = []
+    for gamma, weight in seeds:
+        first = []
+        for j, ((sw, g, _c), is_pure) in enumerate(zip(steps, pure)):
+            if not is_pure:
+                first.append((weight * sw, j))
+            elif (key := (min(g, gamma), max(g, gamma))) in pairs:  # never (gamma, gamma)
+                first.append((pairs.pop(key), j))
+        roots.append((gamma, weight, first))
+    return roots
 
 
 def _phase(g, c, live):
     """The unit phase f that makes f ([H_g, X] + c dX/dt) Hermitian for every
     Hermitian X when the live terms are Hermitian, or None if there is none:
     i for a commutator or an imaginary c, 1 for a real c and no commutator."""
-    c = complex(c)
     if c.real == 0.0 and (c.imag != 0.0 or g in live):
         return 1j
     if c.imag == 0.0 and g not in live:
@@ -174,7 +265,7 @@ def _phase(g, c, live):
     return None
 
 
-def _walk(block, depth, derivs, steps, cap, norms, hermitian, seed=None) -> None:
+def _walk(block, depth, derivs, steps, cap, norms, hermitian, first=None) -> None:
     """Append the weighted norms of every completion of a block of prefixes.
 
     block is (x, w): x[q] stacks the q-th derivatives of its n prefixes as an
@@ -183,16 +274,17 @@ def _walk(block, depth, derivs, steps, cap, norms, hermitian, seed=None) -> None
     f [H_g, X] + fc dX/dt; with hermitian every node is Hermitian.  Each
     step maps the whole block to its children at once, and the children of
     consecutive steps are gathered into blocks of cap nodes, so a leaf block
-    is one eigensolve.  A root block of term seed skips the pure commutator
-    step with H_seed, whose subtree is zero."""
+    is one eigensolve.  first, when given, replaces steps at this level (a
+    root's, from ``_roots``).  A pure commutator with a zero term is
+    skipped."""
     x, w = block
     if depth == 0:
         norms.append(w[:, None] * spectral_norms(x[0], hermitian=hermitian))
         return
     pending, count = [], 0
-    for sw, g, f, fc in steps:
+    for sw, g, f, fc in steps if first is None else first:
         h = derivs.get(g)
-        if fc == 0 and (h is None or g == seed):
+        if fc == 0 and h is None:
             continue
         if h is None:
             child = [fc * x[q + 1] for q in range(depth)]

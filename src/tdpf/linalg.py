@@ -1,6 +1,9 @@
 """Dense complex operator arithmetic.
 
 Operators are plain square ``np.ndarray`` matrices with dtype complex128.
+The one exception is ``spectral_norms``, which also takes float64 stacks:
+the bound walk's nodes are real on a real model, and stay float64 through
+their leaf norms.
 Dimensions stay small (qubit counts are capped), so everything is done with
 dense LAPACK routines.  Batched kernels take ``(..., n, n)`` stacks and make
 one LAPACK call per class of matrix.  Only numpy is used: non-normal
@@ -51,13 +54,18 @@ def spectral_norm(a: np.ndarray) -> float:
 def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
     """Operator 2-norms of a ``(..., n, n)`` stack with one ``eigvalsh`` call.
 
-    In general ||A|| = sqrt(max eigenvalue of A†A); the Hermitian eigensolve
-    of A†A is cheaper than a full SVD and exact enough for the dimensions
-    used here.  With ``hermitian`` every matrix must be Hermitian (only its
-    lower triangle is read), and ||A|| = max(|lambda_min|, |lambda_max|)
-    needs no product.  1x1 matrices return their modulus.
+    A float64 stack stays float64, so its products and eigensolve run in
+    real arithmetic; any other stack is taken as complex128.  In general
+    ||A|| = sqrt(max eigenvalue of A†A) (A^T A for a real stack); the
+    Hermitian eigensolve of that product is cheaper than a full SVD and
+    exact enough for the dimensions used here.  With ``hermitian`` every
+    matrix must be Hermitian (only its lower triangle is read), and ||A|| =
+    max(|lambda_min|, |lambda_max|) needs no product.  1x1 matrices return
+    their modulus.
     """
-    m = np.asarray(stack, dtype=np.complex128)
+    m = np.asarray(stack)
+    if m.dtype != np.float64:
+        m = m.astype(np.complex128, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are

@@ -49,9 +49,9 @@ class OperatorCurve:
     from Pauli strings, and every ``scaled`` or ``extended`` copy, forms its
     matrices once, at the first read of ``summands`` (``value``, ``values``
     or ``Hamiltonian.total_curve``).  ``shape``, ``dim``,
-    ``derivative_budget``, ``is_hermitian`` and ``is_zero`` come from the
-    strings and curves, so projecting a split model onto its sectors and
-    walking its bounds form no dense 2^N matrix."""
+    ``derivative_budget``, ``is_hermitian``, ``is_real`` and ``is_zero``
+    come from the strings and curves, so projecting a split model onto its
+    sectors and walking its bounds form no dense 2^N matrix."""
 
     def __init__(self, summands, dim: int | None = None,
                  derivative_budget: int | None = None):
@@ -126,6 +126,17 @@ class OperatorCurve:
         if self.paulis is not None:
             return all(complex(c).imag == 0 for group in self.paulis for c, _ in group)
         return all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m, _ in self.summands)
+
+    @cached_property
+    def is_real(self) -> bool:
+        """Every summand matrix is real in the computational basis: the term
+        has Pauli strings, every coefficient is real and every string has an
+        even number of Y factors (Y is i times a real matrix).  A term given
+        as matrices is not read as real."""
+        if self.paulis is None:
+            return False
+        return all(complex(c).imag == 0 and [label for _, label in sites].count("Y") % 2 == 0
+                   for group in self.paulis for c, sites in group)
 
     @cached_property
     def is_zero(self) -> bool:

@@ -57,6 +57,11 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
     ``tol``.  The first step count is 0.5 |dt| ||H(midpoint)||, and no
     product of over ``max_steps`` steps is formed: a doubling past the cap
     raises ConvergenceError first, before any step if it is the first one.
+    From the third product on, the fewest doublings that could still reach
+    ``tol`` are predicted from the last two disagreements, each doubling
+    shrinking the disagreement by their ratio or by 16 (the scheme's
+    fourth-order rate), whichever is faster; ConvergenceError is raised as
+    soon as that prediction passes ``max_steps``.
     For t1 < t0 the same product runs with a negative step dt = t1 - t0: the
     result is the backward evolution U(t0, t1)^-1, which is the adjoint
     U(t0, t1)† only for a Hermitian generator.
@@ -73,6 +78,7 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
         raise ConvergenceError(f"propagator needs at least {2 * n} steps at ||H|| ="
                                f" {scale:.3e}, over the cap of {max_steps}")
     u_prev = _cf4_product(generator, t0, dt, n)
+    last = None
     while True:
         n *= 2
         u_next = _cf4_product(generator, t0, dt, n)
@@ -84,4 +90,16 @@ def evolve(generator, t0: float, t1: float, tol: float = 1e-12,
                 f"propagator did not reach tol={tol} within {n} steps"
                 f" (last step-halving disagreement {diff:.3e})",
                 last_disagreement=diff)
+        if last is not None:
+            # each doubling shrinks the disagreement by the factor just seen,
+            # or by 16, the asymptotic factor of this fourth-order scheme,
+            # whichever is faster: the fewest doublings that could reach tol
+            shrink = max(last / diff, 16.0)
+            need = n << math.ceil(math.log(diff / tol) / math.log(shrink))
+            if need > max_steps:
+                raise ConvergenceError(
+                    f"propagator would need at least {need} steps to reach tol={tol}"
+                    f" (step-halving disagreements {last:.3e} then {diff:.3e}),"
+                    f" over the cap of {max_steps}", last_disagreement=diff)
+        last = diff
         u_prev = u_next

@@ -22,7 +22,14 @@ third: at most two are kept on an even chain, one on an odd chain.
 representatives (Sandvik, arXiv:1101.3281): the basis vector of
 representative r in the sector of character lambda is the normalised sum
 over group elements g of conj(lambda(g)) g|r>, and r belongs to the sector
-when its stabiliser's phases agree with lambda.  Since A commutes with
+when its stabiliser's phases agree with lambda.  A sector is labelled by
+one integer l_j < order_j per generator, lambda(g) = exp(2 pi i sum_j e_j
+l_j / order_j) for g = prod_j gen_j^e_j, and a character that is a quarter
+turn is exact: a parity sector, or momentum 0 or pi, has characters of
+exactly +-1.  When every group phase is real, complex conjugation maps the
+basis of label l onto that of -l (mod the orders), so the blocks of a real
+term in the two sectors are complex conjugates, and a sector with l = -l
+has real blocks (``Sectors.conjugates``).  Since A commutes with
 every g, a block entry needs only entries of A in the representatives'
 rows:
 
@@ -61,13 +68,20 @@ MIN_DIM = 16
 class Sectors:
     """Every term of a Hamiltonian projected onto the same joint sectors, as
     operator curves of (count, size, size) block stacks; with one sector,
-    the terms themselves."""
+    the terms themselves.
 
-    def __init__(self, terms: list, sizes: list[int]):
+    ``conjugates[k]`` is the sector that complex conjugation maps sector k
+    onto (k itself for a sector of real characters), read from the labels;
+    it is None when a group phase is not real, where conjugation maps no
+    sector onto another.  A sector with conjugates[k] == k has real blocks
+    whenever the terms are real in the computational basis."""
+
+    def __init__(self, terms: list, sizes: list[int], conjugates=(0,)):
         self.terms = terms
         self.sizes = sizes
         self.count = len(sizes)
         self.size = max(sizes)
+        self.conjugates = None if conjugates is None else list(conjugates)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +146,26 @@ def _group(generators, dim: int):
 
 def _sector_bases(generators, dim: int):
     """(perms, phases) of every group element, each (|G|, dim), and per
-    non-empty sector (conj(lambda(g)) over g, representatives, stabiliser
-    sizes)."""
+    non-empty sector (its label, conj(lambda(g)) over g, representatives,
+    stabiliser sizes); quarter-turn characters are exact."""
     elements = _group(generators, dim)
     perms = np.array([g[0] for g, _ in elements])
     phases = np.array([g[1] for g, _ in elements])
     exps = np.array([e for _, e in elements])          # (|G|, n_generators)
     orders = np.array([order for *_, order in generators])
+    period = int(np.lcm.reduce(orders))
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(dim))
     stab = np.where(perms[:, reps] == reps, phases[:, reps], 0.0)   # (|G|, n_reps)
     stab_size = np.count_nonzero(stab, axis=0)
     bases = []
     for label in itertools.product(*(range(order) for order in orders)):
-        conj_chars = np.exp(-2j * np.pi * (exps * (np.array(label) / orders)).sum(axis=1))
+        turns = (exps @ (np.array(label) * (period // orders))) % period  # of 1 / period
+        quarter = 4 * turns % period == 0
+        conj_chars = np.where(quarter, np.array([1, -1j, -1, 1j])[4 * turns // period],
+                              np.exp(-2j * np.pi * turns / period))
         member = np.abs(conj_chars @ stab) > 0.5 * stab_size   # |G_r| or 0
         if member.any():
-            bases.append((conj_chars, reps[member], stab_size[member]))
+            bases.append((label, conj_chars, reps[member], stab_size[member]))
     return perms, phases, bases
 
 
@@ -160,7 +178,13 @@ def project(terms) -> Sectors:
         return Sectors(terms, [2**n_sites])
     perms, phases, bases = _sector_bases(generators, 2**n_sites)
     inverses = np.argsort(perms, axis=1)  # inverses[g, perm_g(b)] = b
-    sizes = [len(reps) for _, reps, _ in bases]
+    sizes = [len(reps) for _, _, reps, _ in bases]
+    conjugates = None
+    if not phases.imag.any():  # conjugation maps the label l to -l
+        orders = [order for *_, order in generators]
+        index = {label: k for k, (label, *_) in enumerate(bases)}
+        conjugates = [index[tuple(-l % o for l, o in zip(label, orders))]
+                      for label, *_ in bases]
     size = max(sizes)
     out = []
     for term in terms:
@@ -170,7 +194,7 @@ def project(terms) -> Sectors:
             cols = np.array([perm for _, perm, _ in signed])                   # (S, dim)
             vals = np.array([coef * phase[perm] for coef, perm, phase in signed])
             blocks = np.zeros((len(bases), size, size), dtype=np.complex128)
-            for k, (conj_chars, reps, stab_size) in enumerate(bases):
+            for k, (_label, conj_chars, reps, stab_size) in enumerate(bases):
                 # B[r, r'] = sum_g conj(lambda(g)) phase_g(r') A[r, perm_g(r')] / ...
                 # summed over g in order; A[r, perm_g(r')] is scattered from the
                 # strings, in their order, at r' = perm_g^-1(perm_s(r)) when r'
@@ -197,4 +221,4 @@ def project(terms) -> Sectors:
             projected.append((blocks, curve))
         # the term's own class, since models imports this module
         out.append(type(term)(projected, dim=size))
-    return Sectors(out, sizes)
+    return Sectors(out, sizes, conjugates)

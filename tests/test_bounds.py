@@ -103,18 +103,19 @@ def ref_tight_sum(plan, ham, tau):
     return ref_sum(ham, tau, plan.order, [(g, seed_counts[g]) for g in gammas], steps)
 
 
-def reference_walk(x, weight, depth, derivs, steps, norms, hermitian, seed=None):
+def reference_walk(x, weight, depth, derivs, steps, norms, hermitian, first=None):
     """The depth-first walk of one prefix at a time that the block walk
     replaced: x[0..depth] are one prefix's (B * S, m, m) derivative stacks,
     each step (w, g, f, fc) maps X to f [H_g, X] + fc dX/dt, and each leaf
     appends its weighted norms with its own eigensolve.  Like the block
-    walk, a seed's root skips the pure commutator with itself."""
+    walk, a root takes its first steps from first (``bounds._roots``), and
+    a pure commutator with a zero term is skipped."""
     if depth == 0:
         norms.append(weight * spectral_norms(x[0], hermitian=hermitian))
         return
-    for w, g, f, fc in steps:
+    for w, g, f, fc in steps if first is None else first:
         h = derivs.get(g)
-        if fc == 0 and (h is None or g == seed):
+        if fc == 0 and h is None:
             continue
         if h is None:
             child = [fc * x[q + 1] for q in range(depth)]
@@ -133,11 +134,11 @@ def reference_walk(x, weight, depth, derivs, steps, norms, hermitian, seed=None)
 
 def walk_one_prefix_at_a_time(monkeypatch):
     """Make _nested_norm_sum walk each seed's root block with reference_walk."""
-    def walk(block, depth, derivs, steps, cap, norms, hermitian, seed=None):
+    def walk(block, depth, derivs, steps, cap, norms, hermitian, first=None):
         x, w = block
         leaves = []
         reference_walk([a[0] for a in x], float(w[0]), depth, derivs, steps, leaves,
-                       hermitian, seed)
+                       hermitian, first)
         norms.append(np.array(leaves).reshape(len(leaves), x[0].shape[1]))
 
     monkeypatch.setattr(bounds, "_walk", walk)
@@ -221,20 +222,28 @@ class TestTauBatch:
 
 
 class TestHermitianFastPath:
-    def record_paths(self, monkeypatch):
+    def record_paths(self, monkeypatch, dtypes=None):
         flags = []
         real = bounds.spectral_norms
 
         def spy(stack, hermitian=False):
             flags.append(hermitian)
+            if dtypes is not None:
+                dtypes.append(stack.dtype)
             return real(stack, hermitian)
 
         monkeypatch.setattr(bounds, "spectral_norms", spy)
         return flags
 
     def test_hermitian_terms_skip_the_product(self, monkeypatch):
+        # a complex walk: a model given as matrices, and one whose XY bonds
+        # hold one Y each; a real model's alpha_com walks in float64 instead
         flags = self.record_paths(monkeypatch)
-        alpha_com(driven_chain(3), 3, 0.2)
+        alpha_com(dense_copy(driven_chain(3)), 3, 0.2)
+        xy = build_driven_chain(3, TrigCurve(0.3, 2.0, offset=1.0), TrigCurve(0.8, 3.1),
+                                ("X", "Y"))
+        assert not any(term.is_real for term in xy.terms)
+        alpha_com(xy, 3, 0.2)
         _tight_sum(suzuki_plan(2, 2), driven_chain(2), 0.2,
                    *stage_weights(suzuki_plan(2, 2), 2))
         assert flags and all(flags)
@@ -354,21 +363,29 @@ class TestBlockWalk:
 
         monkeypatch.setattr(bounds, "spectral_norms", spy)
         alpha_com(dense_copy(driven_chain(4)), 5, 0.1)
-        # 2 seeds times 2 * 3^3 leaves (a seed's commutator with itself is
-        # skipped), 32 dense 16x16 nodes per block: 32 + 22 per seed
-        assert sum(sizes) == 108 and max(sizes) == 32 and len(sizes) == 4
+        # 3^3 leaves under each first step: seed 1 takes [H_2, H_1] (for
+        # both orders) and the derivative, seed 2 the derivative alone (a
+        # seed's commutator with itself is skipped); 32 dense 16x16 nodes per
+        # block: 32 + 22 for seed 1 and 27 for seed 2
+        assert sorted(sizes) == [22, 27, 32]
 
     @pytest.mark.parametrize("model", sorted(set(BLOCK_MODELS) - {"non-hermitian"}))
     def test_every_hermitian_leaf_is_hermitian(self, monkeypatch, model):
-        # the step phases keep every node Hermitian, with no correction at the leaf
+        # the step phases keep every complex node Hermitian, and a real
+        # walk's nodes are symmetric or antisymmetric, with no correction at
+        # the leaf
         flags = []
         real = bounds.spectral_norms
 
         def spy(stack, hermitian=False):
-            flags.append(hermitian)
+            flags.append(hermitian or stack.dtype == np.float64)
+            scale = 1e-13 * np.abs(stack).max()
+            adjoint = stack.conj().swapaxes(-1, -2)
             if hermitian:
-                adjoint = stack.conj().swapaxes(-1, -2)
-                assert np.abs(stack - adjoint).max() <= 1e-13 * np.abs(stack).max()
+                assert np.abs(stack - adjoint).max() <= scale
+            else:  # each node on its own
+                assert (np.minimum(np.abs(stack - adjoint).max(axis=(-2, -1)),
+                                   np.abs(stack + adjoint).max(axis=(-2, -1))) <= scale).all()
             return real(stack, hermitian)
 
         monkeypatch.setattr(bounds, "spectral_norms", spy)
@@ -1100,10 +1117,15 @@ class TestSectorWalk:
                 alpha_com(dense_copy(ham), p + 1, 0.3), rel=1e-12)
 
     def test_hermitian_terms_keep_the_fast_path(self, monkeypatch):
-        flags = TestHermitianFastPath().record_paths(monkeypatch)
+        # the real sectors walk in float64; the complex ones keep the fast path
+        dtypes = []
+        flags = TestHermitianFastPath().record_paths(monkeypatch, dtypes)
         ham = driven_chain(6, "periodic")
         alpha_com(ham, 3, 0.2)
-        assert ham.sectors.count > 1 and flags and all(flags)
+        assert ham.sectors.count > 1
+        complex_flags = [f for f, d in zip(flags, dtypes) if d == np.complex128]
+        assert complex_flags and all(complex_flags)
+        assert set(dtypes) == {np.dtype(np.float64), np.dtype(np.complex128)}
 
     def test_small_models_skip_and_custom_models_take_the_sector_code(self, monkeypatch):
         calls = []
@@ -1182,11 +1204,11 @@ def dense_symmetries(matrices, n_sites):
 def dense_blocks(term, generators, dim):
     """Each summand's sector blocks, gathered from the rows of its dense sum."""
     perms, phases, bases = _sector_bases(generators, dim)
-    size = max(len(reps) for _, reps, _ in bases)
+    size = max(len(reps) for _, _, reps, _ in bases)
     out = []
     for a, _ in term.summands:
         blocks = np.zeros((len(bases), size, size), dtype=np.complex128)
-        for k, (conj_chars, reps, stab_size) in enumerate(bases):
+        for k, (_label, conj_chars, reps, stab_size) in enumerate(bases):
             coeff = conj_chars[:, None] * phases[:, reps]
             block = np.einsum("rgs,gs->rs", a[reps][:, perms[:, reps]], coeff)
             blocks[k, :len(reps), :len(reps)] = block / np.sqrt(
@@ -1262,3 +1284,174 @@ class TestStringsMatchDenseReference:
         for projected, term in zip(ham.sectors.terms, ham.terms):
             for (blocks, _), ref in zip(projected.summands, dense_blocks(term, want, ham.dim)):
                 assert np.array_equal(blocks, ref)
+
+
+# ---------------------------------------------------------------------------
+# The real walk: float64 sectors, one sector of each conjugate pair, and the
+# antisymmetric root pairs walked once
+# ---------------------------------------------------------------------------
+
+def force_complex(monkeypatch):
+    """Read every term as complex, so every walk takes the complex128 walk
+    over every sector."""
+    monkeypatch.setattr(OperatorCurve, "is_real", property(lambda self: False))
+
+
+def record_dtypes(monkeypatch):
+    """The dtype and sector count (B = 1 tau) of every leaf stack."""
+    leaves = []
+    real = bounds.spectral_norms
+
+    def spy(stack, hermitian=False):
+        leaves.append((stack.dtype, stack.shape[1]))
+        return real(stack, hermitian)
+
+    monkeypatch.setattr(bounds, "spectral_norms", spy)
+    return leaves
+
+
+def _real_walk_models():
+    cases = {}
+    for n in range(4, 11):
+        for boundary in ("open", "periodic"):
+            # order 3 costs seconds on the complex walk at N >= 9
+            cases[f"{boundary}{n}"] = (lambda n=n, b=boundary: driven_chain(n, b),
+                                       (2,) if n >= 9 else (2, 3))
+    for n in range(4, 9):
+        cases[f"long-range{n}"] = (lambda n=n: build_long_range(
+            n, 1.5, {"XX": PolynomialCurve([1.0, 0.5, -0.3]), "ZZ": ExpCurve(0.7, -1.2)},
+            {"Z": TrigCurve(0.4, 1.3)}), (2,) if n == 8 else (2, 3))
+    cases["custom6"] = (lambda: custom_model(
+        6, [[(0, "X"), (1, "X")], [(0, "Z")], [(1, "Y"), (2, "Y")], [(5, "Z")]]), (2, 3))
+    return cases
+
+
+REAL_WALK_MODELS = _real_walk_models()
+
+
+class TestRealWalk:
+    @pytest.mark.parametrize("model", sorted(REAL_WALK_MODELS))
+    def test_sums_match_the_complex_walk(self, monkeypatch, model):
+        build, orders = REAL_WALK_MODELS[model]
+        ham = build()
+        assert all(term.is_real for term in ham.terms)
+        leaves = record_dtypes(monkeypatch)
+        got = [fn(ham, order, 0.37) for fn in (alpha_com, bar_alpha_com) for order in orders]
+        assert np.dtype(np.float64) in {dtype for dtype, _ in leaves}
+        with monkeypatch.context() as m:
+            force_complex(m)
+            leaves.clear()
+            want = [fn(ham, order, 0.37) for fn in (alpha_com, bar_alpha_com)
+                    for order in orders]
+            assert {dtype for dtype, _ in leaves} == {np.dtype(np.complex128)}
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("case", ["y-odd", "complex-scale", "matrices"])
+    def test_complex_models_take_the_complex_walk(self, monkeypatch, case):
+        ham = {"y-odd": lambda: custom_model(6, [[(0, "X"), (1, "Y")], [(0, "Z")]]),
+               "complex-scale": lambda: driven_chain(6).scaled(1 - 0.1j),
+               "matrices": lambda: Hamiltonian([
+                   OperatorCurve([(PAULI["Y"], TrigCurve(0.9, 1.7))]),
+                   OperatorCurve([(Z, ConstantCurve(0.5))])])}[case]()
+        assert not all(term.is_real for term in ham.terms)
+        leaves = record_dtypes(monkeypatch)
+        got = alpha_com(ham, 3, 0.37)
+        assert leaves and {dtype for dtype, _ in leaves} == {np.dtype(np.complex128)}
+        n = ham.n_terms
+        assert got == pytest.approx(ref_alpha_com(ham, 3, 0.37, 2.0 * n), rel=1e-12)
+
+    def test_complex_group_phases_keep_every_sector_complex(self, monkeypatch):
+        # XZ strings on an odd chain keep only the Y parity, whose phase is
+        # i^5 times a sign: conjugation maps no sector onto another
+        ham = custom_model(5, [[(0, "X"), (1, "Z")], [(1, "X"), (2, "Z")]])
+        assert all(term.is_real for term in ham.terms)
+        assert ham.sectors.count == 2 and ham.sectors.conjugates is None
+        leaves = record_dtypes(monkeypatch)
+        got = alpha_com(ham, 3, 0.37)
+        assert leaves and {dtype for dtype, _ in leaves} == {np.dtype(np.complex128)}
+        assert got == pytest.approx(ref_alpha_com(ham, 3, 0.37, 2.0 * ham.n_terms), rel=1e-12)
+
+    def test_the_scaled_copy_of_a_real_model_stays_real(self):
+        ham = driven_chain(6)
+        assert all(term.is_real for term in ham.scaled(2.0).terms)
+        assert all(term.is_real for term in ham.extended(0.1, 1).terms)
+        assert not any(term.is_real for term in dense_copy(ham).terms)
+
+    def test_even_periodic_chains_walk_one_sector_of_each_conjugate_pair(self, monkeypatch):
+        ham = driven_chain(8, "periodic")
+        leaves = record_dtypes(monkeypatch)
+        alpha_com(ham, 2, 0.37)
+        walked = {dtype: count for dtype, count in leaves}
+        # momenta 0 and pi, each with both parities, are real; the pair
+        # k = +-pi/2 walks one of its two, with both parities
+        assert walked == {np.dtype(np.float64): 4, np.dtype(np.complex128): 2}
+        assert [len(ks) for ks in bounds._sector_groups(ham.sectors, True)] == [4, 2]
+        ham12 = driven_chain(12, "periodic")
+        assert ham12.sectors.count == 12
+        assert [len(ks) for ks in bounds._sector_groups(ham12.sectors, True)] == [4, 4]
+        assert bounds._sector_groups(ham12.sectors, False) == ([], list(range(12)))
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_real_characters_give_exactly_real_blocks(self, n):
+        ham = driven_chain(n, "periodic")
+        sectors = ham.sectors
+        real = [k for k, j in enumerate(sectors.conjugates) if k == j]
+        assert len(real) == 4  # momenta 0 and pi, both parities
+        stacks = [blocks for term in sectors.terms for blocks, _ in term.summands]
+        assert not any(blocks[real].imag.any() for blocks in stacks)
+        for k in set(range(sectors.count)) - set(real):
+            assert any(blocks[k].imag.any() for blocks in stacks)
+        # every character of order 4 is exact: 1, i, -1 or -i
+        generators = symmetries(driven_chain(8, "periodic"))
+        for _label, conj_chars, _reps, _sizes in _sector_bases(generators, 2**8)[2]:
+            assert set(conj_chars) <= {1, 1j, -1, -1j}
+
+    def test_pairing_comes_from_the_labels(self):
+        sectors = driven_chain(8, "periodic").sectors
+        _, _, bases = _sector_bases(symmetries(driven_chain(8, "periodic")), 2**8)
+        labels = [label for label, *_ in bases]
+        for k, j in enumerate(sectors.conjugates):
+            assert labels[j] == ((-labels[k][0]) % 4, labels[k][1])
+
+    def test_tight_sums_ignore_realness(self, monkeypatch):
+        ham = driven_chain(8, "periodic")
+        plan = suzuki_plan(2, 2)
+        weights = stage_weights(plan, 2)
+        leaves = record_dtypes(monkeypatch)
+        got = _tight_sum(plan, ham, TAUS, *weights)
+        assert {dtype for dtype, _ in leaves} == {np.dtype(np.complex128)}
+        assert {count for _, count in leaves} == {2 * ham.sectors.count}
+        force_complex(monkeypatch)
+        assert np.array_equal(got, _tight_sum(plan, ham, TAUS, *weights))
+
+
+class TestRootPairs:
+    @pytest.mark.parametrize("n_terms, subtrees", [(2, 3), (5, 15)])
+    def test_alpha_com_walks_each_antisymmetric_pair_once(self, n_terms, subtrees):
+        live = dict.fromkeys(range(1, n_terms + 1))
+        seeds = [(g, 1.0) for g in live]
+        steps = [(1.0, g, 0j) for g in live] + [(1.0, None, complex(2 * n_terms))]
+        roots = bounds._roots(seeds, steps, live)
+        assert sum(len(first) for *_, first in roots) == subtrees
+        for gamma, _, first in roots:
+            # g > gamma, with both orders' weights; the derivative as it was
+            assert first == [(2.0, g - 1) for g in live if g > gamma] + [(1.0, n_terms)]
+
+    def test_weights_of_both_orders_add(self):
+        live = dict.fromkeys((1, 2, 3))
+        seeds = [(1, 0.5), (2, 0.25), (3, 2.0)]
+        steps = [(3.0, 1, 0j), (5.0, 2, 0j), (7.0, 2, 1j), (0.1, None, 1 + 0j)]
+        roots = bounds._roots(seeds, steps, live)
+        assert roots == [
+            (1, 0.5, [(0.5 * 5.0 + 0.25 * 3.0, 1), (0.5 * 7.0, 2), (0.5 * 0.1, 3)]),
+            # [H_2, H_2] is zero; (2, 3) has no pure commutator with 3
+            (2, 0.25, [(0.25 * 7.0, 2), (0.25 * 0.1, 3)]),
+            (3, 2.0, [(2.0 * 3.0, 0), (2.0 * 5.0, 1), (2.0 * 7.0, 2), (2.0 * 0.1, 3)])]
+
+    def test_tight_steps_fold_nothing(self):
+        live = dict.fromkeys((1, 2))
+        seeds = [(1, 1.0), (2, 2.0)]
+        steps = [(0.5, 1, 1j), (0.75, 2, 1j), (0.25, None, 1j)]
+        roots = bounds._roots(seeds, steps, live)
+        assert [first for *_, first in roots] == [
+            [(w * sw, j) for j, (sw, _, _) in enumerate(steps)] for _, w in seeds]

@@ -73,6 +73,27 @@ class TestSpectralNorms:
         assert got.shape == (2, 3)
         np.testing.assert_allclose(got, svd_norms(stack), rtol=1e-12)
 
+    def test_real_stack(self, rng, monkeypatch):
+        # a real symmetric or antisymmetric stack stays float64 through its
+        # eigensolve: its norms agree with the complex path's and with the SVD
+        a = rng.normal(size=(6, 5, 5))
+        stack = np.concatenate([a + a.swapaxes(-1, -2), a - a.swapaxes(-1, -2)])
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            solved.append(m.dtype)
+            return eigvalsh(m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", spy)
+            got = spectral_norms(stack)
+        assert solved == [np.dtype(np.float64)]
+        np.testing.assert_allclose(got, svd_norms(stack), rtol=1e-14)
+        np.testing.assert_allclose(got, spectral_norms(stack.astype(complex)), rtol=1e-14)
+        np.testing.assert_allclose(spectral_norms(stack[:6], hermitian=True), got[:6],
+                                   rtol=1e-14)
+
     def test_one_by_one(self):
         stack = np.array([[[3 - 4j]], [[-2.0]], [[0.0]]])
         np.testing.assert_array_equal(spectral_norms(stack), [5.0, 2.0, 0.0])

@@ -77,6 +77,18 @@ class TestOperatorCurve:
         assert not OperatorCurve([(1j * Z, ConstantCurve(1.0))]).is_hermitian
         assert not OperatorCurve([(X, ConstantCurve(1.0))]).scaled(1 - 0.1j).is_hermitian
 
+    def test_is_real_from_strings(self):
+        f = TrigCurve(0.5, 1.7)
+        xx_yy = OperatorCurve.from_paulis(3, [(1.0, [(0, "X"), (1, "X")], f),
+                                              (-0.5, [(1, "Y"), (2, "Y")], f)])
+        assert xx_yy.is_real and xx_yy.scaled(2.0).is_real
+        assert all(term.summands[0][0].imag.any() == (not term.is_real) for term in (
+            xx_yy, OperatorCurve.from_paulis(2, [(1.0, [(0, "X"), (1, "Y")], f)])))
+        assert not xx_yy.scaled(1 - 0.1j).is_real
+        assert not OperatorCurve.from_paulis(2, [(1j, [(0, "Z")], f)]).is_real
+        # a term given as matrices is never read as real, even a real one
+        assert not OperatorCurve([(X, f)]).is_real
+
     def test_summands_may_be_stacks(self):
         # a term's sector blocks: one (S, m, m) stack per curve, dim from the last axis
         f, g = TrigCurve(0.5, 1.7), PolynomialCurve([1.0, 2.0])

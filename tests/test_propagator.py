@@ -159,6 +159,24 @@ class TestEvolve:
         assert max(steps, default=0) <= 64
         assert (err.value.last_disagreement is None) == (not formed)
 
+    def test_a_hopeless_doubling_loop_stops_after_the_third_product(self, monkeypatch):
+        # X 3cos(40 tau) + Z over [0, 2000]: 1392, 2784 and 5568 steps
+        # disagree by 1.3 and 0.32, and even 16x per doubling would need
+        # 5568 * 2^10 steps, over the cap of 2^16; the loop used to run on
+        # to 44544 steps
+        steps = []
+
+        def spy(generator, t0, dt, n_steps):
+            steps.append(n_steps)
+            return _cf4_product(generator, t0, dt, n_steps)
+
+        monkeypatch.setattr(propagator, "_cf4_product", spy)
+        gen = OperatorCurve([(X, TrigCurve(3.0, 40.0)), (Z, ConstantCurve(1.0))])
+        with pytest.raises(ConvergenceError, match="over the cap of 65536") as err:
+            evolve(gen, 0.0, 2000.0, max_steps=1 << 16)
+        assert steps == [1392, 2784, 5568]
+        assert err.value.last_disagreement > 0.1
+
     def test_non_hermitian_generator(self, rng):
         a = 0.4 * random_matrix(rng, 3)
         gen = OperatorCurve([(a, TrigCurve(1.0, 1.3, offset=0.5))])
