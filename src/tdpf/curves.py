@@ -1,6 +1,11 @@
 """Scalar time curves with analytic derivatives, and the bump-function
 machinery used to extend a smooth curve on a window [0, t] to a C^(p+2)
 periodic function of period 2t.
+
+The four descriptor kinds also know their exact integral over any interval
+(``ScalarCurve.integral``), which the exact-segment product formulas use for
+a term that is one matrix times one curve; the periodic extension and its
+Taylor-bump pieces have none and return None.
 """
 
 from __future__ import annotations
@@ -40,6 +45,22 @@ class ScalarCurve:
     def _eval(self, tau: float, q: int) -> float:
         raise NotImplementedError
 
+    def integral(self, a: float, b: float) -> float | None:
+        """The exact integral of the curve from ``a`` to ``b`` (negative for
+        b < a), or None for a kind with no closed form.  A result past the
+        float range raises NumericalBlowUpError."""
+        try:
+            out = self._integral(float(a), float(b))
+        except OverflowError as exc:
+            raise NumericalBlowUpError(
+                f"{self.kind} curve integral overflowed on [{a}, {b}]") from exc
+        if out is not None and not math.isfinite(out):
+            raise NumericalBlowUpError(f"{self.kind} curve integral on [{a}, {b}] is {out}")
+        return out
+
+    def _integral(self, a: float, b: float) -> float | None:
+        return None
+
 
 class ConstantCurve(ScalarCurve):
     kind = "constant"
@@ -50,6 +71,10 @@ class ConstantCurve(ScalarCurve):
 
     def _eval(self, tau, q):
         return self.value if q == 0 else 0.0
+
+    def _integral(self, a, b):
+        """v (b - a)."""
+        return self.value * (b - a)
 
 
 class PolynomialCurve(ScalarCurve):
@@ -69,6 +94,15 @@ class PolynomialCurve(ScalarCurve):
             out = out * tau + self.coeffs[k] * math.perm(k, q)
         return out
 
+    def _integral(self, a, b):
+        """The antiderivative's difference, written as its Taylor series about
+        the midpoint m with half-width h = (b - a)/2: the sum over even q of
+        2 f^(q)(m) h^(q+1) / (q+1)!, so no two large antiderivative values
+        cancel when the interval is short and far from 0."""
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return 2.0 * math.fsum(self._eval(mid, q) * half ** (q + 1) / math.factorial(q + 1)
+                               for q in range(0, len(self.coeffs), 2))
+
 
 class TrigCurve(ScalarCurve):
     """f(tau) = offset + amp * cos(omega * tau + phase)."""
@@ -87,6 +121,17 @@ class TrigCurve(ScalarCurve):
         val = self.amp * self.omega**q * math.cos(self.omega * tau + self.phase + q * math.pi / 2)
         return val + self.offset if q == 0 else val
 
+    def _integral(self, a, b):
+        """offset (b - a) + (2 amp / omega) cos(omega (a + b)/2 + phase)
+        sin(omega (b - a)/2), the product form of sin(omega b + phase) -
+        sin(omega a + phase), which cancels on a short interval; at omega = 0
+        it is (offset + amp cos(phase)) (b - a)."""
+        if self.omega == 0.0:
+            return (self.offset + self.amp * math.cos(self.phase)) * (b - a)
+        return (self.offset * (b - a)
+                + 2.0 * self.amp / self.omega * math.cos(0.5 * self.omega * (a + b) + self.phase)
+                * math.sin(0.5 * self.omega * (b - a)))
+
 
 class ExpCurve(ScalarCurve):
     """f(tau) = amp * exp(rate * tau)."""
@@ -100,6 +145,17 @@ class ExpCurve(ScalarCurve):
 
     def _eval(self, tau, q):
         return self.amp * self.rate**q * math.exp(self.rate * tau)
+
+    def _integral(self, a, b):
+        """amp e^(rate a) expm1(rate (b - a)) / rate, anchored instead at
+        whichever endpoint has the larger exponent (there the sign flips), so
+        that expm1 sees a non-positive argument and only a result past the
+        float range overflows; amp (b - a) at rate = 0."""
+        if self.rate == 0.0:
+            return self.amp * (b - a)
+        top, other, sign = (a, b, 1.0) if self.rate * a >= self.rate * b else (b, a, -1.0)
+        return (sign * self.amp * math.exp(self.rate * top)
+                * math.expm1(self.rate * (other - top)) / self.rate)
 
 
 # ---------------------------------------------------------------------------

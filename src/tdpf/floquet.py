@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalBlowUpError
 from .formulas import EXACT, StagePlan, suzuki_a
 from .linalg import BATCH_ENTRIES, matrix_exp, spectral_norm, spectral_norms
 from .models import Hamiltonian, OperatorCurve
@@ -299,8 +299,13 @@ def check_translation_symmetry(lifted: np.ndarray, space: FloquetSpace,
     interior index triples (|l|, |l'|, |l-s|, |l'-s| <= l_keep, s != 0),
     read from the whole operator or a slab of its block columns |l| <= w
     with w >= l_keep.  The triple (-s, l-s, l'-s) compares the same pair of
-    blocks up to a unit phase, so only s > 0 is evaluated, in batched norm
-    calls of at most ``BATCH_ENTRIES`` entries (or one block, if larger)."""
+    blocks up to a unit phase, so only s > 0 is evaluated, in chunks of at
+    most ``BATCH_ENTRIES`` entries (or one block, if larger).  Each chunk's
+    difference blocks are screened by Frobenius norm before any eigensolve:
+    ||B|| <= ||B||_F <= sqrt(d) ||B||, so a block whose Frobenius norm is
+    below both the largest norm so far and the chunk's largest Frobenius
+    norm over sqrt(d) cannot set the maximum, and only the rest reach
+    ``spectral_norms`` (with a 1e-12 relative slack against round-off)."""
     keep, d, lm = space.l_keep, space.dim, space.l_max
     width = space.half_width(lifted)
     if width < keep:
@@ -318,5 +323,16 @@ def check_translation_symmetry(lifted: np.ndarray, space: FloquetSpace,
         for r in range(0, side, rows):
             for c in range(0, side, cols):
                 diffs = here[r:r + rows, c:c + cols] - phase * back[r:r + rows, c:c + cols]
-                worst = max(worst, float(spectral_norms(diffs).max()))
+                fro = _frobenius_norms(diffs)
+                if not np.isfinite(fro).all():
+                    raise NumericalBlowUpError("lifted operator has non-finite entries")
+                floor = max(worst, float(fro.max()) / math.sqrt(d)) * (1.0 - 1e-12)
+                kept = diffs[fro >= floor]
+                if kept.size:
+                    worst = max(worst, float(spectral_norms(kept).max()))
     return worst
+
+
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (..., d, d) stack of blocks."""
+    return np.linalg.norm(stack, axis=(-2, -1))

@@ -6,7 +6,12 @@ stage k applied first.  Two families share the plan format:
 * exact-segment: stage k is the exact sub-evolution U_gamma(beta t + alpha t,
   beta t); a negative alpha makes it the backward evolution
   U_gamma(beta t, (beta + alpha) t)^-1, which is the adjoint of that forward
-  segment only for a Hermitian term;
+  segment only for a Hermitian term.  A term that is one matrix times one
+  curve, H_gamma(tau) = f(tau) A, commutes with itself at every pair of
+  times, so its segment is exp(-i A F) with F the curve's exact integral
+  (``ScalarCurve.integral``) over the segment; only a term of several
+  curves, or one whose curve has no closed-form integral (a periodic
+  extension), calls the certified propagator ``evolve``;
 * instantaneous: stage k is exp(-i H_gamma(beta t) alpha t), the Hamiltonian
   frozen at the stage's evaluation time.
 
@@ -22,15 +27,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 from .linalg import matrix_exp, spectral_norm
-from .models import Hamiltonian
+from .models import Hamiltonian, OperatorCurve
 from .propagator import MIN_TOL, evolve
 
 EXACT = "exact-segment"
 INSTANTANEOUS = "instantaneous"
 
 _BETA_CLAMP = 1e-14
+_ROUNDOFF = 2.0**-52  # unit round-off of float64
 
 
 @dataclass(frozen=True)
@@ -141,19 +147,54 @@ def suzuki_plan(p: int, n_terms: int, family: str = EXACT) -> StagePlan:
     return plan
 
 
+def _single_curve(term: OperatorCurve) -> tuple | None:
+    """(A, f, bound on ||A||) of a term that is one matrix times one curve,
+    else None.  The bound is Hoelder's sqrt(||A||_1 ||A||_inf), which costs
+    one pass over A and equals ||A|| on a chain term's disjoint bonds."""
+    if len(term.curves) != 1:
+        return None
+    (mat, curve), = term.summands
+    mags = np.abs(mat)
+    return mat, curve, float(np.sqrt(mags.sum(axis=0).max() * mags.sum(axis=1).max()))
+
+
+def _segment(term: OperatorCurve, single: tuple | None, a: float, b: float,
+             tol: float) -> np.ndarray:
+    """The exact segment U(b, a) of one term: exp(-i A F) for a single-curve
+    term whose curve integrates in closed form to F over [a, b] (negative
+    for b < a, the backward evolution), else ``evolve`` at ``tol``.  A
+    closed form whose round-off alone, 2^-52 |F| ||A||, could exceed ``tol``
+    raises ConvergenceError; a non-finite F raises NumericalBlowUpError."""
+    if single is not None:
+        mat, curve, norm = single
+        integral = curve.integral(a, b)
+        if integral is not None:
+            if _ROUNDOFF * abs(integral) * norm > tol:
+                raise ConvergenceError(
+                    f"segment exp(-i A F) with |F| ||A|| <= {abs(integral) * norm:.3e} has"
+                    f" round-off above its tolerance {tol:.3e}")
+            return matrix_exp(-1j * integral * mat)
+    return evolve(term, a, b, tol=tol)
+
+
 def evaluate_pf(plan: StagePlan, ham: Hamiltonian, t: float, t0: float = 0.0,
                 oracle_tol: float = 1e-12) -> np.ndarray:
-    """The product-formula matrix S(t, t0) for the plan's family."""
+    """The product-formula matrix S(t, t0) for the plan's family.  An
+    exact segment is certified to ``oracle_tol`` / K for K stages, or is in
+    closed form (see ``_segment``)."""
     if plan.n_terms != ham.n_terms:
         raise InvalidInputError(
             f"plan has {plan.n_terms} terms but Hamiltonian has {ham.n_terms}")
     delta = t - t0
     total = np.eye(ham.dim, dtype=np.complex128)
     seg_tol = max(oracle_tol / max(plan.n_stages, 1), MIN_TOL)
+    if plan.family == EXACT:
+        singles = [_single_curve(term) for term in ham.terms]
     for st in plan.stages:
         if plan.family == EXACT:
             a = t0 + st.beta * delta
-            factor = evolve(ham.term(st.gamma), a, a + st.alpha * delta, tol=seg_tol)
+            factor = _segment(ham.term(st.gamma), singles[st.gamma - 1], a,
+                              a + st.alpha * delta, seg_tol)
         else:
             frozen = ham.term(st.gamma).value(t0 + st.beta * delta)
             factor = matrix_exp(-1j * st.alpha * delta * frozen)

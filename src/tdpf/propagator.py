@@ -1,5 +1,12 @@
 """Reference time-ordered propagator.
 
+It computes the oracle (``Hamiltonian.exact_evolution``) and, in
+``formulas.evaluate_pf``, the exact segments of the terms that have no
+closed form: a term of several curves, whose parts need not commute at
+different times, or one whose curve has no exact integral (a periodic
+extension).  A term that is one matrix times one curve with an exact
+integral never reaches it.
+
 A fourth-order commutator-free scheme (two exponentials per step, built from
 the two Gauss-Legendre evaluation points) is iterated with step doubling
 until two consecutive refinements agree to the requested tolerance.  Each

@@ -6,7 +6,8 @@ import pytest
 from tdpf.curves import (ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve,
                          bump_c, bump_c_deriv, curve_from_descriptor,
                          extrapolate_scalar)
-from tdpf.errors import BudgetExceededError, InvalidInputError, SchemaError
+from tdpf.errors import (BudgetExceededError, InvalidInputError, NumericalBlowUpError,
+                         SchemaError)
 
 ALL_KINDS = [
     ConstantCurve(1.7),
@@ -43,6 +44,49 @@ class TestEval:
             exact = curve.eval(tau, q)
             approx = central_diff(curve, tau, q)
             assert exact == pytest.approx(approx, rel=1e-6, abs=1e-6)
+
+
+INTEGRAL_KINDS = ALL_KINDS + [
+    TrigCurve(amp=0.9, omega=0.0, phase=0.4, offset=0.3),  # omega = 0
+    TrigCurve(amp=-1.3, omega=40.0, phase=-2.0, offset=0.0),
+    ExpCurve(amp=1.1, rate=0.0),  # rate = 0
+    ExpCurve(amp=-0.6, rate=3.0),
+    PolynomialCurve([1.5]),
+]
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("curve", INTEGRAL_KINDS, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("a, b", [(0.0, 0.3), (0.3, 0.0), (-0.7, 1.2), (1.2, -0.7),
+                                      (5.0, 5.01), (5.01, 5.0), (0.4, 0.4)])
+    def test_matches_gauss_legendre(self, curve, a, b):
+        # 64 Gauss-Legendre points integrate every kind here to round-off on
+        # these intervals.  scale is |b - a| times the largest |f| + |tau f'|
+        # at a node: f(tau) at a float tau is known only to about that times
+        # 2^-52, which at omega tau = 200 is most of the difference
+        x, w = np.polynomial.legendre.leggauss(64)
+        nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
+        vals = np.array([curve.eval(tau) for tau in nodes])
+        reference = 0.5 * (b - a) * math.fsum(w * vals)
+        scale = abs(b - a) * max(abs(curve.eval(tau)) + abs(tau * curve.eval(tau, 1))
+                                 for tau in nodes)
+        assert abs(curve.integral(a, b) - reference) <= 1e-15 * scale
+
+    def test_extension_has_no_closed_form(self):
+        ext = extrapolate_scalar(ALL_KINDS[2], 0.8, 2)
+        assert ext.integral(0.0, 0.5) is None
+        assert ext._fall.integral(0.9, 1.0) is None
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalBlowUpError):
+            ExpCurve(1.0, 800.0).integral(0.0, 1.0)
+        with pytest.raises(NumericalBlowUpError):
+            TrigCurve(1e308, 1e-3).integral(0.0, 1.0)
+
+    def test_decaying_exp_backward_does_not_overflow(self):
+        # anchored at the larger exponent, expm1 never sees +800
+        got = ExpCurve(2.0, -800.0).integral(1.0, 0.0)
+        assert got == pytest.approx(-2.0 / 800.0, rel=1e-15)
 
 
 class TestBump:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tdpf.curves import ConstantCurve, TrigCurve, extrapolate_scalar
-from tdpf.errors import InvalidInputError
+from tdpf.errors import InvalidInputError, NumericalBlowUpError
 import tdpf.floquet as floquet
 from tdpf.floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
                           check_translation_symmetry, floquet_space,
@@ -487,24 +487,64 @@ class TestTranslationSymmetry:
     @pytest.mark.parametrize("budget", [1, 16, 160])
     def test_any_chunk_budget_gives_the_same_value(self, drive, monkeypatch, budget):
         # budgets under one 4 x 4 block (1), of one block (16) and of ten
-        # blocks, which splits the rows of up to 12 blocks into columns
+        # blocks, which splits the rows of up to 12 blocks into columns.
+        # Every chunk is screened by Frobenius norm, and only its candidates
+        # reach the eigensolve, so the stacks sent to spectral_norms are the
+        # candidates of a literal screen, not every pair
         _, fh = drive
         space = floquet_space(12, 4, l_keep=6)
         ops = build_floquet_operators(fh, space)
         lifted = ops.apply("F", DRIVE_T, space.slab(6))
         whole = check_translation_symmetry(lifted, space, OMEGA, DRIVE_T)
-        sizes = []
-        real_norms = floquet.spectral_norms
+        calls = []  # ("fro", chunk) and ("norm", stack, norms) in call order
+        real_fro, real_norms = floquet._frobenius_norms, floquet.spectral_norms
 
-        def counting_norms(stack):
-            sizes.append(stack.size)
-            return real_norms(stack)
+        def recording_fro(stack):
+            calls.append(("fro", stack.reshape(-1, 4, 4).copy()))
+            return real_fro(stack)
+
+        def recording_norms(stack):
+            norms = real_norms(stack)
+            calls.append(("norm", stack.copy(), norms))
+            return norms
 
         monkeypatch.setattr(floquet, "BATCH_ENTRIES", budget)
-        monkeypatch.setattr(floquet, "spectral_norms", counting_norms)
+        monkeypatch.setattr(floquet, "_frobenius_norms", recording_fro)
+        monkeypatch.setattr(floquet, "spectral_norms", recording_norms)
         assert check_translation_symmetry(lifted, space, OMEGA, DRIVE_T) == whole
-        assert max(sizes) == max(budget // 16 * 16, 16)
-        assert sum(sizes) == 16 * sum((13 - s) ** 2 for s in range(1, 7))
+        assert max(call[1].size for call in calls) <= max(budget, 16)
+        # every unordered pair is screened exactly once
+        chunks = [call[1] for call in calls if call[0] == "fro"]
+        assert sum(len(chunk) for chunk in chunks) == sum((13 - s) ** 2 for s in range(1, 7))
+        # replay a literal screen: a block is a candidate when its Frobenius
+        # norm reaches max(worst so far, chunk max / sqrt(4)) less 1e-12
+        worst, pos = 0.0, 0
+        for chunk in chunks:
+            assert calls[pos][0] == "fro"
+            pos += 1
+            fro = [np.linalg.norm(block) for block in chunk]
+            floor = max(worst, max(fro) / 2.0) * (1.0 - 1e-12)
+            want = [block for block, f in zip(chunk, fro) if f >= floor]
+            if want:
+                kind, stack, norms = calls[pos]
+                assert kind == "norm"
+                np.testing.assert_array_equal(stack.reshape(-1, 4, 4), np.array(want))
+                worst = max(worst, float(norms.max()))
+                pos += 1
+        assert pos == len(calls)
+        assert worst == whole
+
+    def test_non_finite_block_raises(self):
+        space = floquet_space(4, 2, l_keep=2)
+        lifted = np.eye(space.lifted_dim, dtype=complex)
+        lifted[space.l_max * 2 + 1, (space.l_max + 1) * 2] = np.nan
+        with pytest.raises(NumericalBlowUpError):
+            check_translation_symmetry(lifted, space, OMEGA, 0.3)
+
+    def test_zero_operator_has_no_deviation(self):
+        space = floquet_space(4, 2, l_keep=2)
+        lifted = np.zeros((space.lifted_dim, space.lifted_dim), dtype=complex)
+        assert check_translation_symmetry(lifted, space, OMEGA, 0.3) == 0.0
 
     def test_window_slab_reads_like_the_whole_matrix(self, drive):
         _, fh = drive

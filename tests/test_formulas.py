@@ -3,8 +3,9 @@ import pytest
 
 from conftest import driven_chain
 from tdpf.bounds import huyghebaert_bound
-from tdpf.curves import ConstantCurve, TrigCurve
-from tdpf.errors import InvalidInputError
+import tdpf.formulas as formulas
+from tdpf.curves import ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve
+from tdpf.errors import ConvergenceError, InvalidInputError, NumericalBlowUpError
 from tdpf.formulas import (EXACT, INSTANTANEOUS, Stage, evaluate_pf, fit_order,
                            measure_error, suzuki_a, suzuki_plan, trotterize)
 from tdpf.linalg import PAULI, matrix_exp, spectral_norm
@@ -150,6 +151,77 @@ class TestEvaluatePf:
         fwd = evaluate_pf(plan, driven2, t)
         rev = evaluate_pf(plan, reversed_ham, t)
         assert spectral_norm(fwd.conj().T - rev) <= 1e-11
+
+
+SINGLE_CURVES = [ConstantCurve(0.8), TrigCurve(amp=0.9, omega=2.3, phase=0.4, offset=0.3),
+                 PolynomialCurve([0.2, -1.0, 0.5, 2.0]), ExpCurve(amp=1.1, rate=-0.8)]
+
+
+def single_term(curve, factor=1.0):
+    """One term: (X x X + Z x I) times ``curve``, scaled by ``factor``."""
+    return Hamiltonian([OperatorCurve([(np.kron(X, X) + np.kron(Z, I2), curve)])
+                        .scaled(factor)])
+
+
+class TestClosedFormSegments:
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 0.1j], ids=["hermitian", "scaled"])
+    @pytest.mark.parametrize("curve", SINGLE_CURVES, ids=lambda c: c.kind)
+    def test_single_curve_segment_matches_evolve(self, monkeypatch, curve, factor):
+        # the one-stage plan of a one-term model is one segment U(t, t0)
+        ham = single_term(curve, factor)
+        t0, t = 0.15, 0.6
+        want = evolve(ham.term(1), t0, t, tol=TOL)
+        calls = []
+        monkeypatch.setattr(formulas, "evolve", lambda *a, **k: calls.append(a))
+        got = evaluate_pf(suzuki_plan(1, 1), ham, t, t0=t0, oracle_tol=TOL)
+        assert not calls
+        assert spectral_norm(got - want) <= TOL
+
+    @pytest.mark.parametrize("curve", SINGLE_CURVES, ids=lambda c: c.kind)
+    def test_backward_windows_compose(self, curve):
+        # fourth order runs its middle windows backward (negative F); for a
+        # term commuting with itself at all times the stages compose exactly
+        ham = single_term(curve, 1.0 + 0.1j)
+        want = evolve(ham.term(1), 0.0, 0.7, tol=TOL)
+        plan = suzuki_plan(4, 1)
+        assert any(st.alpha < 0 for st in plan.stages)
+        got = evaluate_pf(plan, ham, 0.7, oracle_tol=TOL)
+        assert spectral_norm(got - want) <= 2 * TOL
+
+    def test_only_multi_curve_and_extended_terms_call_evolve(self, monkeypatch, driven2):
+        calls = []
+        real_evolve = formulas.evolve
+
+        def counting_evolve(term, *args, **kwargs):
+            calls.append(term)
+            return real_evolve(term, *args, **kwargs)
+
+        monkeypatch.setattr(formulas, "evolve", counting_evolve)
+        plan = suzuki_plan(2, 2)
+        evaluate_pf(plan, driven2, 0.1)  # a bond term and a field term
+        assert not calls
+        two_curves = Hamiltonian([
+            driven2.term(1),
+            OperatorCurve([(np.kron(Z, I2), TrigCurve(0.8, 3.1)),
+                           (np.kron(I2, Z), ConstantCurve(0.5))])])
+        evaluate_pf(plan, two_curves, 0.1)
+        assert calls == [two_curves.term(2)] * 2
+        calls.clear()
+        extended = driven2.extended(0.1, 2)
+        evaluate_pf(plan, extended, 0.1)
+        assert len(calls) == plan.n_stages
+
+    def test_overflowing_integral_raises(self):
+        ham = single_term(ExpCurve(1.0, 800.0))
+        with pytest.raises(NumericalBlowUpError):
+            evaluate_pf(suzuki_plan(1, 1), ham, 1.0)
+
+    def test_round_off_past_the_segment_tolerance_raises(self):
+        # ||A|| = 2e4 and F = 1: round-off 2^-52 * 2e4 = 4.4e-12 > 1e-12
+        ham = Hamiltonian([OperatorCurve([(2e4 * X, ConstantCurve(1.0))])])
+        with pytest.raises(ConvergenceError):
+            evaluate_pf(suzuki_plan(1, 1), ham, 1.0, oracle_tol=1e-12)
+        evaluate_pf(suzuki_plan(1, 1), ham, 0.1, oracle_tol=1e-12)  # 4.4e-13 passes
 
 
 class TestTrotterize:
