@@ -13,8 +13,7 @@ from .errors import (BudgetExceededError, ConvergenceError, InvalidInputError,
                      UnsupportedOrderError)
 from .floquet import (FloquetSpace, FourierHamiltonian, build_floquet_operators,
                       build_tf, build_tf_suzuki, check_translation_symmetry,
-                      floquet_space, fourier_decompose, fourier_hamiltonian,
-                      reconstruct)
+                      fourier_decompose, fourier_hamiltonian, reconstruct)
 from .formulas import (EXACT, INSTANTANEOUS, Stage, StagePlan, evaluate_pf,
                        fit_order, measure_error, suzuki_plan, trotterize)
 from .linalg import PAULI, matrix_exp, spectral_norm

@@ -140,7 +140,9 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
     (gamma, weight) and all length-p sequences of steps (weight, g, c), where
     a step maps X to [H_g, X] + c dX/dt (g None: derivative only).  A
     sequence's weight is the product of its seed and step weights.  A float
-    tau gives a float; an array of taus gives one exactly rounded fsum each."""
+    tau gives a float; an array of taus gives one exactly rounded fsum each.
+    Each sector group evaluates its own term derivatives, since one shared
+    evaluation would keep both groups' tables alive through both walks."""
     batch = np.atleast_1d(np.asarray(taus, dtype=float))
     live = {}
     for g in range(1, ham.n_terms + 1):
@@ -276,7 +278,8 @@ def _walk(block, depth, derivs, steps, cap, norms, hermitian, first=None) -> Non
     consecutive steps are gathered into blocks of cap nodes, so a leaf block
     is one eigensolve.  first, when given, replaces steps at this level (a
     root's, from ``_roots``).  A pure commutator with a zero term is
-    skipped."""
+    skipped.  Gathering keeps small blocks' eigensolves batched, and walking
+    each cap as soon as it fills keeps the peak near a depth-first walk's."""
     x, w = block
     if depth == 0:
         norms.append(w[:, None] * spectral_norms(x[0], hermitian=hermitian))

@@ -25,9 +25,8 @@ from .bounds import (corollary_bound, huyghebaert_bound, mpf_bound,
 from .errors import (ConvergenceError, InvalidInputError, NumericalBlowUpError,
                      OutOfRegimeError, SchemaError, UnsupportedOrderError, integer,
                      list_of, number, one_of)
-from .floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
-                      check_translation_symmetry, floquet_space,
-                      fourier_hamiltonian, reconstruct)
+from .floquet import (FloquetSpace, build_floquet_operators, build_tf, build_tf_suzuki,
+                      check_translation_symmetry, fourier_hamiltonian, reconstruct)
 from .formulas import (EXACT, INSTANTANEOUS, evaluate_pf, fit_order,
                        measure_error, suzuki_plan)
 from .linalg import QUBIT_CAP, spectral_norm
@@ -259,13 +258,19 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
     mode_cutoff = integer(cfg.get("mode_cutoff", 2), "mode_cutoff", 0)
     l_values = list_of(cfg.get("l_values", [4, 8, 16, 24]), "l_values", integer, 0)
     orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
+    # the summary reads each column's last row as its final value, and the
+    # header names each order's columns once
+    if any(b <= a for a, b in zip(l_values, l_values[1:])):
+        raise SchemaError("l_values", f"expected a strictly increasing list, got {l_values}")
+    if len(set(orders)) != len(orders):
+        raise SchemaError("orders", f"expected distinct orders, got {orders}")
     fh = fourier_hamiltonian(ham, omega, mode_cutoff)
     exact = ham.exact_evolution(0.0, t, oracle_tol)
     pf = {p: evaluate_pf(suzuki_plan(p, ham.n_terms, EXACT), ham, t,
                          oracle_tol=oracle_tol) for p in orders}
 
     def cell(l_max):
-        space = floquet_space(l_max, ham.dim)
+        space = FloquetSpace(l_max, ham.dim)
         ops = build_floquet_operators(fh, space)
         # the symmetry check reads the block columns |l| <= l_keep and
         # reconstruct block column 0, so only those columns are computed

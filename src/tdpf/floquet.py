@@ -4,7 +4,7 @@ A time-periodic Hamiltonian H(t) = sum_m H_m e^{-i m w t} lifts to the
 time-independent H^F = sum_m Add_m (x) H_m - H_LP on the ancilla-extended
 space spanned by |l>, |l| <= L.  The shift operators are hard-truncated
 (entries falling off the ancilla window are dropped), and results are read
-from an interior window |l| <= L_keep to keep boundary pollution out.
+from the window |l| <= L_keep = L // 2 to keep boundary pollution out.
 
 Every lifted formula, of either plan family (``build_tf``) or the
 independent Suzuki recursion (``build_tf_suzuki``), is a list of
@@ -16,12 +16,13 @@ the adjoint of the forward one only for a Hermitian model.  H_LP is
 diagonal, so its exponential is one phase per row.  When the model's terms
 are Hermitian (read from the model, exactly), every other lifted matrix is
 diagonalised once and its exponential is never formed; a non-Hermitian
-model's lifted matrices are exponentiated densely.  The readouts read few columns:
-``reconstruct`` reads block column 0 and ``check_translation_symmetry`` the
-block columns |l| <= L_keep.  Both take a slab of the 2w+1 block columns
-|l| <= w (``FloquetSpace.slab``) as well as the whole operator, so
-floquet-check applies e^{-i H^F t} and ``build_tf`` to the window slab
-|l| <= L_keep only, and ``build_tf_suzuki`` to block column 0 only.
+model's lifted matrices are exponentiated densely.  The readouts read few
+columns: ``reconstruct`` reads block column 0 and ``check_translation_symmetry``
+the block columns |l| <= L_keep, of the whole operator or of a slab of its
+2w+1 block columns |l| <= w (``FloquetSpace.slab``), through one block view
+(``FloquetSpace.blocks``).  So floquet-check applies e^{-i H^F t} and
+``build_tf`` to the window slab |l| <= L_keep only, and ``build_tf_suzuki``
+to block column 0 only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalBlowUpError
 from .formulas import EXACT, StagePlan, suzuki_a
-from .linalg import BATCH_ENTRIES, matrix_exp, spectral_norm, spectral_norms
+from .linalg import matrix_exp, spectral_norm, spectral_norms
 from .models import Hamiltonian, OperatorCurve
 
 FOURIER_SAMPLES = 4096  # trapezoidal-rule points per period
@@ -94,16 +95,19 @@ def fourier_hamiltonian(ham: Hamiltonian, omega: float, mode_cutoff: int) -> Fou
 
 @dataclass(frozen=True)
 class FloquetSpace:
-    """Ancilla truncation |l| <= l_max with an interior readout window
-    |l| <= l_keep (default half of l_max)."""
+    """Ancilla truncation |l| <= l_max, read out on the interior window
+    |l| <= l_keep = l_max // 2."""
 
     l_max: int
-    l_keep: int
     dim: int
 
     def __post_init__(self):
-        if self.l_max < 0 or not 0 <= self.l_keep <= self.l_max:
-            raise InvalidInputError("need 0 <= l_keep <= l_max")
+        if self.l_max < 0:
+            raise InvalidInputError("need l_max >= 0")
+
+    @property
+    def l_keep(self) -> int:
+        return self.l_max // 2
 
     @property
     def n_blocks(self) -> int:
@@ -113,16 +117,17 @@ class FloquetSpace:
     def lifted_dim(self) -> int:
         return self.n_blocks * self.dim
 
-    def half_width(self, op: np.ndarray) -> int:
-        """w of an operator given as its 2w+1 block columns |l| <= w, all
-        rows kept; w = l_max for the whole operator."""
+    def blocks(self, op: np.ndarray) -> np.ndarray:
+        """The (n_blocks, 2w+1, dim, dim) block view [l_row + l_max, l_col + w]
+        of an operator given as its 2w+1 block columns |l| <= w, all rows
+        kept; w = l_max for the whole operator."""
         cols = op.shape[1] // self.dim
         if (op.shape != (self.lifted_dim, cols * self.dim) or cols % 2 == 0
                 or cols > self.n_blocks):
             raise InvalidInputError(
                 f"shape {op.shape} is not a slab of block columns |l| <= w of"
                 f" a {self.lifted_dim}-dimensional lifted operator")
-        return cols // 2
+        return op.reshape(self.n_blocks, self.dim, cols, self.dim).transpose(0, 2, 1, 3)
 
     def slab(self, width: int) -> np.ndarray:
         """The identity's block columns |l| <= width, the column block a
@@ -133,15 +138,9 @@ class FloquetSpace:
 
     def block(self, op: np.ndarray, l_row: int, l_col: int) -> np.ndarray:
         """<l_row| op |l_col> as a dim x dim block of the whole operator or
-        of a slab of its block columns (``half_width``)."""
-        d = self.dim
-        r = (l_row + self.l_max) * d
-        c = (l_col + self.half_width(op)) * d
-        return op[r:r + d, c:c + d]
-
-
-def floquet_space(l_max: int, dim: int, l_keep: int | None = None) -> FloquetSpace:
-    return FloquetSpace(l_max, l_max // 2 if l_keep is None else l_keep, dim)
+        of a slab of its block columns (``blocks``)."""
+        view = self.blocks(op)
+        return view[l_row + self.l_max, l_col + view.shape[1] // 2]
 
 
 @dataclass(frozen=True)
@@ -287,9 +286,10 @@ def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,
 def reconstruct(lifted: np.ndarray, space: FloquetSpace, omega: float, t: float) -> np.ndarray:
     """sum over |l| <= l_keep of e^{-i l w t} <l| lifted |0>, from the whole
     lifted operator or any slab of its block columns |l| <= w."""
+    blocks = space.blocks(lifted)
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for l in range(-space.l_keep, space.l_keep + 1):
-        out += np.exp(-1j * l * omega * t) * space.block(lifted, l, 0)
+        out += np.exp(-1j * l * omega * t) * blocks[l + space.l_max, blocks.shape[1] // 2]
     return out
 
 
@@ -299,37 +299,31 @@ def check_translation_symmetry(lifted: np.ndarray, space: FloquetSpace,
     interior index triples (|l|, |l'|, |l-s|, |l'-s| <= l_keep, s != 0),
     read from the whole operator or a slab of its block columns |l| <= w
     with w >= l_keep.  The triple (-s, l-s, l'-s) compares the same pair of
-    blocks up to a unit phase, so only s > 0 is evaluated, in chunks of at
-    most ``BATCH_ENTRIES`` entries (or one block, if larger).  Each chunk's
-    difference blocks are screened by Frobenius norm before any eigensolve:
+    blocks up to a unit phase, so only s > 0 is evaluated, as one stack of
+    difference blocks per shift (never more entries than the slab).  Each
+    stack is screened by Frobenius norm before any eigensolve:
     ||B|| <= ||B||_F <= sqrt(d) ||B||, so a block whose Frobenius norm is
-    below both the largest norm so far and the chunk's largest Frobenius
+    below both the largest norm so far and the stack's largest Frobenius
     norm over sqrt(d) cannot set the maximum, and only the rest reach
     ``spectral_norms`` (with a 1e-12 relative slack against round-off)."""
-    keep, d, lm = space.l_keep, space.dim, space.l_max
-    width = space.half_width(lifted)
+    keep, lm = space.l_keep, space.l_max
+    blocks = space.blocks(lifted)
+    width = blocks.shape[1] // 2
     if width < keep:
         raise InvalidInputError(f"slab |l| <= {width} misses the window |l| <= {keep}")
-    blocks = lifted.reshape(space.n_blocks, d, 2 * width + 1, d).transpose(0, 2, 1, 3)
-    per_call = max(1, BATCH_ENTRIES // (d * d))  # blocks per norm call
     worst = 0.0
     for shift in range(1, keep + 1):
-        phase = np.exp(1j * shift * omega * t)
         # [row, col] views over l, l' = shift - keep .. keep and their shifts
         here = blocks[lm + shift - keep:lm + keep + 1, width + shift - keep:width + keep + 1]
         back = blocks[lm - keep:lm + keep + 1 - shift, width - keep:width + keep + 1 - shift]
-        side = 2 * keep + 1 - shift
-        rows, cols = max(1, per_call // side), min(side, per_call)
-        for r in range(0, side, rows):
-            for c in range(0, side, cols):
-                diffs = here[r:r + rows, c:c + cols] - phase * back[r:r + rows, c:c + cols]
-                fro = _frobenius_norms(diffs)
-                if not np.isfinite(fro).all():
-                    raise NumericalBlowUpError("lifted operator has non-finite entries")
-                floor = max(worst, float(fro.max()) / math.sqrt(d)) * (1.0 - 1e-12)
-                kept = diffs[fro >= floor]
-                if kept.size:
-                    worst = max(worst, float(spectral_norms(kept).max()))
+        diffs = here - np.exp(1j * shift * omega * t) * back
+        fro = _frobenius_norms(diffs)
+        if not np.isfinite(fro).all():
+            raise NumericalBlowUpError("lifted operator has non-finite entries")
+        floor = max(worst, float(fro.max()) / math.sqrt(space.dim)) * (1.0 - 1e-12)
+        kept = diffs[fro >= floor]
+        if kept.size:
+            worst = max(worst, float(spectral_norms(kept).max()))
     return worst
 
 

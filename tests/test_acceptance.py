@@ -13,8 +13,8 @@ from tdpf.bounds import (alpha_com, corollary_bound, huyghebaert_bound,
 from tdpf.cli import run
 from tdpf.curves import ConstantCurve, TrigCurve, extrapolate_scalar
 from tdpf.errors import OutOfRegimeError
-from tdpf.floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
-                          check_translation_symmetry, floquet_space,
+from tdpf.floquet import (FloquetSpace, build_floquet_operators, build_tf,
+                          build_tf_suzuki, check_translation_symmetry,
                           fourier_decompose, fourier_hamiltonian, reconstruct)
 from tdpf.formulas import (EXACT, INSTANTANEOUS, evaluate_pf, fit_order,
                            measure_error, suzuki_plan)
@@ -148,7 +148,7 @@ def test_criterion_05_floquet_identities():
           for p in (1, 2)}
     series: dict[str, list[float]] = {}
     for l_max in (4, 8, 16, 24):
-        space = floquet_space(l_max, 4, l_keep=12 if l_max == 24 else None)
+        space = FloquetSpace(l_max, 4)
         ops = build_floquet_operators(fh, space)
         exp_hf = matrix_exp(-1j * t * ops.lifted("F"))
         devs = {}

@@ -171,6 +171,18 @@ class TestFloquetCheck:
         for key, entry in summary.items():
             assert entry["monotone_decreasing"], key
 
+    def test_increasing_l_values_and_distinct_orders_in_any_order(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": SINGLE_MODE_1Q, "omega": 2.0, "t": 0.5,
+            "mode_cutoff": 1, "l_values": [2, 4], "orders": [2, 1]})
+        out = tmp_path / "out"
+        assert run("floquet-check", cfg, str(out)) == 0
+        header, rows = read_csv(out / "floquet_check.csv")
+        assert header[2:6] == ["pf_dev_p2", "suzuki_dev_p2", "pf_dev_p1", "suzuki_dev_p1"]
+        assert [row[0] for row in rows] == ["2", "4"]
+        summary = json.loads((out / "floquet_summary.json").read_text())
+        assert summary["pf_dev_p1"]["final"] == float(rows[-1][4])
+
     def test_monotone_flag_ignores_round_off_under_its_floor(self):
         # deviations at L >= 16 wander by a few 1e-14 around 2e-14
         wander = [1e-3, 2e-5, 2.1e-14, 4e-14, 1e-14, 3.9e-14, 2e-14]
@@ -515,6 +527,12 @@ class TestPlumbing:
         ("resource-table", "bound_source", "analytic-scaling"),
         ("resource-table", "calibrate_N", 3),
         ("mpf-scan", "p", 4),  # the base formula is second order
+        # the summary's final value is the last row's, and a column name
+        # appears once: L values increase and orders are distinct
+        pytest.param("floquet-check", "l_values", [24, 16, 8, 4],
+                     id="floquet-check-l_values-[24,16,8,4]"),
+        pytest.param("floquet-check", "l_values", [4, 4], id="floquet-check-l_values-[4,4]"),
+        pytest.param("floquet-check", "orders", [2, 1, 2], id="floquet-check-orders-[2,1,2]"),
     ])
     def test_bad_field_exits_2(self, tmp_path, capsys, monkeypatch, subcommand, field, value):
         base = {

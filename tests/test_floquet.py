@@ -4,8 +4,8 @@ import pytest
 from tdpf.curves import ConstantCurve, TrigCurve, extrapolate_scalar
 from tdpf.errors import InvalidInputError, NumericalBlowUpError
 import tdpf.floquet as floquet
-from tdpf.floquet import (build_floquet_operators, build_tf, build_tf_suzuki,
-                          check_translation_symmetry, floquet_space,
+from tdpf.floquet import (FloquetSpace, build_floquet_operators, build_tf,
+                          build_tf_suzuki, check_translation_symmetry,
                           fourier_decompose, fourier_hamiltonian, reconstruct)
 from tdpf.formulas import INSTANTANEOUS, evaluate_pf, suzuki_a, suzuki_plan
 from tdpf.linalg import PAULI, matrix_exp, spectral_norm
@@ -89,7 +89,7 @@ class TestBuildOperators:
     def test_static_is_block_diagonal(self):
         ham = static_model()
         fh = fourier_hamiltonian(ham, OMEGA, 1)
-        space = floquet_space(3, 4)
+        space = FloquetSpace(3, 4)
         ops = build_floquet_operators(fh, space)
         for l_row in range(-3, 4):
             for l_col in range(-3, 4):
@@ -98,7 +98,7 @@ class TestBuildOperators:
 
     def test_term_decomposition_identity(self, drive):
         _, fh = drive
-        space = floquet_space(6, 4)
+        space = FloquetSpace(6, 4)
         ops = build_floquet_operators(fh, space)
         recomposed = (sum(ops.lifted(("F", g)) for g in range(1, fh.n_terms + 1))
                       + (fh.n_terms - 1) * ops.lifted("LP"))
@@ -106,7 +106,7 @@ class TestBuildOperators:
 
     def test_single_mode_band_structure(self, drive):
         _, fh = drive
-        space = floquet_space(8, 4)
+        space = FloquetSpace(8, 4)
         ops = build_floquet_operators(fh, space)
         h_add = ops.lifted(("Add", 2))
         for l_row in range(-8, 9):
@@ -119,7 +119,7 @@ class TestBuildOperators:
 
     def test_lp_is_diagonal(self, drive):
         _, fh = drive
-        space = floquet_space(4, 4)
+        space = FloquetSpace(4, 4)
         ops = build_floquet_operators(fh, space)
         ls = np.repeat(np.arange(-4, 5), 4)
         assert np.allclose(ops.lifted("LP"), np.diag(ls * OMEGA), atol=1e-14)
@@ -127,7 +127,7 @@ class TestBuildOperators:
     def test_mode_cutoff_cap(self, drive):
         _, fh = drive
         with pytest.raises(InvalidInputError):
-            build_floquet_operators(fh, floquet_space(0, 4))
+            build_floquet_operators(fh, FloquetSpace(0, 4))
 
 
 def dense_suzuki(ops, p, t):
@@ -158,7 +158,7 @@ class TestBuildTf:
     def test_first_order_product_shape(self, drive):
         # three exponential groups for Gamma = 2
         _, fh = drive
-        space = floquet_space(6, 4)
+        space = FloquetSpace(6, 4)
         ops = build_floquet_operators(fh, space)
         t = DRIVE_T
         direct = (matrix_exp(-1j * t * ops.lifted(("F", 2)))
@@ -170,7 +170,7 @@ class TestBuildTf:
     def test_static_block_structure(self):
         ham = static_model()
         fh = fourier_hamiltonian(ham, OMEGA, 1)
-        space = floquet_space(4, 4)
+        space = FloquetSpace(4, 4)
         ops = build_floquet_operators(fh, space)
         tf = build_tf(suzuki_plan(1, 2), ops, 0.4)
         base = evaluate_pf(suzuki_plan(1, 2), ham, 0.4)
@@ -181,7 +181,7 @@ class TestBuildTf:
 
     def test_matches_lifted_suzuki_recursion(self, drive):
         _, fh = drive
-        space = floquet_space(8, 4)
+        space = FloquetSpace(8, 4)
         ops = build_floquet_operators(fh, space)
         for p in (1, 2, 4):
             a = build_tf(suzuki_plan(p, 2), ops, DRIVE_T)
@@ -191,7 +191,7 @@ class TestBuildTf:
     def test_one_eigendecomposition_per_lifted_matrix(self, drive, monkeypatch):
         # H_1^F .. H_G^F and H_1^Add .. H_G^Add; H_LP is never diagonalised
         _, fh = drive
-        space = floquet_space(6, 4)
+        space = FloquetSpace(6, 4)
         shared = build_floquet_operators(fh, space)
         calls = []
         real_eigh = np.linalg.eigh
@@ -218,7 +218,7 @@ class TestBuildTf:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_column_blocks_are_columns_of_the_whole_formula(self, drive, p):
         _, fh = drive
-        space = floquet_space(8, 4)
+        space = FloquetSpace(8, 4)
         ops = build_floquet_operators(fh, space)
         builders = (
             lambda *x: build_tf(suzuki_plan(p, 2), ops, DRIVE_T, *x),
@@ -241,7 +241,7 @@ class TestBuildTf:
         ham = single_mode_model().scaled(1.0 - 1j * scale_im)
         fh = fourier_hamiltonian(ham, OMEGA, 1)
         assert fh.hermitian == (scale_im == 0)
-        ops = build_floquet_operators(fh, floquet_space(6, 4))
+        ops = build_floquet_operators(fh, FloquetSpace(6, 4))
         want = dense_suzuki(ops, 4, DRIVE_T)
         got = build_tf_suzuki(ops, 4, DRIVE_T)
         assert set(ops._eigs) == ({("F", 1), ("F", 2)} if scale_im == 0 else set())
@@ -252,7 +252,7 @@ class TestBuildTf:
         # exp(+i H_LP (1-b_K) t) prod_k [exp(-i H_{g_k}^Add a_k t)
         # exp(+i H_LP (b_k - b_{k-1}) t)], stage 1 applied first
         _, fh = drive
-        ops = build_floquet_operators(fh, floquet_space(6, 4))
+        ops = build_floquet_operators(fh, FloquetSpace(6, 4))
         plan = suzuki_plan(p, 2, INSTANTANEOUS)
         want = np.eye(ops.space.lifted_dim, dtype=np.complex128)
         beta_prev = 0.0
@@ -266,7 +266,7 @@ class TestBuildTf:
     @pytest.mark.parametrize("duration", [0.37, -0.37])
     def test_lp_is_a_phase_per_row_without_eigh(self, drive, monkeypatch, duration):
         _, fh = drive
-        ops = build_floquet_operators(fh, floquet_space(6, 4))
+        ops = build_floquet_operators(fh, FloquetSpace(6, 4))
         rng = np.random.default_rng(5)
         x = rng.normal(size=(ops.space.lifted_dim, 8)) + 1j * rng.normal(
             size=(ops.space.lifted_dim, 8))
@@ -285,7 +285,7 @@ class TestBuildTf:
         # linear-potential time Gamma - 1
         from tdpf.formulas import Stage, StagePlan
         _, fh = drive
-        ops = build_floquet_operators(fh, floquet_space(4, 4))
+        ops = build_floquet_operators(fh, FloquetSpace(4, 4))
         bad = StagePlan((Stage(1, 1.0, 0.0), Stage(2, 1.0, 0.5)), 1, 2)
         with pytest.raises(InvalidInputError):
             build_tf(bad, ops, 0.3)
@@ -297,8 +297,8 @@ class TestReconstruct:
         fh = fourier_hamiltonian(ham, OMEGA, 0)
         t = 0.6
         exact = evolve(ham.total_curve(), 0.0, t, tol=1e-12)
-        for l_max in (0, 2):
-            space = floquet_space(l_max, 4, l_keep=l_max)
+        for l_max in (0, 4):
+            space = FloquetSpace(l_max, 4)
             ops = build_floquet_operators(fh, space)
             got = reconstruct(matrix_exp(-1j * t * ops.lifted("F")), space, OMEGA, t)
             assert spectral_norm(got - exact) <= 1e-10
@@ -311,7 +311,7 @@ class TestReconstruct:
         target = evaluate_pf(plan, ham, t)
         devs = []
         for l_max in (4, 8, 16, 24):
-            space = floquet_space(l_max, 4)
+            space = FloquetSpace(l_max, 4)
             ops = build_floquet_operators(fh, space)
             tf = build_tf(plan, ops, t)
             devs.append(spectral_norm(target - reconstruct(tf, space, OMEGA, t)))
@@ -324,7 +324,7 @@ class TestReconstruct:
         exact = evolve(ham.total_curve(), 0.0, t, tol=1e-12)
         devs = []
         for l_max in (4, 8, 16, 24):
-            space = floquet_space(l_max, 4)
+            space = FloquetSpace(l_max, 4)
             ops = build_floquet_operators(fh, space)
             got = reconstruct(matrix_exp(-1j * t * ops.lifted("F")), space, OMEGA, t)
             devs.append(spectral_norm(got - exact))
@@ -338,7 +338,7 @@ class TestReconstruct:
         plan = suzuki_plan(2, 2)
         exact = evolve(ham.total_curve(), 0.0, t, tol=1e-12)
         s_mat = evaluate_pf(plan, ham, t)
-        space = floquet_space(24, 4)
+        space = FloquetSpace(24, 4)
         ops = build_floquet_operators(fh, space)
         lifted_err = matrix_exp(-1j * t * ops.lifted("F")) - build_tf(plan, ops, t)
         dev = spectral_norm(reconstruct(lifted_err, space, OMEGA, t)
@@ -353,7 +353,7 @@ class TestReconstruct:
         # builders alike
         ham = single_mode_model(amp=2.0, n_qubits=1).scaled(1.0 - 1j * scale_im)
         fh = fourier_hamiltonian(ham, OMEGA, 1)
-        space = floquet_space(32, 2)
+        space = FloquetSpace(32, 2)
         ops = build_floquet_operators(fh, space)
         plan = suzuki_plan(p, 2)
         target = evaluate_pf(plan, ham, DRIVE_T)
@@ -365,7 +365,7 @@ class TestReconstruct:
     def test_instantaneous_family_reconstruction(self, drive):
         ham, fh = drive
         t = DRIVE_T
-        space = floquet_space(24, 4)
+        space = FloquetSpace(24, 4)
         ops = build_floquet_operators(fh, space)
         for p in (1, 2):
             plan = suzuki_plan(p, 2, INSTANTANEOUS)
@@ -405,7 +405,7 @@ def transition_profile(lifted, space):
 class TestTranslationSymmetry:
     def test_matches_literal_loop_on_driven_evolution(self, drive):
         _, fh = drive
-        space = floquet_space(8, 4, l_keep=4)
+        space = FloquetSpace(8, 4)
         ops = build_floquet_operators(fh, space)
         lifted = matrix_exp(-1j * DRIVE_T * ops.lifted("F"))
         expected = literal_translation_symmetry(lifted, space, OMEGA, DRIVE_T, 4)
@@ -415,7 +415,7 @@ class TestTranslationSymmetry:
     @pytest.mark.parametrize("l_keep", [0, 1, 3])
     def test_matches_literal_loop_on_random_matrix(self, l_keep):
         rng = np.random.default_rng(7 + l_keep)
-        space = floquet_space(4, 3, l_keep=l_keep)
+        space = FloquetSpace(2 * l_keep, 3)
         n = space.lifted_dim
         lifted = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         expected = literal_translation_symmetry(lifted, space, OMEGA, 0.3, l_keep)
@@ -429,7 +429,7 @@ class TestTranslationSymmetry:
         # the linear potential enters the lifted generator as -H_LP, so the
         # consistent-phase exponential is exp(+i H_LP t)
         _, fh = drive
-        space = floquet_space(6, 4, l_keep=3)
+        space = FloquetSpace(6, 4)
         ops = build_floquet_operators(fh, space)
         dev = check_translation_symmetry(matrix_exp(1j * 0.7 * ops.lifted("LP")),
                                          space, OMEGA, 0.7)
@@ -438,7 +438,7 @@ class TestTranslationSymmetry:
     def test_static_lifted_evolution_symmetric(self):
         ham = static_model()
         fh = fourier_hamiltonian(ham, OMEGA, 0)
-        space = floquet_space(6, 4, l_keep=3)
+        space = FloquetSpace(6, 4)
         ops = build_floquet_operators(fh, space)
         dev = check_translation_symmetry(matrix_exp(-1j * 0.5 * ops.lifted("F")),
                                          space, OMEGA, 0.5)
@@ -446,7 +446,7 @@ class TestTranslationSymmetry:
 
     def test_driven_interior_symmetry(self, drive):
         _, fh = drive
-        space = floquet_space(16, 4, l_keep=8)
+        space = FloquetSpace(16, 4)
         ops = build_floquet_operators(fh, space)
         dev = check_translation_symmetry(matrix_exp(-1j * DRIVE_T * ops.lifted("F")),
                                          space, OMEGA, DRIVE_T)
@@ -454,53 +454,28 @@ class TestTranslationSymmetry:
 
     def test_transition_amplitude_decay(self, drive):
         _, fh = drive
-        space = floquet_space(24, 4, l_keep=12)
+        space = FloquetSpace(24, 4)
         ops = build_floquet_operators(fh, space)
         profile = transition_profile(matrix_exp(-1j * DRIVE_T * ops.lifted("F")), space)
         envelope = profile[2:]
         assert all(b <= a * (1 + 1e-9) + 1e-12
                    for a, b in zip(envelope, envelope[1:]))
 
-    def test_chunks_of_bounded_size_match_the_literal_loop(self, monkeypatch):
-        # dimension 16 and l_keep 9: the shifts s = 1, 2 have 18 and 17
-        # rows of 256-entry block pairs, more than one call of BATCH_ENTRIES
+    def test_one_screened_stack_per_shift_matches_the_literal_loop(self, monkeypatch):
+        # dimension 16 and l_keep 9: each shift's block pairs form one stack,
+        # screened by Frobenius norm, and only its candidates reach the
+        # eigensolve; block scales over three decades give the screen work
         rng = np.random.default_rng(11)
-        space = floquet_space(9, 16, l_keep=9)
+        space = FloquetSpace(18, 16)
+        d, keep = space.dim, space.l_keep
         n = space.lifted_dim
-        lifted = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        sizes = []
-        real_norms = floquet.spectral_norms
-
-        def counting_norms(stack):
-            sizes.append(stack.size)
-            return real_norms(stack)
-
-        monkeypatch.setattr(floquet, "spectral_norms", counting_norms)
-        got = check_translation_symmetry(lifted, space, OMEGA, 0.3)
-        assert max(sizes) <= floquet.BATCH_ENTRIES
-        assert len(sizes) > space.l_keep  # some shift took two calls
-        # each unordered pair once: sum over s = 1..l_keep of (2 l_keep + 1 - s)^2
-        assert sum(sizes) == 256 * sum((19 - s) ** 2 for s in range(1, 10))
-        expected = literal_translation_symmetry(lifted, space, OMEGA, 0.3, 9)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("budget", [1, 16, 160])
-    def test_any_chunk_budget_gives_the_same_value(self, drive, monkeypatch, budget):
-        # budgets under one 4 x 4 block (1), of one block (16) and of ten
-        # blocks, which splits the rows of up to 12 blocks into columns.
-        # Every chunk is screened by Frobenius norm, and only its candidates
-        # reach the eigensolve, so the stacks sent to spectral_norms are the
-        # candidates of a literal screen, not every pair
-        _, fh = drive
-        space = floquet_space(12, 4, l_keep=6)
-        ops = build_floquet_operators(fh, space)
-        lifted = ops.apply("F", DRIVE_T, space.slab(6))
-        whole = check_translation_symmetry(lifted, space, OMEGA, DRIVE_T)
-        calls = []  # ("fro", chunk) and ("norm", stack, norms) in call order
+        scales = np.kron(10.0 ** rng.uniform(-3, 0, size=(space.n_blocks,) * 2), np.ones((d, d)))
+        lifted = scales * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        calls = []  # ("fro", stack) and ("norm", stack, norms) in call order
         real_fro, real_norms = floquet._frobenius_norms, floquet.spectral_norms
 
         def recording_fro(stack):
-            calls.append(("fro", stack.reshape(-1, 4, 4).copy()))
+            calls.append(("fro", stack.reshape(-1, d, d).copy()))
             return real_fro(stack)
 
         def recording_norms(stack):
@@ -508,47 +483,55 @@ class TestTranslationSymmetry:
             calls.append(("norm", stack.copy(), norms))
             return norms
 
-        monkeypatch.setattr(floquet, "BATCH_ENTRIES", budget)
         monkeypatch.setattr(floquet, "_frobenius_norms", recording_fro)
         monkeypatch.setattr(floquet, "spectral_norms", recording_norms)
-        assert check_translation_symmetry(lifted, space, OMEGA, DRIVE_T) == whole
-        assert max(call[1].size for call in calls) <= max(budget, 16)
-        # every unordered pair is screened exactly once
-        chunks = [call[1] for call in calls if call[0] == "fro"]
-        assert sum(len(chunk) for chunk in chunks) == sum((13 - s) ** 2 for s in range(1, 7))
+        got = check_translation_symmetry(lifted, space, OMEGA, 0.3)
+        stacks = [call[1] for call in calls if call[0] == "fro"]
+        # one screen per shift s = 1..l_keep, of the pairs (l, l'), (l-s, l'-s)
+        # with all four indices in the window: every unordered pair once
+        assert len(stacks) == keep
+        for shift, stack in enumerate(stacks, start=1):
+            phase = np.exp(1j * shift * OMEGA * 0.3)
+            inside = range(shift - keep, keep + 1)
+            want = [space.block(lifted, l, m) - phase * space.block(lifted, l - shift, m - shift)
+                    for l in inside for m in inside]
+            np.testing.assert_allclose(stack, np.array(want), rtol=0, atol=1e-14)
         # replay a literal screen: a block is a candidate when its Frobenius
-        # norm reaches max(worst so far, chunk max / sqrt(4)) less 1e-12
+        # norm reaches max(worst so far, stack max / sqrt(d)) less 1e-12
         worst, pos = 0.0, 0
-        for chunk in chunks:
+        for stack in stacks:
             assert calls[pos][0] == "fro"
             pos += 1
-            fro = [np.linalg.norm(block) for block in chunk]
-            floor = max(worst, max(fro) / 2.0) * (1.0 - 1e-12)
-            want = [block for block, f in zip(chunk, fro) if f >= floor]
+            fro = [np.linalg.norm(block) for block in stack]
+            floor = max(worst, max(fro) / np.sqrt(d)) * (1.0 - 1e-12)
+            want = [block for block, f in zip(stack, fro) if f >= floor]
             if want:
-                kind, stack, norms = calls[pos]
+                kind, kept, norms = calls[pos]
                 assert kind == "norm"
-                np.testing.assert_array_equal(stack.reshape(-1, 4, 4), np.array(want))
+                np.testing.assert_array_equal(kept.reshape(-1, d, d), np.array(want))
                 worst = max(worst, float(norms.max()))
                 pos += 1
         assert pos == len(calls)
-        assert worst == whole
+        assert worst == got
+        assert sum(len(call[1]) for call in calls if call[0] == "norm") < len(np.concatenate(stacks))
+        expected = literal_translation_symmetry(lifted, space, OMEGA, 0.3, keep)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_non_finite_block_raises(self):
-        space = floquet_space(4, 2, l_keep=2)
+        space = FloquetSpace(4, 2)
         lifted = np.eye(space.lifted_dim, dtype=complex)
         lifted[space.l_max * 2 + 1, (space.l_max + 1) * 2] = np.nan
         with pytest.raises(NumericalBlowUpError):
             check_translation_symmetry(lifted, space, OMEGA, 0.3)
 
     def test_zero_operator_has_no_deviation(self):
-        space = floquet_space(4, 2, l_keep=2)
+        space = FloquetSpace(4, 2)
         lifted = np.zeros((space.lifted_dim, space.lifted_dim), dtype=complex)
         assert check_translation_symmetry(lifted, space, OMEGA, 0.3) == 0.0
 
     def test_window_slab_reads_like_the_whole_matrix(self, drive):
         _, fh = drive
-        space = floquet_space(10, 4, l_keep=5)
+        space = FloquetSpace(10, 4)
         ops = build_floquet_operators(fh, space)
         whole = matrix_exp(-1j * DRIVE_T * ops.lifted("F"))
         want = check_translation_symmetry(whole, space, OMEGA, DRIVE_T)
@@ -560,5 +543,35 @@ class TestTranslationSymmetry:
             assert check_translation_symmetry(slab, space, OMEGA, DRIVE_T) == want
             np.testing.assert_array_equal(reconstruct(slab, space, OMEGA, DRIVE_T),
                                           reconstruct(whole, space, OMEGA, DRIVE_T))
+        with pytest.raises(InvalidInputError, match="misses the window"):
+            check_translation_symmetry(whole[:, 6 * 4:15 * 4], space, OMEGA, DRIVE_T)
+
+
+class TestFloquetSpace:
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 24])
+    def test_window_is_half_the_truncation(self, l_max):
+        assert FloquetSpace(l_max, 2).l_keep == l_max // 2
+
+    def test_negative_truncation_rejected(self):
         with pytest.raises(InvalidInputError):
-            check_translation_symmetry(whole[:, 5 * 4:16 * 4 - 4], space, OMEGA, DRIVE_T)
+            FloquetSpace(-1, 2)
+
+    def test_block_view_of_a_slab(self):
+        space = FloquetSpace(3, 2)
+        rng = np.random.default_rng(3)
+        whole = rng.normal(size=(space.lifted_dim, space.lifted_dim))
+        slab = whole[:, 2 * 2:5 * 2]  # block columns |l| <= 1
+        view = space.blocks(slab)
+        assert view.shape == (7, 3, 2, 2)
+        for l_row in range(-3, 4):
+            for l_col in (-1, 0, 1):
+                want = whole[(l_row + 3) * 2:(l_row + 4) * 2, (l_col + 3) * 2:(l_col + 4) * 2]
+                np.testing.assert_array_equal(view[l_row + 3, l_col + 1], want)
+                np.testing.assert_array_equal(space.block(slab, l_row, l_col), want)
+
+    @pytest.mark.parametrize("shape", [(14, 4), (14, 18), (12, 6)],
+                             ids=["even-columns", "too-many-columns", "wrong-rows"])
+    def test_blocks_rejects_shapes_that_are_no_slab(self, shape):
+        space = FloquetSpace(3, 2)  # lifted dimension 14, block columns of width 2
+        with pytest.raises(InvalidInputError, match="is not a slab"):
+            space.blocks(np.zeros(shape, dtype=complex))
