@@ -20,9 +20,11 @@ The exact norms of the complete sequences are summed; no symbolic norm
 inequalities are applied below the level of the published bound formulas.
 
 The walk runs on a batch of taus at once: every node is a (B, dim, dim)
-stack, and each tau gets its own exactly rounded fsum.  Batches hold at most
-``linalg.BATCH_ENTRIES`` (2^16) stack entries, so large dimensions go one
-tau at a time.  It walks blocks of prefixes, not one prefix: each step maps
+stack, and each tau gets its own exactly rounded fsum.  ``linalg`` sizes
+every batch here (``linalg.batched`` and ``linalg.batch_size``): a tau batch
+holds at most ``linalg.BATCH_ENTRIES`` (2^16) stack entries, so large
+dimensions go one tau at a time, and so does an integrand's batch of
+points.  The walk runs on blocks of prefixes, not one prefix: each step maps
 a whole block to its children with one broadcast commutator per Leibniz
 term, the children of consecutive steps are gathered into blocks of up to
 BATCH_ENTRIES / 8 entries, and each leaf block's norms come from one
@@ -96,7 +98,7 @@ import numpy as np
 from .errors import (BudgetExceededError, ConvergenceError, InvalidInputError,
                      OutOfRegimeError, UnsupportedOrderError)
 from .formulas import EXACT, StagePlan
-from .linalg import BATCH_ENTRIES, spectral_norms
+from .linalg import batch_size, batched, spectral_norms
 from .models import Hamiltonian
 
 _QUAD_EPSABS = 1e-8  # absolute error target of both adaptive quadratures
@@ -177,14 +179,11 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
                        hermitian and not real_blocks))
     roots = _roots(seeds, steps, live)
     entries = max(len(ks) * m**2 for ks, m, *_ in groups)
-    chunk = max(1, BATCH_ENTRIES // entries)  # large: one tau at a time
 
-    sums = []
-    for lo in range(0, len(batch), chunk):
-        part = batch[lo:lo + chunk]
+    def chunk_sums(part):
         # nodes per block, the same in every group, so that the groups'
         # leaves come in one order; a few blocks of every level are alive at once
-        cap = max(1, BATCH_ENTRIES // 8 // (len(part) * entries))
+        cap = batch_size(8 * len(part) * entries)
         leaves = []
         for ks, m, real_blocks, walk_steps, node_hermitian in groups:
             def values(g, r, ks=ks, m=m, real_blocks=real_blocks):
@@ -209,8 +208,10 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
             leaves.append(np.concatenate(norms).reshape(-1, len(part), len(ks)))
         # a node's norm is the largest of its walked sector blocks' norms
         leaves = np.concatenate(leaves, axis=2).max(axis=2)
-        sums += [math.fsum(column) for column in leaves.T]
-    return np.array(sums) if np.ndim(taus) else sums[0]
+        return np.array([math.fsum(column) for column in leaves.T])
+
+    sums = batched(chunk_sums, batch, entries)  # large: one tau at a time
+    return sums if np.ndim(taus) else float(sums[0])
 
 
 def _sector_groups(sectors, real: bool) -> tuple[list, list]:
@@ -476,13 +477,6 @@ def _integrate(f, lo: float, hi: float) -> tuple[float, float]:
     return math.fsum(value), math.fsum(err) + math.fsum(inner)
 
 
-def _batched(fn, xs, dim: int):
-    """fn over the points xs in batches of at most BATCH_ENTRIES // dim^2,
-    so no (points, dim, dim) stack passes BATCH_ENTRIES entries."""
-    step = max(1, BATCH_ENTRIES // dim**2)
-    return np.concatenate([fn(xs[i:i + step]) for i in range(0, len(xs), step)])
-
-
 # ---------------------------------------------------------------------------
 # Error bounds
 # ---------------------------------------------------------------------------
@@ -578,7 +572,7 @@ def huyghebaert_bound(ham: Hamiltonian, t: float) -> BoundReport:
             b = h2.values(t1s)
             return spectral_norms(a @ b - b @ a)
 
-        return _integrate(lambda t1s: (_batched(norms, t1s, ham.dim), 0.0), 0.0, t2)
+        return _integrate(lambda t1s: (batched(norms, t1s, ham.dim**2), 0.0), 0.0, t2)
 
     value, estimate = _integrate(lambda t2s: np.array([inner(t2) for t2 in t2s]).T, 0.0, t)
     return BoundReport("huyghebaert", 1, t, value,
@@ -603,7 +597,7 @@ def nonunitary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
         return total
 
     integral, estimate = _integrate(
-        lambda taus: (_batched(im_norms, taus, ham.dim), 0.0), 0.0, t)
+        lambda taus: (batched(im_norms, taus, ham.dim**2), 0.0), 0.0, t)
     exponent = 4.0 * plan.n_layers
     factor = math.exp(exponent * integral)
     value = base.value * factor

@@ -50,16 +50,19 @@ _FAMILIES = {"exact": [EXACT], "instantaneous": [INSTANTANEOUS],
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, field: str) -> dict:
+    """The JSON object in the file at ``path``.  A file that cannot be read
+    (missing, a directory, no permission) or parsed raises SchemaError
+    naming ``field``, the option or key that gave the path."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError("<config>", f"no such file: {path}")
+    except OSError as exc:
+        raise SchemaError(field, f"cannot read {path}: {exc.strerror or exc}")
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise SchemaError("<config>", f"invalid JSON: {exc}")
+        raise SchemaError(field, f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise SchemaError("<config>", "top level must be an object")
+        raise SchemaError(field, "top level must be an object")
     return cfg
 
 
@@ -69,7 +72,7 @@ def _model_from_config(cfg: dict) -> Hamiltonian:
     if "model_path" in cfg:
         if not isinstance(cfg["model_path"], str):
             raise SchemaError("model_path", "expected a file path")
-        return model_from_descriptor(_load_config(cfg["model_path"]))
+        return model_from_descriptor(_load_config(cfg["model_path"], "model_path"))
     raise SchemaError("model", "config needs 'model' or 'model_path'")
 
 
@@ -177,7 +180,7 @@ def _write_quadrature_outputs(out: Path, csv_name: str, summary_name: str, ts: l
 
 def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
+    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1, distinct=True)
     families = _FAMILIES[one_of(cfg.get("family", "exact"), "family", tuple(_FAMILIES))]
     times = _times_by_order(cfg, orders)
     cells = []
@@ -208,7 +211,7 @@ def _cmd_order_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> in
 
 def _cmd_bound_check(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
+    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1, distinct=True)
     grid_points = integer(cfg.get("grid_points", 65), "grid_points", 2)
     times = _times_by_order(cfg, orders)
     cells = []
@@ -257,13 +260,11 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
     t = number(cfg.get("t", 0.5), "t", True)
     mode_cutoff = integer(cfg.get("mode_cutoff", 2), "mode_cutoff", 0)
     l_values = list_of(cfg.get("l_values", [4, 8, 16, 24]), "l_values", integer, 0)
-    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1)
     # the summary reads each column's last row as its final value, and the
     # header names each order's columns once
+    orders = list_of(cfg.get("orders", [1, 2]), "orders", integer, 1, distinct=True)
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise SchemaError("l_values", f"expected a strictly increasing list, got {l_values}")
-    if len(set(orders)) != len(orders):
-        raise SchemaError("orders", f"expected distinct orders, got {orders}")
     fh = fourier_hamiltonian(ham, omega, mode_cutoff)
     exact = ham.exact_evolution(0.0, t, oracle_tol)
     pf = {p: evaluate_pf(suzuki_plan(p, ham.n_terms, EXACT), ham, t,
@@ -312,7 +313,7 @@ def _cmd_floquet_check(cfg: dict, out: Path, workers: int, oracle_tol: float) ->
 
 def _cmd_mpf_scan(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     ham = _model_from_config(cfg)
-    j_values = list_of(cfg.get("J_values", [1, 2]), "J_values", integer, 1)
+    j_values = list_of(cfg.get("J_values", [1, 2]), "J_values", integer, 1, distinct=True)
     ts = _times(cfg.get("times"), "times")
     grid_points = integer(cfg.get("grid_points", 33), "grid_points", 2)
     # the coefficients cancel the even error orders of a second-order base
@@ -366,13 +367,13 @@ def _loglog_exponent(summary: dict, key: str, ns: list[int], values: list[float]
 
 def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -> int:
     model_class = one_of(cfg.get("model_class"), "model_class", ("nn-chain", "long-range"))
-    n_values = list_of(cfg.get("N_values"), "N_values", integer, 2)
+    n_values = list_of(cfg.get("N_values"), "N_values", integer, 2, distinct=True)
     if max(n_values) > QUBIT_CAP:
         raise SchemaError("N_values", f"every size must be at most the qubit cap"
                                       f" {QUBIT_CAP}, got {max(n_values)}")
     t = number(cfg.get("t", 1.0), "t", True)
-    eps_values = (list_of(cfg["eps_values"], "eps_values", number, True) if "eps_values" in cfg
-                  else [number(cfg.get("eps", 1e-3), "eps", True)])
+    eps_values = (list_of(cfg["eps_values"], "eps_values", number, True, distinct=True)
+                  if "eps_values" in cfg else [number(cfg.get("eps", 1e-3), "eps", True)])
     p = integer(cfg.get("p", 2), "p", 1)
     # alpha is always measured on the model; the key stays for existing configs
     one_of(cfg.get("bound_source", "measured-alpha"), "bound_source", ("measured-alpha",))
@@ -405,7 +406,7 @@ def _cmd_resource_table(cfg: dict, out: Path, workers: int, oracle_tol: float) -
     at_base_eps = [results[0] for _, results in cells]  # each size's PF at eps_values[0]
     # nu is read only now: building the models has checked it
     summary = {"asymptotic_form": asymptotic_gate_form(model_class, p, params.get("nu"))}
-    if len(set(n_values)) >= 2:
+    if len(n_values) >= 2:
         for key, col in (("gate_exponent_vs_N", "gates"), ("alpha_exponent_vs_N", "alpha")):
             _loglog_exponent(summary, key, n_values, [r[col] for r in at_base_eps])
     if include_mpf and len(eps_values) >= 2:
@@ -455,11 +456,15 @@ def run(subcommand: str, config_path: str, out_dir: str,
             workers = integer(int(env) if env.isdecimal() else env, "TDPF_WORKERS", 1)
         else:
             workers = integer(workers, "--workers", 1)
-        cfg = _load_config(config_path)
+        cfg = _load_config(config_path, "<config>")
         tol = (number(oracle_tol, "--oracle-tol", True) if oracle_tol is not None
                else number(cfg.get("oracle_tol", 1e-12), "oracle_tol", True))
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a parent that is one
+            raise SchemaError("--out", f"cannot create directory {out_dir}:"
+                                       f" {exc.strerror or exc}")
         code = _SUBCOMMANDS[subcommand](cfg, out, workers, tol)
         _manifest(out, subcommand, cfg, tol, workers)
         return code

@@ -10,11 +10,13 @@ Every number, integer, list of them, choice and required key that comes from
 outside the program (a config or model file, ``--oracle-tol``, ``--workers``,
 ``TDPF_WORKERS``) passes the matching check below before any code uses it,
 and a failed check raises SchemaError naming the dotted field and the value
-(shortened when long).  A number is a JSON integer or float that converts
-to a finite float; an integer is a JSON integer.  Neither is ever a
-boolean, although Python counts ``true`` as 1.  A choice matches on type as
-well as value, so ``0`` never matches ``false``, and a list or object is
-rejected, not hashed.
+(shortened when long).  A list whose entries each make their own rows (the
+orders, ``J_values``, ``N_values`` and ``eps_values``) must not repeat an
+entry, which would repeat its rows and count them twice in a fit.  A
+number is a JSON integer or float that converts to a finite float; an
+integer is a JSON integer.  Neither is ever a boolean, although Python
+counts ``true`` as 1.  A choice matches on type as well as value, so ``0``
+never matches ``false``, and a list or object is rejected, not hashed.
 """
 
 from __future__ import annotations
@@ -78,12 +80,16 @@ def integer(val, field: str, minimum: int) -> int:
     return val
 
 
-def list_of(vals, field: str, check, *args) -> list:
+def list_of(vals, field: str, check, *args, distinct: bool = False) -> list:
     """A non-empty list, each entry passed through ``check(entry, field,
-    *args)`` (``number`` or ``integer``), so its errors name the list."""
+    *args)`` (``number`` or ``integer``), so its errors name the list; with
+    ``distinct``, no entry may repeat."""
     if not isinstance(vals, list) or not vals:
         raise SchemaError(field, f"expected a non-empty list, got {reprlib.repr(vals)}")
-    return [check(val, field, *args) for val in vals]
+    checked = [check(val, field, *args) for val in vals]
+    if distinct and len(set(checked)) != len(checked):
+        raise SchemaError(field, f"expected distinct entries, got {reprlib.repr(vals)}")
+    return checked
 
 
 def one_of(val, field: str, choices: tuple):

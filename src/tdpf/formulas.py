@@ -235,11 +235,13 @@ def fit_order(ts, errors, oracle_tol: float = 1e-12) -> OrderFit:
     """Least-squares slope of log error against log t.
 
     Points must lie in the trusted window [100 oracle_tol, 1e-2] so neither
-    the oracle floor nor pre-asymptotic curvature pollutes the fit.
+    the oracle floor nor pre-asymptotic curvature pollutes the fit, and
+    there must be at least 5 grid points, distinct times, so the fit is not
+    singular.
     """
     ts = np.asarray(ts, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if ts.size < 5:
+    if np.unique(ts).size < 5:
         raise InvalidInputError("order fit needs at least 5 grid points")
     if ts.size != errors.size:
         raise InvalidInputError("t grid and error list differ in length")

@@ -6,9 +6,11 @@ the bound walk's nodes are real on a real model, and stay float64 through
 their leaf norms.
 Dimensions stay small (qubit counts are capped), so everything is done with
 dense LAPACK routines.  Batched kernels take ``(..., n, n)`` stacks and make
-one LAPACK call per class of matrix.  Only numpy is used: non-normal
-exponentials come from an in-house batched scaling-and-squaring Pade
-kernel, so no run imports scipy's linear-algebra package.
+one LAPACK call per class of matrix, after one check (``_square_stack``).
+Only numpy is used: exponentials that are not skew-Hermitian come from an
+in-house batched scaling-and-squaring Pade kernel, so no run imports scipy's
+linear-algebra package.  How many points a caller stacks at once is set
+here alone (``batch_size``, ``batched``).
 
 Pauli strings and chain translations are signed permutations of the basis
 states, P|b> = phase[b] |perm[b]> with site 0 the most significant bit of b.
@@ -36,19 +38,35 @@ PAULI = {
 }
 
 
-def as_operator(a: np.ndarray) -> np.ndarray:
-    """Validate and normalize a matrix to a square complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
+def batch_size(entries: int) -> int:
+    """Points of ``entries`` stack entries each per batch: at least one."""
+    return max(1, BATCH_ENTRIES // entries)
+
+
+def batched(fn, xs, entries: int) -> np.ndarray:
+    """``fn``, which maps an array of points to one value each, over ``xs``
+    in batches of ``batch_size(entries)``."""
+    step = batch_size(entries)
+    return np.concatenate([fn(xs[i:i + step]) for i in range(0, len(xs), step)])
+
+
+def _square_stack(a, single: bool = False, real: bool = False) -> np.ndarray:
+    """``a`` checked finite and square, as one matrix if ``single`` or as a
+    ``(..., n, n)`` stack; complex128, or float64 if ``real`` and it is."""
+    m = np.asarray(a)
+    if not (real and m.dtype == np.float64):
+        m = m.astype(np.complex128, copy=False)
+    if (m.ndim != 2 if single else m.ndim < 2) or m.shape[-1] != m.shape[-2]:
+        what = "a square matrix" if single else "a stack of square matrices"
+        raise InvalidInputError(f"expected {what}, got shape {m.shape}")
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise NumericalBlowUpError("matrix has non-finite entries")
     return m
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """Operator 2-norm ||A|| of one square matrix; see ``spectral_norms``."""
-    return float(spectral_norms(as_operator(a)))
+    return float(spectral_norms(_square_stack(a, single=True)))
 
 
 def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
@@ -60,18 +78,9 @@ def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
     Hermitian eigensolve of that product is cheaper than a full SVD and
     exact enough for the dimensions used here.  With ``hermitian`` every
     matrix must be Hermitian (only its lower triangle is read), and ||A|| =
-    max(|lambda_min|, |lambda_max|) needs no product.  1x1 matrices return
-    their modulus.
+    max(|lambda_min|, |lambda_max|) needs no product.
     """
-    m = np.asarray(stack)
-    if m.dtype != np.float64:
-        m = m.astype(np.complex128, copy=False)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise InvalidInputError(f"expected a stack of square matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
-        raise NumericalBlowUpError("matrix has non-finite entries")
-    if m.shape[-1] == 1:
-        return np.abs(m[..., 0, 0])
+    m = _square_stack(stack, real=True)
     if hermitian:
         evals = np.linalg.eigvalsh(m)
         norms = np.maximum(np.abs(evals[..., 0]), np.abs(evals[..., -1]))
@@ -85,41 +94,31 @@ def spectral_norms(stack: np.ndarray, hermitian: bool = False) -> np.ndarray:
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """e^A for one square complex matrix; see ``matrix_exps``."""
-    return matrix_exps(as_operator(a)[None])[0]
+    return matrix_exps(_square_stack(a, single=True)[None])[0]
 
 
 def matrix_exps(stack: np.ndarray) -> np.ndarray:
     """e^A for every matrix of a ``(..., n, n)`` stack.
 
-    Normal inputs (Hermitian / skew-Hermitian to 1e-13 of the largest entry)
-    go through one stacked eigendecomposition per class, which keeps
-    e^{-iHt} unitary to machine precision.  Everything else goes through one
-    batched pass of the degree-13 scaling-and-squaring Pade approximant
-    (``_pade13_exps``).  Each result equals that of the same matrix
-    exponentiated alone, bit for bit.  A non-normal result that overflows
-    raises NumericalBlowUpError.
+    Skew-Hermitian inputs (to 1e-13 of the largest entry), the generators
+    of unitary steps, go through one stacked eigendecomposition of iA, which
+    keeps e^{-iHt} unitary to machine precision.  Everything else, Hermitian
+    inputs included, goes through one batched pass of the degree-13
+    scaling-and-squaring Pade approximant (``_pade13_exps``).  Each result
+    equals that of the same matrix exponentiated alone, bit for bit.  A
+    result of the Pade pass that overflows raises NumericalBlowUpError.
     """
-    m = np.asarray(stack, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise InvalidInputError(f"expected a stack of square matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
-        raise NumericalBlowUpError("matrix has non-finite entries")
+    m = _square_stack(stack)
     shape = m.shape
     m = m.reshape((-1,) + shape[-2:])
-    adj = m.conj().swapaxes(-1, -2)
     scale = 1e-13 * np.max(np.abs(m), axis=(-2, -1), initial=1.0)
-    herm = np.max(np.abs(m - adj), axis=(-2, -1), initial=0.0) <= scale
-    skew = ~herm & (np.max(np.abs(m + adj), axis=(-2, -1), initial=0.0) <= scale)
+    skew = np.max(np.abs(m + m.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0) <= scale
     out = np.empty_like(m)
-    if herm.any():
-        evals, vecs = np.linalg.eigh(m[herm])
-        out[herm] = (vecs * np.exp(evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     if skew.any():
         evals, vecs = np.linalg.eigh(1j * m[skew])  # iA is Hermitian
         out[skew] = (vecs * np.exp(-1j * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    general = ~(herm | skew)
-    if general.any():
-        out[general] = _pade13_exps(m[general])
+    if not skew.all():
+        out[~skew] = _pade13_exps(m[~skew])
     return out.reshape(shape)
 
 

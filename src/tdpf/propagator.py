@@ -15,9 +15,9 @@ unitary at every resolution.
 
 Steps go in chunks: both Gauss points of every step in a chunk come from one
 ``values`` call, and all the chunk's exponentials from one ``matrix_exps``
-call (at most ``BATCH_ENTRIES`` stack entries).  The step factors are then
-multiplied onto U one step at a time in the same order as a step-by-step
-loop, so the result does not depend on the chunk size.
+call of ``linalg.batch_size`` steps.  The step factors are then multiplied
+onto U one step at a time in the same order as a step-by-step loop, so the
+result does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .linalg import BATCH_ENTRIES, matrix_exps, spectral_norm
+from .linalg import batch_size, matrix_exps, spectral_norm
 
 _SQRT3 = math.sqrt(3.0)
 _C1 = 0.5 - _SQRT3 / 6.0
@@ -41,7 +41,7 @@ MIN_TOL = 1e-13
 def _cf4_product(generator, t0: float, dt: float, n_steps: int) -> np.ndarray:
     u = np.eye(generator.dim, dtype=np.complex128)
     h = dt / n_steps
-    chunk = max(1, BATCH_ENTRIES // (2 * generator.dim**2))
+    chunk = batch_size(2 * generator.dim**2)
     for lo in range(0, n_steps, chunk):
         t = t0 + np.arange(lo, min(lo + chunk, n_steps)) * h
         h1, h2 = np.split(generator.values(np.concatenate([t + _C1 * h, t + _C2 * h])), 2)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import driven_chain, random_matrix
 import tdpf.bounds as bounds
+import tdpf.linalg as linalg
 import tdpf.models as models
 from tdpf.bounds import (_tight_sum, alpha_com, bar_alpha_com, corollary_bound,
                          grid_max, huyghebaert_bound, mpf_bound,
@@ -339,7 +340,7 @@ class TestBlockWalk:
     def test_blocks_split_in_the_middle_of_a_level(self, monkeypatch):
         # 4x4 nodes: 5 per block at one tau and 2 at two, while the three
         # steps make up to 3, 9, 27 ... nodes per level
-        monkeypatch.setattr(bounds, "BATCH_ENTRIES", 8 * 5 * 16)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", 8 * 5 * 16)
         caps = []
         real = bounds._walk
 
@@ -709,7 +710,7 @@ class TestQuadrature:
             bounds._integrate(lambda xs: (1.0 / xs, 0.0), 0.0, 1.0)
 
     def test_integrand_batches_stay_under_the_entry_cap(self, monkeypatch, driven2):
-        monkeypatch.setattr(bounds, "BATCH_ENTRIES", 5 * 16)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", 5 * 16)
         sizes = []
         real = bounds.spectral_norms
 

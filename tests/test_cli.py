@@ -100,6 +100,17 @@ class TestOrderScan:
         assert families == {"exact-segment", "instantaneous"}
 
 
+    def test_repeated_times_give_no_fit(self, tmp_path):
+        # five equal times make a singular fit: the summary says why instead
+        cfg = write_config(tmp_path, "cfg.json", {"model": DRIVEN2, "orders": [1],
+                                                  "times": [0.01] * 5})
+        out = tmp_path / "out"
+        assert run("order-scan", cfg, str(out)) == 0
+        assert strict_json(out / "order_scan_summary.json") == {
+            "exact-segment-p1": {"error": "order fit needs at least 5 grid points"}}
+        assert len(read_csv(out / "order_scan.csv")[1]) == 5
+
+
 class TestBoundCheck:
     def test_no_violations(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
@@ -404,6 +415,40 @@ class TestPlumbing:
             path.write_text(text)
             assert run("order-scan", str(path), str(tmp_path / "out")) == 2
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a directory, a path through a file, and a file that open() refuses
+        cfg = write_config(tmp_path, "cfg.json", {"model": DRIVEN2, "times": [0.01]})
+        for path in (str(tmp_path), cfg + "/cfg.json"):
+            assert run("order-scan", path, str(tmp_path / "out")) == 2
+            assert f"config error: <config>: cannot read {path}:" in capsys.readouterr().err
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert run("order-scan", cfg, str(tmp_path / "out")) == 2
+        assert "<config>: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_model_path_exits_2(self, tmp_path, capsys):
+        # a directory, a missing file, and a path through a file
+        model = write_config(tmp_path, "model.json", DRIVEN2)
+        for path in (str(tmp_path), str(tmp_path / "missing.json"), model + "/model.json"):
+            cfg = write_config(tmp_path, "cfg.json", {"model_path": path, "times": [0.01]})
+            assert run("order-scan", cfg, str(tmp_path / "out")) == 2
+            assert f"config error: model_path: cannot read {path}:" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        # the file itself, and a directory under it; the file is left as it was
+        cfg = write_config(tmp_path, "cfg.json", {"model": DRIVEN2, "orders": [1],
+                                                  "times": [0.01]})
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        for out in (taken, taken / "out"):
+            assert run("order-scan", cfg, str(out)) == 2
+            assert "config error: --out: cannot create directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+
     def test_unknown_subcommand_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {})
         assert run("frobnicate", cfg, str(tmp_path / "out")) == 2
@@ -533,6 +578,13 @@ class TestPlumbing:
                      id="floquet-check-l_values-[24,16,8,4]"),
         pytest.param("floquet-check", "l_values", [4, 4], id="floquet-check-l_values-[4,4]"),
         pytest.param("floquet-check", "orders", [2, 1, 2], id="floquet-check-orders-[2,1,2]"),
+        # a repeated entry would repeat its rows and count them twice in a fit
+        pytest.param("order-scan", "orders", [1, 1], id="order-scan-orders-[1,1]"),
+        pytest.param("bound-check", "orders", [2, 1, 2], id="bound-check-orders-[2,1,2]"),
+        pytest.param("mpf-scan", "J_values", [1, 2, 1], id="mpf-scan-J_values-[1,2,1]"),
+        pytest.param("resource-table", "N_values", [4, 4], id="resource-table-N_values-[4,4]"),
+        pytest.param("resource-table", "eps_values", [0.01, 0.01],
+                     id="resource-table-eps_values-[0.01,0.01]"),
     ])
     def test_bad_field_exits_2(self, tmp_path, capsys, monkeypatch, subcommand, field, value):
         base = {

@@ -288,3 +288,13 @@ class TestFitOrder:
     def test_needs_five_points(self):
         with pytest.raises(InvalidInputError):
             fit_order([1e-3, 2e-3], [1e-6, 4e-6])
+
+    def test_needs_five_distinct_times(self):
+        ts = list(np.geomspace(1e-3, 1e-2, 5))
+        for repeated in ([ts[0]] * 5, ts[:4] + [ts[3]], ts[:4] * 2):
+            with pytest.raises(InvalidInputError, match="5 grid points"):
+                fit_order(repeated, 2.7 * np.array(repeated) ** 3)
+        # a repeat beside five distinct times still fits
+        fit = fit_order(ts + [ts[0]], 2.7 * np.array(ts + [ts[0]]) ** 3)
+        assert fit.slope == pytest.approx(3.0, abs=1e-10)
+        assert fit.n_points == 6

@@ -8,9 +8,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+import tdpf.linalg as linalg
 from conftest import random_matrix
 from tdpf.errors import InvalidInputError, NumericalBlowUpError
-from tdpf.linalg import (PAULI, matrix_exp, matrix_exps,
+from tdpf.linalg import (PAULI, batch_size, batched, matrix_exp, matrix_exps,
                          pauli_permutation, pauli_sum, spectral_norm,
                          spectral_norms)
 from tdpf.sectors import _compose
@@ -100,6 +101,18 @@ class TestSpectralNorms:
         np.testing.assert_array_equal(spectral_norms(stack.real, hermitian=True),
                                       [3.0, 2.0, 0.0])
 
+    def test_one_by_one_stacks_on_every_path(self, rng):
+        # 1x1 matrices take the eigensolves like any other size
+        a = rng.normal(size=(2, 3, 1, 1)) + 1j * rng.normal(size=(2, 3, 1, 1))
+        r = a.real
+        for got, want in ((spectral_norms(a), np.abs(a)),
+                          (spectral_norms(r), np.abs(r)),
+                          (spectral_norms(r.astype(complex)), np.abs(r)),
+                          (spectral_norms(r, hermitian=True), np.abs(r)),
+                          (spectral_norms(r.astype(complex), hermitian=True), np.abs(r))):
+            assert got.shape == (2, 3)
+            np.testing.assert_allclose(got, want[..., 0, 0], rtol=1e-15, atol=0)
+
     def test_rejects_nonfinite(self, rng):
         stack = np.stack([random_matrix(rng, 3) for _ in range(4)])
         stack[2, 1, 0] = np.inf
@@ -184,13 +197,10 @@ def literal_pade13(m):
 
 
 def literal_exp(m):
-    """The per-matrix exponential as written before the batched classifier."""
-    adj = m.conj().T
+    """The per-matrix exponential written out: a skew-Hermitian matrix by the
+    eigendecomposition of iA, any other, Hermitian ones too, by Pade."""
     scale = np.max(np.abs(m), initial=1.0)
-    if np.max(np.abs(m - adj), initial=0.0) <= 1e-13 * scale:
-        evals, vecs = np.linalg.eigh(m)
-        return (vecs * np.exp(evals)) @ vecs.conj().T
-    if np.max(np.abs(m + adj), initial=0.0) <= 1e-13 * scale:
+    if np.max(np.abs(m + m.conj().T), initial=0.0) <= 1e-13 * scale:
         evals, vecs = np.linalg.eigh(1j * m)
         return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
     return literal_pade13(m)
@@ -253,6 +263,18 @@ class TestMatrixExps:
             err = spectral_norm(matrix_exp(a) - want) / spectral_norm(want)
             assert err <= 1e-14 * max(1.0, norm), (norm, err)
 
+    @pytest.mark.parametrize("dim", [2, 5, 16, 64])
+    def test_hermitian_matches_scipy_expm(self, rng, dim):
+        # Hermitian matrices take the Pade pass with the general ones
+        import scipy.linalg  # the reference only; tdpf never imports it
+        stack = []
+        for norm in (1e-3, 0.1, 1.0, 5.0, 20.0):
+            h = random_matrix(rng, dim, hermitian=True)
+            stack.append(h * norm / np.abs(h).sum(axis=0).max())
+        for m, e in zip(stack, matrix_exps(np.stack(stack))):
+            want = scipy.linalg.expm(m)
+            assert spectral_norm(e - want) <= 1e-13 * spectral_norm(want)
+
     def test_stack_mixing_scaling_exponents(self, rng):
         # ||A||_1 = theta_13 2^(s - 1/2) needs s squarings (s = 0: theta_13 / 2)
         stack = []
@@ -277,6 +299,46 @@ class TestMatrixExps:
             with pytest.raises(NumericalBlowUpError) as excinfo:
                 matrix_exps(stack)
         assert excinfo.type is NumericalBlowUpError
+
+
+class TestBatches:
+    @pytest.mark.parametrize("budget", [24, 80, 640, 1 << 16])
+    def test_sizes_match_the_formulas_they_replace(self, monkeypatch, budget):
+        # the tau chunk B // e, the walk's block cap B // 8 // (x e), the
+        # propagator's chunk B // (2 d^2) and the integrand batch B // d^2
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", budget)
+        for e in (1, 3, 4, 16, 64, 256, 4096, 65536, 1 << 18):
+            assert batch_size(e) == max(1, budget // e)
+            for x in (1, 2, 5, 40):
+                assert batch_size(8 * x * e) == max(1, budget // 8 // (x * e))
+        for d in (1, 2, 4, 16, 128, 256, 1024):
+            assert batch_size(2 * d**2) == max(1, budget // (2 * d**2))
+            assert batch_size(d**2) == max(1, budget // d**2)
+
+    @pytest.mark.parametrize("budget,entries,count,sizes", [
+        (80, 16, 11, [5, 5, 1]),
+        (80, 16, 5, [5]),
+        (80, 16, 1, [1]),
+        (80, 100, 3, [1, 1, 1]),
+        (1 << 16, 4, 40, [40]),
+        (1 << 16, 256**2, 2, [1, 1]),
+    ])
+    def test_batched_cuts_where_the_old_loop_cut(self, monkeypatch, budget, entries, count,
+                                                 sizes):
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", budget)
+        xs = np.linspace(0.0, 1.0, count)
+        seen = []
+
+        def fn(part):
+            seen.append(part.copy())
+            return 2.0 * part
+
+        got = batched(fn, xs, entries)
+        step = max(1, budget // entries)
+        assert [len(part) for part in seen] == sizes
+        for i, part in zip(range(0, count, step), seen):
+            assert np.array_equal(part, xs[i:i + step])
+        assert np.array_equal(got, 2.0 * xs)
 
 
 class TestCommutator:

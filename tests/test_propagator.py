@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import tdpf.linalg as linalg
 import tdpf.propagator as propagator
 from conftest import driven_chain, random_matrix
 from tdpf.curves import ConstantCurve, TrigCurve
@@ -60,7 +61,7 @@ class TestChunkedProduct:
 
     def test_dim2_ragged_chunks_bit_equal(self, monkeypatch):
         # 3 steps per chunk (2 x 3 x 4 entries <= 24): 11 steps end mid-chunk
-        monkeypatch.setattr(propagator, "BATCH_ENTRIES", 24)
+        monkeypatch.setattr(linalg, "BATCH_ENTRIES", 24)
         gen = driven_generator()
         assert np.array_equal(_cf4_product(gen, 0.0, 0.9, 11),
                               reference_cf4_product(gen, 0.0, 0.9, 11))
