@@ -68,9 +68,10 @@ commutator.  A unit phase changes no norm, and every node is Hermitian by
 construction, so its norm is its largest |eigenvalue| with no A†A product.
 The sector blocks of a Hermitian term are made exactly Hermitian too.  Any
 other step, or a non-Hermitian term, gives every step f = 1 and takes the
-general A†A path.  The stage-resolved (tight) sum's steps, ad_{H_g} +
-i d/dt, mix two phases, so its nodes are neither real nor conjugation
-symmetric, and it always takes this walk.
+general A†A path.  The stage-resolved (tight) sum's steps, the lift's
+ad_{H_g^F} = ad_{H_g} - i d/dt and ad_{H_LP} = i d/dt, mix two phases, so
+its nodes are neither real nor conjugation symmetric, and it always takes
+this walk.
 
 Maxima over tau come from grid_max, which hands its function an array of
 points per call: the whole grid, then, in each halving round, the midpoints
@@ -97,6 +98,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, ConvergenceError, InvalidInputError,
                      OutOfRegimeError, UnsupportedOrderError)
+from .floquet import lifted_factors
 from .formulas import EXACT, StagePlan
 from .linalg import batch_size, batched, spectral_norms
 from .models import Hamiltonian
@@ -485,7 +487,11 @@ def corollary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
                     grid_points: int = 65, refine_iters: int = 30) -> BoundReport:
     """3 V^(p+1) max_tau alpha_com^(p+1)(tau) t^(p+1) over tau in [0, t],
     the maximum taking up to ``refine_iters`` halving rounds (see
-    ``grid_max``); ``extra["coefficient"]`` is the factor of t^(p+1)."""
+    ``grid_max``); ``extra["coefficient"]`` is the factor of t^(p+1).
+
+    The Floquet lift gives a bound with the supremum over the period-2t
+    extension; this bound, ``tight_bound`` and ``mpf_bound`` take the max
+    over [0, t], which rests on tested evidence, not on a derivation."""
     p = plan.order
     order = p + 1
     best, arg = grid_max(lambda tau: alpha_com(ham, order, tau), 0.0, t, grid_points,
@@ -499,31 +505,25 @@ def corollary_bound(plan: StagePlan, ham: Hamiltonian, t: float,
                               "coefficient": coefficient})
 
 
-def _tight_sum(plan: StagePlan, ham: Hamiltonian, tau,
-               odd_weights: dict[int, float], even_weight: float,
-               seed_counts: dict[int, int]):
-    """Sum over operator-type sequences, with multiplicities folded in, at a
-    float tau or at every tau of an array.
-
-    The literal sum runs over stage indices k'_1..k'_p in {1..2K-1}; sequences
-    sharing the same operator types have identical norms, so the stage
-    weights |alpha~| factor into per-type weight sums.
-    """
-    gammas = range(1, ham.n_terms + 1)
-    seeds = [(g, float(seed_counts[g])) for g in gammas]
-    steps = [(odd_weights[g], g, 1j) for g in gammas]
-    steps.append((even_weight, None, 1j))
-    return _nested_norm_sum(ham, tau, plan.order, seeds, steps)
+def _tight_sum(plan: StagePlan, ham: Hamiltonian, tau):
+    """Sum over the slot sequences k'_1..k'_p of ``lifted_factors(plan)``,
+    seeded once per ("F", g) slot, at a float tau or at every tau of an
+    array.  Slots of one key take one step, so their |durations| add into its
+    weight: ("F", g) is ad_{H_g^F} = ad_{H_g} - i d/dt, "LP" is i d/dt."""
+    weights, seeds = {}, {}
+    for key, c in lifted_factors(plan):
+        weights[key] = weights.get(key, 0.0) + abs(c)
+        if key != "LP":
+            seeds[key[1]] = seeds.get(key[1], 0.0) + 1.0
+    steps = [(w, None, 1j) if key == "LP" else (w, key[1], -1j) for key, w in weights.items()]
+    return _nested_norm_sum(ham, tau, plan.order, list(seeds.items()), steps)
 
 
 def tight_bound(plan: StagePlan, ham: Hamiltonian, t: float,
                 grid_points: int = 65) -> BoundReport:
-    """Stage-resolved error bound 3 t^(p+1) max_tau sum_k sum_{k'_1..k'_p}
-    ||prod |alpha~| D_{k'} H_{gamma_k}||, for exact-segment plans of order <= 2.
-
-    Odd stage slots act as ad_{H_gamma} + i d/dt with weight |alpha_k|; even
-    slots act as i d/dt with weight |beta_{k+1} - beta_k - alpha_k|.
-    """
+    """Stage-resolved error bound 3 t^(p+1) max over tau in [0, t] (see
+    ``corollary_bound``) of ``_tight_sum``, for exact-segment plans of
+    order <= 2."""
     p = plan.order
     if p > 2:
         raise UnsupportedOrderError(
@@ -533,19 +533,9 @@ def tight_bound(plan: StagePlan, ham: Hamiltonian, t: float,
         raise InvalidInputError("tight bound applies to exact-segment plans")
     if plan.n_terms != ham.n_terms:
         raise InvalidInputError("plan/Hamiltonian term count mismatch")
-    stages = plan.stages
-    k_count = plan.n_stages
-    odd_weights = {g: 0.0 for g in range(1, ham.n_terms + 1)}
-    seed_counts = {g: 0 for g in range(1, ham.n_terms + 1)}
-    for st in stages:
-        odd_weights[st.gamma] += abs(st.alpha)
-        seed_counts[st.gamma] += 1
-    even_weight = sum(abs(stages[k + 1].beta - stages[k].beta - stages[k].alpha)
-                      for k in range(k_count - 1))
-    best, arg = grid_max(
-        lambda tau: _tight_sum(plan, ham, tau, odd_weights, even_weight, seed_counts),
-        0.0, t, grid_points)
+    best, arg = grid_max(lambda tau: _tight_sum(plan, ham, tau), 0.0, t, grid_points)
     value = 3.0 * t**(p + 1) * best
+    k_count = plan.n_stages
     return BoundReport("tight", p, t, value, tau_argmax=arg,
                        term_count=k_count * (2 * k_count - 1) ** p,
                        grid_size=grid_points, extra={"stage_sum_max": best})
@@ -632,7 +622,8 @@ def mpf_bound(ham: Hamiltonian, t: float, n_products: int, c_norm: float,
     the same supremum over a full period 2t of the C^(2J+1) periodic
     extension; that value explodes for bump-glued extensions of short
     windows (their high derivatives are not analytic-bounded), so it is
-    reported alongside rather than enforced.
+    reported alongside rather than enforced.  The [0, t] supremum rests on
+    tested evidence, not on a derivation (see ``corollary_bound``).
     """
     if n_products < 1:
         raise InvalidInputError("J must be >= 1")

@@ -112,12 +112,22 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _out_dir(out: Path) -> Path:
+    """``out``, made now if it is missing: the directory appears only when a
+    run has outputs to write, so a refused config leaves none."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # no permission, or a path changed since run checked it
+        raise SchemaError("--out", f"cannot create directory {out}: {exc.strerror or exc}")
+    return out
+
+
 def _manifest(out: Path, subcommand: str, cfg: dict, oracle_tol: float,
               workers: int) -> None:
     # imported here: hashlib loads OpenSSL's libcrypto, which only this hash needs
     import hashlib
     blob = json.dumps(cfg, sort_keys=True).encode()
-    _write_json(out / "manifest.json", {
+    _write_json(_out_dir(out) / "manifest.json", {
         "subcommand": subcommand,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "tdpf_version": __version__,
@@ -146,7 +156,7 @@ def _write_outputs(out: Path, csv_name: str, summary_name: str, header: list[str
     row's ``violation`` cell is set, else 0.  A table with that column records
     its violation count in the summary, which defaults to the row count."""
     lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
-    (out / f"{csv_name}.csv").write_text("\n".join(lines) + "\n")
+    (_out_dir(out) / f"{csv_name}.csv").write_text("\n".join(lines) + "\n")
     if summary is None:
         summary = {"rows": len(rows)}
     violations = 0
@@ -460,11 +470,12 @@ def run(subcommand: str, config_path: str, out_dir: str,
         tol = (number(oracle_tol, "--oracle-tol", True) if oracle_tol is not None
                else number(cfg.get("oracle_tol", 1e-12), "oracle_tol", True))
         out = Path(out_dir)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # an existing file, or a parent that is one
+        # refused before any work when it, or its nearest existing parent,
+        # is not a directory; it is made only by the first output (_out_dir)
+        found = next((p for p in (out, *out.parents) if os.path.exists(p)), None)
+        if found is not None and not found.is_dir():
             raise SchemaError("--out", f"cannot create directory {out_dir}:"
-                                       f" {exc.strerror or exc}")
+                                       f" {found} is not a directory")
         code = _SUBCOMMANDS[subcommand](cfg, out, workers, tol)
         _manifest(out, subcommand, cfg, tol, workers)
         return code

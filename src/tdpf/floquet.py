@@ -11,6 +11,8 @@ independent Suzuki recursion (``build_tf_suzuki``), is a list of
 (key, duration) exponentials exp(-i M duration) that
 ``FloquetOperators.apply_factors`` applies in one loop to a block of columns
 it is given (by default the identity, which gives the whole operator).  A
+plan's list is its lifted split (``lifted_factors``) times t, the split
+that the stage-resolved bound (``bounds.tight_bound``) walks too.  A
 negative duration is the backward evolution exp(+i M |duration|), which is
 the adjoint of the forward one only for a Hermitian model.  H_LP is
 diagonal, so its exponential is one phase per row.  When the model's terms
@@ -216,36 +218,38 @@ def build_floquet_operators(fh: FourierHamiltonian, space: FloquetSpace) -> Floq
                             fh.hermitian)
 
 
-def build_tf(plan: StagePlan, ops: FloquetOperators, t: float,
-             x: np.ndarray | None = None) -> np.ndarray:
-    """The lifted time-independent formula of a plan of either family,
-    applied to the column block ``x``: by default the identity, which gives
-    the whole formula; floquet-check passes the readout window
-    |l| <= l_keep.  Stage k is applied first.
-
-    exact-segment: exp(-i H_{gK}^F aK t) prod_k [exp(-i H_LP (b_k+a_k-b_{k+1}) t)
-    exp(-i H_{g_k}^F a_k t)], whose linear-potential times add up to Gamma - 1;
-    instantaneous: exp(+i H_LP (1-b_K) t) prod_k [exp(-i H_{g_k}^Add a_k t)
-    exp(+i H_LP (b_k - b_{k-1}) t)] with b_0 = 0."""
+def lifted_factors(plan: StagePlan) -> list:
+    """The plan's lifted split as (key, duration per unit t) pairs, first
+    applied first: the one place where stages become lifted slots, for
+    ``build_tf`` and ``bounds.tight_bound``.  exact-segment: H_{g_k}^F for
+    a_k, and H_LP for b_k + a_k - b_{k+1} between stages, which add up to
+    Gamma - 1; instantaneous: H_LP for -(b_k - b_{k-1}) (b_0 = 0) before
+    H_{g_k}^Add for a_k, and H_LP for -(1 - b_K) last."""
     stages = plan.stages
-    factors = []
     if plan.family == EXACT:
-        lp_total = sum(st.beta + st.alpha - nxt.beta for st, nxt in zip(stages, stages[1:]))
+        factors = []
+        for st, nxt in zip(stages, stages[1:]):
+            factors += [(("F", st.gamma), st.alpha), ("LP", st.beta + st.alpha - nxt.beta)]
+        factors.append((("F", stages[-1].gamma), stages[-1].alpha))
+        lp_total = sum(c for key, c in factors if key == "LP")
         if abs(lp_total - (plan.n_terms - 1)) > 1e-12:
             raise InvalidInputError(
                 f"plan's total linear-potential time {lp_total} != Gamma - 1")
-        for st, nxt in zip(stages, stages[1:]):
-            factors += [(("F", st.gamma), st.alpha * t),
-                        ("LP", (st.beta + st.alpha - nxt.beta) * t)]
-        factors.append((("F", stages[-1].gamma), stages[-1].alpha * t))
-    else:
-        beta_prev = 0.0
-        for st in stages:
-            factors += [("LP", -(st.beta - beta_prev) * t),
-                        (("Add", st.gamma), st.alpha * t)]
-            beta_prev = st.beta
-        factors.append(("LP", -(1.0 - beta_prev) * t))
-    return ops.apply_factors(factors, x)
+        return factors
+    factors, beta_prev = [], 0.0
+    for st in stages:
+        factors += [("LP", -(st.beta - beta_prev)), (("Add", st.gamma), st.alpha)]
+        beta_prev = st.beta
+    return factors + [("LP", -(1.0 - beta_prev))]
+
+
+def build_tf(plan: StagePlan, ops: FloquetOperators, t: float,
+             x: np.ndarray | None = None) -> np.ndarray:
+    """The lifted time-independent formula of a plan of either family, the
+    exponentials of ``lifted_factors`` scaled by t, applied to the column
+    block ``x``: by default the identity, which gives the whole formula;
+    floquet-check passes the readout window |l| <= l_keep."""
+    return ops.apply_factors([(key, c * t) for key, c in lifted_factors(plan)], x)
 
 
 def build_tf_suzuki(ops: FloquetOperators, p: int, t: float,

@@ -15,13 +15,15 @@ from tdpf.bounds import (_tight_sum, alpha_com, bar_alpha_com, corollary_bound,
 from tdpf.curves import ConstantCurve, ExpCurve, PolynomialCurve, TrigCurve
 from tdpf.errors import (BudgetExceededError, ConvergenceError, InvalidInputError,
                          OutOfRegimeError, UnsupportedOrderError)
+from tdpf.floquet import (FloquetSpace, build_floquet_operators, fourier_hamiltonian,
+                          lifted_factors)
 from tdpf.formulas import measure_error, suzuki_plan
 from tdpf.linalg import (PAULI, pauli_permutation, spectral_norm, spectral_norms,
                          translation_permutation)
 from tdpf.models import Hamiltonian, OperatorCurve, build_driven_chain, build_long_range
 from tdpf.sectors import MIN_DIM, _compose, _sector_bases, find_symmetries
 
-X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
+X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
 
 def static_commuting():
@@ -43,12 +45,23 @@ def single_qubit_fg():
     return Hamiltonian([OperatorCurve([(X, f)]), OperatorCurve([(Z, g)])]), f, g
 
 
+def two_curve_qubit():
+    """Term 1 = a X + b Y carries two curves and term 2 = c Z one, all
+    pi-periodic: no fixed unitary maps every term to its complex conjugate,
+    so the tight sum's derivative sign shows in its value."""
+    a = TrigCurve(0.7, 2.0, phase=0.3, offset=0.2)
+    b = TrigCurve(0.5, 4.0, phase=-0.4)
+    c = TrigCurve(0.9, 2.0, phase=1.1, offset=0.5)
+    return Hamiltonian([OperatorCurve([(X, a), (Y, b)]), OperatorCurve([(Z, c)])])
+
+
 def with_zero_term(ham):
     return Hamiltonian(list(ham.terms) + [OperatorCurve([], dim=ham.dim)])
 
 
 def stage_weights(plan, n_terms):
-    """(odd_weights, even_weight, seed_counts) of the grouped tight sum."""
+    """(odd_weights, even_weight, seed_counts) of the grouped tight sum,
+    from the stages, independently of ``lifted_factors``."""
     stages = plan.stages
     odd_weights = {g: 0.0 for g in range(1, n_terms + 1)}
     seed_counts = {g: 0 for g in range(1, n_terms + 1)}
@@ -98,9 +111,11 @@ def ref_alpha_com(ham, order, tau, deriv_coefficient):
 
 
 def ref_tight_sum(plan, ham, tau):
+    """Odd slots step with ad_{H_g} - i d/dt and even ones with i d/dt, the
+    lift's steps (TestLiftedSteps)."""
     odd_weights, even_weight, seed_counts = stage_weights(plan, ham.n_terms)
     gammas = range(1, ham.n_terms + 1)
-    steps = [(odd_weights[g], g, 1j) for g in gammas] + [(even_weight, None, 1j)]
+    steps = [(odd_weights[g], g, -1j) for g in gammas] + [(even_weight, None, 1j)]
     return ref_sum(ham, tau, plan.order, [(g, seed_counts[g]) for g in gammas], steps)
 
 
@@ -153,6 +168,7 @@ PARITY_MODELS = {
         2, 1.5, {"XX": PolynomialCurve([1.0, 0.5, -0.3]), "ZZ": ExpCurve(0.7, -1.2)},
         {"Z": TrigCurve(0.4, 1.3)}),
     "zero-term": lambda: with_zero_term(single_qubit_fg()[0]),
+    "two-curve-qubit": two_curve_qubit,
 }
 
 
@@ -189,7 +205,7 @@ class TestNestedReference:
         ham = PARITY_MODELS[model]()
         plan = suzuki_plan(p, ham.n_terms)
         expected = ref_tight_sum(plan, ham, 0.37)
-        grouped = _tight_sum(plan, ham, 0.37, *stage_weights(plan, ham.n_terms))
+        grouped = _tight_sum(plan, ham, 0.37)
         assert grouped == pytest.approx(expected, rel=1e-12)
 
 
@@ -215,10 +231,9 @@ class TestTauBatch:
     def test_tight_sum_array_matches_per_float_calls(self):
         ham = driven_chain(7)
         plan = suzuki_plan(1, 2)
-        weights = stage_weights(plan, 2)
         taus = np.linspace(0.05, 0.6, 5)
-        batch = _tight_sum(plan, ham, taus, *weights)
-        single = [_tight_sum(plan, ham, float(tau), *weights) for tau in taus]
+        batch = _tight_sum(plan, ham, taus)
+        single = [_tight_sum(plan, ham, float(tau)) for tau in taus]
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
 
@@ -245,8 +260,7 @@ class TestHermitianFastPath:
                                 ("X", "Y"))
         assert not any(term.is_real for term in xy.terms)
         alpha_com(xy, 3, 0.2)
-        _tight_sum(suzuki_plan(2, 2), driven_chain(2), 0.2,
-                   *stage_weights(suzuki_plan(2, 2), 2))
+        _tight_sum(suzuki_plan(2, 2), driven_chain(2), 0.2)
         assert flags and all(flags)
 
     def test_flag_does_not_choose_the_path(self, monkeypatch):
@@ -299,7 +313,7 @@ def walk_sums(ham, orders, taus):
     out = [fn(ham, order, taus) for fn in (alpha_com, bar_alpha_com) for order in orders]
     for p in (1, 2):
         plan = suzuki_plan(p, ham.n_terms)
-        out.append(_tight_sum(plan, ham, taus, *stage_weights(plan, ham.n_terms)))
+        out.append(_tight_sum(plan, ham, taus))
     out.append(bounds._nested_norm_sum(ham, taus, max(orders) - 1,
                                        *mixed_seeds_and_steps(ham)))
     return out
@@ -457,17 +471,19 @@ class TestZeroTerm:
             assert bar_alpha_com(padded, order, 0.4) == bar_alpha_com(ham, order, 0.4)
 
     def test_zero_term_drops_only_its_commutator(self):
-        # with H_3 = 0 the step ad_{H_3} + i d/dt is the even step i d/dt
+        # with H_3 = 0 the step ad_{H_3} - i d/dt is -i d/dt, which has the
+        # norms of the even step i d/dt: a pure derivative step's coefficient
+        # is a unit scalar factor of every node it enters, so the two steps
+        # are one step with the merged weight
         ham, _f, _g = single_qubit_fg()
         padded = with_zero_term(ham)
         plan = suzuki_plan(2, 3)
         odd_weights, even_weight, seed_counts = stage_weights(plan, 3)
-        merged = dict(odd_weights)
-        merged[3] = 0.0
-        expected = _tight_sum(plan, padded, 0.3, merged,
-                              even_weight + odd_weights[3], seed_counts)
-        got = _tight_sum(plan, padded, 0.3, odd_weights, even_weight, seed_counts)
-        assert got == pytest.approx(expected, rel=1e-12)
+        seeds = [(g, float(seed_counts[g])) for g in (1, 2, 3)]
+        steps = [(odd_weights[g], g, -1j) for g in (1, 2)]
+        steps.append((even_weight + odd_weights[3], None, 1j))
+        expected = bounds._nested_norm_sum(padded, 0.3, 2, seeds, steps)
+        assert _tight_sum(plan, padded, 0.3) == pytest.approx(expected, rel=1e-12)
 
 
 class TestAlphaCom:
@@ -576,23 +592,137 @@ class TestTightBound:
             assert err <= tight <= coro * (1 + 1e-12)
 
     @pytest.mark.parametrize("p", [1, 2])
-    def test_grouped_sum_matches_literal_enumeration(self, driven2, p):
-        # oracle: enumerate stage indices k'_1..k'_p in {1..2K-1} literally
+    def test_tight_holds_on_a_two_curve_model(self, p):
+        # the model on which the derivative sign moves the bound
+        ham = two_curve_qubit()
         plan = suzuki_plan(p, 2)
-        stages = plan.stages
-        ops = []
-        for kp in range(1, 2 * len(stages)):
-            if kp % 2:
-                st = stages[(kp + 1) // 2 - 1]
-                ops.append((abs(st.alpha), st.gamma, 1j))
-            else:
-                k = kp // 2
-                ops.append((abs(stages[k].beta - stages[k - 1].beta
-                                - stages[k - 1].alpha), None, 1j))
-        tau = 0.37
-        literal = ref_sum(driven2, tau, p, [(st.gamma, 1.0) for st in stages], ops)
-        grouped = _tight_sum(plan, driven2, tau, *stage_weights(plan, 2))
-        assert grouped == pytest.approx(literal, rel=1e-12)
+        for t in (0.01, 0.05, 0.2):
+            assert measure_error(plan, ham, t) <= tight_bound(plan, ham, t).value
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_grouped_sum_matches_literal_enumeration(self, driven2, p):
+        plan = suzuki_plan(p, 2)
+        assert _tight_sum(plan, driven2, 0.37) == pytest.approx(
+            literal_tight_sum(plan, driven2, 0.37), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_grouped_sum_matches_literal_enumeration_on_two_curves(self, p):
+        # the two signs of the odd slots' derivative give different sums here
+        ham, plan = two_curve_qubit(), suzuki_plan(p, 2)
+        assert _tight_sum(plan, ham, 0.37) == pytest.approx(
+            literal_tight_sum(plan, ham, 0.37), rel=1e-12)
+
+
+def literal_tight_sum(plan, ham, tau):
+    """Oracle: enumerate stage indices k'_1..k'_p in {1..2K-1} literally;
+    odd slots step with ad_{H_g} - i d/dt, the lift's sign (TestLiftedSteps),
+    and even ones with i d/dt."""
+    stages = plan.stages
+    ops = []
+    for kp in range(1, 2 * len(stages)):
+        if kp % 2:
+            st = stages[(kp + 1) // 2 - 1]
+            ops.append((abs(st.alpha), st.gamma, -1j))
+        else:
+            k = kp // 2
+            ops.append((abs(stages[k].beta - stages[k - 1].beta
+                            - stages[k - 1].alpha), None, 1j))
+    return ref_sum(ham, tau, plan.order, [(st.gamma, 1.0) for st in stages], ops)
+
+
+def recorded_walk(monkeypatch, fn, *args):
+    """(seeds, steps) that fn(*args) hands to ``_nested_norm_sum``."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_nested_norm_sum",
+                  lambda ham, taus, p, seeds, steps: calls.append((seeds, steps)) or 0.0)
+        fn(*args)
+    return calls[0]
+
+
+def lifted_key(g):
+    """The key of ``lifted_factors`` whose slot the tight sum steps with g."""
+    return "LP" if g is None else ("F", g)
+
+
+class TestLiftedSteps:
+    """Every step kind of the walk against the Floquet lift it stands for.
+
+    A 2pi/w-periodic curve X(tau) = sum_m X_m e^{-i m w tau} lifts to X^Add,
+    whose block <l|X^Add|l'> is X_{l-l'}.  So [H_g, X] lifts to
+    [H_g^Add, X^Add], and since <l|[H_LP, X^Add]|l'> = (l - l') w X_{l-l'},
+    c dX/dt lifts to -i c [H_LP, X^Add].  A walk's node of depth <= 3,
+    lifted, is then a nested commutator of H_gamma^Add, whose interior
+    blocks are the node's Fourier modes.  The tight sum's steps must be the
+    commutators with the lifted matrices of the plan's lifted split: this
+    pins ad_{H_g^F} = ad_{H_g} - i d/dt and ad_{H_LP} = i d/dt."""
+
+    OMEGA, L_MAX, KEEP, SAMPLES, DEPTH = 2.0, 24, 6, 32, 3
+
+    def test_tight_sum_reads_the_lifted_split(self, monkeypatch):
+        ham = two_curve_qubit()
+        for p in (1, 2):
+            plan = suzuki_plan(p, 2)
+            seeds, steps = recorded_walk(monkeypatch, _tight_sum, plan, ham, 0.3)
+            factors = lifted_factors(plan)
+            weights = {}
+            for key, c in factors:
+                weights[key] = weights.get(key, 0.0) + abs(c)
+            assert {lifted_key(g): w for w, g, _c in steps} == weights
+            assert dict(seeds) == {g: sum(key == ("F", g) for key, _ in factors)
+                                   for g in (1, 2)}
+
+    def test_nested_commutators_of_the_lift_are_the_walk_nodes(self, monkeypatch):
+        ham = two_curve_qubit()
+        fh = fourier_hamiltonian(ham, self.OMEGA, 2)
+        ops = build_floquet_operators(fh, FloquetSpace(self.L_MAX, 2))
+        h_lp = ops.lifted("LP")
+        # name: (walk step (g, c), lifted matrix); alpha_com's and
+        # bar_alpha_com's ad_{H_g} and c d/dt by the lift rule, the tight
+        # sum's steps by the lifted matrix of their key
+        kinds = {}
+        for fn in (alpha_com, bar_alpha_com):
+            for _w, g, c in recorded_walk(monkeypatch, fn, ham, 2, 0.3)[1]:
+                rule = -1j * c * h_lp + (0 if g is None else ops.lifted(("Add", g)))
+                kinds[f"ad_H{g}" if g else f"{c.real:g} d/dt"] = ((g, c), rule)
+        for _w, g, c in recorded_walk(monkeypatch, _tight_sum, suzuki_plan(2, 2), ham, 0.3)[1]:
+            kinds[f"tight {lifted_key(g)}"] = ((g, c), ops.lifted(lifted_key(g)))
+        assert len(kinds) == 7  # ad_H1, ad_H2, 4 d/dt, 1 d/dt and three tight steps
+
+        taus = np.arange(self.SAMPLES) * (2 * math.pi / self.OMEGA / self.SAMPLES)
+        terms = {g: [ham.term(g).values(taus, q) for q in range(self.DEPTH + 1)]
+                 for g in (1, 2)}
+
+        def walk_step(table, g, c):
+            # derivatives 0..len(table)-2 of [H_g, X] + c dX/dt
+            out = []
+            for q in range(len(table) - 1):
+                node = c * table[q + 1]
+                if g is not None:
+                    for r in range(q + 1):
+                        h, x = terms[g][r], table[q - r]
+                        node = node + math.comb(q, r) * (h @ x - x @ h)
+                out.append(node)
+            return out
+
+        ls = np.arange(-self.KEEP, self.KEEP + 1)
+        phases = np.exp(1j * self.OMEGA * (ls[:, None, None] - ls[None, :, None]) * taus)
+
+        def check(table, lifted, path):
+            modes = np.einsum("abn,nij->abij", phases, table[0]) / self.SAMPLES
+            blocks = ops.space.blocks(lifted)[ls[:, None] + self.L_MAX, ls[None, :] + self.L_MAX]
+            scale = max(1.0, float(np.abs(modes).max()))
+            assert np.abs(blocks - modes).max() <= 1e-12 * scale, path
+
+        def nest(table, lifted, path):
+            check(table, lifted, path)
+            if len(path) > self.DEPTH:
+                return
+            for name, ((g, c), a) in kinds.items():
+                nest(walk_step(table, g, c), a @ lifted - lifted @ a, path + [name])
+
+        for gamma in (1, 2):
+            nest(terms[gamma], ops.lifted(("Add", gamma)), [f"H_{gamma}"])
 
 
 class TestHuyghebaert:
@@ -1005,9 +1135,8 @@ class TestSectorWalk:
     def test_tight_sum_matches_dense(self, model, p):
         ham = SECTOR_MODELS[model]()
         plan = suzuki_plan(p, ham.n_terms)
-        weights = stage_weights(plan, ham.n_terms)
-        np.testing.assert_allclose(_tight_sum(plan, ham, TAUS, *weights),
-                                   _tight_sum(plan, dense_copy(ham), TAUS, *weights),
+        np.testing.assert_allclose(_tight_sum(plan, ham, TAUS),
+                                   _tight_sum(plan, dense_copy(ham), TAUS),
                                    rtol=1e-12)
 
     def test_dense_copy_is_one_sector_of_its_own_terms(self):
@@ -1417,13 +1546,12 @@ class TestRealWalk:
     def test_tight_sums_ignore_realness(self, monkeypatch):
         ham = driven_chain(8, "periodic")
         plan = suzuki_plan(2, 2)
-        weights = stage_weights(plan, 2)
         leaves = record_dtypes(monkeypatch)
-        got = _tight_sum(plan, ham, TAUS, *weights)
+        got = _tight_sum(plan, ham, TAUS)
         assert {dtype for dtype, _ in leaves} == {np.dtype(np.complex128)}
         assert {count for _, count in leaves} == {2 * ham.sectors.count}
         force_complex(monkeypatch)
-        assert np.array_equal(got, _tight_sum(plan, ham, TAUS, *weights))
+        assert np.array_equal(got, _tight_sum(plan, ham, TAUS))
 
 
 class TestRootPairs:

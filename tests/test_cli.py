@@ -791,6 +791,17 @@ class TestPlumbing:
         assert "convergence failure" in capsys.readouterr().err
         assert steps == []
 
+    def test_refused_configs_leave_no_out_directory(self, tmp_path):
+        # repeated orders (exit 2) and a stiff chain (exit 3); the directory,
+        # and the parent it would need, are made only by the first output
+        stiff = {"model": "nn-chain", "N": 2,
+                 "bond_curve": {"kind": "exp", "amp": 1, "rate": 800}}
+        for cfg, code in (({"model": DRIVEN2, "orders": [1, 1], "times": [0.05]}, 2),
+                          ({"model": stiff, "orders": [1], "times": [0.05]}, 3)):
+            path = write_config(tmp_path, "cfg.json", cfg)
+            assert run("order-scan", path, str(tmp_path / "new" / "out")) == code
+            assert not (tmp_path / "new").exists()
+
     def test_convergence_failure_exits_3(self, tmp_path, monkeypatch):
         from tdpf.errors import ConvergenceError
 

@@ -6,8 +6,9 @@ from tdpf.errors import InvalidInputError, NumericalBlowUpError
 import tdpf.floquet as floquet
 from tdpf.floquet import (FloquetSpace, build_floquet_operators, build_tf,
                           build_tf_suzuki, check_translation_symmetry,
-                          fourier_decompose, fourier_hamiltonian, reconstruct)
-from tdpf.formulas import INSTANTANEOUS, evaluate_pf, suzuki_a, suzuki_plan
+                          fourier_decompose, fourier_hamiltonian, lifted_factors,
+                          reconstruct)
+from tdpf.formulas import EXACT, INSTANTANEOUS, evaluate_pf, suzuki_a, suzuki_plan
 from tdpf.linalg import PAULI, matrix_exp, spectral_norm
 from tdpf.models import Hamiltonian, OperatorCurve
 from tdpf.propagator import evolve
@@ -289,6 +290,53 @@ class TestBuildTf:
         bad = StagePlan((Stage(1, 1.0, 0.0), Stage(2, 1.0, 0.5)), 1, 2)
         with pytest.raises(InvalidInputError):
             build_tf(bad, ops, 0.3)
+        with pytest.raises(InvalidInputError, match="Gamma - 1"):
+            lifted_factors(bad)
+
+
+def literal_factors(plan, t):
+    """The (key, duration) exponentials of a plan's lifted formula, written
+    out from its stages; first applied first."""
+    stages = plan.stages
+    if plan.family == EXACT:
+        factors = []
+        for st, nxt in zip(stages, stages[1:]):
+            factors += [(("F", st.gamma), st.alpha * t),
+                        ("LP", (st.beta + st.alpha - nxt.beta) * t)]
+        return factors + [(("F", stages[-1].gamma), stages[-1].alpha * t)]
+    factors, beta_prev = [], 0.0
+    for st in stages:
+        factors += [("LP", -(st.beta - beta_prev) * t), (("Add", st.gamma), st.alpha * t)]
+        beta_prev = st.beta
+    return factors + [("LP", -(1.0 - beta_prev) * t)]
+
+
+class TestLiftedFactors:
+    @pytest.mark.parametrize("family", [EXACT, INSTANTANEOUS])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("n_terms", [2, 3])
+    def test_durations_add_up_per_key(self, family, p, n_terms):
+        # each term's slots take its stages' alpha; the linear potential
+        # takes Gamma - 1 between exact segments, and -1 around instants
+        plan = suzuki_plan(p, n_terms, family)
+        kind = "F" if family == EXACT else "Add"
+        totals = {}
+        for key, c in lifted_factors(plan):
+            totals[key] = totals.get(key, 0.0) + c
+        for g in range(1, n_terms + 1):
+            alpha = sum(st.alpha for st in plan.stages if st.gamma == g)
+            assert totals.pop((kind, g)) == pytest.approx(alpha, rel=1e-14)
+        lp = n_terms - 1 if family == EXACT else -1.0
+        assert totals == {"LP": pytest.approx(lp, rel=1e-14)}
+
+    @pytest.mark.parametrize("family", [EXACT, INSTANTANEOUS])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_build_tf_is_the_literal_factor_product(self, drive, family, p):
+        _, fh = drive
+        ops = build_floquet_operators(fh, FloquetSpace(6, 4))
+        plan = suzuki_plan(p, 2, family)
+        np.testing.assert_array_equal(build_tf(plan, ops, DRIVE_T),
+                                      ops.apply_factors(literal_factors(plan, DRIVE_T)))
 
 
 class TestReconstruct:
