@@ -9,13 +9,20 @@ through commutators by the Leibniz rule, and each term derivative
 H_g^(r)(tau) is evaluated once per sum.  A sum of length-p sequences needs
 p derivatives of every term that is not identically zero, so a smaller
 declared derivative budget is an error; zero terms are never differentiated.
-A seed's own pure commutator step is skipped: by the Leibniz rule
-[H_g, H_g]^(q) = sum_r C(q, r) [H_g^(r), H_g^(q-r)] = 0, so its whole subtree
-is zero (a step with a derivative part keeps that child).  And since
-[H_g, H_gamma] = -[H_gamma, H_g] and every later step is linear, the pure
-commutator children (gamma, g) and (g, gamma) of two seeds have equal norms
-at every leaf: each such pair is walked once, with both weights, so the
-root subtrees of alpha_com number Gamma (Gamma + 1) / 2, not Gamma^2.
+A step on a zero term keeps only its derivative part, and a step left with
+neither part is dropped.  At the first level one rule folds the children
+that vanish or repeat.  A step on the seed's own term has a vanishing
+commutator, since by the Leibniz rule [H_gamma, H_gamma]^(q) = sum_r C(q, r)
+[H_gamma^(r), H_gamma^(q-r)] = 0, so it builds c dH_gamma/dt, as a
+derivative-only step does.  These children are one operator up to a factor,
+and every later step is linear: the child is walked once, by a
+derivative-only step when there is one, with each folded step's weight
+scaled by |c| / |c_walked| (a pure self-commutator adds 0).  So a tight sum
+walks each seed's derivative subtree once.  And since [H_g, H_gamma] =
+-[H_gamma, H_g], the pure commutator children (gamma, g) and (g, gamma) of
+two seeds have equal norms at every leaf: each such pair is walked once,
+with both weights, so the root subtrees of alpha_com number
+Gamma (Gamma + 1) / 2, not Gamma^2.
 The exact norms of the complete sequences are summed; no symbolic norm
 inequalities are applied below the level of the published bound formulas.
 
@@ -148,20 +155,18 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
     Each sector group evaluates its own term derivatives, since one shared
     evaluation would keep both groups' tables alive through both walks."""
     batch = np.atleast_1d(np.asarray(taus, dtype=float))
-    live = {}
-    for g in range(1, ham.n_terms + 1):
-        term = ham.term(g)
-        if term.is_zero:
-            continue  # sequences through a zero term drop its commutator
+    live = {g: term for g, term in enumerate(ham.terms, 1) if not term.is_zero}
+    for g, term in live.items():
         if term.derivative_budget < p:
             raise BudgetExceededError(
                 f"term {g} has derivative budget {term.derivative_budget}; "
                 f"this sum needs derivatives up to order {p}")
-        live[g] = term
-    # a zero step weight zeroes its whole subtree; a weight product that
-    # underflows to 0.0 is walked and adds 0.0 to the fsum
-    steps = [(w, g, complex(c)) for w, g, c in steps if w != 0.0]
-    phases = [_phase(g, c, live) for _w, g, c in steps]
+    # a step on a zero term keeps its derivative part; a zero step weight, or
+    # a step with neither part, zeroes its whole subtree, as does a zero seed;
+    # a weight product that underflows to 0.0 is walked and adds 0.0 to the fsum
+    steps = [(w, g if g in live else None, complex(c)) for w, g, c in steps]
+    steps = [(w, g, c) for w, g, c in steps if w != 0.0 and (g is not None or c != 0)]
+    phases = [_phase(g, c) for _w, g, c in steps]
     hermitian = None not in phases and all(term.is_hermitian for term in live.values())
     real = (all(c.imag == 0.0 for _w, _g, c in steps)
             and all(term.is_real for term in live.values()))
@@ -179,7 +184,7 @@ def _nested_norm_sum(ham: Hamiltonian, taus, p: int, seeds, steps):
             walk_steps = [(w, g, 1, c) for w, g, c in steps]
         groups.append((ks, max(sectors.sizes[k] for k in ks), real_blocks, walk_steps,
                        hermitian and not real_blocks))
-    roots = _roots(seeds, steps, live)
+    roots = _roots([(gamma, w) for gamma, w in seeds if w != 0.0 and gamma in live], steps)
     entries = max(len(ks) * m**2 for ks, m, *_ in groups)
 
     def chunk_sums(part):
@@ -233,39 +238,48 @@ def _sector_groups(sectors, real: bool) -> tuple[list, list]:
             [k for k in pairs if conjugates[k] != k])
 
 
-def _roots(seeds, steps, live) -> list:
-    """Per live seed (gamma, weight): (gamma, weight, its first steps as
-    (weight, index into steps)), with the seed weight in each first weight.
-    A pure commutator with the seed's own term is dropped, and the pure
+def _roots(seeds, steps) -> list:
+    """Per seed (gamma, weight), each on a live term with a nonzero weight:
+    (gamma, weight, its first steps as (weight, index into steps)), with the
+    seed weight in each first weight.  steps are normalized: g is None on a
+    zero term, and no step lacks both parts.  The steps that build
+    c dH_gamma/dt (derivative-only ones, and those on gamma, whose
+    commutator vanishes) are one child: it is walked once, by the first
+    derivative-only step if there is one, else by the first with c != 0,
+    and each folded step adds its weight times |c| / |c_walked|.  The pure
     commutator children (gamma, g) and (g, gamma) are walked once, at the
     first of them, with the sum of both weights (see the module docstring)."""
-    seeds = [(gamma, weight) for gamma, weight in seeds if weight != 0.0 and gamma in live]
-    pure = [c == 0 and g in live for _w, g, c in steps]
     pairs = {}
     for gamma, weight in seeds:
-        for (sw, g, _c), is_pure in zip(steps, pure):
-            if is_pure and g != gamma:
+        for sw, g, c in steps:
+            if c == 0 and g != gamma:  # a pure commutator: c == 0 leaves g not None
                 key = (min(g, gamma), max(g, gamma))
                 pairs[key] = pairs.get(key, 0.0) + weight * sw
     roots = []
     for gamma, weight in seeds:
+        same = [j for j, (_w, g, c) in enumerate(steps) if c != 0 and g in (None, gamma)]
+        walked = min(same, key=lambda j: steps[j][1] is not None, default=None)
         first = []
-        for j, ((sw, g, _c), is_pure) in enumerate(zip(steps, pure)):
-            if not is_pure:
+        for j, (sw, g, c) in enumerate(steps):
+            if j == walked:
+                first.append((weight * sum(steps[i][0] * (abs(steps[i][2]) / abs(c))
+                                           for i in same), j))
+            elif c == 0 and (key := (min(g, gamma), max(g, gamma))) in pairs:
+                first.append((pairs.pop(key), j))  # never (gamma, gamma)
+            elif c != 0 and g not in (None, gamma):
                 first.append((weight * sw, j))
-            elif (key := (min(g, gamma), max(g, gamma))) in pairs:  # never (gamma, gamma)
-                first.append((pairs.pop(key), j))
         roots.append((gamma, weight, first))
     return roots
 
 
-def _phase(g, c, live):
+def _phase(g, c):
     """The unit phase f that makes f ([H_g, X] + c dX/dt) Hermitian for every
     Hermitian X when the live terms are Hermitian, or None if there is none:
-    i for a commutator or an imaginary c, 1 for a real c and no commutator."""
-    if c.real == 0.0 and (c.imag != 0.0 or g in live):
+    i for a commutator or an imaginary c, 1 for a real c and no commutator
+    (g None; a step on a zero term has none)."""
+    if c.real == 0.0 and (c.imag != 0.0 or g is not None):
         return 1j
-    if c.imag == 0.0 and g not in live:
+    if c.imag == 0.0 and g is None:
         return 1
     return None
 
@@ -280,26 +294,24 @@ def _walk(block, depth, derivs, steps, cap, norms, hermitian, first=None) -> Non
     step maps the whole block to its children at once, and the children of
     consecutive steps are gathered into blocks of cap nodes, so a leaf block
     is one eigensolve.  first, when given, replaces steps at this level (a
-    root's, from ``_roots``).  A pure commutator with a zero term is
-    skipped.  Gathering keeps small blocks' eigensolves batched, and walking
-    each cap as soon as it fills keeps the peak near a depth-first walk's."""
+    root's, from ``_roots``).  A step with g None is derivative-only, and
+    every other g has its derivative table in derivs.  Gathering keeps small
+    blocks' eigensolves batched, and walking each cap as soon as it fills
+    keeps the peak near a depth-first walk's."""
     x, w = block
     if depth == 0:
         norms.append(w[:, None] * spectral_norms(x[0], hermitian=hermitian))
         return
     pending, count = [], 0
     for sw, g, f, fc in steps if first is None else first:
-        h = derivs.get(g)
-        if fc == 0 and h is None:
-            continue
-        if h is None:
+        if g is None:
             child = [fc * x[q + 1] for q in range(depth)]
         else:
             child = []
             for q in range(depth):
                 out = np.zeros_like(x[0])
                 for r in range(q + 1):
-                    lv, rv = h[r], x[q - r]
+                    lv, rv = derivs[g][r], x[q - r]
                     out += (f * math.comb(q, r)) * (lv @ rv - rv @ lv)
                 if fc:
                     out += fc * x[q + 1]

@@ -125,22 +125,19 @@ def reference_walk(x, weight, depth, derivs, steps, norms, hermitian, first=None
     each step (w, g, f, fc) maps X to f [H_g, X] + fc dX/dt, and each leaf
     appends its weighted norms with its own eigensolve.  Like the block
     walk, a root takes its first steps from first (``bounds._roots``), and
-    a pure commutator with a zero term is skipped."""
+    a step with g None is derivative-only."""
     if depth == 0:
         norms.append(weight * spectral_norms(x[0], hermitian=hermitian))
         return
     for w, g, f, fc in steps if first is None else first:
-        h = derivs.get(g)
-        if fc == 0 and h is None:
-            continue
-        if h is None:
+        if g is None:
             child = [fc * x[q + 1] for q in range(depth)]
         else:
             child = []
             for q in range(depth):
                 out = np.zeros_like(x[0])
                 for r in range(q + 1):
-                    lv, rv = h[r], x[q - r]
+                    lv, rv = derivs[g][r], x[q - r]
                     out += (f * math.comb(q, r)) * (lv @ rv - rv @ lv)
                 if fc:
                     out += fc * x[q + 1]
@@ -484,6 +481,23 @@ class TestZeroTerm:
         steps.append((even_weight + odd_weights[3], None, 1j))
         expected = bounds._nested_norm_sum(padded, 0.3, 2, seeds, steps)
         assert _tight_sum(plan, padded, 0.3) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [2.0, -1j], ids=["alpha-com-steps", "tight-steps"])
+    def test_zero_term_step_keeps_only_its_derivative_part(self, c):
+        # with H_3 = 0 a step (w, 3, c) is the derivative-only step
+        # (w, None, c), and a pure commutator step (w, 3, 0) is no step
+        ham = with_zero_term(driven_chain(3))
+        seeds = [(g, 0.5 + 0.3 * g) for g in (1, 2, 3)]
+        if c == 2.0:  # alpha_com's: pure commutators and a real derivative
+            steps = [(0.4 + 0.25 * g, g, 0) for g in (1, 2)] + [(0.6, None, 4.0)]
+        else:  # the tight sum's: ad_{H_g} - i d/dt and i d/dt
+            steps = [(0.4 + 0.25 * g, g, -1j) for g in (1, 2)] + [(0.6, None, 1j)]
+        for p in (1, 2):
+            def total(extra):
+                return bounds._nested_norm_sum(ham, 0.37, p, seeds, steps + extra)
+
+            assert total([(0.7, 3, c)]) == pytest.approx(total([(0.7, None, c)]), rel=1e-15)
+            assert total([(0.9, 3, 0)]) == pytest.approx(total([]), rel=1e-15)
 
 
 class TestAlphaCom:
@@ -1557,30 +1571,73 @@ class TestRealWalk:
 class TestRootPairs:
     @pytest.mark.parametrize("n_terms, subtrees", [(2, 3), (5, 15)])
     def test_alpha_com_walks_each_antisymmetric_pair_once(self, n_terms, subtrees):
-        live = dict.fromkeys(range(1, n_terms + 1))
-        seeds = [(g, 1.0) for g in live]
-        steps = [(1.0, g, 0j) for g in live] + [(1.0, None, complex(2 * n_terms))]
-        roots = bounds._roots(seeds, steps, live)
+        gammas = range(1, n_terms + 1)
+        seeds = [(g, 1.0) for g in gammas]
+        steps = [(1.0, g, 0j) for g in gammas] + [(1.0, None, complex(2 * n_terms))]
+        roots = bounds._roots(seeds, steps)
         assert sum(len(first) for *_, first in roots) == subtrees
         for gamma, _, first in roots:
-            # g > gamma, with both orders' weights; the derivative as it was
-            assert first == [(2.0, g - 1) for g in live if g > gamma] + [(1.0, n_terms)]
+            # g > gamma, with both orders' weights; the derivative, into
+            # which [H_gamma, H_gamma] folds with weight 0, as it was
+            assert first == [(2.0, g - 1) for g in gammas if g > gamma] + [(1.0, n_terms)]
 
     def test_weights_of_both_orders_add(self):
-        live = dict.fromkeys((1, 2, 3))
         seeds = [(1, 0.5), (2, 0.25), (3, 2.0)]
         steps = [(3.0, 1, 0j), (5.0, 2, 0j), (7.0, 2, 1j), (0.1, None, 1 + 0j)]
-        roots = bounds._roots(seeds, steps, live)
+        roots = bounds._roots(seeds, steps)
         assert roots == [
             (1, 0.5, [(0.5 * 5.0 + 0.25 * 3.0, 1), (0.5 * 7.0, 2), (0.5 * 0.1, 3)]),
-            # [H_2, H_2] is zero; (2, 3) has no pure commutator with 3
-            (2, 0.25, [(0.25 * 7.0, 2), (0.25 * 0.1, 3)]),
+            # [H_2, H_2] is zero, so (7.0, 2, 1j) builds i dH_2/dt and folds
+            # into the derivative step; (2, 3) has no pure commutator with 3
+            (2, 0.25, [(0.25 * (7.0 + 0.1), 3)]),
             (3, 2.0, [(2.0 * 3.0, 0), (2.0 * 5.0, 1), (2.0 * 7.0, 2), (2.0 * 0.1, 3)])]
 
-    def test_tight_steps_fold_nothing(self):
-        live = dict.fromkeys((1, 2))
-        seeds = [(1, 1.0), (2, 2.0)]
-        steps = [(0.5, 1, 1j), (0.75, 2, 1j), (0.25, None, 1j)]
-        roots = bounds._roots(seeds, steps, live)
-        assert [first for *_, first in roots] == [
-            [(w * sw, j) for j, (sw, _, _) in enumerate(steps)] for _, w in seeds]
+    def test_folded_weights_scale_by_the_coefficients(self):
+        # every step on the seed's own term builds c dH_1/dt: the child is
+        # walked by the derivative-only step, else by the first with c != 0
+        seeds = [(1, 0.5)]
+        steps = [(3.0, 1, 2j), (0.7, 1, 0j), (0.2, 2, 1j), (0.4, None, -4.0 + 0j)]
+        assert bounds._roots(seeds, steps) == [
+            (1, 0.5, [(0.5 * 0.2, 2), (0.5 * (3.0 * (2.0 / 4.0) + 0.4 * 1.0), 3)])]
+        steps = [(0.7, 1, 0j), (3.0, 1, 2j), (1.5, 1, -1j), (0.2, 2, 1j)]
+        assert bounds._roots(seeds, steps) == [
+            (1, 0.5, [(0.5 * (3.0 + 1.5 * 0.5), 1), (0.5 * 0.2, 3)])]
+        ham = driven_chain(3)
+        seeds = [(1, 0.5), (2, 1.25)]
+        for steps in ([(3.0, 1, 2j), (0.7, 1, 0), (0.2, 2, 1j), (0.4, None, -4.0)],
+                      [(0.7, 1, 0), (3.0, 1, 2j), (1.5, 1, -1j), (0.2, 2, 1j)]):
+            for p in (1, 2):
+                assert bounds._nested_norm_sum(ham, 0.37, p, seeds, steps) == pytest.approx(
+                    ref_sum(ham, 0.37, p, seeds, steps), rel=1e-12)
+
+    @pytest.mark.parametrize("model", sorted(PARITY_MODELS))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_tight_sum_walks_each_seed_derivative_once(self, monkeypatch, model, p):
+        # ad_{H_gamma^F} on the seed H_gamma gives -i dH_gamma/dt, and the
+        # LP step i dH_gamma/dt: one child, walked by LP with both weights
+        ham = PARITY_MODELS[model]()
+        plan = suzuki_plan(p, ham.n_terms)
+        weights = {}
+        for key, c in lifted_factors(plan):
+            weights[key] = weights.get(key, 0.0) + abs(c)
+        live = [g for g in range(1, ham.n_terms + 1) if not ham.term(g).is_zero]
+        roots = []
+        real = bounds._roots
+
+        def spy(seeds, steps):
+            roots.extend(real(seeds, steps))
+            return roots
+
+        monkeypatch.setattr(bounds, "_roots", spy)
+        got = _tight_sum(plan, ham, 0.37)
+        assert [gamma for gamma, *_ in roots] == live
+        lp = list(weights).index("LP")
+        for gamma, weight, first in roots:
+            # the other live terms' steps and LP, which takes gamma's
+            # step and every zero term's (a derivative-only step)
+            assert len(first) == len(live)
+            folded = [w for key, w in weights.items()
+                      if key in ("LP", ("F", gamma)) or key[1] not in live]
+            assert {j: w for w, j in first}[lp] == pytest.approx(
+                weight * sum(folded), rel=1e-15)
+        assert got == pytest.approx(ref_tight_sum(plan, ham, 0.37), rel=1e-12)
